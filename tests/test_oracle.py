@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -179,6 +180,35 @@ def test_random_suite_deterministic():
     assert a.to_json() == b.to_json()
     c = oracle.random_suite("nagy", trials=25, seed=10)
     assert c.to_json() != a.to_json()
+
+
+# sha256 of the sorted-key JSON of random_suite(tid, 200, seed): any change to
+# the suites' arithmetic or RNG draw order shows up here
+SUITE_DIGESTS = {
+    ("lemma1", 1): "a58388f3162a715114c4cb29d4e7fa9b651653aeda3ead431cefcb4e95716479",
+    ("lemma1", 2): "dadf07fc99a1ced0f4fd84ff97358ca8c71fd409b501b5ff544ae276196f2f75",
+    ("nagy", 1): "6cdfe9d6521ec5b4e7dd7d48b9bfe6b9f63d5871cc9c83348e911a63f2ccc991",
+    ("nagy", 2): "1136e20781526986693780035b1c71ccff499f6c17b18e301d847146a7f23039",
+    ("nagy_l1", 1): "86e62c66b050934ec6f4b836aca017e1157469a1563b0e256fed7b8b0412074f",
+    ("nagy_l1", 2): "885fa08bc1e140490b1bde127f59cb5f84b296a72086e27551a27f04e5b76ece",
+    ("sobolev", 1): "5d436202760b7152f35dcb18ea4e1f7220d4f3f1f9d8361e6fe3be3bdab2d336",
+    ("sobolev", 2): "7b5056f00a1c35f7cf2b2df0d9694b546c4644eea8d60bfa140b60ce7415dc0f",
+    ("charge", 1): "f56f08843db57a41a0b133b343eba578f1c62d3683744dffb5a3e772699c7b8e",
+    ("charge", 2): "79805fddf79c0fd5d2a6b418c1478df2ec0748f3d3aa58b92cb20de817aa29ce",
+    ("hypersingular", 1): "5a67bb324c4e2efc79663dcc56dd58a4fca65ca2c7d275079d02a37d51b93d68",
+    ("hypersingular", 2): "1d89d1c9fe3da874df4ddecaee9a55ee1c98cc3facb8d3688f68ceb8dc50098a",
+    ("mixed_additive", 1): "542747f4dda2c0e263ae9099fd0bc2a37515a355d1e3cd692c96f9427562d9bf",
+    ("mixed_additive", 2): "e1b3838ffc87ac2c577eb1242fbe7c2f23e315580542328dc984307e9de844c3",
+    ("mixed_multiplicative", 1): "f308648cd257ea7947f80e74e0651a84131701be952badb8b920ef226f8ec1b0",
+    ("mixed_multiplicative", 2): "288bad2cd14702d6b949ddbece4bd6a97f8f3c91c5873e31efc77cf9549d5395",
+}
+
+
+@pytest.mark.parametrize("tid,seed", sorted(SUITE_DIGESTS))
+def test_random_suite_pinned_digests(tid, seed):
+    rep = oracle.random_suite(tid, 200, seed)
+    blob = json.dumps(rep.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == SUITE_DIGESTS[(tid, seed)]
 
 
 def test_suite_report_json_round_trip():
