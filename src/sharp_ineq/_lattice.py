@@ -8,10 +8,14 @@ evaluated once on the padded box and every sweep becomes a flat gather that
 
 Dimension-agnostic by construction: coordinates are linearized with C-order
 strides, so the same plan code serves d = 1, 2, 3, ...
+
+``sweep_plan`` memoizes the plans of the randomized suites, whose trials
+redraw the function but keep hitting the same few geometries.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +31,7 @@ def window_points(space: Space, radius: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GatherPlan:
     space: Space
     base_points: np.ndarray      # (N, d) window points
@@ -74,6 +78,25 @@ def make_plan(space: Space, window_radius: int, offsets: np.ndarray) -> GatherPl
         base_idx=base_idx,
         lin_offsets=lin_offsets,
     )
+
+
+@functools.lru_cache(maxsize=256)
+def sweep_plan(space: Space, window_radius: int, k: int, punctured: bool = False) -> GatherPlan:
+    """Cached plan for a window of radius ``window_radius`` swept by the box
+    of radius ``k``: the lattice ball ``space.enumerate_ball(h)`` of every h
+    with ``strict_int_below(h) == k``, offsets in the same order.  With
+    ``punctured`` the origin is dropped, leaving the annulus ``1 <= rho <= k``
+    of a singular kernel cut at k.
+
+    The plan is shared between callers, so its arrays are read-only.
+    """
+    offsets = window_points(space, k)
+    if punctured:
+        offsets = offsets[np.max(np.abs(offsets), axis=1) >= 1]
+    plan = make_plan(space, window_radius, offsets)
+    for arr in (plan.base_points, plan.offsets, plan.padded_points, plan.base_idx, plan.lin_offsets):
+        arr.flags.writeable = False
+    return plan
 
 
 def evaluate_padded(plan: GatherPlan, evaluator) -> np.ndarray:

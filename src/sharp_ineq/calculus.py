@@ -425,7 +425,6 @@ def ball_integral_at(
     x,
     spec: Optional[QuadratureSpec] = None,
     mc_offsets: Optional[np.ndarray] = None,
-    lattice_offsets: Optional[np.ndarray] = None,
 ) -> float:
     """``integral over x + B_h of f d(mu)``: exact sum on lattices, else the
     best continuum path available (exact box mass / radial pieces / adaptive
@@ -435,9 +434,7 @@ def ball_integral_at(
         spec = QuadratureSpec(method=LATTICE_EXACT if space.is_lattice else MONTE_CARLO)
     xv = np.asarray(x, dtype=np.float64)
     if space.is_lattice:
-        offs = lattice_offsets
-        if offs is None:
-            offs = space.enumerate_ball(h).astype(np.float64)
+        offs = space.enumerate_ball(h).astype(np.float64)
         return float(np.sum(f(xv[None, :] + offs)))
     return _ball_average_at(f, space, h, xv, spec, mc_offsets)
 

@@ -160,13 +160,31 @@ def _spec_from(cfg: dict, space: Space, omega: Modulus, seed: Optional[int]) -> 
         raise ConfigError(f"bad quadrature settings: {exc}") from exc
 
 
-def _h_values(cfg: dict, *, exact: bool) -> list:
+def _radius(value, space: Space, *, exact: bool):
+    """A config ball radius, checked against the space (h > 0; h > 1 on lattices)."""
+    h = _number(value, exact=exact)
+    try:
+        space.require_valid_radius(h)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return h
+
+
+def _h_values(cfg: dict, space: Space, *, exact: bool) -> list:
     values = cfg.get("h_values")
     if values is None and "h" in cfg:
         values = [cfg["h"]]
     if not isinstance(values, list) or not values:
         raise ConfigError("config needs 'h_values' (a nonempty list) or a single 'h'")
-    return [_number(v, exact=exact) for v in values]
+    return [_radius(v, space, exact=exact) for v in values]
+
+
+def _require_rational(omega: Modulus) -> None:
+    """Exact mode evaluates the modulus in Fractions; reject moduli that cannot."""
+    try:
+        omega.eval_fraction(Fraction(1))
+    except ValueError as exc:
+        raise ConfigError(f"exact mode needs a rational modulus: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +197,7 @@ def cmd_constant(cfg: dict, args) -> tuple[str, int]:
     omega = _modulus_from(cfg)
     spec = _spec_from(cfg, space, omega, args.seed)
     rows = []
-    for h in _h_values(cfg, exact=False):
+    for h in _h_values(cfg, space, exact=False):
         mu = float(space.ball_measure(h))
         est = ball_integral_of_modulus(space, omega, h, spec)
         rows.append(
@@ -220,6 +238,9 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
             raise ConfigError(f"exact mode covers {EXACT_THEOREMS}, not {tid!r}")
     if exact and not space.is_lattice:
         raise ConfigError("exact mode runs on lattice spaces")
+    if exact:
+        _require_rational(omega)
+    h_values = _h_values(cfg, space, exact=exact)
     kernel = None
     if "kernel" in cfg:
         try:
@@ -231,7 +252,7 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
 
     rows = []
     violated = False
-    for h in _h_values(cfg, exact=exact):
+    for h in h_values:
         for tid in theorems:
             if exact:
                 report = exact_verify(tid, space, omega, h)
@@ -292,8 +313,14 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
             tid = node["theorem_id"]
             if tid not in THEOREM_IDS:
                 raise ConfigError(f"unknown theorem id {tid!r}")
+            try:
+                trials = int(node.get("trials", 1000))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad suite 'trials': {exc}") from exc
+            if trials <= 0:
+                raise ConfigError(f"suite 'trials' must be positive, got {trials}")
             seed = args.seed if args.seed is not None else int(node.get("seed", 1))
-            rep = random_suite(tid, trials=int(node.get("trials", 1000)), seed=seed)
+            rep = random_suite(tid, trials=trials, seed=seed)
             failed = failed or rep.violations > 0
             reports.append(rep.to_json())
         out["suites"] = reports
@@ -327,9 +354,10 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
                 raise ConfigError(f"exact mode covers {EXACT_THEOREMS}, not {tid!r}")
             space = _space_from(node)
             omega = _modulus_from(node)
+            _require_rational(omega)
             if "h" not in node:
                 raise ConfigError("each exact entry needs 'h'")
-            h = _number(node["h"], exact=True)
+            h = _radius(node["h"], space, exact=True)
             report = exact_verify(tid, space, omega, h)
             failed = failed or report.verdict == "Violated"
             reports.append(_report_row(report, True))

@@ -61,7 +61,7 @@ from .extremals import (
     sobolev_extremal_pair,
 )
 from .modulus import Modulus, PowerModulus
-from .space import Space, continuum
+from .space import Space, continuum, strict_int_below
 
 VERDICT_HOLDS = "Holds"
 VERDICT_EQUALITY = "EqualityAttained"
@@ -282,14 +282,9 @@ class ChargeModel:
     def name(self) -> str:
         return f"charge({self.density.name})"
 
-    def ball_mass(
-        self, space: Space, h, x, spec: Optional[QuadratureSpec] = None,
-        lattice_offsets: Optional[np.ndarray] = None,
-    ) -> float:
+    def ball_mass(self, space: Space, h, x, spec: Optional[QuadratureSpec] = None) -> float:
         """``nu(x + B_h)``: the charge of a translated ball."""
-        return ball_integral_at(
-            self.density, space, h, x, spec, lattice_offsets=lattice_offsets
-        )
+        return ball_integral_at(self.density, space, h, x, spec)
 
 
 def charge_average(
@@ -314,16 +309,24 @@ def charge_seminorm(
     Deliberately does *not* consult certified seminorm metadata on the
     density: this is the independent side of the identity
     ``charge seminorm == density seminorm``.
+
+    Lattice: the density is evaluated once on the padded box of a cached
+    plan, the charges of all window balls are gathered as an ``(N, K)``
+    array (offsets in ``enumerate_ball`` order), and each row is summed on
+    its own.  This path stays off ``seminorm_local`` and its
+    ``_kernels.ball_sums`` matmul, so the two sides of the identity share
+    only plan building; the row sums reproduce ``ball_integral_at``'s
+    per-ball ``np.sum`` bit for bit.  Continuum: a grid search over
+    ``ball_mass``.
     """
     space.require_valid_radius(h)
-    if spec is None:
-        spec = QuadratureSpec(method=LATTICE_EXACT if space.is_lattice else MONTE_CARLO)
     if space.is_lattice:
-        offsets = space.enumerate_ball(h).astype(np.float64)
-        xs = _lattice.window_points(space, int(math.ceil(window_radius))).astype(np.float64)
-        return max(
-            abs(nu.ball_mass(space, h, x, spec, lattice_offsets=offsets)) for x in xs
-        )
+        plan = _lattice.sweep_plan(space, int(math.ceil(window_radius)), strict_int_below(h))
+        padded = _lattice.evaluate_padded(plan, nu.density.evaluator)
+        charges = padded[plan.base_idx[:, None] + plan.lin_offsets[None, :]].sum(axis=1)
+        return float(np.max(np.abs(charges)))
+    if spec is None:
+        spec = QuadratureSpec(method=MONTE_CARLO)
     from .calculus import _candidate_points, continuum_grid  # local: avoids re-export noise
 
     hf = float(h)

@@ -11,7 +11,8 @@ extremal constructors stamp on their outputs:
 
 * ``random_suite`` throws randomized certified-smooth functions (maxima of
   truncated cones) at an inequality and counts violations.  Sweeps run on
-  the gather kernels, so a thousand trials cost well under a second.
+  cached gather plans, so a thousand trials of any suite cost well under a
+  second.
 
 * ``mc_cross_check`` re-derives each closed-form quantity by plain Monte
   Carlo and reports the discrepancy in standard errors.
@@ -383,12 +384,11 @@ def _random_cone_spec(space: Space, omega: Modulus, rng) -> ConeFunctionSpec:
 def _lattice_sweep(f: FunctionModel, space: Space, h: float):
     """Exact lattice sup / seminorm / L1 / averaging-deviation of a
     compactly supported function, via one padded gather plan."""
-    offsets = space.enumerate_ball(h)
     k = strict_int_below(h)
     radius = int(math.ceil(f.support_radius)) + k + 1
-    plan = _lattice.make_plan(space, radius, offsets)
+    plan = _lattice.sweep_plan(space, radius, k)
     padded = _lattice.evaluate_padded(plan, f.evaluator)
-    mu = float(len(offsets))
+    mu = float(len(plan.offsets))
     ball = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets)
     base_vals = padded[plan.base_idx]
     return {
@@ -400,7 +400,7 @@ def _lattice_sweep(f: FunctionModel, space: Space, h: float):
     }
 
 
-def _suite_trial_additive(theorem_id: str, rng) -> tuple[float, dict]:
+def _suite_trial_additive(theorem_id: str, rng) -> tuple[float, float, dict]:
     space = lattice(2, 1)
     omega = _random_modulus(rng)
     h = float(rng.uniform(1.2, 3.0))
@@ -432,7 +432,7 @@ def _suite_trial_additive(theorem_id: str, rng) -> tuple[float, dict]:
     return rhs - lhs, rhs, case
 
 
-def _suite_trial_hypersingular(rng) -> tuple[float, dict]:
+def _suite_trial_hypersingular(rng) -> tuple[float, float, dict]:
     space = lattice(1, 0)
     omega = _random_modulus(rng)
     h = float(rng.uniform(1.2, 3.0))
@@ -445,12 +445,9 @@ def _suite_trial_hypersingular(rng) -> tuple[float, dict]:
 
     cut = int(math.floor(kernel.cutoff))
     radius = int(math.ceil(f.support_radius)) + cut + 1
-    ann = _lattice.window_points(space, cut)
-    rho = np.max(np.abs(ann), axis=1)
-    keep = rho >= 1
-    ann, rho = ann[keep], rho[keep]
+    plan = _lattice.sweep_plan(space, radius, cut, punctured=True)
+    rho = np.max(np.abs(plan.offsets), axis=1)
     weights = np.asarray(kernel.value(rho.astype(np.float64), space.d))
-    plan = _lattice.make_plan(space, radius, ann)
     padded = _lattice.evaluate_padded(plan, f.evaluator)
     weighted = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets, weights)
     vals = padded[plan.base_idx] * weights.sum() - weighted
@@ -468,7 +465,7 @@ def _suite_trial_hypersingular(rng) -> tuple[float, dict]:
     return rhs - lhs, rhs, case
 
 
-def _suite_trial_mixed(theorem_id: str, rng) -> tuple[float, dict]:
+def _suite_trial_mixed(theorem_id: str, rng) -> tuple[float, float, dict]:
     power_only = theorem_id == "mixed_multiplicative"
     omega = _random_modulus(rng, power_only=power_only)
     d = int(rng.integers(1, 3))

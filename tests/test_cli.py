@@ -176,6 +176,45 @@ def test_config_missing_modulus(capsys, tmp_path):
     assert "modulus" in err
 
 
+LINE = {"kind": "continuum", "d": 1, "m": 0}
+ZZ = {"kind": "lattice", "d": 1, "m": 0}
+POWER1 = {"kind": "power", "alpha": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command,payload,needle",
+    [
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [-1]}, "positive"),
+        ("constant", {"space": LINE, "modulus": POWER1, "h_values": [-1]}, "positive"),
+        ("verify", {"space": ZZ, "modulus": POWER1, "h_values": [1.0]}, "h > 1"),
+        (
+            "verify",
+            {"space": ZZ, "modulus": {"kind": "power", "alpha": 0.5},
+             "h_values": ["3/2"], "exact": True},
+            "rational modulus",
+        ),
+        ("oracle", {"suites": [{"theorem_id": "nagy", "trials": 0}]}, "trials"),
+    ],
+    ids=["verify-negative-h", "constant-negative-h", "lattice-h-1",
+         "exact-irrational-alpha", "suite-zero-trials"],
+)
+def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle):
+    cfg = write_cfg(tmp_path, "bad.json", payload)
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and needle in err
+    assert out == ""
+
+
+def test_oracle_exact_node_irrational_modulus_is_config_error(capsys, tmp_path):
+    node = {"theorem_id": "nagy", "space": ZZ, "modulus": {"kind": "power", "alpha": 0.5},
+            "h": "3/2"}
+    cfg = write_cfg(tmp_path, "o.json", {"exact": [node]})
+    code, _, err = run_cli(capsys, ["oracle", "--config", cfg])
+    assert code == EXIT_CONFIG
+    assert "rational modulus" in err
+
+
 def test_divergent_kernel_is_numeric_failure(capsys, tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sharp_ineq import _lattice, oracle
 from sharp_ineq import operators as ops
-from sharp_ineq.calculus import MONTE_CARLO, QuadratureSpec
+from sharp_ineq.calculus import MONTE_CARLO, QuadratureSpec, ball_integral_at, seminorm_local
 from sharp_ineq.extremals import make_f_e_omega, make_f_eh, make_f_omega, make_g_eh, make_G_eh
 from sharp_ineq.modulus import PowerModulus, TableModulus
-from sharp_ineq.space import continuum, lattice
+from sharp_ineq.space import continuum, lattice, strict_int_below
 
 RAMP = PowerModulus(1.0)
 
@@ -83,6 +84,32 @@ def test_charge_seminorm_matches_density_seminorm():
     nu = ops.ChargeModel(density=f)
     got = ops.charge_seminorm(nu, space, 1.5, window_radius=3.0)
     assert got == pytest.approx(f.certified_seminorm_h, rel=1e-12)
+
+
+LATTICES = [lattice(d, m) for d in (1, 2, 3) for m in range(d + 1)]
+
+
+@pytest.mark.parametrize("h", [1.5, 2.5])
+@pytest.mark.parametrize("space", LATTICES, ids=lambda s: f"Z{s.d}_{s.m}")
+def test_charge_seminorm_lattice_gather_path(space, h):
+    rng = np.random.default_rng(10 * space.d + space.m)
+    omega = RAMP if space.m % 2 else TableModulus([(0, 0), (1, 0.8), (3, 1.4)])
+    f = oracle.make_cone_function(space, omega, oracle._random_cone_spec(space, omega, rng))
+    k = strict_int_below(h)
+    radius = math.ceil(f.support_radius) + k + 1
+    nu = ops.ChargeModel(density=f)
+    got = ops.charge_seminorm(nu, space, h, window_radius=radius)
+
+    xs = _lattice.window_points(space, radius).astype(np.float64)
+    assert got == max(abs(ball_integral_at(f, space, h, x)) for x in xs)
+    assert got == pytest.approx(seminorm_local(f, space, h, radius), rel=1e-12)
+    assert got > 0
+
+    plan = _lattice.sweep_plan(space, radius, k)
+    for arr in (plan.base_points, plan.offsets, plan.padded_points, plan.base_idx,
+                plan.lin_offsets):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_charge_nagy_rhs_requires_known_seminorm():
