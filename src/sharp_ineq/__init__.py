@@ -9,7 +9,6 @@ the continuum, and traces the best-approximation curve of the identity by
 bounded averaging operators.
 """
 
-from ._kernels import NUMBA_ENABLED, backend
 from ._quad import QuadratureError, adaptive_simpson, bisect_increasing, piecewise_power_integral
 from .calculus import (
     CLOSED_FORM,

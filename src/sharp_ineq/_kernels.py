@@ -1,20 +1,7 @@
-"""Hot numeric loops, JIT-compiled when numba is available.
-
-Every kernel here has two interchangeable implementations: an ``@njit``
-version and a vectorized pure-numpy fallback.  The active backend is chosen
-once at import time:
-
-* numba is used when it imports cleanly, unless the environment variable
-  ``SHARP_INEQ_DISABLE_NUMBA`` is set to ``1``/``true``/``yes``;
-* otherwise the numpy path runs.
-
-Both paths are exercised by the test suite and timed against each other by
-``benchmarks/bench_kernels.py``.  Results agree to float rounding (the numpy
-paths lean on BLAS reductions, whose summation order differs from the JIT
-loops).
+"""Numeric kernels of the lattice sweeps and cone witnesses.
 
 Data layout convention: lattice windows are flattened C-order arrays over a
-padded bounding box.  Callers precompute
+padded bounding box (see ``_lattice``).  Callers precompute
 
 * ``padded_flat`` -- function values on the padded box, flattened;
 * ``base_idx``    -- flat indices of the interior window points;
@@ -25,65 +12,7 @@ so each kernel is dimension-agnostic.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def _numba_wanted() -> bool:
-    flag = os.environ.get("SHARP_INEQ_DISABLE_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes")
-
-
-NUMBA_ENABLED = False
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on environment
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        """No-op replacement for numba.njit."""
-
-        def decorator(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return decorator
-
-
-def backend() -> str:
-    """Name of the active kernel backend: ``"numba"`` or ``"numpy"``."""
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-# ======================================================================
-# Sliding weighted sums over translated balls / annuli
-# ======================================================================
-
-
-@njit(cache=True)
-def _ball_sums_jit(padded_flat, base_idx, lin_offsets, weights):
-    n = base_idx.shape[0]
-    k = lin_offsets.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        b = base_idx[i]
-        acc = 0.0
-        for j in range(k):
-            acc += weights[j] * padded_flat[b + lin_offsets[j]]
-        out[i] = acc
-    return out
-
-
-def _ball_sums_np(padded_flat, base_idx, lin_offsets, weights):
-    gathered = padded_flat[base_idx[:, None] + lin_offsets[None, :]]
-    return gathered @ weights
 
 
 def ball_sums(padded_flat, base_idx, lin_offsets, weights=None):
@@ -100,136 +29,14 @@ def ball_sums(padded_flat, base_idx, lin_offsets, weights=None):
     weights : (K,) float64, optional
         Per-offset weights; defaults to all ones (plain ball sums).
     """
-    padded_flat = np.ascontiguousarray(padded_flat, dtype=np.float64)
-    base_idx = np.ascontiguousarray(base_idx, dtype=np.int64)
-    lin_offsets = np.ascontiguousarray(lin_offsets, dtype=np.int64)
     if weights is None:
         weights = np.ones(lin_offsets.shape[0], dtype=np.float64)
-    else:
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _ball_sums_jit(padded_flat, base_idx, lin_offsets, weights)
-    return _ball_sums_np(padded_flat, base_idx, lin_offsets, weights)
+    return padded_flat[base_idx[:, None] + lin_offsets[None, :]] @ weights
 
 
-# ======================================================================
-# Cone-function evaluation  max_i (c_i - lam * omega(linf(x - p_i)))_+
-# ======================================================================
-
-OMEGA_POWER = 0
-OMEGA_TABLE = 1
-
-
-@njit(cache=True)
-def _cone_eval_jit(points, centers, heights, lam, kind, alpha, table_t, table_w):
-    n, d = points.shape
-    k = centers.shape[0]
-    out = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        best = 0.0
-        for c in range(k):
-            dist = 0.0
-            for a in range(d):
-                diff = abs(points[i, a] - centers[c, a])
-                if diff > dist:
-                    dist = diff
-            if kind == OMEGA_POWER:
-                w = dist**alpha
-            else:
-                w = np.interp(dist, table_t, table_w)
-            v = heights[c] - lam * w
-            if v > best:
-                best = v
-        out[i] = best
-    return out
-
-
-def _cone_eval_np(points, centers, heights, lam, kind, alpha, table_t, table_w):
+def cone_eval(points, centers, heights, lam, omega):
+    """Cone function ``max_i (heights_i - lam * omega(linf(x - centers_i)))_+``
+    on a batch of points (shape (N, d)); ``omega`` is any modulus."""
     dist = np.max(np.abs(points[:, None, :] - centers[None, :, :]), axis=2)
-    if kind == OMEGA_POWER:
-        w = dist**alpha
-    else:
-        w = np.interp(dist, table_t, table_w)
-    vals = heights[None, :] - lam * w
+    vals = heights[None, :] - lam * omega(dist)
     return np.maximum(vals.max(axis=1), 0.0)
-
-
-def cone_eval(points, centers, heights, lam, kind, alpha, table_t, table_w):
-    """Evaluate a cone function (max of truncated modulus cones) on a batch.
-
-    ``kind`` selects the modulus: OMEGA_POWER uses ``t**alpha``; OMEGA_TABLE
-    interpolates (table_t, table_w) with constant extension on the right.
-    """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    centers = np.ascontiguousarray(centers, dtype=np.float64)
-    heights = np.ascontiguousarray(heights, dtype=np.float64)
-    table_t = np.ascontiguousarray(table_t, dtype=np.float64)
-    table_w = np.ascontiguousarray(table_w, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _cone_eval_jit(
-            points, centers, heights, float(lam), int(kind), float(alpha), table_t, table_w
-        )
-    return _cone_eval_np(points, centers, heights, float(lam), int(kind), float(alpha), table_t, table_w)
-
-
-# ======================================================================
-# Exhaustive pairwise smoothness-ratio maximum
-# ======================================================================
-
-
-@njit(cache=True)
-def _holder_pairs_jit(values, points, kind, alpha, table_t, table_w):
-    n, d = points.shape
-    best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = 0.0
-            for a in range(d):
-                diff = abs(points[i, a] - points[j, a])
-                if diff > dist:
-                    dist = diff
-            if dist == 0.0:
-                continue
-            if kind == OMEGA_POWER:
-                w = dist**alpha
-            else:
-                w = np.interp(dist, table_t, table_w)
-            if w <= 0.0:
-                continue
-            r = abs(values[i] - values[j]) / w
-            if r > best:
-                best = r
-    return best
-
-
-def _holder_pairs_np(values, points, kind, alpha, table_t, table_w, block=512):
-    n = points.shape[0]
-    best = 0.0
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        dist = np.max(
-            np.abs(points[lo:hi, None, :] - points[None, :, :]), axis=2
-        )
-        if kind == OMEGA_POWER:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = dist**alpha
-        else:
-            w = np.interp(dist, table_t, table_w)
-        num = np.abs(values[lo:hi, None] - values[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(w > 0.0, num / w, 0.0)
-        best = max(best, float(ratio.max()))
-    return best
-
-
-def holder_pairs_max(values, points, kind, alpha, table_t, table_w):
-    """Max of |f(x)-f(y)| / omega(linf(x-y)) over all point pairs."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    table_t = np.ascontiguousarray(table_t, dtype=np.float64)
-    table_w = np.ascontiguousarray(table_w, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return float(
-            _holder_pairs_jit(values, points, int(kind), float(alpha), table_t, table_w)
-        )
-    return float(_holder_pairs_np(values, points, int(kind), float(alpha), table_t, table_w))

@@ -3,13 +3,13 @@
 A *plan* fixes the geometry of a sliding-ball computation on the lattice: a
 window of base points, the set of ball (or annulus) offsets, and the padded
 bounding box that contains every ``base + offset``.  Function values are then
-evaluated once on the padded box and every sweep becomes a flat gather that
-``_kernels.ball_sums`` can chew through.
+evaluated once on the padded box and every sweep becomes a flat gather
+(``_kernels.ball_sums``).
 
 Dimension-agnostic by construction: coordinates are linearized with C-order
 strides, so the same plan code serves d = 1, 2, 3, ...
 
-``sweep_plan`` memoizes the plans of the randomized suites, whose trials
+``sweep_plan`` memoizes the plans of the lattice sweeps, whose callers
 redraw the function but keep hitting the same few geometries.
 """
 
@@ -33,16 +33,11 @@ def window_points(space: Space, radius: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GatherPlan:
-    space: Space
     base_points: np.ndarray      # (N, d) window points
     offsets: np.ndarray          # (K, d) ball/annulus offsets
     padded_points: np.ndarray    # (P, d) every point the sweep touches
     base_idx: np.ndarray         # (N,) flat indices of base points
     lin_offsets: np.ndarray      # (K,) linearized offsets
-
-    @property
-    def n_base(self) -> int:
-        return self.base_points.shape[0]
 
 
 def make_plan(space: Space, window_radius: int, offsets: np.ndarray) -> GatherPlan:
@@ -71,7 +66,6 @@ def make_plan(space: Space, window_radius: int, offsets: np.ndarray) -> GatherPl
     padded_points = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
 
     return GatherPlan(
-        space=space,
         base_points=base_points,
         offsets=offsets,
         padded_points=padded_points,

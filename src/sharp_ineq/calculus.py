@@ -72,6 +72,9 @@ class QuadratureSpec:
             raise ValueError(
                 f"unknown quadrature method {self.method!r}; expected one of {_METHODS}"
             )
+        if self.mc_samples < 2:
+            # a Monte Carlo error bar needs a sample variance
+            raise ValueError(f"need at least 2 Monte Carlo samples, got {self.mc_samples}")
 
     def with_method(self, method: str) -> "QuadratureSpec":
         return replace(self, method=method)
@@ -475,7 +478,7 @@ def seminorm_local(
                 raise ValueError(
                     f"window radius {window_radius} too small: need support + ball = {needed}"
                 )
-        plan = _lattice.make_plan(space, int(math.ceil(window_radius)), space.enumerate_ball(h))
+        plan = _lattice.sweep_plan(space, int(math.ceil(window_radius)), k)
         padded = _lattice.evaluate_padded(plan, f.evaluator)
         sums = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets)
         est = float(np.max(np.abs(sums)))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -115,6 +116,14 @@ def _number(value, *, exact: bool = False):
     raise ConfigError(f"bad number {value!r}")
 
 
+def _integer(value, name: str) -> int:
+    """A config integer (seeds, sample counts, trial counts)."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {name} {value!r}: expected an integer") from exc
+
+
 def _space_from(cfg: dict) -> Space:
     node = cfg.get("space")
     if not isinstance(node, dict):
@@ -148,9 +157,9 @@ def _spec_from(cfg: dict, space: Space, omega: Modulus, seed: Optional[int]) -> 
     if seed is not None:
         overrides["seed"] = int(seed)
     elif "seed" in cfg:
-        overrides["seed"] = int(cfg["seed"])
+        overrides["seed"] = _integer(cfg["seed"], "'seed'")
     if "mc_samples" in cfg:
-        overrides["mc_samples"] = int(cfg["mc_samples"])
+        overrides["mc_samples"] = _integer(cfg["mc_samples"], "'mc_samples'")
     if method is None and not overrides:
         return None
     try:
@@ -247,7 +256,9 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
             kernel = kernel_from_config(cfg["kernel"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad kernel config: {exc}") from exc
-    tol = args.tol if args.tol is not None else cfg.get("tol")
+    tol = args.tol
+    if tol is None and cfg.get("tol") is not None:
+        tol = _number(cfg["tol"])
     spec = _spec_from(cfg, space, omega, args.seed)
 
     rows = []
@@ -259,7 +270,7 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
             else:
                 report = theorem_report(
                     tid, space, omega, h, kernel=kernel, spec=spec,
-                    tol=float(tol) if tol is not None else None,
+                    tol=tol,
                 )
             violated = violated or report.verdict == "Violated"
             rows.append(_report_row(report, exact))
@@ -279,6 +290,9 @@ def cmd_stechkin(cfg: dict, args) -> tuple[str, int]:
     if not isinstance(values, list) or not values:
         raise ConfigError("config needs 'n_values' (a nonempty list)")
     ns = [_number(v) for v in values]
+    for n in ns:
+        if not (0.0 < n < math.inf):
+            raise ConfigError(f"'n_values' must be positive and finite, got {n}")
     spec = _spec_from(cfg, space, omega, args.seed)
     points = stechkin_curve(space, omega, ns, spec)
     rows = [
@@ -313,13 +327,10 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
             tid = node["theorem_id"]
             if tid not in THEOREM_IDS:
                 raise ConfigError(f"unknown theorem id {tid!r}")
-            try:
-                trials = int(node.get("trials", 1000))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad suite 'trials': {exc}") from exc
+            trials = _integer(node.get("trials", 1000), "suite 'trials'")
             if trials <= 0:
                 raise ConfigError(f"suite 'trials' must be positive, got {trials}")
-            seed = args.seed if args.seed is not None else int(node.get("seed", 1))
+            seed = args.seed if args.seed is not None else _integer(node.get("seed", 1), "suite 'seed'")
             rep = random_suite(tid, trials=trials, seed=seed)
             failed = failed or rep.violations > 0
             reports.append(rep.to_json())
@@ -335,7 +346,7 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
         for name in checks:
             if name not in MC_CHECKS:
                 raise ConfigError(f"unknown cross-check {name!r}; expected one of {MC_CHECKS}")
-            seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+            seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), "'seed'")
             res = mc_cross_check(name, seed=seed)
             failed = failed or not res["ok"]
             results.append(res)

@@ -26,8 +26,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import _kernels
-
 Real = Union[int, float, Fraction]
 
 
@@ -54,10 +52,6 @@ class Modulus:
     def breakpoints(self) -> tuple[float, ...]:
         """Interior points where the derivative may jump (for quadrature)."""
         return ()
-
-    def kernel_params(self):
-        """(kind_code, alpha, table_t, table_w) consumed by _kernels."""
-        raise NotImplementedError
 
     def pieces(self, lo: float, hi: float) -> list[tuple[float, float, float, float, float]]:
         """Decompose omega on [lo, hi] into exact power pieces.
@@ -107,10 +101,6 @@ class PowerModulus(Modulus):
         if t < 0:
             raise ValueError("modulus argument must be nonnegative")
         return Fraction(t)
-
-    def kernel_params(self):
-        empty = np.zeros(0, dtype=np.float64)
-        return _kernels.OMEGA_POWER, float(self.alpha), empty, empty
 
     def pieces(self, lo: float, hi: float):
         if hi <= lo:
@@ -218,9 +208,6 @@ class TableModulus(Modulus):
 
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(float(t) for t in self._t[1:])
-
-    def kernel_params(self):
-        return _kernels.OMEGA_TABLE, 1.0, self._t, self._w
 
     def pieces(self, lo: float, hi: float):
         if hi <= lo:

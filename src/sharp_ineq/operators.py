@@ -181,10 +181,8 @@ def steklov_average(
         offsets = space.enumerate_ball(h).astype(np.float64)
 
         def evaluator(pts: np.ndarray) -> np.ndarray:
-            out = np.empty(pts.shape[0], dtype=np.float64)
-            for i, row in enumerate(pts):
-                out[i] = float(np.sum(f(row[None, :] + offsets)))
-            return out / mu
+            shifted = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, space.d)
+            return f(shifted).reshape(len(pts), len(offsets)).sum(axis=1) / mu
 
     else:
         mc_offsets = None

@@ -289,7 +289,6 @@ class ConeFunctionSpec:
 
 
 def make_cone_function(space: Space, omega: Modulus, spec: ConeFunctionSpec) -> FunctionModel:
-    kind, alpha, table_t, table_w = omega.kernel_params()
     centers = np.asarray(spec.centers, dtype=np.float64).reshape(-1, space.d)
     heights = np.asarray(spec.heights, dtype=np.float64)
     if centers.shape[0] != heights.shape[0] or centers.shape[0] == 0:
@@ -301,7 +300,7 @@ def make_cone_function(space: Space, omega: Modulus, spec: ConeFunctionSpec) -> 
     lam = float(spec.lam)
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        return _kernels.cone_eval(pts, centers, heights, lam, kind, alpha, table_t, table_w)
+        return _kernels.cone_eval(pts, centers, heights, lam, omega)
 
     if lam > 0:
         radii = [omega.inverse(c / lam) for c in heights]

@@ -4,8 +4,8 @@ Each criterion pins down a user-visible promise — equality at the extremal
 witnesses, exact rational gaps on lattices, frozen constants, randomized
 no-violation suites, and byte-deterministic CLI output — together with a
 wall-clock budget where the promise includes speed.  Budgets are enforced on
-steady-state compute: the session-scoped warmup below triggers any JIT
-compilation before the clocks start.
+steady-state compute: the module-scoped warmup below fills the lattice plan
+cache before the clocks start.
 """
 
 import itertools
@@ -30,7 +30,7 @@ MATRIX_H = [0.5, 1.0, 2.0]
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_backend():
-    """Compile the JIT kernels (cached) so timed criteria measure compute."""
+    """Warm the lattice plan cache so timed criteria measure compute."""
     for tid in ("nagy", "hypersingular", "mixed_additive"):
         oracle.random_suite(tid, trials=2, seed=1)
 

@@ -194,15 +194,38 @@ POWER1 = {"kind": "power", "alpha": 1.0}
             "rational modulus",
         ),
         ("oracle", {"suites": [{"theorem_id": "nagy", "trials": 0}]}, "trials"),
+        ("constant", {"space": LINE, "modulus": POWER1, "h_values": [1], "seed": "s"}, "'seed'"),
+        (
+            "constant",
+            {"space": LINE, "modulus": POWER1, "h_values": [1], "mc_samples": "many"},
+            "'mc_samples'",
+        ),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1], "tol": "tiny"}, "tiny"),
+        ("oracle", {"suites": [{"theorem_id": "nagy", "trials": 2, "seed": "x"}]}, "suite 'seed'"),
+        ("oracle", {"mc_checks": ["ball_integral"], "seed": "x"}, "'seed'"),
+        ("stechkin", {"space": LINE, "modulus": POWER1, "n_values": [-2]}, "n_values"),
     ],
     ids=["verify-negative-h", "constant-negative-h", "lattice-h-1",
-         "exact-irrational-alpha", "suite-zero-trials"],
+         "exact-irrational-alpha", "suite-zero-trials", "constant-bad-seed",
+         "constant-bad-mc-samples", "verify-bad-tol", "suite-bad-seed",
+         "mc-checks-bad-seed", "stechkin-negative-n"],
 )
 def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle):
     cfg = write_cfg(tmp_path, "bad.json", payload)
     code, out, err = run_cli(capsys, [command, "--config", cfg])
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and needle in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("samples", [0, 1, -5])
+def test_monte_carlo_needs_two_samples(capsys, tmp_path, samples):
+    payload = {"space": LINE, "modulus": POWER1, "h_values": [1],
+               "method": "monte_carlo", "mc_samples": samples}
+    cfg = write_cfg(tmp_path, "mc.json", payload)
+    code, out, err = run_cli(capsys, ["constant", "--config", cfg])
+    assert code == EXIT_CONFIG
+    assert "at least 2 Monte Carlo samples" in err
     assert out == ""
 
 

@@ -28,6 +28,18 @@ def test_steklov_average_lattice_values():
     assert s.meta["operator_norm"] == pytest.approx(1.0 / 3.0)
 
 
+@pytest.mark.parametrize("space", [lattice(2, 1), lattice(3, 0)], ids=["Z2_1", "Z3_0"])
+def test_steklov_average_lattice_matches_per_point_sums(space):
+    rng = np.random.default_rng(space.d)
+    f = oracle.make_cone_function(space, RAMP, oracle._random_cone_spec(space, RAMP, rng))
+    s = ops.steklov_average(f, space, 2.5)
+    offsets = space.enumerate_ball(2.5).astype(np.float64)
+    mu = float(space.ball_measure(2.5))
+    xs = _lattice.window_points(space, 3).astype(np.float64)
+    want = np.array([float(np.sum(f(x[None, :] + offsets))) for x in xs]) / mu
+    assert np.array_equal(s(xs), want)
+
+
 def test_steklov_average_continuum_central_value():
     space = continuum(1, 0)
     f = make_f_eh(space, RAMP, 1.0)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sharp_ineq import oracle
+from sharp_ineq import _kernels, oracle
 from sharp_ineq.calculus import holder_lower_estimate, sup_norm
 from sharp_ineq.modulus import PowerModulus, TableModulus
 from sharp_ineq.space import continuum, lattice
@@ -144,6 +144,43 @@ def test_cone_function_holder_pairs_property():
     keep = np.any(pts != qts, axis=1)
     est = holder_lower_estimate(f, space, om, (pts[keep], qts[keep]))
     assert est <= 1.3 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [PowerModulus(0.6), TableModulus([(0, 0), (1, "0.8"), (3, "1.4")])],
+    ids=["power", "table"],
+)
+def test_cone_function_matches_formula(omega):
+    space = lattice(2, 1)
+    centers = np.array([[0.0, 1.0], [2.0, -2.0]])
+    heights = np.array([0.8, 1.1])
+    spec = oracle.ConeFunctionSpec(centers=centers.tolist(), heights=heights.tolist(), lam=1.3)
+    f = oracle.make_cone_function(space, omega, spec)
+    pts = np.random.default_rng(5).uniform(-4.0, 4.0, size=(300, 2))
+    want = np.empty(len(pts))
+    for i, x in enumerate(pts):
+        dist = np.max(np.abs(x - centers), axis=1)
+        want[i] = max(float(np.max(heights - 1.3 * omega(dist))), 0.0)
+    assert np.array_equal(f(pts), want)
+    assert np.all(f(pts + 20.0) == 0.0)
+
+
+def test_cone_eval_clamps_at_zero():
+    out = _kernels.cone_eval(
+        np.array([[10.0, 10.0]]), np.zeros((1, 2)), np.array([0.5]), 1.0, PowerModulus(1.0)
+    )
+    assert out[0] == 0.0
+
+
+def test_ball_sums_default_weights():
+    rng = np.random.default_rng(1)
+    padded = rng.normal(size=300)
+    base = rng.integers(50, 200, size=40)
+    offs = rng.integers(-40, 60, size=12)
+    got = _kernels.ball_sums(padded, base, offs)
+    want = padded[base[:, None] + offs[None, :]].sum(axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_cone_validation():
