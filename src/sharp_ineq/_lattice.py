@@ -17,18 +17,30 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .space import Space
+if TYPE_CHECKING:
+    from .space import Space
+
+
+def _box(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """All integer points of the box ``prod_i [lo_i, hi_i]`` in C order
+    (last coordinate fastest), shape (N, d), int64."""
+    shape = tuple(int(n) for n in hi - lo + 1)
+    return np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T + lo
+
+
+def _window_lo(space: Space, r: int) -> np.ndarray:
+    return np.array([0] * space.m + [-r] * (space.d - space.m), dtype=np.int64)
 
 
 def window_points(space: Space, radius: int) -> np.ndarray:
-    """All lattice points with sup-norm at most ``radius`` (shape (N, d))."""
+    """All lattice points of ``{0..r}^m x {-r..r}^(d-m)``, r = ``radius``:
+    the sup-norm window of the space, in C order (shape (N, d))."""
     r = int(radius)
-    axes = [np.arange(0, r + 1)] * space.m + [np.arange(-r, r + 1)] * (space.d - space.m)
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+    return _box(_window_lo(space, r), np.full(space.d, r, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -43,9 +55,9 @@ class GatherPlan:
 def make_plan(space: Space, window_radius: int, offsets: np.ndarray) -> GatherPlan:
     """Build the padded-box index plan for ``{x + u : x in window, u in offsets}``."""
     offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, space.d)
-    d, m = space.d, space.m
+    d = space.d
     r = int(window_radius)
-    win_lo = np.array([0] * m + [-r] * (d - m), dtype=np.int64)
+    win_lo = _window_lo(space, r)
     win_hi = np.full(d, r, dtype=np.int64)
     off_lo = offsets.min(axis=0)
     off_hi = offsets.max(axis=0)
@@ -61,14 +73,10 @@ def make_plan(space: Space, window_radius: int, offsets: np.ndarray) -> GatherPl
     base_idx = (base_points - pad_lo) @ strides
     lin_offsets = offsets @ strides
 
-    axes = [np.arange(pad_lo[i], pad_hi[i] + 1) for i in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    padded_points = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-
     return GatherPlan(
         base_points=base_points,
         offsets=offsets,
-        padded_points=padded_points,
+        padded_points=_box(pad_lo, pad_hi),
         base_idx=base_idx,
         lin_offsets=lin_offsets,
     )

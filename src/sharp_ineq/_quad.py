@@ -66,14 +66,14 @@ def adaptive_simpson(
     rel_tol: float = DEFAULT_REL_TOL,
     max_evals: int = DEFAULT_MAX_EVALS,
     kinks: Iterable[float] = (),
-    max_depth: int = 60,
 ) -> tuple[float, float]:
     """Integrate ``f`` on [a, b]; returns (value, error_bound).
 
     ``kinks`` lists interior points where the integrand may lose smoothness;
     the interval is pre-split there.  Tolerances combine as
     ``tol = max(abs_tol, rel_tol * |coarse estimate|)`` and are divided
-    between subintervals proportionally to a first sweep.
+    between subintervals proportionally to a first sweep; refinement stops
+    at depth 60.
     """
     if not (b > a):
         if b == a:
@@ -107,23 +107,11 @@ def adaptive_simpson(
     for lo, hi, flo, fmid, fhi, s in cache:
         piece_tol = max(tol * (hi - lo) / span, 1e-300)
         v, e, evals = _adaptive_piece(
-            f, lo, hi, flo, fmid, fhi, s, piece_tol, evals, max_evals, max_depth
+            f, lo, hi, flo, fmid, fhi, s, piece_tol, evals, max_evals, 60
         )
         total += v
         err_total += e
     return total, err_total
-
-
-def power_segment_integral(c0: float, gamma: float, lo: float, hi: float) -> float:
-    """Exact value of ``integral of c0 * t**gamma`` over [lo, hi], gamma > -1.
-
-    Used for closed-form singular heads where an integrand behaves like a
-    pure power near zero and Simpson refinement would be wasteful.
-    """
-    if gamma <= -1.0:
-        raise QuadratureError(f"power head t**{gamma} is not integrable near 0")
-    p = gamma + 1.0
-    return c0 * (hi**p - lo**p) / p
 
 
 def bisect_increasing(
@@ -131,15 +119,12 @@ def bisect_increasing(
     target: float,
     lo: float,
     hi: float,
-    *,
-    rel_tol: float = 1e-12,
-    max_iter: int = 400,
 ) -> float:
     """Solve ``g(h) = target`` for increasing ``g`` by bisection.
 
     The bracket [lo, hi] is expanded geometrically if it does not already
     straddle the target.  Terminates when the bracket width drops below
-    ``rel_tol`` relative to the midpoint.
+    1e-12 relative to the midpoint, or after 400 halvings.
     """
     if lo <= 0.0:
         lo = 1e-30
@@ -160,28 +145,15 @@ def bisect_increasing(
         grow += 1
     if glo > target or ghi < target:
         raise QuadratureError("bisection could not bracket the target value")
-    for _ in range(max_iter):
+    for _ in range(400):
         mid = 0.5 * (lo + hi)
-        if (hi - lo) <= rel_tol * max(abs(mid), 1e-300):
+        if (hi - lo) <= 1e-12 * max(abs(mid), 1e-300):
             return mid
         if g(mid) < target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def sorted_unique(values: Sequence[float], eps: float = 1e-15) -> list[float]:
-    """Sort and deduplicate float breakpoints (tolerance ``eps``)."""
-    out: list[float] = []
-    for v in sorted(float(v) for v in values):
-        if not out or v - out[-1] > eps:
-            out.append(v)
-    return out
-
-
-def integral_is_finite(value: float) -> bool:
-    return math.isfinite(value)
 
 
 def _power_term(coeff: float, q: float, s0: float, s1: float) -> float:

@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _kernels, _lattice
-from ._quad import QuadratureError, adaptive_simpson, piecewise_power_integral
+from ._quad import adaptive_simpson, piecewise_power_integral
 from .modulus import Modulus, PowerModulus
 from .space import Space, strict_int_below
 
@@ -58,14 +58,12 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How integrals should be evaluated and to what accuracy."""
+    """How integrals should be evaluated: the method, and the sample count
+    and seed of Monte Carlo paths (quadrature runs at ``_quad``'s defaults)."""
 
     method: str = CLOSED_FORM
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
     mc_samples: int = 200_000
     seed: int = 0
-    max_evals: int = 1_000_000
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -170,9 +168,7 @@ def closed_form_ball_integral(space: Space, omega: Modulus, h: float) -> float:
     return d * 2.0 ** (d - m) / (d + a) * float(h) ** (d + a)
 
 
-def radial_ball_integral(
-    space: Space, omega: Modulus, h: float, spec: QuadratureSpec
-) -> tuple[float, float]:
+def radial_ball_integral(space: Space, omega: Modulus, h: float) -> tuple[float, float]:
     """Layer-cake reduction of ``I(h)`` to one dimension (continuum)."""
     if space.is_lattice:
         raise ValueError("radial reduction applies to continuum spaces only")
@@ -184,13 +180,7 @@ def radial_ball_integral(
         return float(omega(t)) * t ** (d - 1)
 
     val, err = adaptive_simpson(
-        integrand,
-        0.0,
-        hf,
-        abs_tol=spec.abs_tol,
-        rel_tol=spec.rel_tol,
-        max_evals=spec.max_evals,
-        kinks=[b for b in omega.breakpoints() if b < hf],
+        integrand, 0.0, hf, kinks=[b for b in omega.breakpoints() if b < hf]
     )
     return scale * val, scale * err
 
@@ -213,7 +203,7 @@ def ball_integral_of_modulus(
     if method == CLOSED_FORM:
         return Estimate(closed_form_ball_integral(space, omega, h), CLOSED_FORM, 0.0)
     if method == RADIAL1D:
-        val, err = radial_ball_integral(space, omega, h, spec)
+        val, err = radial_ball_integral(space, omega, h)
         return Estimate(val, RADIAL1D, err)
     if method == LATTICE_EXACT:
         if not space.is_lattice:
@@ -264,6 +254,14 @@ def _candidate_points(f: FunctionModel, space: Space) -> np.ndarray:
     return np.array(cands, dtype=np.float64)
 
 
+def _translations(f: FunctionModel, space: Space, h, window_radius: float) -> np.ndarray:
+    """Ball centers searched for a continuum seminorm at window scale h: a
+    grid of step h/64 on the line (h/8 otherwise) plus the candidate points."""
+    step = float(h) / 64.0 if space.d == 1 else float(h) / 8.0
+    grid = continuum_grid(space, float(window_radius), step)
+    return np.vstack([grid, _candidate_points(f, space)])
+
+
 def _check_certified_upper(
     estimate: float, certified: Optional[float], what: str, tol: float = 1e-9
 ) -> None:
@@ -285,7 +283,6 @@ def sup_norm(
     f: FunctionModel,
     space: Space,
     window_radius: float,
-    grid_step: Optional[float] = None,
 ) -> float:
     """Lower estimate of ``sup |f|`` by exhaustive/grid search.
 
@@ -303,8 +300,7 @@ def sup_norm(
         vals = np.abs(f(pts.astype(np.float64)))
         est = float(vals.max())
     else:
-        step = grid_step if grid_step is not None else window_radius / 128.0
-        pts = continuum_grid(space, window_radius, step)
+        pts = continuum_grid(space, window_radius, window_radius / 128.0)
         vals = np.abs(f(pts))
         extra = np.abs(f(_candidate_points(f, space)))
         est = float(max(vals.max(), extra.max()))
@@ -335,15 +331,7 @@ def l1_norm(
         def integrand(t: float) -> float:
             return abs(float(f.radial_profile(t))) * t ** (d - 1)
 
-        val, _ = adaptive_simpson(
-            integrand,
-            0.0,
-            float(window_radius),
-            abs_tol=spec.abs_tol,
-            rel_tol=spec.rel_tol,
-            max_evals=spec.max_evals,
-            kinks=kinks,
-        )
+        val, _ = adaptive_simpson(integrand, 0.0, float(window_radius), kinks=kinks)
         est = scale * val
     elif space.d == 1:
         lo = 0.0 if space.m == 1 else -float(window_radius)
@@ -351,15 +339,7 @@ def l1_norm(
         def scalar(t: float) -> float:
             return abs(float(f(np.array([t]))))
 
-        val, _ = adaptive_simpson(
-            scalar,
-            lo,
-            float(window_radius),
-            abs_tol=spec.abs_tol,
-            rel_tol=spec.rel_tol,
-            max_evals=spec.max_evals,
-        )
-        est = val
+        est, _ = adaptive_simpson(scalar, lo, float(window_radius))
     else:
         rng = np.random.default_rng(spec.seed)
         w = float(window_radius)
@@ -393,11 +373,7 @@ def _ball_average_at(
         def integrand(t: float) -> float:
             return float(f.radial_profile(t)) * t ** (d - 1)
 
-        val, _ = adaptive_simpson(
-            integrand, 0.0, hf,
-            abs_tol=spec.abs_tol, rel_tol=spec.rel_tol,
-            max_evals=spec.max_evals, kinks=kinks,
-        )
+        val, _ = adaptive_simpson(integrand, 0.0, hf, kinks=kinks)
         return scale * val
     if space.d == 1:
         lo = -hf if space.m == 0 else 0.0
@@ -409,11 +385,7 @@ def _ball_average_at(
         r = f.support_radius
         if r is not None and math.isfinite(r):
             kinks = [c - x[0] for c in (-r, r) if lo < c - x[0] < hf]
-        val, _ = adaptive_simpson(
-            scalar, lo, hf,
-            abs_tol=spec.abs_tol, rel_tol=spec.rel_tol,
-            max_evals=spec.max_evals, kinks=kinks,
-        )
+        val, _ = adaptive_simpson(scalar, lo, hf, kinks=kinks)
         return val
     if mc_offsets is None:
         mc_offsets = space.sample_ball(h, spec.mc_samples, spec.seed)
@@ -448,23 +420,21 @@ def seminorm_local(
     h,
     window_radius: float,
     spec: Optional[QuadratureSpec] = None,
-    grid_step: Optional[float] = None,
-    use_certified: bool = True,
 ) -> float:
     """``sup over x of | integral over x + B_h of f |`` at window scale h.
 
     Lattice: exact sweep (requires the window to contain the declared
     support dilated by the ball radius).  Continuum: search over a grid of
-    translations; with ``use_certified`` the certified value is returned
-    after checking it is not *beaten* by the search.
+    translations (``_translations``).  A certified value
+    stated at this h is returned after checking it is not *beaten* by the
+    search; ``f.without_certificates()`` gives the search result itself.
     """
     space.require_valid_radius(h)
     if spec is None:
         spec = QuadratureSpec(method=LATTICE_EXACT if space.is_lattice else MONTE_CARLO)
     certified = None
     if (
-        use_certified
-        and f.certified_seminorm_h is not None
+        f.certified_seminorm_h is not None
         and f.seminorm_at_h is not None
         and math.isclose(float(f.seminorm_at_h), float(h), rel_tol=1e-12)
     ):
@@ -483,12 +453,7 @@ def seminorm_local(
         sums = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets)
         est = float(np.max(np.abs(sums)))
     else:
-        hf = float(h)
-        if grid_step is None:
-            grid_step = hf / 64.0 if space.d == 1 else hf / 8.0
-        grid = continuum_grid(space, float(window_radius), grid_step)
-        cands = _candidate_points(f, space)
-        xs = np.vstack([grid, cands])
+        xs = _translations(f, space, h, window_radius)
         mc_offsets = None
         if space.d >= 2 and f.radial_profile is None:
             mc_offsets = space.sample_ball(h, spec.mc_samples, spec.seed)
@@ -510,7 +475,6 @@ def seminorm_global(
     h_values: Sequence[float],
     window_radius: float,
     spec: Optional[QuadratureSpec] = None,
-    use_certified: bool = True,
 ) -> float:
     """Max of the local seminorms over a grid of window scales.
 
@@ -518,10 +482,7 @@ def seminorm_global(
     estimate; for the shipped extremal families the maximizing scale is a
     member of any grid containing their construction scale.
     """
-    vals = [
-        seminorm_local(f, space, h, window_radius, spec, use_certified=use_certified)
-        for h in h_values
-    ]
+    vals = [seminorm_local(f, space, h, window_radius, spec) for h in h_values]
     if not vals:
         raise ValueError("h grid must be nonempty")
     return float(max(vals))

@@ -43,7 +43,7 @@ from .operators import (
     theorem_report,
 )
 from .oracle import EXACT_THEOREMS, MC_CHECKS, exact_verify, mc_cross_check, random_suite
-from .space import Space
+from .space import Space, config_integer
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -119,9 +119,9 @@ def _number(value, *, exact: bool = False):
 def _integer(value, name: str) -> int:
     """A config integer (seeds, sample counts, trial counts)."""
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad {name} {value!r}: expected an integer") from exc
+        return config_integer(value, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _space_from(cfg: dict) -> Space:

@@ -175,14 +175,7 @@ def make_f_eh(space: Space, omega: Modulus, h, spec: QuadratureSpec | None = Non
     prof_pieces = [
         (s0, s1, -sg, p, peak - tau) for (s0, s1, sg, p, tau) in omega.pieces(0.0, hf)
     ] + [(hf, math.inf, 0.0, 1.0, 0.0)]
-    meta = {
-        "radial_kinks": kinks,
-        "radial_pieces": prof_pieces,
-        "radial_tail_value": 0.0,
-        "radial_tail_from": hf,
-        "origin_deficit_sign": +1.0,   # f(0) - f(u) = +omega(rho(u)) inside B_h
-        "certified_method": deficiency.method,
-    }
+    meta = {"radial_kinks": kinks, "radial_pieces": prof_pieces}
     if space.is_continuum:
 
         def ball_mass(space_: Space, hw: float, x: np.ndarray) -> float:
@@ -265,9 +258,6 @@ def make_f_e_omega(space: Space, omega: Modulus, h) -> FunctionModel:
         meta={
             "radial_kinks": [b for b in omega.breakpoints() if b < hf] + [hf],
             "radial_pieces": pieces,
-            "radial_tail_value": half,
-            "radial_tail_from": hf,
-            "origin_deficit_sign": -1.0,  # f(0) - f(u) = -omega(rho(u)) inside B_h
         },
     )
 
@@ -277,7 +267,7 @@ def make_f_e_omega(space: Space, omega: Modulus, h) -> FunctionModel:
 # ======================================================================
 
 
-def make_g_eh(omega: Modulus, h, d: int, spec: QuadratureSpec | None = None) -> FunctionModel:
+def make_g_eh(omega: Modulus, h, d: int) -> FunctionModel:
     """Iterated integral of the bump from 0 along every coordinate (all-lines).
 
     ``g(x) = integral over prod_i [0, x_i] of f_eh``, with orientation signs
@@ -307,14 +297,11 @@ def make_g_eh(omega: Modulus, h, d: int, spec: QuadratureSpec | None = None) -> 
         return out
 
     sup = _box_mass(omega, hf, 0.0, hf, [hf] * (d - 1))
-    bump = make_f_eh(sp, omega, h, spec)
     return FunctionModel(
         name=f"iterated-bump[d={d},h={hf:g}]",
         evaluator=evaluator,
         certified_sup_norm=sup,
         meta={
-            "space": sp,
-            "mixed_derivative": bump,
             "mixed_derivative_holder": 1.0,
             "mixed_derivative_sup": float(omega(hf)),
             "sup_attained_at": np.full(d, hf),
@@ -362,7 +349,7 @@ def split_point_a(omega: Modulus, h, d: int) -> SplitPoint:
     return SplitPoint(a=a, residual=mass_below(a) - target, total_mass=total)
 
 
-def make_G_eh(omega: Modulus, h, d: int, spec: QuadratureSpec | None = None) -> FunctionModel:
+def make_G_eh(omega: Modulus, h, d: int) -> FunctionModel:
     """Iterated bump integral on the one-half-line space, centered at the split.
 
     ``G(x) = integral_a^{x_1} integral_0^{x_2} ... integral_0^{x_d} f_eh``.
@@ -398,7 +385,6 @@ def make_G_eh(omega: Modulus, h, d: int, spec: QuadratureSpec | None = None) -> 
         return out
 
     sup = 0.5 * split.total_mass / (2.0 ** (d - 1))
-    bump = make_f_eh(sp, omega, h, spec)
     attained_lo = np.concatenate([[0.0], np.full(d - 1, hf)])
     attained_hi = np.full(d, hf)
     return FunctionModel(
@@ -406,9 +392,6 @@ def make_G_eh(omega: Modulus, h, d: int, spec: QuadratureSpec | None = None) -> 
         evaluator=evaluator,
         certified_sup_norm=sup,
         meta={
-            "space": sp,
-            "split_point": split,
-            "mixed_derivative": bump,
             "mixed_derivative_holder": 1.0,
             "mixed_derivative_sup": float(omega(hf)),
             "sup_attained_at": (attained_lo, attained_hi),

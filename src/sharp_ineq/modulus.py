@@ -14,13 +14,13 @@ Two families are supported.
     bound in this package actually uses.
 
 ``validate`` re-checks the axioms numerically on a caller-supplied grid and
-reports violations instead of raising, so deliberately broken tables can be
-inspected in tests.
+reports violations instead of raising, so any gauge with a vectorized
+``__call__`` can be audited, including one no constructor here would accept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -31,8 +31,6 @@ Real = Union[int, float, Fraction]
 
 class Modulus:
     """Common interface; concrete classes implement the hooks below."""
-
-    kind: str
 
     def __call__(self, t):
         raise NotImplementedError
@@ -72,7 +70,6 @@ class Modulus:
 @dataclass(frozen=True)
 class PowerModulus(Modulus):
     alpha: float = 1.0
-    kind: str = field(default="power", init=False)
 
     def __post_init__(self):
         a = float(self.alpha)
@@ -121,16 +118,12 @@ class TableModulus(Modulus):
     ----------
     points : sequence of (t, w) pairs
         Must start at (0, 0) with strictly increasing ``t`` and nondecreasing
-        ``w``.  Values past the last node are held constant.
-    check_concave : bool
-        Concavity (nonincreasing chord slopes) is asserted by default; it is
-        the constructive guarantee of semi-additivity.  Tests may disable the
-        check to build a broken table on purpose and feed it to ``validate``.
+        ``w``, and be concave (nonincreasing chord slopes, checked exactly in
+        ``Fraction``s): the constructive guarantee of semi-additivity.
+        Values past the last node are held constant.
     """
 
-    kind = "table"
-
-    def __init__(self, points: Sequence[Sequence[Real]], check_concave: bool = True):
+    def __init__(self, points: Sequence[Sequence[Real]]):
         pts = [(Fraction(str(t)) if not isinstance(t, Fraction) else t,
                 Fraction(str(w)) if not isinstance(w, Fraction) else w)
                for t, w in points]
@@ -144,16 +137,13 @@ class TableModulus(Modulus):
         for (_, w0), (_, w1) in zip(pts, pts[1:]):
             if w1 < w0:
                 raise ValueError("table values must be nondecreasing")
-        if check_concave:
-            slopes = [
-                (w1 - w0) / (t1 - t0) for (t0, w0), (t1, w1) in zip(pts, pts[1:])
-            ]
-            for s0, s1 in zip(slopes, slopes[1:]):
-                if s1 > s0:
-                    raise ValueError(
-                        "table modulus must be concave (nonincreasing slopes); "
-                        "a convex jump breaks semi-additivity"
-                    )
+        slopes = [(w1 - w0) / (t1 - t0) for (t0, w0), (t1, w1) in zip(pts, pts[1:])]
+        for s0, s1 in zip(slopes, slopes[1:]):
+            if s1 > s0:
+                raise ValueError(
+                    "table modulus must be concave (nonincreasing slopes); "
+                    "a convex jump breaks semi-additivity"
+                )
         self._exact = pts
         self._t = np.array([float(t) for t, _ in pts], dtype=np.float64)
         self._w = np.array([float(w) for _, w in pts], dtype=np.float64)

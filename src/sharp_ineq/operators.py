@@ -48,6 +48,7 @@ from .calculus import (
     FunctionModel,
     QuadratureSpec,
     _ball_average_at,
+    _translations,
     ball_integral_at,
     ball_integral_of_modulus,
     default_spec,
@@ -147,10 +148,16 @@ class InequalityReport:
         }
 
 
-def classify_verdict(lhs: float, rhs: float, tol: float) -> str:
+def classify_verdict(lhs: float, rhs: float, tol: float, error_bound: float = 0.0) -> str:
+    """Verdict on ``gap = rhs - lhs`` at relative tolerance ``tol``.
+
+    A shortfall within four error bounds of the tolerance band (Monte Carlo
+    standard errors, quadrature or dropped-tail remainders) cannot be told
+    apart from equality, so only a larger one is a violation.
+    """
     scale = max(1.0, abs(lhs), abs(rhs))
     gap = rhs - lhs
-    if gap < -tol * scale:
+    if gap < -(tol * scale + 4.0 * error_bound):
         return VERDICT_VIOLATED
     if gap <= tol * scale:
         return VERDICT_EQUALITY
@@ -199,11 +206,7 @@ def steklov_average(
         name=f"steklov[h={float(h):g}]({f.name})",
         evaluator=evaluator,
         certified_sup_norm=f.certified_sup_norm,
-        meta={
-            "operator_norm": 1.0 / mu,
-            "window_h": float(h),
-            "source": f.name,
-        },
+        meta={"operator_norm": 1.0 / mu},
     )
 
 
@@ -300,7 +303,6 @@ def charge_seminorm(
     h,
     window_radius: float,
     spec: Optional[QuadratureSpec] = None,
-    grid_step: Optional[float] = None,
 ) -> float:
     """``sup over x of |nu(x + B_h)|`` by direct ball-mass search.
 
@@ -314,8 +316,8 @@ def charge_seminorm(
     its own.  This path stays off ``seminorm_local`` and its
     ``_kernels.ball_sums`` matmul, so the two sides of the identity share
     only plan building; the row sums reproduce ``ball_integral_at``'s
-    per-ball ``np.sum`` bit for bit.  Continuum: a grid search over
-    ``ball_mass``.
+    per-ball ``np.sum`` bit for bit.  Continuum: a search over
+    ``ball_mass`` at the translations ``seminorm_local`` searches.
     """
     space.require_valid_radius(h)
     if space.is_lattice:
@@ -325,17 +327,7 @@ def charge_seminorm(
         return float(np.max(np.abs(charges)))
     if spec is None:
         spec = QuadratureSpec(method=MONTE_CARLO)
-    from .calculus import _candidate_points, continuum_grid  # local: avoids re-export noise
-
-    hf = float(h)
-    if grid_step is None:
-        grid_step = hf / 64.0 if space.d == 1 else hf / 8.0
-    xs = np.vstack(
-        [
-            continuum_grid(space, float(window_radius), grid_step),
-            _candidate_points(nu.density, space),
-        ]
-    )
+    xs = _translations(nu.density, space, h, window_radius)
     return max(abs(nu.ball_mass(space, h, x, spec)) for x in xs)
 
 
@@ -548,11 +540,7 @@ def kernel_ball_mass(
     def integrand(t: float) -> float:
         return float(omega(t)) * float(kernel.value(t, d)) * t ** (d - 1)
 
-    val, err = adaptive_simpson(
-        integrand, 0.0, upper,
-        abs_tol=spec.abs_tol, rel_tol=spec.rel_tol, max_evals=spec.max_evals,
-        kinks=sorted(set(kinks)),
-    )
+    val, err = adaptive_simpson(integrand, 0.0, upper, kinks=sorted(set(kinks)))
     scale = 2.0 ** (d - m) * d
     return Estimate(scale * val, RADIAL1D, scale * err)
 
@@ -609,11 +597,7 @@ def kernel_tail_mass(
         return float(kernel.value(t, d)) * t ** (d - 1)
 
     kinks = [t for t in np.asarray(kernel._t) if hf < t < upper]
-    val, err = adaptive_simpson(
-        integrand, hf, upper,
-        abs_tol=spec.abs_tol, rel_tol=spec.rel_tol, max_evals=spec.max_evals,
-        kinks=kinks,
-    )
+    val, err = adaptive_simpson(integrand, hf, upper, kinks=kinks)
     scale = 2.0 ** (d - m) * d
     return Estimate(scale * val, RADIAL1D, scale * err)
 
@@ -728,9 +712,7 @@ def _hyp_lattice_sum(
     return Estimate(float(np.sum(vals * weights)), LATTICE_EXACT, remainder)
 
 
-def _hyp_radial_origin(
-    f: FunctionModel, space: Space, kernel, lo: float, spec: QuadratureSpec
-) -> Estimate:
+def _hyp_radial_origin(f: FunctionModel, space: Space, kernel, lo: float) -> Estimate:
     """Closed/adaptive value of the singular integral at the origin for a
     function with radial power pieces, integrating radii in ``[lo, inf)``."""
     d, m = space.d, space.m
@@ -751,11 +733,7 @@ def _hyp_radial_origin(
 
     kinks = [b for b in f.meta.get("radial_kinks", ()) if lo < b < upper]
     kinks += [t for t in np.asarray(kernel._t) if lo < t < upper]
-    val, err = adaptive_simpson(
-        integrand, lo, upper,
-        abs_tol=spec.abs_tol, rel_tol=spec.rel_tol, max_evals=spec.max_evals,
-        kinks=sorted(set(kinks)),
-    )
+    val, err = adaptive_simpson(integrand, lo, upper, kinks=sorted(set(kinks)))
     return Estimate(scale * val, RADIAL1D, scale * err)
 
 
@@ -807,19 +785,21 @@ def hypersingular_truncated(
     if space.is_lattice:
         return _hyp_lattice_sum(f, space, kernel, xv, int(math.ceil(float(h))))
     if "radial_pieces" in f.meta and not np.any(xv):
-        return _hyp_radial_origin(f, space, kernel, float(h), spec)
+        return _hyp_radial_origin(f, space, kernel, float(h))
     return _hyp_tail_mc(f, space, kernel, float(h), xv, spec)
 
 
 def hypersingular_full(
     f: FunctionModel, space: Space, omega: Modulus, kernel, x=None,
-    spec: Optional[QuadratureSpec] = None, split_radius: Optional[float] = None,
+    spec: Optional[QuadratureSpec] = None,
 ) -> Estimate:
     """``integral over the whole space of (f(x) - f(x+u)) P(rho(u)) d(mu)``.
 
     Convergence near the singularity is underwritten by the function's
     certified smoothness bound: required, along with a modulus that grows
-    faster than a power-law kernel blows up.
+    faster than a power-law kernel blows up.  Away from the origin the
+    singular part is sampled inside the support radius of ``f`` (1 if it
+    has none) and the tail beyond it.
     """
     if f.certified_holder_bound is None:
         raise ValueError(
@@ -838,10 +818,10 @@ def hypersingular_full(
     if space.is_lattice:
         return _hyp_lattice_sum(f, space, kernel, xv, 1)
     if "radial_pieces" in f.meta and not np.any(xv):
-        return _hyp_radial_origin(f, space, kernel, 0.0, spec)
+        return _hyp_radial_origin(f, space, kernel, 0.0)
 
     # general point: importance-sampled singular part + Pareto tail
-    s = split_radius if split_radius is not None else (f.support_radius or 1.0)
+    s = f.support_radius or 1.0
     d, m = space.d, space.m
     rng = np.random.default_rng(spec.seed + 1)
     n = spec.mc_samples
@@ -989,9 +969,7 @@ def solve_h_for_measure(space: Space, target: float) -> float:
         raise ValueError("ball measure is a step function on lattices; no inverse")
     if target <= 0:
         raise ValueError("target measure must be positive")
-    return bisect_increasing(
-        lambda hh: float(space.ball_measure(hh)), target, 0.5, 2.0, rel_tol=1e-12
-    )
+    return bisect_increasing(lambda hh: float(space.ball_measure(hh)), target, 0.5, 2.0)
 
 
 def stechkin_curve(
@@ -1036,7 +1014,7 @@ def _report(
         rhs_term1=term1,
         rhs_term2=term2,
         tolerance=tol,
-        verdict=classify_verdict(lhs, term1 + term2, tol),
+        verdict=classify_verdict(lhs, term1 + term2, tol, error_bound),
         notes=notes,
         error_bound=error_bound,
     )
@@ -1087,8 +1065,10 @@ def theorem_report(
         origin = space.origin().astype(np.float64)
         s_val = ball_integral_at(f, space, h, origin, spec) / mu
         lhs = abs(float(f(origin)) - s_val)
-        term1 = ostrowski_bound(space, omega, h, 1.0, spec)
-        return _report(theorem_id, d, m, omega, hf, lhs, term1, 0.0, tol)
+        i_h = ball_integral_of_modulus(space, omega, h, spec)
+        term1 = i_h.value / mu  # ostrowski_bound at smoothness constant 1
+        err = i_h.error_bound / mu
+        return _report(theorem_id, d, m, omega, hf, lhs, term1, 0.0, tol, error_bound=err)
 
     if theorem_id in ("nagy", "nagy_l1", "sobolev", "charge"):
         f = make_f_eh(space, omega, h, spec)
@@ -1133,7 +1113,7 @@ def theorem_report(
         if theorem_id == "mixed_multiplicative" and not isinstance(omega, PowerModulus):
             raise ValueError("the multiplicative form is stated for power moduli")
         if m <= 1:
-            extremal = make_g_eh(omega, h, d, spec) if m == 0 else make_G_eh(omega, h, d, spec)
+            extremal = make_g_eh(omega, h, d) if m == 0 else make_G_eh(omega, h, d)
             lhs = extremal.meta["mixed_derivative_sup"]
             holder_cert = extremal.meta["mixed_derivative_holder"]
             func_sup = extremal.certified_sup_norm
@@ -1148,7 +1128,8 @@ def theorem_report(
             total = mixed_nagy_rhs(d, m, omega, h, holder_cert, func_sup, spec)
             i_h = ball_integral_of_modulus(continuum(d, m), omega, h, spec)
             term1 = holder_cert * i_h.value / (2.0 ** (d - m) * hf**d)
-            return _report(theorem_id, d, m, omega, hf, lhs, term1, total - term1, tol, notes)
+            err = holder_cert * i_h.error_bound / (2.0 ** (d - m) * hf**d)
+            return _report(theorem_id, d, m, omega, hf, lhs, term1, total - term1, tol, notes, err)
         alpha = omega.alpha
         h_star = optimal_h(d, m, alpha, func_sup, holder_cert)
         rhs = mixed_multiplicative_rhs(d, m, alpha, func_sup, holder_cert)

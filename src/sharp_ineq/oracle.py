@@ -102,16 +102,8 @@ def exact_f_omega(omega: Modulus, c=0, sign: int = 1) -> ExactFunction:
 
 
 def _int_points(space: Space, radius: int) -> list:
-    axes = [range(0, radius + 1)] * space.m + [range(-radius, radius + 1)] * (
-        space.d - space.m
-    )
-    return list(itertools.product(*axes))
-
-
-def _exact_ball_offsets(space: Space, h) -> list:
-    k = strict_int_below(Fraction(h))
-    axes = [range(0, k + 1)] * space.m + [range(-k, k + 1)] * (space.d - space.m)
-    return list(itertools.product(*axes))
+    """``_lattice.window_points`` as tuples of Python ints, for Fraction sweeps."""
+    return [tuple(p) for p in _lattice.window_points(space, radius).tolist()]
 
 
 def exact_holder_constant(
@@ -154,7 +146,6 @@ def exact_verify(
     omega: Modulus,
     h,
     f: Optional[ExactFunction] = None,
-    window_radius: Optional[int] = None,
 ) -> InequalityReport:
     """Replay one additive bound on a lattice in pure Fraction arithmetic.
 
@@ -174,7 +165,7 @@ def exact_verify(
     space.require_valid_radius(hq)
     omega.eval_fraction(Fraction(1))  # raises early for irrational moduli
 
-    offsets = _exact_ball_offsets(space, hq)
+    offsets = _int_points(space, strict_int_below(hq))
     mu = Fraction(len(offsets))
     i_h = sum(
         (omega.eval_fraction(Fraction(max(abs(c) for c in u) if u else 0)) for u in offsets),
@@ -191,9 +182,7 @@ def exact_verify(
                     "exact mode needs a compactly supported function (or the "
                     "default witness) so its smoothness constant is sweepable"
                 )
-            holder = exact_holder_constant(
-                f, space, omega, window_radius or _holder_window(f, omega)
-            )
+            holder = exact_holder_constant(f, space, omega, _holder_window(f, omega))
         origin = tuple([0] * space.d)
         ball = sum((f.fn(u) for u in offsets), Fraction(0))
         lhs = abs(f.fn(origin) - ball / mu)
@@ -208,9 +197,7 @@ def exact_verify(
                 "exact mode needs a compactly supported function so that sup, "
                 "seminorm, and smoothness sweeps are provably global"
             )
-        holder = exact_holder_constant(
-            f, space, omega, window_radius or _holder_window(f, omega)
-        )
+        holder = exact_holder_constant(f, space, omega, _holder_window(f, omega))
         s = f.support_radius
         sup_pts = _int_points(space, s)
         sup = max(abs(f.fn(p)) for p in sup_pts)
@@ -317,7 +304,6 @@ def make_cone_function(space: Space, omega: Modulus, spec: ConeFunctionSpec) -> 
         certified_holder_bound=lam,
         certified_sup_norm=float(heights.max()),
         support_radius=support,
-        meta={"cone_spec": spec},
     )
 
 

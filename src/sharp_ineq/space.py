@@ -22,13 +22,14 @@ Measure of the ball around the origin:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
+
+from ._lattice import window_points
 
 CONTINUUM = "continuum"
 LATTICE = "lattice"
@@ -46,6 +47,20 @@ def strict_int_below(h: HLike) -> int:
     if hf == math.floor(hf):
         return int(hf) - 1
     return math.floor(hf)
+
+
+def config_integer(value, name: str) -> int:
+    """An integer config field.  Integral numbers and integer strings pass;
+    booleans, fractional numbers and anything else raise ``ValueError``
+    instead of being truncated by ``int()``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"bad {name} {value!r}: expected an integer")
 
 
 @dataclass(frozen=True)
@@ -80,31 +95,6 @@ class Space:
         dtype = np.int64 if self.is_lattice else np.float64
         return np.zeros(self.d, dtype=dtype)
 
-    def point(self, coords) -> np.ndarray:
-        """Validate and return a single point of the space."""
-        arr = np.asarray(coords, dtype=np.int64 if self.is_lattice else np.float64)
-        if arr.shape != (self.d,):
-            raise ValueError(f"expected {self.d} coordinates, got shape {arr.shape}")
-        if self.m and np.any(arr[: self.m] < 0):
-            raise ValueError("the first m coordinates must be nonnegative")
-        if self.is_lattice:
-            src = np.asarray(coords, dtype=np.float64)
-            if np.any(src != arr):
-                raise ValueError("lattice points must have integer coordinates")
-        return arr
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean membership mask for a batch of points, shape (n, d)."""
-        pts = np.atleast_2d(np.asarray(points))
-        if pts.shape[-1] != self.d:
-            raise ValueError(f"expected last axis of size {self.d}, got {pts.shape}")
-        ok = np.ones(pts.shape[0], dtype=bool)
-        if self.m:
-            ok &= np.all(pts[:, : self.m] >= 0, axis=1)
-        if self.is_lattice:
-            ok &= np.all(pts == np.round(pts), axis=1)
-        return ok
-
     def distance(self, x, y) -> np.ndarray:
         """Sup-metric distance; broadcasts over leading axes."""
         xv = np.asarray(x, dtype=np.float64)
@@ -112,14 +102,6 @@ class Space:
         if xv.shape[-1] != self.d or yv.shape[-1] != self.d:
             raise ValueError("dimension mismatch in distance")
         return np.max(np.abs(xv - yv), axis=-1)
-
-    def translate(self, x, y) -> np.ndarray:
-        """Monoid operation: coordinatewise sum (broadcasting)."""
-        xv = np.asarray(x)
-        yv = np.asarray(y)
-        if xv.shape[-1] != self.d or yv.shape[-1] != self.d:
-            raise ValueError("dimension mismatch in translate")
-        return xv + yv
 
     # ------------------------------------------------------------------
     # balls
@@ -151,10 +133,7 @@ class Space:
         if not self.is_lattice:
             raise ValueError("enumerate_ball is only defined on lattice spaces")
         self.require_valid_radius(h)
-        k = strict_int_below(h)
-        ranges = [range(0, k + 1)] * self.m + [range(-k, k + 1)] * (self.d - self.m)
-        pts = np.array(list(itertools.product(*ranges)), dtype=np.int64)
-        return pts.reshape(-1, self.d)
+        return window_points(self, strict_int_below(h))
 
     def sample_ball(self, h: HLike, n: int, seed: int) -> np.ndarray:
         """Uniform sample of ``n`` points from the ball around the origin.
@@ -177,17 +156,6 @@ class Space:
             out[:, self.m :] = rng.uniform(-hf, hf, size=(n, self.d - self.m))
         return out
 
-    def ball_bounds(self, h: HLike, center=None) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned bounds (lo, hi) of the ball ``center + B_h`` (continuum)."""
-        hf = float(h)
-        lo = np.where(np.arange(self.d) < self.m, 0.0, -hf)
-        hi = np.full(self.d, hf)
-        if center is not None:
-            c = np.asarray(center, dtype=np.float64)
-            lo = lo + c
-            hi = hi + c
-        return lo, hi
-
     # ------------------------------------------------------------------
     # config round-trip
     # ------------------------------------------------------------------
@@ -195,9 +163,10 @@ class Space:
     @staticmethod
     def from_config(cfg: dict) -> "Space":
         try:
-            return Space(kind=str(cfg["kind"]), d=int(cfg["d"]), m=int(cfg["m"]))
+            kind, d, m = cfg["kind"], cfg["d"], cfg["m"]
         except KeyError as exc:
             raise ValueError(f"space config missing key {exc}") from exc
+        return Space(kind=str(kind), d=config_integer(d, "d"), m=config_integer(m, "m"))
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "d": self.d, "m": self.m}

@@ -35,7 +35,7 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(method="gauss")
     spec = QuadratureSpec().with_method(MONTE_CARLO)
-    assert spec.method == MONTE_CARLO and spec.abs_tol == 1e-10
+    assert spec == QuadratureSpec(method=MONTE_CARLO)
 
 
 def test_default_spec_dispatch():
@@ -147,6 +147,35 @@ def test_l1_norm_of_bump_matches_deficiency():
     assert math.isclose(f.certified_l1, 1.0, rel_tol=1e-14)
 
 
+def _bare_bump(space):
+    """The bump with its certificates, radial profile and box-mass engine
+    stripped, so only the generic quadrature paths can integrate it."""
+    f = make_f_eh(space, PowerModulus(1.0), 1.0)
+    bare = f.without_certificates()
+    bare.radial_profile = None
+    bare.meta = {}
+    return f, bare
+
+
+def test_l1_norm_and_ball_integral_adaptive_line():
+    # d = 1 without a radial profile: adaptive Simpson on |f| and on the ball
+    space = continuum(1, 0)
+    f, bare = _bare_bump(space)
+    assert math.isclose(l1_norm(bare, space, 2.0), f.certified_l1, rel_tol=1e-9)
+    got = ball_integral_at(bare, space, 1.0, space.origin())
+    assert math.isclose(got, f.certified_seminorm_h, rel_tol=1e-9)
+
+
+def test_l1_norm_and_ball_integral_monte_carlo_plane():
+    # d = 2 without a radial profile: uniform sampling of the window / the ball
+    space = continuum(2, 0)
+    f, bare = _bare_bump(space)
+    spec = QuadratureSpec(method=MONTE_CARLO, mc_samples=200_000, seed=3)
+    assert math.isclose(l1_norm(bare, space, 2.0, spec), f.certified_l1, rel_tol=5e-3)
+    got = ball_integral_at(bare, space, 1.0, space.origin(), spec)
+    assert math.isclose(got, f.certified_seminorm_h, rel_tol=5e-3)
+
+
 def test_l1_norm_lattice_exact():
     space = lattice(2, 0)
     f = make_f_eh(space, PowerModulus(1.0), 1.5)
@@ -195,7 +224,7 @@ def test_seminorm_local_certified_and_sweep_agree():
     om = PowerModulus(1.0)
     f = make_f_eh(space, om, 1.0)
     cert = seminorm_local(f, space, 1.0, 2.0)
-    sweep = seminorm_local(f, space, 1.0, 2.0, use_certified=False)
+    sweep = seminorm_local(f.without_certificates(), space, 1.0, 2.0)
     assert math.isclose(cert, 1.0, rel_tol=1e-14)  # the deficiency above
     assert sweep <= cert * (1 + 1e-12)
     assert sweep >= 0.99 * cert  # maximizer x=0 lies on the search grid

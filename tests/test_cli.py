@@ -204,11 +204,24 @@ POWER1 = {"kind": "power", "alpha": 1.0}
         ("oracle", {"suites": [{"theorem_id": "nagy", "trials": 2, "seed": "x"}]}, "suite 'seed'"),
         ("oracle", {"mc_checks": ["ball_integral"], "seed": "x"}, "'seed'"),
         ("stechkin", {"space": LINE, "modulus": POWER1, "n_values": [-2]}, "n_values"),
+        ("verify", {"space": {**LINE, "d": 2.5}, "modulus": POWER1, "h_values": [1]}, "bad d"),
+        ("constant", {"space": {**LINE, "m": 0.5}, "modulus": POWER1, "h_values": [1]}, "bad m"),
+        ("oracle", {"suites": [{"theorem_id": "nagy", "trials": 2.7}]}, "suite 'trials'"),
+        ("oracle", {"suites": [{"theorem_id": "nagy", "trials": 2, "seed": 1.9}]},
+         "suite 'seed'"),
+        (
+            "constant",
+            {"space": LINE, "modulus": POWER1, "h_values": [1], "mc_samples": 1000.9},
+            "'mc_samples'",
+        ),
+        ("constant", {"space": LINE, "modulus": POWER1, "h_values": [1], "seed": True}, "'seed'"),
     ],
     ids=["verify-negative-h", "constant-negative-h", "lattice-h-1",
          "exact-irrational-alpha", "suite-zero-trials", "constant-bad-seed",
          "constant-bad-mc-samples", "verify-bad-tol", "suite-bad-seed",
-         "mc-checks-bad-seed", "stechkin-negative-n"],
+         "mc-checks-bad-seed", "stechkin-negative-n", "fractional-d", "fractional-m",
+         "fractional-trials", "fractional-suite-seed", "fractional-mc-samples",
+         "boolean-seed"],
 )
 def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle):
     cfg = write_cfg(tmp_path, "bad.json", payload)
@@ -227,6 +240,21 @@ def test_monte_carlo_needs_two_samples(capsys, tmp_path, samples):
     assert code == EXIT_CONFIG
     assert "at least 2 Monte Carlo samples" in err
     assert out == ""
+
+
+def test_monte_carlo_verify_reads_noise_as_equality(capsys, tmp_path):
+    # At the sharp extremals a Monte Carlo I(h) misses the closed form by about
+    # one standard error, which must not read as a violated bound.
+    payload = {"space": {"kind": "continuum", "d": 2, "m": 0},
+               "modulus": {"kind": "power", "alpha": 0.7}, "h_values": [0.8, 1.3],
+               "method": "monte_carlo", "mc_samples": 50_000, "seed": 9}
+    cfg = write_cfg(tmp_path, "mc.json", payload)
+    code, out, err = run_cli(capsys, ["verify", "--config", cfg])
+    assert code == EXIT_OK, out
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 16
+    assert not any(row.endswith("Violated") for row in rows)
+    assert all(row.rsplit(",", 1)[1] in ("EqualityAttained", "Holds") for row in rows)
 
 
 def test_oracle_exact_node_irrational_modulus_is_config_error(capsys, tmp_path):

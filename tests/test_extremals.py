@@ -57,7 +57,7 @@ def test_two_level_profile():
     got = f(np.array([[0.0], [0.5], [1.0], [2.0]]))
     np.testing.assert_allclose(got, [-0.5, 0.0, 0.5, 0.5])
     assert f.certified_sup_norm == 0.5
-    assert f.meta["radial_tail_value"] == 0.5
+    assert f.meta["radial_pieces"][-1] == (1.0, math.inf, 0.0, 1.0, 0.5)
 
 
 def test_radial_gauge_signs_and_sup():

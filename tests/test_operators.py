@@ -124,6 +124,13 @@ def test_charge_seminorm_lattice_gather_path(space, h):
             arr[0] = 0
 
 
+@pytest.mark.parametrize("space", [continuum(1, 0), continuum(2, 1)], ids=["R1_0", "R2_1"])
+def test_charge_seminorm_continuum_grid_search(space):
+    f = make_f_eh(space, RAMP, 1.0)
+    got = ops.charge_seminorm(ops.ChargeModel(density=f), space, 1.0, window_radius=2.0)
+    assert got == pytest.approx(f.certified_seminorm_h, rel=1e-12)
+
+
 def test_charge_nagy_rhs_requires_known_seminorm():
     space = continuum(1, 0)
     f = make_f_eh(space, RAMP, 1.0)
@@ -280,6 +287,31 @@ def test_tail_mass_scaling_law(beta, h):
 
 # ----------------------------------------------------------------------
 # hypersingular operators
+
+
+def test_lattice_full_tail_hypersingular_report_holds():
+    # an uncut power-law kernel on a lattice is summed to a finite radius;
+    # the dropped tail enters the error bound and leaves a strict inequality
+    rep = ops.theorem_report("hypersingular", lattice(1, 0), RAMP, 2.5)
+    assert rep.verdict == ops.VERDICT_HOLDS
+    assert rep.error_bound > 0
+    assert "remainder" in rep.notes
+
+
+TABLE_KERNEL = ops.TableKernel([(0.5, 2.0), (1.5, 1.0), (3.0, 0.25)])
+
+
+@pytest.mark.parametrize("omega", [RAMP, TableModulus([(0, 0), (1, 0.75), (2, 1)])],
+                         ids=["power", "table"])
+@pytest.mark.parametrize(
+    "space, h",
+    [(continuum(1, 0), 1.0), (continuum(2, 1), 1.25), (lattice(1, 0), 2.5), (lattice(2, 0), 1.5)],
+    ids=["R1_0", "R2_1", "Z1_0", "Z2_0"],
+)
+def test_theorem_report_hypersingular_table_kernel(space, h, omega):
+    rep = ops.theorem_report("hypersingular", space, omega, h, kernel=TABLE_KERNEL)
+    assert rep.verdict == ops.VERDICT_EQUALITY, rep.gap
+    assert rep.lhs > 0
 
 
 def test_hypersingular_rhs_formula():
@@ -441,6 +473,13 @@ def test_classify_verdict_edges():
     assert ops.classify_verdict(2.0, 1.0, 1e-8) == ops.VERDICT_VIOLATED
     # relative scaling: a 1e-9 gap at magnitude 1e3 is equality at tol 1e-8
     assert ops.classify_verdict(1e3, 1e3 + 1e-6, 1e-8) == ops.VERDICT_EQUALITY
+    # an error bound widens the band below zero by four bounds, and only there
+    assert ops.classify_verdict(1.0, 0.997, 1e-8, 1e-3) == ops.VERDICT_EQUALITY
+    assert ops.classify_verdict(1.0, 0.995, 1e-8, 1e-3) == ops.VERDICT_VIOLATED
+    assert ops.classify_verdict(1.0, 1.005, 1e-8, 1e-3) == ops.VERDICT_HOLDS
+    # the band edge itself is equality (scale 2, tol 0: gap -1 against 4 * 0.25)
+    assert ops.classify_verdict(2.0, 1.0, 0.0, 0.25) == ops.VERDICT_EQUALITY
+    assert ops.classify_verdict(2.0, 1.0, 0.0, 0.2499) == ops.VERDICT_VIOLATED
 
 
 def test_report_row_schema():

@@ -72,6 +72,33 @@ def test_exact_verify_frozen_rationals():
     assert rep3.exact["lhs"] == F(2, 3) == rep3.exact["rhs_term1"]
 
 
+# Recorded before the shared box enumerator replaced the tuple builders of
+# the exact sweeps; every value is fixed by the mathematics.
+EXACT_PINS = {
+    (2, 1, "power"): ("3/2", "5/6", "2/3", "5/6"),
+    (2, 1, "table"): ("3/4", "5/9", "7/36", "5/9"),
+    (3, 1, "power"): ("3/2", "17/18", "5/9", "17/18"),
+    (3, 1, "table"): ("3/4", "17/27", "13/108", "17/27"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_PINS), ids=lambda k: f"Z{k[0]}_{k[1]}-{k[2]}")
+def test_exact_verify_pinned_fractions(key):
+    d, m, name = key
+    omega = RAMP if name == "power" else TableModulus([(0, 0), (1, F(2, 3)), (2, F(5, 6))])
+    lhs, term1, term2, lemma1 = (F(v) for v in EXACT_PINS[key])
+    space = lattice(d, m)
+    tids = oracle.EXACT_THEOREMS if d == 2 else ("nagy", "nagy_l1")
+    for tid in tids:
+        rep = oracle.exact_verify(tid, space, omega, F(3, 2))
+        if tid == "lemma1":
+            want = {"lhs": lemma1, "rhs_term1": lemma1, "rhs_term2": F(0), "gap": F(0)}
+        else:
+            want = {"lhs": lhs, "rhs_term1": term1, "rhs_term2": term2, "gap": F(0)}
+        assert rep.exact == want, (tid, rep.exact)
+        assert rep.verdict == "EqualityAttained"
+
+
 def test_exact_verify_table_modulus():
     om = TableModulus([(0, 0), (1, F(2, 3)), (2, 1)])
     rep = oracle.exact_verify("nagy", lattice(1, 0), om, F(3, 2))

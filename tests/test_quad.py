@@ -9,8 +9,6 @@ from sharp_ineq._quad import (
     adaptive_simpson,
     bisect_increasing,
     piecewise_power_integral,
-    power_segment_integral,
-    sorted_unique,
 )
 
 
@@ -45,12 +43,6 @@ def test_simpson_degenerate_interval():
     assert val == 0.0
 
 
-def test_power_segment_integral():
-    assert math.isclose(power_segment_integral(3.0, 0.5, 0.0, 1.0), 2.0, rel_tol=1e-15)
-    with pytest.raises(QuadratureError):
-        power_segment_integral(1.0, -1.5, 0.0, 1.0)
-
-
 def test_bisect_increasing_basic():
     root = bisect_increasing(lambda x: x**3, 8.0, 0.5, 4.0)
     assert math.isclose(root, 2.0, rel_tol=1e-11)
@@ -65,10 +57,6 @@ def test_bisect_expands_bracket():
 def test_bisect_failure():
     with pytest.raises(QuadratureError):
         bisect_increasing(lambda x: 1.0, 2.0, 0.1, 1.0)
-
-
-def test_sorted_unique():
-    assert sorted_unique([3.0, 1.0, 1.0 + 1e-16, 2.0]) == [1.0, 2.0, 3.0]
 
 
 def test_piecewise_power_basic():

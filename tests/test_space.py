@@ -70,18 +70,6 @@ def test_space_constructor_validation():
         Space("voronoi", 2, 1)
 
 
-def test_point_validation():
-    sp = continuum(2, 1)
-    p = sp.point([0.5, -1.0])
-    assert p.dtype == np.float64
-    with pytest.raises(ValueError):
-        sp.point([-0.5, 1.0])  # first coordinate lives on the half-line
-    with pytest.raises(ValueError):
-        sp.point([1.0])
-    spz = lattice(2, 0)
-    assert spz.point([1, -2]).dtype == np.int64
-
-
 def test_sample_ball_deterministic_and_inside():
     sp = continuum(2, 1)
     a = sp.sample_ball(1.5, 1000, seed=42)
