@@ -288,6 +288,33 @@ def test_tail_mass_scaling_law(beta, h):
 # ----------------------------------------------------------------------
 # hypersingular operators
 
+# Uncut power-law kernel on lattices, values of the earlier truncated sum
+# (window radius 1000 plus a K^-beta remainder bound): (space, modulus, h),
+# then hypersingular_full value and error bound, kernel_tail_mass value and
+# error bound.  The exact shell tail must land inside each old bound.
+TRUNCATED_SUMS = [
+    ((1, 0), RAMP, 2.5,
+     -9.392174623994602, 0.9486832980505138, 2.437651915384429, 0.24),
+    ((1, 0), TableModulus([(0, 0), (1, 0.75), (2, 1)]), 1.5,
+     -4.211004805105757, 0.33203915431767983, 3.1214883518625522, 0.30983866769659335),
+    ((2, 0), RAMP, 1.5,
+     -26.589747235010904, 3.7947331922020546, 12.485953407450209, 2.065591117977289),
+    ((2, 1), PowerModulus(0.8), 2.5,
+     -21.434347399724654, 6.303666730569039, 6.663028496102048, 2.099255181971093),
+]
+
+
+@pytest.mark.parametrize("dm, omega, h, val, val_err, tail, tail_err", TRUNCATED_SUMS,
+                         ids=["Z1_0-power", "Z1_0-table", "Z2_0-power", "Z2_1-power"])
+def test_lattice_exact_tail_within_truncation_bound(dm, omega, h, val, val_err, tail, tail_err):
+    space = lattice(*dm)
+    kernel = ops.PowerLawKernel(beta=0.5 * ops._first_piece_exponent(omega))
+    got = ops.hypersingular_full(make_f_e_omega(space, omega, h), space, omega, kernel)
+    assert abs(got.value - val) <= val_err
+    t = ops.kernel_tail_mass(space, kernel, h)
+    # the truncated shell sum only ever dropped positive terms
+    assert tail <= t.value <= tail + tail_err
+
 
 def test_lattice_full_tail_hypersingular_report_holds():
     # an uncut power-law kernel on a lattice is summed to a finite radius;
