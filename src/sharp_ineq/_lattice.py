@@ -11,11 +11,16 @@ strides, so the same plan code serves d = 1, 2, 3, ...
 
 ``sweep_plan`` memoizes the plans of the lattice sweeps, whose callers
 redraw the function but keep hitting the same few geometries.
+
+Every box and shell range is checked against ``POINT_BUDGET`` before it is
+allocated, so an input too large to sweep fails with ``ValueError`` instead of
+exhausting memory.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,10 +30,23 @@ if TYPE_CHECKING:
     from .space import Space
 
 
+# About 4.2 M points: 100 MB for one int64 copy of a d = 3 box.
+POINT_BUDGET = 1 << 22
+
+
+def require_budget(n: int) -> None:
+    """Raise ``ValueError`` when a sweep of ``n`` points exceeds ``POINT_BUDGET``."""
+    if n > POINT_BUDGET:
+        raise ValueError(
+            f"a lattice sweep of {n} points exceeds the budget of {POINT_BUDGET}"
+        )
+
+
 def _box(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """All integer points of the box ``prod_i [lo_i, hi_i]`` in C order
     (last coordinate fastest), shape (N, d), int64."""
     shape = tuple(int(n) for n in hi - lo + 1)
+    require_budget(math.prod(shape))
     return np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T + lo
 
 

@@ -31,6 +31,7 @@ paths exist for cross-checking and always report a standard error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -152,7 +153,7 @@ def classify_verdict(lhs: float, rhs: float, tol: float, error_bound: float = 0.
     """Verdict on ``gap = rhs - lhs`` at relative tolerance ``tol``.
 
     A shortfall within four error bounds of the tolerance band (Monte Carlo
-    standard errors, quadrature or dropped-tail remainders) cannot be told
+    standard errors, quadrature or series-tail remainders) cannot be told
     apart from equality, so only a larger one is a violation.
     """
     scale = max(1.0, abs(lhs), abs(rhs))
@@ -367,9 +368,8 @@ class PowerLawKernel:
     """``P(t) = t**(-(d + beta))``, optionally zeroed beyond a cutoff radius.
 
     The dimension enters at evaluation time (the kernel lives on radii).  A
-    finite ``cutoff`` gives a compactly supported, exactly summable kernel —
-    the natural choice on lattices, where the pure power law's tail can only
-    be summed with an explicit remainder bound.
+    finite ``cutoff`` gives a compactly supported kernel; on lattices the
+    uncut tail is summed by Hurwitz zeta values (``_lattice_shell_tail``).
     """
 
     beta: float
@@ -450,22 +450,66 @@ def kernel_from_config(cfg: dict):
     raise ValueError(f"unknown kernel form {form!r}")
 
 
-def _lattice_shell_counts(space: Space, ks: np.ndarray) -> np.ndarray:
-    """Number of lattice points at sup-distance exactly k from the origin."""
-    d, m = space.d, space.m
-    outer = (ks + 1) ** m * (2 * ks + 1) ** (d - m)
-    inner = ks**m * (2 * ks - 1) ** (d - m)
-    return (outer - inner).astype(np.float64)
+@functools.lru_cache(maxsize=64)
+def _shell_count_coefficients(d: int, m: int) -> tuple[float, ...]:
+    """Ascending coefficients of ``N(k)``, the number of points of
+    ``Z_+^m x Z^(d-m)`` at sup-distance exactly k >= 1 from the origin: the
+    polynomial ``(k+1)^m (2k+1)^(d-m) - k^m (2k-1)^(d-m)`` of degree d - 1.
+    Cached: building the polynomial costs more than a whole shell sum."""
+    k = np.polynomial.Polynomial([0.0, 1.0])
+    n = (k + 1) ** m * (2 * k + 1) ** (d - m) - k**m * (2 * k - 1) ** (d - m)
+    return tuple(n.coef[:d].tolist())  # the k^d terms cancel
 
 
-def _lattice_tail_remainder(space: Space, beta: float, k_max: int) -> float:
-    """Upper bound on the dropped pure-power tail beyond shell ``k_max``.
+# Bernoulli numbers B_2, B_4, ..., B_18; the last one only bounds the remainder.
+_BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+                 43867 / 798)
 
-    Abel summation against the shell counts gives
-    ``sum_{k > K} N(k) k^(-d-beta) <= 2^(2d-m) (d+beta)/beta * K^(-beta)``.
+
+def _hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
+    """``zeta(s, a) = sum_{n >= 0} (a + n)^(-s)`` for ``s > 1``, ``a > 0``.
+
+    Euler-Maclaurin: the terms below ``b = a + n >= s + 16`` are summed
+    directly, then the integral, the half term and eight Bernoulli
+    corrections at ``b``.  The derivatives of ``t^(-s)`` alternate in sign
+    and decrease in size, so the remainder is bounded by the first omitted
+    correction, returned as the second value.
     """
-    d, m = space.d, space.m
-    return 2.0 ** (2 * d - m) * (d + beta) / beta * float(k_max) ** (-beta)
+    if not (s > 1 and a > 0):
+        raise ValueError(f"Hurwitz zeta needs s > 1 and a > 0, got s={s}, a={a}")
+    n = max(0, math.ceil(s + 16 - a))
+    b = a + n
+    terms = [(a + i) ** -s for i in range(n)] + [b ** (1 - s) / (s - 1), 0.5 * b**-s]
+    rising = s  # s (s+1) ... (s+2k-2)
+    for k, b2k in enumerate(_BERNOULLI_2K, start=1):
+        terms.append(b2k / math.factorial(2 * k) * rising * b ** (-s - 2 * k + 1))
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    return math.fsum(terms[:-1]), abs(terms[-1])
+
+
+def _lattice_shell_tail(space: Space, kernel, k0: int) -> Estimate:
+    """``sum_{k >= k0} N(k) P(k)``, the kernel mass of the shells rho >= k0.
+
+    A kernel with compact support leaves a finite 1-D shell sum.  For the
+    uncut power law ``P(k) = k^-(d+beta)`` and ``N(k) = sum_j c_j k^j`` the
+    tail is ``sum_j c_j zeta(d + beta - j, k0)``, with the error bound of
+    the Hurwitz zeta values.
+    """
+    d = space.d
+    coef = _shell_count_coefficients(d, space.m)
+    if math.isfinite(kernel.support_radius):
+        k1 = int(math.floor(kernel.support_radius))
+        _lattice.require_budget(k1 - k0 + 1)
+        ks = np.arange(k0, k1 + 1, dtype=np.float64)
+        counts = np.polynomial.polynomial.polyval(ks, coef)
+        vals = counts * np.asarray(kernel.value(ks, d))
+        return Estimate(float(vals.sum()), LATTICE_EXACT, 0.0)
+    value = err = 0.0
+    for j, c in enumerate(coef):
+        z, z_err = _hurwitz_zeta(d + kernel.beta - j, k0)
+        value += c * z
+        err += abs(c) * z_err
+    return Estimate(value, LATTICE_EXACT, err)
 
 
 def _first_piece_exponent(omega: Modulus) -> float:
@@ -556,19 +600,7 @@ def kernel_tail_mass(
     d, m = space.d, space.m
 
     if space.is_lattice:
-        k0 = int(math.ceil(hf))
-        if isinstance(kernel, PowerLawKernel) and not math.isfinite(kernel.cutoff):
-            k_max = max(int(1000 * hf), k0 + 1000)
-            remainder = _lattice_tail_remainder(space, kernel.beta, k_max)
-        else:
-            k_max = int(math.floor(kernel.support_radius))
-            remainder = 0.0
-        if k_max < k0:
-            return Estimate(0.0, LATTICE_EXACT, remainder)
-        ks = np.arange(k0, k_max + 1, dtype=np.int64)
-        counts = _lattice_shell_counts(space, ks)
-        vals = counts * np.asarray(kernel.value(ks.astype(np.float64), d))
-        return Estimate(float(vals.sum()), LATTICE_EXACT, remainder)
+        return _lattice_shell_tail(space, kernel, int(math.ceil(hf)))
 
     if isinstance(kernel, PowerLawKernel):
         beta = kernel.beta
@@ -682,34 +714,60 @@ def _sample_sphere_points(space: Space, radii: np.ndarray, rng) -> np.ndarray:
     return u
 
 
+def _constant_beyond(f: FunctionModel) -> Optional[tuple[float, float]]:
+    """``(S, c)`` with ``f == c`` wherever ``rho > S``: the support radius
+    (``c = 0``) or a final constant radial piece; ``None`` when neither is known."""
+    if f.support_radius is not None:
+        return float(f.support_radius), 0.0
+    pieces = f.meta.get("radial_pieces")
+    if pieces:
+        s0, s1, sigma, _, tau = pieces[-1]
+        if math.isinf(s1) and sigma == 0:
+            return float(s0), float(tau)
+    return None
+
+
 def _hyp_lattice_sum(
     f: FunctionModel, space: Space, kernel, x: np.ndarray, k_min: int
 ) -> Estimate:
-    """Exact lattice sum of ``(f(x) - f(x+u)) P(rho(u))`` over ``rho >= k_min``."""
+    """Lattice sum of ``(f(x) - f(x+u)) P(rho(u))`` over ``rho(u) >= k_min``.
+
+    When ``f == c`` beyond a radius S (``_constant_beyond``), every shell
+    ``rho(u) = k > R = ceil(S) + ceil(rho(x))`` sees only ``f(x+u) = c``: the
+    box ``rho(u) <= R`` is summed point by point and the shells past it add
+    ``(f(x) - c) * sum_{k > R} N(k) P(k)`` (``_lattice_shell_tail``).
+    Otherwise the kernel needs compact support, and its box is summed whole.
+    """
     d = space.d
-    if math.isfinite(kernel.support_radius):
-        r = int(math.floor(kernel.support_radius))
-        remainder = 0.0
-    else:
-        r = max(1000, 10 * k_min)
-        if f.certified_sup_norm is None:
-            raise ValueError(
-                "a full-tail kernel on a lattice needs a certified sup norm "
-                "to bound the dropped remainder"
-            )
-        remainder = 2.0 * f.certified_sup_norm * _lattice_tail_remainder(
-            space, kernel.beta, r
-        )
-    if r < k_min:
-        return Estimate(0.0, LATTICE_EXACT, remainder)
-    pts = _lattice.window_points(space, r).astype(np.float64)
-    rho = np.max(np.abs(pts), axis=1)
-    keep = rho >= k_min
-    pts, rho = pts[keep], rho[keep]
-    weights = np.asarray(kernel.value(rho, d))
     fx = float(f(np.asarray(x, dtype=np.float64)))
-    vals = fx - f(x[None, :] + pts)
-    return Estimate(float(np.sum(vals * weights)), LATTICE_EXACT, remainder)
+    support = kernel.support_radius
+    beyond = _constant_beyond(f)
+    if beyond is None:
+        if not math.isfinite(support):
+            raise ValueError(
+                "a full-tail kernel on a lattice needs a function that is constant "
+                "beyond a known radius (a support radius or a final constant radial piece)"
+            )
+        r = int(math.floor(support))
+        tail = Estimate(0.0, LATTICE_EXACT, 0.0)
+    else:
+        s, c = beyond
+        r = int(math.ceil(s)) + int(math.ceil(float(np.max(np.abs(x)))))
+        if math.isfinite(support):
+            r = min(r, int(math.floor(support)))
+        shells = _lattice_shell_tail(space, kernel, max(r + 1, k_min))
+        tail = Estimate(
+            (fx - c) * shells.value, LATTICE_EXACT, abs(fx - c) * shells.error_bound
+        )
+    body = 0.0
+    if r >= k_min:
+        pts = _lattice.window_points(space, r).astype(np.float64)
+        rho = np.max(np.abs(pts), axis=1)
+        keep = rho >= k_min
+        pts, rho = pts[keep], rho[keep]
+        weights = np.asarray(kernel.value(rho, d))
+        body = float(np.sum((fx - f(x[None, :] + pts)) * weights))
+    return Estimate(body + tail.value, LATTICE_EXACT, tail.error_bound)
 
 
 def _hyp_radial_origin(f: FunctionModel, space: Space, kernel, lo: float) -> Estimate:
@@ -1104,7 +1162,7 @@ def theorem_report(
         notes = "witness is discontinuous on the sphere rho = h (two-valued there)"
         err = val.error_bound + a.error_bound + 2.0 * f.certified_sup_norm * t.error_bound
         if err > 0:
-            notes += f"; dropped-tail/quadrature remainder <= {err:.3g}"
+            notes += f"; tail/quadrature remainder <= {err:.3g}"
         return _report(theorem_id, d, m, omega, hf, lhs, term1, term2, tol, notes, err)
 
     if theorem_id in ("mixed_additive", "mixed_multiplicative"):

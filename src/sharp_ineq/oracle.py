@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -101,6 +101,23 @@ def exact_f_omega(omega: Modulus, c=0, sign: int = 1) -> ExactFunction:
     return ExactFunction(fn=fn, support_radius=None, label=f"modulus-profile[c={cq}]")
 
 
+def _rational_valued(f: ExactFunction) -> ExactFunction:
+    """``f`` with every value checked to be an ``int`` or ``Fraction`` (a
+    ``bool`` or ``float`` raises ``ValueError``), so no float enters a sweep."""
+    fn = f.fn
+
+    def checked(pt: tuple) -> Fraction:
+        v = fn(pt)
+        if type(v) is not Fraction and type(v) is not int:
+            raise ValueError(
+                f"exact function {f.label} returned {v!r} ({type(v).__name__}) at {pt}; "
+                "exact mode needs int or Fraction values"
+            )
+        return v
+
+    return replace(f, fn=checked)
+
+
 def _int_points(space: Space, radius: int) -> list:
     """``_lattice.window_points`` as tuples of Python ints, for Fraction sweeps."""
     return [tuple(p) for p in _lattice.window_points(space, radius).tolist()]
@@ -115,10 +132,19 @@ def exact_holder_constant(
     (stretched to ``S + t_last + 1`` for a modulus constant beyond t_last)
     contains a maximizing pair of the global ratio: the ratio against a far
     zero of ``f`` only decreases with distance once the modulus stops
-    growing, so nothing outside the window can do better.
+    growing, so nothing outside the window can do better.  A nonzero value
+    in the window beyond the claimed support radius raises ``ValueError``.
     """
     pts = _int_points(space, window_radius)
     vals = [f.fn(p) for p in pts]
+    s = f.support_radius
+    if s is not None:
+        for p, v in zip(pts, vals):
+            if v != 0 and max(abs(c) for c in p) > s:
+                raise ValueError(
+                    f"exact function {f.label} claims support radius {s} "
+                    f"but is {v} at {p}"
+                )
     best = Fraction(0)
     for (i, x), (j, y) in itertools.combinations(enumerate(pts), 2):
         num = abs(vals[i] - vals[j])
@@ -153,7 +179,9 @@ def exact_verify(
     the report's ``exact`` field carries the rational lhs, both right-hand
     terms, and the gap.  A gap of exactly ``Fraction(0)`` is equality on the
     nose.  Needs a rational-valued modulus (power exponent 1, or a table
-    with rational nodes) and ``h`` given as a ``Fraction`` or integer.
+    with rational nodes) and ``h`` given as a ``Fraction`` or integer.  A
+    caller's ``f`` must return ``int`` or ``Fraction`` values and vanish
+    beyond its support radius; either breach raises ``ValueError``.
     """
     if theorem_id not in EXACT_THEOREMS:
         raise ValueError(
@@ -164,6 +192,8 @@ def exact_verify(
     hq = Fraction(h)
     space.require_valid_radius(hq)
     omega.eval_fraction(Fraction(1))  # raises early for irrational moduli
+    if f is not None:
+        f = _rational_valued(f)
 
     offsets = _int_points(space, strict_int_below(hq))
     mu = Fraction(len(offsets))

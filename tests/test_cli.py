@@ -283,6 +283,24 @@ def test_divergent_kernel_is_numeric_failure(capsys, tmp_path):
     assert "numeric failure" in err
 
 
+def test_lattice_sweep_over_point_budget_is_numeric_failure(capsys, tmp_path):
+    # a cutoff of 10^7 shells is refused before any array is allocated
+    cfg = write_cfg(
+        tmp_path,
+        "huge.json",
+        {
+            "space": {"kind": "lattice", "d": 3, "m": 0},
+            "modulus": {"kind": "power", "alpha": 1.0},
+            "h_values": [1.5],
+            "theorems": ["hypersingular"],
+            "kernel": {"form": "power_law", "beta": 0.5, "cutoff": 1e7},
+        },
+    )
+    code, _, err = run_cli(capsys, ["verify", "--config", cfg])
+    assert code == EXIT_NUMERIC
+    assert "budget" in err
+
+
 def test_out_flag_writes_file(tmp_path, capsys, line_cfg):
     target = tmp_path / "result.csv"
     code, out, _ = run_cli(capsys, ["constant", "--config", line_cfg, "--out", str(target)])

@@ -263,15 +263,51 @@ def test_lattice_kernel_masses_brute_force():
     assert t.value == pytest.approx(brute_t, rel=1e-12)
 
 
-def test_lattice_pure_power_tail_has_remainder_bound():
+def test_lattice_pure_power_tail_is_exact():
+    # T(1.5) = sum_{k >= 2} 2 k^-1.5 on Z; the shells past K weigh between
+    # 2 * int_K^inf t^-1.5 = 4/sqrt(K) and 4/sqrt(K - 1)
     space = lattice(1, 0)
     t = ops.kernel_tail_mass(space, ops.PowerLawKernel(beta=0.5), 1.5)
-    assert t.error_bound > 0  # honest truncation remainder
-    # the remainder bound covers the dropped tail: compare against a longer sum
-    k0, k1 = 2, 4_000_000
-    ks = np.arange(k0, k1, dtype=np.float64)
-    long_sum = float(np.sum(2.0 * ks ** (-1.5)))
-    assert t.value <= long_sum <= t.value + t.error_bound
+    assert t.error_bound < 1e-15
+    k1 = 4_000_000
+    ks = np.arange(2, k1, dtype=np.float64)
+    rest = t.value - math.fsum(2.0 * ks ** (-1.5))
+    assert 4 / math.sqrt(k1) - 1e-12 <= rest <= 4 / math.sqrt(k1 - 1) + 1e-12
+
+
+@pytest.mark.parametrize("s", [1.05, 1.3, 2.0, 3.5, 4.9, 10.0])
+@pytest.mark.parametrize("a", [1, 2, 3, 7.5, 17, 1000, 1e6])
+def test_hurwitz_zeta_matches_mpmath(s, a):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = float(mpmath.zeta(s, a))
+    got, err = ops._hurwitz_zeta(s, a)
+    assert got == pytest.approx(ref, rel=1e-14)
+    assert err <= 1e-18 * ref
+
+
+def test_hurwitz_zeta_rejects_divergent_arguments():
+    for s, a in ((1.0, 2.0), (0.5, 2.0), (2.0, 0.0)):
+        with pytest.raises(ValueError):
+            ops._hurwitz_zeta(s, a)
+
+
+@pytest.mark.parametrize("space", LATTICES, ids=lambda s: f"Z{s.d}_{s.m}")
+def test_lattice_shell_tail_matches_brute_force(space):
+    # the shells k0..K of the uncut tail are the difference of two tails;
+    # a cut kernel's finite shell sum is the whole box beyond k0
+    k0, k1 = 2, 12
+    pts = _lattice.window_points(space, k1)
+    rho = np.max(np.abs(pts), axis=1).astype(np.float64)
+    ring = rho[rho >= k0]
+    uncut = ops.PowerLawKernel(beta=0.7)
+    part = (ops._lattice_shell_tail(space, uncut, k0).value
+            - ops._lattice_shell_tail(space, uncut, k1 + 1).value)
+    assert part == pytest.approx(math.fsum(ring ** -(space.d + 0.7)), rel=1e-12)
+    for kernel in (ops.PowerLawKernel(beta=0.7, cutoff=k1 + 0.5), TABLE_KERNEL):
+        got = ops._lattice_shell_tail(space, kernel, k0)
+        assert got.value == pytest.approx(math.fsum(kernel.value(ring, space.d)), rel=1e-12)
+        assert got.error_bound == 0.0
 
 
 @given(beta=st.floats(0.2, 2.0), h=st.floats(0.3, 4.0))
@@ -316,13 +352,14 @@ def test_lattice_exact_tail_within_truncation_bound(dm, omega, h, val, val_err, 
     assert tail <= t.value <= tail + tail_err
 
 
-def test_lattice_full_tail_hypersingular_report_holds():
-    # an uncut power-law kernel on a lattice is summed to a finite radius;
-    # the dropped tail enters the error bound and leaves a strict inequality
-    rep = ops.theorem_report("hypersingular", lattice(1, 0), RAMP, 2.5)
-    assert rep.verdict == ops.VERDICT_HOLDS
-    assert rep.error_bound > 0
-    assert "remainder" in rep.notes
+def test_lattice_hypersingular_reports_attain_equality():
+    # the uncut power-law kernel's tail is summed exactly on every lattice
+    for space in LATTICES:
+        for omega in (RAMP, PowerModulus(0.6), TableModulus([(0, 0), (1, 0.75), (2, 1)])):
+            for h in (1.5, 2.5):
+                rep = ops.theorem_report("hypersingular", space, omega, h)
+                assert rep.verdict == ops.VERDICT_EQUALITY, (space, omega, h, rep.gap)
+                assert rep.error_bound < 1e-10
 
 
 TABLE_KERNEL = ops.TableKernel([(0.5, 2.0), (1.5, 1.0), (3.0, 0.25)])
@@ -393,6 +430,43 @@ def test_hypersingular_truncated_lattice_brute_force():
         if abs(u) >= 2
     )
     assert got.value == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("space", [lattice(2, 1), lattice(3, 0), lattice(3, 2)],
+                         ids=["Z2_1", "Z3_0", "Z3_2"])
+def test_hypersingular_lattice_body_and_tail_off_origin(space):
+    # a cut kernel reaching past the body box R = ceil(S) + rho(x): box plus
+    # shells against the whole kernel box summed point by point
+    kernel = ops.PowerLawKernel(beta=0.6, cutoff=9.0)
+    x = np.array([1.0] * space.m + [-2.0] * (space.d - space.m))
+    pts = _lattice.window_points(space, 9).astype(np.float64)
+    rho = np.max(np.abs(pts), axis=1)
+    pts, rho = pts[rho >= 2], rho[rho >= 2]
+    for f in (make_f_eh(space, RAMP, 1.5), make_f_e_omega(space, RAMP, 2.5)):
+        got = ops.hypersingular_truncated(f, space, kernel, 1.5, x=x)
+        brute = math.fsum((f(x) - f(x[None, :] + pts)) * kernel.value(rho, space.d))
+        assert got.value == pytest.approx(brute, rel=1e-12)
+        assert got.error_bound == 0.0
+
+
+def test_lattice_sum_needs_a_known_constant_tail():
+    space = lattice(2, 0)
+    f = make_f_omega(space, RAMP)  # unbounded: no radius beyond which it is constant
+    with pytest.raises(ValueError, match="constant beyond"):
+        ops.hypersingular_full(f, space, RAMP, ops.PowerLawKernel(beta=0.5))
+    # a cut kernel needs no such radius, but its whole box must fit the budget
+    got = ops.hypersingular_full(f, space, RAMP, ops.PowerLawKernel(beta=0.5, cutoff=4.0))
+    assert got.value < 0
+    with pytest.raises(ValueError, match="budget"):
+        ops.hypersingular_full(f, lattice(3, 0), RAMP, ops.PowerLawKernel(beta=0.5, cutoff=1e6))
+
+
+def test_window_points_checks_budget_before_allocating():
+    # 2001^3 ~ 8e9 points: refused on the count alone
+    with pytest.raises(ValueError, match="budget"):
+        _lattice.window_points(lattice(3, 0), 1000)
+    with pytest.raises(ValueError, match="budget"):
+        lattice(2, 0).enumerate_ball(10**5)
 
 
 def test_hypersingular_full_general_point_mc():

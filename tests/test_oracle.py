@@ -121,6 +121,29 @@ def test_exact_verify_user_function_holds():
     assert rep.exact["gap"] >= 0
 
 
+@pytest.mark.parametrize("tid", ["lemma1", "nagy"])
+@pytest.mark.parametrize("value", [2.0, True, 0.5], ids=["float", "bool", "half"])
+def test_exact_verify_rejects_inexact_values(tid, value):
+    # a float or bool value would turn the sweeps and the verdict into floats
+    def fn(pt):
+        return value if pt == (0,) else 0
+
+    f = oracle.ExactFunction(fn=fn, support_radius=1, label="inexact")
+    with pytest.raises(ValueError, match="int or Fraction"):
+        oracle.exact_verify(tid, lattice(1, 0), RAMP, F(3, 2), f=f)
+
+
+@pytest.mark.parametrize("tid", ["lemma1", "nagy", "charge"])
+def test_exact_verify_rejects_false_support_radius(tid):
+    # claims radius 1 but is 5 at (3,): the sweeps would never see that value
+    def fn(pt):
+        return F(5) if pt == (3,) else F(0)
+
+    f = oracle.ExactFunction(fn=fn, support_radius=1, label="liar")
+    with pytest.raises(ValueError, match="support radius 1"):
+        oracle.exact_verify(tid, lattice(1, 0), RAMP, F(3, 2), f=f)
+
+
 def test_exact_verify_guards():
     with pytest.raises(ValueError):
         oracle.exact_verify("hypersingular", lattice(1, 0), RAMP, F(3, 2))
