@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -350,3 +352,53 @@ def test_bad_theorem_id(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["verify", "--config", cfg])
     assert code == EXIT_CONFIG
     assert "unknown theorem id" in err
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# Monte Carlo verify runs: they reach the sampled kernel ball/tail masses and
+# the radial table-kernel quadratures, which no shipped config does.
+MC_CONFIGS = {
+    "mc_plane.json": {
+        "space": {"kind": "continuum", "d": 2, "m": 0},
+        "modulus": {"kind": "power", "alpha": 0.7},
+        "h_values": [0.8, 1.3],
+        "method": "monte_carlo", "mc_samples": 30000, "seed": 5,
+    },
+    "mc_half_space.json": {
+        "space": {"kind": "continuum", "d": 3, "m": 1},
+        "modulus": {"kind": "table", "points": [[0, 0], [0.5, 0.4], [2, 1]]},
+        "h_values": [1.2],
+        "theorems": ["lemma1", "nagy", "nagy_l1", "sobolev", "charge", "hypersingular",
+                     "mixed_additive"],
+        "kernel": {"form": "table", "points": [[0.5, 2.0], [1.5, 1.0], [3.0, 0.25]]},
+        "method": "monte_carlo", "mc_samples": 30000, "seed": 11,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("constant_continuum.json",
+         "393d1ab108059382f8e43e0ca275d332fbb696d412b244eb94d619132172dc9d"),
+        ("oracle_quick.json", "24d1e1546c3f4733a3945bd9afda2aec3dba571a9dd160615cd4836cbfe16473"),
+        ("stechkin_line.json", "64ba83e5dfff3f196d610cd10f63d5c258b2c44f5e183677330d0d6b0c546d70"),
+        ("verify_continuum.json",
+         "439277ee60c2c9f7fe4c67a3345362318fb644d11a9b4f852429a50c96fd4c7d"),
+        ("verify_exact_lattice.json",
+         "6a799c143244c1b26cf7d91b83836781aaba2d4ade180f65e00c33d2f5b14bda"),
+        ("mc_plane.json", "2a6b4405639e4e6fb27c4338ed6817a3ecb552f4a8d29ab2ce0e860f5e944f0e"),
+        ("mc_half_space.json", "2ff2843e70987ace29aa6596f1fe56af934455cd41868b6b25b2c815d0e5687d"),
+    ],
+)
+def test_cli_outputs_pinned(capsys, tmp_path, name, digest):
+    """sha256 of the stdout of each run, recorded once; a refactor that moves
+    a printed digit fails here, which two runs of one build cannot show."""
+    if name in MC_CONFIGS:
+        path, command = write_cfg(tmp_path, name, MC_CONFIGS[name]), "verify"
+    else:
+        path, command = str(CONFIGS / name), name.split("_")[0]
+    code, out, _ = run_cli(capsys, [command, "--config", path])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

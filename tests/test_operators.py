@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from sharp_ineq import _lattice, oracle
 from sharp_ineq import operators as ops
-from sharp_ineq.calculus import MONTE_CARLO, QuadratureSpec, ball_integral_at, seminorm_local
+from sharp_ineq.calculus import (
+    MONTE_CARLO,
+    FunctionModel,
+    QuadratureSpec,
+    ball_integral_at,
+    ball_integral_of_modulus,
+    l1_norm,
+    seminorm_local,
+)
 from sharp_ineq.extremals import make_f_e_omega, make_f_eh, make_f_omega, make_g_eh, make_G_eh
 from sharp_ineq.modulus import PowerModulus, TableModulus
 from sharp_ineq.space import continuum, lattice, strict_int_below
@@ -479,6 +487,95 @@ def test_hypersingular_full_general_point_mc():
     spec = QuadratureSpec(mc_samples=400_000, seed=2)
     off = ops.hypersingular_full(f, space, RAMP, kernel, x=np.array([1e-12]), spec=spec)
     assert abs(off.value - at_origin.value) <= 4 * off.error_bound + 1e-6
+
+
+# Bits of the radial reductions, sphere samplers and Monte Carlo weights,
+# recorded once as float.hex: a rewrite of the metric or the sphere
+# constant has to leave every one of them unchanged.
+_TABLE = TableModulus([(0, 0), ("1/2", "2/5"), (2, 1)])
+_POW = PowerModulus(0.8)
+_TK = ops.TableKernel([(0.5, 2.0), (1.5, 1.0), (3.0, 0.25)])
+_MC = QuadratureSpec(method=MONTE_CARLO, mc_samples=4000, seed=2)
+_P21, _P31 = continuum(2, 1), continuum(3, 1)
+
+
+def _profile_only(f):
+    return FunctionModel("profile", f.evaluator, radial_profile=f.radial_profile,
+                         meta={"radial_kinks": f.meta["radial_kinks"]})
+
+
+_PIN_CASES = {
+    "full_power_off_origin": lambda: ops.hypersingular_full(
+        make_f_eh(_P21, _POW, 1.1), _P21, _POW, ops.PowerLawKernel(0.3),
+        x=np.array([0.2, -0.3]), spec=_MC),
+    "full_table_off_origin": lambda: ops.hypersingular_full(
+        make_f_eh(_P31, _TABLE, 1.2), _P31, _TABLE, _TK,
+        x=np.array([0.1, 0.4, -0.2]), spec=_MC),
+    "truncated_power_off_origin": lambda: ops.hypersingular_truncated(
+        make_f_e_omega(_P31, _TABLE, 1.2), _P31, ops.PowerLawKernel(0.4), 1.2,
+        x=np.array([0.3, 0.0, 0.5]), spec=_MC),
+    "full_power_origin": lambda: ops.hypersingular_full(
+        make_f_e_omega(_P31, _TABLE, 1.2), _P31, _TABLE, ops.PowerLawKernel(0.5)),
+    "full_table_origin": lambda: ops.hypersingular_full(
+        make_f_e_omega(_P21, _POW, 1.1), _P21, _POW, _TK),
+    "ball_mass_power_mc": lambda: ops.kernel_ball_mass(
+        _P31, _TABLE, ops.PowerLawKernel(0.5), 1.3, _MC),
+    "ball_mass_power_closed": lambda: ops.kernel_ball_mass(
+        _P31, _TABLE, ops.PowerLawKernel(0.5), 1.3),
+    "ball_mass_table": lambda: ops.kernel_ball_mass(_P21, _POW, _TK, 1.3),
+    "ball_mass_lattice": lambda: ops.kernel_ball_mass(
+        lattice(3, 1), _POW, ops.PowerLawKernel(0.5), 3.5),
+    "tail_mass_power_mc": lambda: ops.kernel_tail_mass(_P31, ops.PowerLawKernel(0.5), 1.3, _MC),
+    "tail_mass_power_closed": lambda: ops.kernel_tail_mass(
+        _P31, ops.PowerLawKernel(0.5, cutoff=4.0), 1.3),
+    "tail_mass_table": lambda: ops.kernel_tail_mass(_P21, _TK, 1.3),
+    "modulus_integral_closed": lambda: ball_integral_of_modulus(_P31, _POW, 1.3),
+    "modulus_integral_radial": lambda: ball_integral_of_modulus(_P31, _TABLE, 1.3),
+    "modulus_integral_mc": lambda: ball_integral_of_modulus(_P31, _TABLE, 1.3, _MC),
+    "modulus_integral_lattice": lambda: ball_integral_of_modulus(lattice(3, 1), _POW, 3.5),
+    "ball_integral_pieces": lambda: ball_integral_at(
+        make_f_e_omega(_P31, _TABLE, 1.2), _P31, 1.5, np.zeros(3)),
+    "ball_integral_profile": lambda: ball_integral_at(
+        _profile_only(make_f_e_omega(_P31, _TABLE, 1.2)), _P31, 1.5, np.zeros(3)),
+    "mixed_difference": lambda: ops.mixed_difference(
+        make_G_eh(_POW, 1.1, 2), _P21, 0.7, np.array([0.9, -0.2])),
+    "mixed_nagy_rhs": lambda: ops.mixed_nagy_rhs(3, 1, _TABLE, 1.3, 1.5, 0.4),
+    "l1_radial": lambda: l1_norm(make_f_eh(_P31, _TABLE, 1.2), _P31, 1.2),
+}
+
+_PINNED = {
+    "full_power_off_origin": ('0x1.8406871e6fec2p+3', '0x1.8f7ab48169534p-4'),
+    "full_table_off_origin": ('0x1.7d7aac3008244p+4', '0x1.1f792636b3590p-4'),
+    "truncated_power_off_origin": ('-0x1.f25fe839ff7c1p+2', '0x1.24f000a8247a2p-4'),
+    "full_power_origin": ('-0x1.14df39821ae35p+5', '0x0.0p+0'),
+    "full_table_origin": ('-0x1.c96c12d3db8aap+3', '0x1.d858764b3aff2p-33'),
+    "ball_mass_power_mc": ('0x1.4481a8b686a5bp+4', '0x1.30610968ffa30p-5'),
+    "ball_mass_power_closed": ('0x1.44feffec9687dp+4', '0x0.0p+0'),
+    "ball_mass_table": ('0x1.2432bc340b0c7p+2', '0x1.0d6a1a6e13f02p-33'),
+    "ball_mass_lattice": ('0x1.0005f43e5b2a8p+5', '0x0.0p+0'),
+    "tail_mass_power_mc": ('0x1.50bd40f08468fp+4', '0x1.8cac643681d4cp-3'),
+    "tail_mass_power_closed": ('0x1.21949f80dacc6p+3', '0x0.0p+0'),
+    "tail_mass_table": ('0x1.2356b2dbd1942p+3', '0x1.1111111111111p-56'),
+    "modulus_integral_closed": ('0x1.11dcc4754999ep+3', '0x0.0p+0'),
+    "modulus_integral_radial": ('0x1.4a3c21187e7c1p+2', '0x1.999999999999ap-55'),
+    "modulus_integral_mc": ('0x1.4b9830127b827p+2', '0x1.f1300fe93551dp-7'),
+    "modulus_integral_lattice": ('0x1.97a350c3fc13bp+8', '0x0.0p+0'),
+    "ball_integral_pieces": ('0x1.de26d4801f752p+1',),
+    "ball_integral_profile": ('0x1.de26d4801f751p+1',),
+    "mixed_difference": ('0x1.7423763ab2094p-6',),
+    "mixed_nagy_rhs": ('0x1.3eaf852d09cd5p+0',),
+    "l1_radial": ('0x1.b57928e0c9d9ap-1',),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_radial_and_sampled_values_pinned(name):
+    got = _PIN_CASES[name]()
+    if hasattr(got, "value"):
+        got = (float(got.value).hex(), float(got.error_bound).hex())
+    else:
+        got = (float(got).hex(),)
+    assert got == _PINNED[name]
 
 
 # ----------------------------------------------------------------------
