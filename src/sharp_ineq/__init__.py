@@ -25,7 +25,6 @@ from .calculus import (
     default_spec,
     holder_lower_estimate,
     l1_norm,
-    seminorm_global,
     seminorm_local,
     sup_norm,
 )
@@ -60,7 +59,6 @@ from .operators import (
     PowerLawKernel,
     StechkinPoint,
     TableKernel,
-    charge_average,
     charge_nagy_rhs,
     charge_seminorm,
     classify_verdict,
@@ -68,7 +66,6 @@ from .operators import (
     hypersingular_full,
     hypersingular_norm_witness,
     hypersingular_operator_norm,
-    hypersingular_rhs,
     hypersingular_truncated,
     kernel_ball_mass,
     kernel_from_config,

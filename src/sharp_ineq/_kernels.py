@@ -34,9 +34,10 @@ def ball_sums(padded_flat, base_idx, lin_offsets, weights=None):
     return padded_flat[base_idx[:, None] + lin_offsets[None, :]] @ weights
 
 
-def cone_eval(points, centers, heights, lam, omega):
-    """Cone function ``max_i (heights_i - lam * omega(linf(x - centers_i)))_+``
-    on a batch of points (shape (N, d)); ``omega`` is any modulus."""
-    dist = np.max(np.abs(points[:, None, :] - centers[None, :, :]), axis=2)
+def cone_eval(points, centers, heights, lam, omega, space):
+    """Cone function ``max_i (heights_i - lam * omega(rho(x, centers_i)))_+``
+    on a batch of points (shape (N, d)), with ``rho`` the metric of
+    ``space``; ``omega`` is any modulus."""
+    dist = space.norm(points[:, None, :] - centers[None, :, :])
     vals = heights[None, :] - lam * omega(dist)
     return np.maximum(vals.max(axis=1), 0.0)

@@ -112,7 +112,7 @@ def sweep_plan(space: Space, window_radius: int, k: int, punctured: bool = False
     """
     offsets = window_points(space, k)
     if punctured:
-        offsets = offsets[np.max(np.abs(offsets), axis=1) >= 1]
+        offsets = offsets[space.norm(offsets) >= 1]
     plan = make_plan(space, window_radius, offsets)
     for arr in (plan.base_points, plan.offsets, plan.padded_points, plan.base_idx, plan.lin_offsets):
         arr.flags.writeable = False

@@ -8,9 +8,10 @@ Central quantities
     number drives every approximation bound in the package.  Four methods:
 
     * ``closed_form``   -- power modulus on the continuum:
-      ``I(h) = d * 2^(d-m) / (d + alpha) * h^(d + alpha)``;
+      ``I(h) = c / (d + alpha) * h^(d + alpha)``, with the sphere constant
+      ``c = d * 2^(d-m)`` of the space;
     * ``radial1d``      -- any modulus on the continuum, via the layer-cake
-      reduction ``I(h) = 2^(d-m) * d * integral_0^h omega(t) t^(d-1) dt``;
+      reduction ``I(h) = c * integral_0^h omega(t) t^(d-1) dt``;
     * ``lattice_exact`` -- exact enumeration on lattices;
     * ``monte_carlo``   -- uniform sampling, with a reported standard error.
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -164,17 +165,17 @@ def closed_form_ball_integral(space: Space, omega: Modulus, h: float) -> float:
     """Exact ``I(h)`` for a power modulus on the continuum."""
     if space.is_lattice or not isinstance(omega, PowerModulus):
         raise ValueError("closed form requires a power modulus on the continuum")
-    d, m, a = space.d, space.m, omega.alpha
-    return d * 2.0 ** (d - m) / (d + a) * float(h) ** (d + a)
+    d, a = space.d, omega.alpha
+    return space.sphere_constant / (d + a) * float(h) ** (d + a)
 
 
 def radial_ball_integral(space: Space, omega: Modulus, h: float) -> tuple[float, float]:
     """Layer-cake reduction of ``I(h)`` to one dimension (continuum)."""
     if space.is_lattice:
         raise ValueError("radial reduction applies to continuum spaces only")
-    d, m = space.d, space.m
+    d = space.d
     hf = float(h)
-    scale = 2.0 ** (d - m) * d
+    c = space.sphere_constant
 
     def integrand(t: float) -> float:
         return float(omega(t)) * t ** (d - 1)
@@ -182,14 +183,12 @@ def radial_ball_integral(space: Space, omega: Modulus, h: float) -> tuple[float,
     val, err = adaptive_simpson(
         integrand, 0.0, hf, kinks=[b for b in omega.breakpoints() if b < hf]
     )
-    return scale * val, scale * err
+    return c * val, c * err
 
 
 def lattice_ball_integral(space: Space, omega: Modulus, h) -> float:
     """Exact enumeration of ``I(h)`` on a lattice (float arithmetic)."""
-    pts = space.enumerate_ball(h)
-    dist = np.max(np.abs(pts), axis=1).astype(np.float64)
-    return float(np.sum(omega(dist)))
+    return float(np.sum(omega(space.norm(space.enumerate_ball(h)))))
 
 
 def ball_integral_of_modulus(
@@ -212,7 +211,7 @@ def ball_integral_of_modulus(
     if method == MONTE_CARLO:
         mu = float(space.ball_measure(h))
         samples = space.sample_ball(h, spec.mc_samples, spec.seed)
-        vals = np.asarray(omega(np.max(np.abs(samples), axis=1)), dtype=np.float64)
+        vals = np.asarray(omega(space.norm(samples)), dtype=np.float64)
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(len(vals)))
         return Estimate(mu * mean, MONTE_CARLO, mu * stderr)
@@ -324,15 +323,14 @@ def l1_norm(
         pts = _lattice.window_points(space, int(math.ceil(window_radius)))
         est = float(np.sum(np.abs(f(pts.astype(np.float64)))))
     elif f.radial_profile is not None:
-        d, m = space.d, space.m
-        scale = 2.0 ** (d - m) * d
+        d = space.d
         kinks = list(f.meta.get("radial_kinks", ()))
 
         def integrand(t: float) -> float:
             return abs(float(f.radial_profile(t))) * t ** (d - 1)
 
         val, _ = adaptive_simpson(integrand, 0.0, float(window_radius), kinks=kinks)
-        est = scale * val
+        est = space.sphere_constant * val
     elif space.d == 1:
         lo = 0.0 if space.m == 1 else -float(window_radius)
 
@@ -362,20 +360,18 @@ def _ball_average_at(
     if ball_mass_fn is not None:
         return float(ball_mass_fn(space, hf, np.asarray(x, dtype=np.float64)))
     pieces = f.meta.get("radial_pieces")
+    d = space.d
     if pieces is not None and not np.any(x):
-        d, m = space.d, space.m
-        return 2.0 ** (d - m) * d * piecewise_power_integral(pieces, 0.0, hf, d - 1)
+        return space.sphere_constant * piecewise_power_integral(pieces, 0.0, hf, d - 1)
     if f.radial_profile is not None and not np.any(x):
-        d, m = space.d, space.m
-        scale = 2.0 ** (d - m) * d
         kinks = [b for b in f.meta.get("radial_kinks", ()) if b < hf]
 
         def integrand(t: float) -> float:
             return float(f.radial_profile(t)) * t ** (d - 1)
 
         val, _ = adaptive_simpson(integrand, 0.0, hf, kinks=kinks)
-        return scale * val
-    if space.d == 1:
+        return space.sphere_constant * val
+    if d == 1:
         lo = -hf if space.m == 0 else 0.0
 
         def scalar(t: float) -> float:
@@ -467,25 +463,6 @@ def seminorm_local(
     if certified is not None:
         return float(certified)
     return est
-
-
-def seminorm_global(
-    f: FunctionModel,
-    space: Space,
-    h_values: Sequence[float],
-    window_radius: float,
-    spec: Optional[QuadratureSpec] = None,
-) -> float:
-    """Max of the local seminorms over a grid of window scales.
-
-    A grid restriction of the true sup over all h > 0, hence a lower
-    estimate; for the shipped extremal families the maximizing scale is a
-    member of any grid containing their construction scale.
-    """
-    vals = [seminorm_local(f, space, h, window_radius, spec) for h in h_values]
-    if not vals:
-        raise ValueError("h grid must be nonempty")
-    return float(max(vals))
 
 
 def holder_lower_estimate(

@@ -104,7 +104,8 @@ def _load_config(path: str) -> dict:
 
 
 def _number(value, *, exact: bool = False):
-    """A config number: JSON numerals, or strings like "3/2" for rationals."""
+    """A finite config number: JSON numerals, or strings like "3/2" for
+    rationals.  ``NaN`` and ``1e999`` (read as infinity) are refused."""
     if isinstance(value, str):
         try:
             q = Fraction(value)
@@ -112,6 +113,8 @@ def _number(value, *, exact: bool = False):
             raise ConfigError(f"bad number {value!r}") from exc
         return q if exact else float(q)
     if isinstance(value, (int, float)):
+        if not math.isfinite(value):
+            raise ConfigError(f"bad number {value!r}: must be finite")
         return Fraction(value) if exact else float(value)
     raise ConfigError(f"bad number {value!r}")
 
@@ -259,6 +262,8 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
     tol = args.tol
     if tol is None and cfg.get("tol") is not None:
         tol = _number(cfg["tol"])
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ConfigError(f"'tol' must be finite and nonnegative, got {tol}")
     spec = _spec_from(cfg, space, omega, args.seed)
 
     rows = []

@@ -168,7 +168,7 @@ def make_f_eh(space: Space, omega: Modulus, h, spec: QuadratureSpec | None = Non
         return np.maximum(peak - np.asarray(omega(np.abs(t)), dtype=np.float64), 0.0)
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        return profile(np.max(np.abs(pts), axis=1))
+        return profile(space.norm(pts))
 
     deficiency = ball_deficiency(space, omega, h, spec)
     kinks = [b for b in omega.breakpoints() if b < hf] + [hf]
@@ -211,7 +211,7 @@ def make_f_omega(space: Space, omega: Modulus, c: float = 0.0, sign: int = +1) -
         return cf + sign * np.asarray(omega(np.abs(t)), dtype=np.float64)
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        return profile(np.max(np.abs(pts), axis=1))
+        return profile(space.norm(pts))
 
     sup = None
     if omega.is_bounded():
@@ -244,7 +244,7 @@ def make_f_e_omega(space: Space, omega: Modulus, h) -> FunctionModel:
         return np.where(tv < hf, inner, half)
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        return profile(np.max(np.abs(pts), axis=1))
+        return profile(space.norm(pts))
 
     pieces = [
         (s0, s1, sg, p, tau - half) for (s0, s1, sg, p, tau) in omega.pieces(0.0, hf)

@@ -31,7 +31,6 @@ paths exist for cross-checking and always report a standard error.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -289,15 +288,6 @@ class ChargeModel:
         return ball_integral_at(self.density, space, h, x, spec)
 
 
-def charge_average(
-    nu: ChargeModel, space: Space, h, spec: Optional[QuadratureSpec] = None
-) -> FunctionModel:
-    """``nu(x + B_h) / mu(B_h)``; equals the Steklov average of the density."""
-    out = steklov_average(nu.density, space, h, spec)
-    out.name = f"steklov[h={float(h):g}]({nu.name})"
-    return out
-
-
 def charge_seminorm(
     nu: ChargeModel,
     space: Space,
@@ -450,17 +440,6 @@ def kernel_from_config(cfg: dict):
     raise ValueError(f"unknown kernel form {form!r}")
 
 
-@functools.lru_cache(maxsize=64)
-def _shell_count_coefficients(d: int, m: int) -> tuple[float, ...]:
-    """Ascending coefficients of ``N(k)``, the number of points of
-    ``Z_+^m x Z^(d-m)`` at sup-distance exactly k >= 1 from the origin: the
-    polynomial ``(k+1)^m (2k+1)^(d-m) - k^m (2k-1)^(d-m)`` of degree d - 1.
-    Cached: building the polynomial costs more than a whole shell sum."""
-    k = np.polynomial.Polynomial([0.0, 1.0])
-    n = (k + 1) ** m * (2 * k + 1) ** (d - m) - k**m * (2 * k - 1) ** (d - m)
-    return tuple(n.coef[:d].tolist())  # the k^d terms cancel
-
-
 # Bernoulli numbers B_2, B_4, ..., B_18; the last one only bounds the remainder.
 _BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
                  43867 / 798)
@@ -496,7 +475,7 @@ def _lattice_shell_tail(space: Space, kernel, k0: int) -> Estimate:
     the Hurwitz zeta values.
     """
     d = space.d
-    coef = _shell_count_coefficients(d, space.m)
+    coef = space.shell_count_coefficients()
     if math.isfinite(kernel.support_radius):
         k1 = int(math.floor(kernel.support_radius))
         _lattice.require_budget(k1 - k0 + 1)
@@ -529,11 +508,10 @@ def kernel_ball_mass(
     if spec is None:
         spec = default_spec(space, omega)
     hf = float(h)
-    d, m = space.d, space.m
+    d = space.d
 
     if space.is_lattice:
-        pts = space.enumerate_ball(h)
-        rho = np.max(np.abs(pts), axis=1).astype(np.float64)
+        rho = space.norm(space.enumerate_ball(h))
         rho = rho[rho > 0]  # omega(0) * P(0) is 0 * inf; the origin contributes nothing
         vals = np.asarray(omega(rho)) * np.asarray(kernel.value(rho, d))
         return Estimate(float(vals.sum()), LATTICE_EXACT, 0.0)
@@ -550,23 +528,13 @@ def kernel_ball_mass(
             rng = np.random.default_rng(spec.seed)
             t = upper * rng.uniform(0.0, 1.0, spec.mc_samples) ** (1.0 / eta)
             dens = eta * t ** (eta - 1.0) / upper**eta
-            w = (
-                2.0 ** (d - m)
-                * d
-                * np.asarray(omega(t))
-                * t ** (-beta - 1.0)
-                / dens
-            )
+            w = space.sphere_constant * np.asarray(omega(t)) * t ** (-beta - 1.0) / dens
             mean = float(w.mean())
             stderr = float(w.std(ddof=1) / math.sqrt(len(w)))
             return Estimate(mean, MONTE_CARLO, stderr)
         try:
-            val = (
-                2.0 ** (d - m)
-                * d
-                * piecewise_power_integral(
-                    omega.pieces(0.0, upper), 0.0, upper, -beta - 1.0
-                )
+            val = space.sphere_constant * piecewise_power_integral(
+                omega.pieces(0.0, upper), 0.0, upper, -beta - 1.0
             )
         except QuadratureError as exc:
             raise ValueError(
@@ -585,8 +553,8 @@ def kernel_ball_mass(
         return float(omega(t)) * float(kernel.value(t, d)) * t ** (d - 1)
 
     val, err = adaptive_simpson(integrand, 0.0, upper, kinks=sorted(set(kinks)))
-    scale = 2.0 ** (d - m) * d
-    return Estimate(scale * val, RADIAL1D, scale * err)
+    c = space.sphere_constant
+    return Estimate(c * val, RADIAL1D, c * err)
 
 
 def kernel_tail_mass(
@@ -597,7 +565,7 @@ def kernel_tail_mass(
     if spec is None:
         spec = QuadratureSpec(method=LATTICE_EXACT if space.is_lattice else CLOSED_FORM)
     hf = float(h)
-    d, m = space.d, space.m
+    d = space.d
 
     if space.is_lattice:
         return _lattice_shell_tail(space, kernel, int(math.ceil(hf)))
@@ -609,7 +577,7 @@ def kernel_tail_mass(
             rng = np.random.default_rng(spec.seed)
             t = hf * rng.uniform(0.0, 1.0, spec.mc_samples) ** (-1.0 / q)
             dens = q * hf**q * t ** (-q - 1.0)
-            w = 2.0 ** (d - m) * d * np.where(
+            w = space.sphere_constant * np.where(
                 t <= kernel.cutoff, t ** (-beta - 1.0), 0.0
             ) / dens
             mean = float(w.mean())
@@ -618,7 +586,7 @@ def kernel_tail_mass(
         top = 0.0 if math.isinf(kernel.cutoff) else kernel.cutoff ** (-beta)
         if math.isfinite(kernel.cutoff) and kernel.cutoff <= hf:
             return Estimate(0.0, CLOSED_FORM, 0.0)
-        val = 2.0 ** (d - m) * d * (hf ** (-beta) - top) / beta
+        val = space.sphere_constant * (hf ** (-beta) - top) / beta
         return Estimate(val, CLOSED_FORM, 0.0)
 
     upper = kernel.support_radius
@@ -630,23 +598,13 @@ def kernel_tail_mass(
 
     kinks = [t for t in np.asarray(kernel._t) if hf < t < upper]
     val, err = adaptive_simpson(integrand, hf, upper, kinks=kinks)
-    scale = 2.0 ** (d - m) * d
-    return Estimate(scale * val, RADIAL1D, scale * err)
+    c = space.sphere_constant
+    return Estimate(c * val, RADIAL1D, c * err)
 
 
 # ======================================================================
 # Hypersingular operators
 # ======================================================================
-
-
-def hypersingular_rhs(
-    holder_norm: float, sup_norm_value: float, ball_mass: float, tail_mass: float
-) -> float:
-    """Sharp bound for the full singular integral:
-    ``holder * A(h) + 2 * sup * T(h)``."""
-    if min(holder_norm, sup_norm_value, ball_mass, tail_mass) < 0:
-        raise ValueError("all inputs must be nonnegative")
-    return holder_norm * ball_mass + 2.0 * sup_norm_value * tail_mass
 
 
 def hypersingular_operator_norm(
@@ -671,7 +629,7 @@ def hypersingular_norm_witness(space: Space, kernel, h, c: float = 1.0) -> Funct
         return np.where(np.abs(np.asarray(t, dtype=np.float64)) < hf, cf, -cf)
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        return profile(np.max(np.abs(pts), axis=1))
+        return profile(space.norm(pts))
 
     return FunctionModel(
         name=f"two-sided-sign[h={hf:g}]",
@@ -688,30 +646,6 @@ def hypersingular_norm_witness(space: Space, kernel, h, c: float = 1.0) -> Funct
 def _radial_value_at_origin(pieces) -> float:
     s0, s1, sigma, p, tau = pieces[0]
     return float(tau)  # power exponents are positive, so sigma * 0**p vanishes
-
-
-def _sample_sphere_points(space: Space, radii: np.ndarray, rng) -> np.ndarray:
-    """Cone-measure-uniform points at prescribed sup-norm radii.
-
-    Each face of the sup-norm sphere carries the same measure per
-    coordinate (half-line faces are half as many but twice as large), so
-    picking the maximal coordinate uniformly and filling the rest uniformly
-    reproduces the surface distribution that the layer-cake factor
-    ``d * 2^(d-m) * t^(d-1)`` integrates.
-    """
-    n = len(radii)
-    d, m = space.d, space.m
-    u = np.empty((n, d), dtype=np.float64)
-    for j in range(d):
-        u[:, j] = rng.uniform(0.0 if j < m else -1.0, 1.0, n)
-    face = rng.integers(0, d, size=n)
-    sign = np.ones(n)
-    if d > m:
-        signed = face >= m
-        sign[signed] = rng.choice(np.array([-1.0, 1.0]), size=int(signed.sum()))
-    u *= radii[:, None]
-    u[np.arange(n), face] = sign * radii
-    return u
 
 
 def _constant_beyond(f: FunctionModel) -> Optional[tuple[float, float]]:
@@ -752,7 +686,7 @@ def _hyp_lattice_sum(
         tail = Estimate(0.0, LATTICE_EXACT, 0.0)
     else:
         s, c = beyond
-        r = int(math.ceil(s)) + int(math.ceil(float(np.max(np.abs(x)))))
+        r = int(math.ceil(s)) + int(math.ceil(float(space.norm(x))))
         if math.isfinite(support):
             r = min(r, int(math.floor(support)))
         shells = _lattice_shell_tail(space, kernel, max(r + 1, k_min))
@@ -762,7 +696,7 @@ def _hyp_lattice_sum(
     body = 0.0
     if r >= k_min:
         pts = _lattice.window_points(space, r).astype(np.float64)
-        rho = np.max(np.abs(pts), axis=1)
+        rho = space.norm(pts)
         keep = rho >= k_min
         pts, rho = pts[keep], rho[keep]
         weights = np.asarray(kernel.value(rho, d))
@@ -773,14 +707,14 @@ def _hyp_lattice_sum(
 def _hyp_radial_origin(f: FunctionModel, space: Space, kernel, lo: float) -> Estimate:
     """Closed/adaptive value of the singular integral at the origin for a
     function with radial power pieces, integrating radii in ``[lo, inf)``."""
-    d, m = space.d, space.m
+    d = space.d
     pieces = f.meta["radial_pieces"]
     f0 = _radial_value_at_origin(pieces)
-    scale = 2.0 ** (d - m) * d
+    c = space.sphere_constant
     if isinstance(kernel, PowerLawKernel):
         diff = [(s0, s1, -sg, p, f0 - tau) for (s0, s1, sg, p, tau) in pieces]
         upper = kernel.cutoff
-        val = scale * piecewise_power_integral(diff, lo, upper, -kernel.beta - 1.0)
+        val = c * piecewise_power_integral(diff, lo, upper, -kernel.beta - 1.0)
         return Estimate(val, CLOSED_FORM, 0.0)
     upper = kernel.support_radius
     if upper <= lo:
@@ -792,7 +726,7 @@ def _hyp_radial_origin(f: FunctionModel, space: Space, kernel, lo: float) -> Est
     kinks = [b for b in f.meta.get("radial_kinks", ()) if lo < b < upper]
     kinks += [t for t in np.asarray(kernel._t) if lo < t < upper]
     val, err = adaptive_simpson(integrand, lo, upper, kinks=sorted(set(kinks)))
-    return Estimate(scale * val, RADIAL1D, scale * err)
+    return Estimate(c * val, RADIAL1D, c * err)
 
 
 def _hyp_tail_mc(
@@ -804,7 +738,7 @@ def _hyp_tail_mc(
     the weight stays bounded over the entire unbounded tail — no cutoff and
     no unaccounted remainder.
     """
-    d, m = space.d, space.m
+    d = space.d
     rng = np.random.default_rng(spec.seed)
     n = spec.mc_samples
     if isinstance(kernel, PowerLawKernel):
@@ -817,10 +751,10 @@ def _hyp_tail_mc(
             return Estimate(0.0, MONTE_CARLO, 0.0)
         t = rng.uniform(h, upper, n)
         dens = np.full(n, 1.0 / (upper - h))
-    u = _sample_sphere_points(space, t, rng)
+    u = space.sample_sphere(t, rng)
     fx = float(f(np.asarray(x, dtype=np.float64)))
     diff = fx - f(x[None, :] + u)
-    w = diff * np.asarray(kernel.value(t, d)) * 2.0 ** (d - m) * d * t ** (d - 1) / dens
+    w = diff * np.asarray(kernel.value(t, d)) * space.sphere_constant * t ** (d - 1) / dens
     mean = float(w.mean())
     stderr = float(w.std(ddof=1) / math.sqrt(n))
     return Estimate(mean, MONTE_CARLO, stderr)
@@ -880,7 +814,7 @@ def hypersingular_full(
 
     # general point: importance-sampled singular part + Pareto tail
     s = f.support_radius or 1.0
-    d, m = space.d, space.m
+    d = space.d
     rng = np.random.default_rng(spec.seed + 1)
     n = spec.mc_samples
     if isinstance(kernel, PowerLawKernel):
@@ -890,10 +824,10 @@ def hypersingular_full(
     else:
         t = rng.uniform(0.0, s, n)
         dens = np.full(n, 1.0 / s)
-    u = _sample_sphere_points(space, t, rng)
+    u = space.sample_sphere(t, rng)
     fx = float(f(xv))
     diff = fx - f(xv[None, :] + u)
-    w = diff * np.asarray(kernel.value(t, d)) * 2.0 ** (d - m) * d * t ** (d - 1) / dens
+    w = diff * np.asarray(kernel.value(t, d)) * space.sphere_constant * t ** (d - 1) / dens
     singular = float(w.mean())
     singular_err = float(w.std(ddof=1) / math.sqrt(n))
     tail = _hyp_tail_mc(f, space, kernel, s, xv, spec)
@@ -940,7 +874,7 @@ def mixed_difference(f: FunctionModel, space: Space, h, x) -> float:
     if m and np.any(pts[:, :m] < 0):
         raise ValueError("difference stencil leaves the space")
     vals = f(pts)
-    return float(np.dot(signs, vals)) / (2.0 ** (d - m) * hf**d)
+    return float(np.dot(signs, vals)) / continuum(d, m).ball_measure(hf)
 
 
 def _unit(d: int, i: int) -> np.ndarray:
@@ -962,7 +896,7 @@ def mixed_nagy_rhs(
     hf = float(h)
     i_h = ball_integral_of_modulus(sp, omega, h, spec)
     return (
-        holder_norm * i_h.value / (2.0 ** (d - m) * hf**d)
+        holder_norm * i_h.value / sp.ball_measure(hf)
         + 2.0**m / hf**d * sup_norm_value
     )
 
@@ -1184,9 +1118,10 @@ def theorem_report(
             )
         if theorem_id == "mixed_additive":
             total = mixed_nagy_rhs(d, m, omega, h, holder_cert, func_sup, spec)
-            i_h = ball_integral_of_modulus(continuum(d, m), omega, h, spec)
-            term1 = holder_cert * i_h.value / (2.0 ** (d - m) * hf**d)
-            err = holder_cert * i_h.error_bound / (2.0 ** (d - m) * hf**d)
+            box = continuum(d, m)
+            i_h = ball_integral_of_modulus(box, omega, h, spec)
+            term1 = holder_cert * i_h.value / box.ball_measure(hf)
+            err = holder_cert * i_h.error_bound / box.ball_measure(hf)
             return _report(theorem_id, d, m, omega, hf, lhs, term1, total - term1, tol, notes, err)
         alpha = omega.alpha
         h_star = optimal_h(d, m, alpha, func_sup, holder_cert)

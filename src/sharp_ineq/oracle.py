@@ -73,14 +73,15 @@ class ExactFunction:
     label: str
 
 
-def exact_f_eh(omega: Modulus, h) -> ExactFunction:
+def exact_f_eh(space: Space, omega: Modulus, h) -> ExactFunction:
     """The peak-deficiency bump in rational arithmetic."""
     hq = Fraction(h)
     peak = omega.eval_fraction(hq)
     support = strict_int_below(hq)
+    origin = (0,) * space.d
 
     def fn(pt: tuple) -> Fraction:
-        rho = max(abs(c) for c in pt) if pt else 0
+        rho = space.lattice_distance(pt, origin)
         if rho >= hq:
             return Fraction(0)
         return peak - omega.eval_fraction(Fraction(rho))
@@ -88,14 +89,15 @@ def exact_f_eh(omega: Modulus, h) -> ExactFunction:
     return ExactFunction(fn=fn, support_radius=support, label=f"bump[h={hq}]")
 
 
-def exact_f_omega(omega: Modulus, c=0, sign: int = 1) -> ExactFunction:
+def exact_f_omega(space: Space, omega: Modulus, c=0, sign: int = 1) -> ExactFunction:
     """The radial modulus profile ``c + sign * omega(rho)``; smoothness
     constant exactly 1 by concavity (no sweep needed or possible)."""
     cq = Fraction(c)
     sg = 1 if sign >= 0 else -1
+    origin = (0,) * space.d
 
     def fn(pt: tuple) -> Fraction:
-        rho = max(abs(c2) for c2 in pt) if pt else 0
+        rho = space.lattice_distance(pt, origin)
         return cq + sg * omega.eval_fraction(Fraction(rho))
 
     return ExactFunction(fn=fn, support_radius=None, label=f"modulus-profile[c={cq}]")
@@ -137,10 +139,12 @@ def exact_holder_constant(
     """
     pts = _int_points(space, window_radius)
     vals = [f.fn(p) for p in pts]
+    dist = space.lattice_distance
     s = f.support_radius
     if s is not None:
+        origin = (0,) * space.d
         for p, v in zip(pts, vals):
-            if v != 0 and max(abs(c) for c in p) > s:
+            if v != 0 and dist(p, origin) > s:
                 raise ValueError(
                     f"exact function {f.label} claims support radius {s} "
                     f"but is {v} at {p}"
@@ -150,8 +154,7 @@ def exact_holder_constant(
         num = abs(vals[i] - vals[j])
         if num == 0:
             continue
-        rho = max(abs(a - b) for a, b in zip(x, y))
-        ratio = num / omega.eval_fraction(Fraction(rho))
+        ratio = num / omega.eval_fraction(Fraction(dist(x, y)))
         if ratio > best:
             best = ratio
     return best
@@ -197,14 +200,15 @@ def exact_verify(
 
     offsets = _int_points(space, strict_int_below(hq))
     mu = Fraction(len(offsets))
+    origin = (0,) * space.d
     i_h = sum(
-        (omega.eval_fraction(Fraction(max(abs(c) for c in u) if u else 0)) for u in offsets),
+        (omega.eval_fraction(Fraction(space.lattice_distance(u, origin))) for u in offsets),
         Fraction(0),
     )
 
     if theorem_id == "lemma1":
         if f is None:
-            f = exact_f_omega(omega)
+            f = exact_f_omega(space, omega)
             holder = Fraction(1)  # concavity: |omega(a) - omega(b)| <= omega(|a - b|)
         else:
             if f.support_radius is None:
@@ -213,7 +217,6 @@ def exact_verify(
                     "default witness) so its smoothness constant is sweepable"
                 )
             holder = exact_holder_constant(f, space, omega, _holder_window(f, omega))
-        origin = tuple([0] * space.d)
         ball = sum((f.fn(u) for u in offsets), Fraction(0))
         lhs = abs(f.fn(origin) - ball / mu)
         term1 = holder * i_h / mu
@@ -221,7 +224,7 @@ def exact_verify(
         notes = f"witness {f.label}; all quantities rational"
     else:
         if f is None:
-            f = exact_f_eh(omega, hq)
+            f = exact_f_eh(space, omega, hq)
         if f.support_radius is None:
             raise ValueError(
                 "exact mode needs a compactly supported function so that sup, "
@@ -317,14 +320,14 @@ def make_cone_function(space: Space, omega: Modulus, spec: ConeFunctionSpec) -> 
     lam = float(spec.lam)
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        return _kernels.cone_eval(pts, centers, heights, lam, omega)
+        return _kernels.cone_eval(pts, centers, heights, lam, omega, space)
 
     if lam > 0:
         radii = [omega.inverse(c / lam) for c in heights]
         support = None
         if all(math.isfinite(r) for r in radii):
             support = float(
-                max(np.max(np.abs(c)) + r for c, r in zip(centers, radii))
+                max(space.norm(c) + r for c, r in zip(centers, radii))
             )
     else:
         support = None
@@ -461,8 +464,7 @@ def _suite_trial_hypersingular(rng) -> tuple[float, float, dict]:
     cut = int(math.floor(kernel.cutoff))
     radius = int(math.ceil(f.support_radius)) + cut + 1
     plan = _lattice.sweep_plan(space, radius, cut, punctured=True)
-    rho = np.max(np.abs(plan.offsets), axis=1)
-    weights = np.asarray(kernel.value(rho.astype(np.float64), space.d))
+    weights = np.asarray(kernel.value(space.norm(plan.offsets), space.d))
     padded = _lattice.evaluate_padded(plan, f.evaluator)
     weighted = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets, weights)
     vals = padded[plan.base_idx] * weights.sum() - weighted

@@ -7,21 +7,30 @@ A space is determined by three numbers:
 * ``kind`` -- ``"continuum"`` (Lebesgue measure on R^m_+ x R^(d-m)) or
   ``"lattice"`` (counting measure on Z^m_+ x Z^(d-m)).
 
-The metric is the sup metric ``rho(x, y) = max_i |x_i - y_i|`` and balls are
-open: ``B_h(x) = {y : rho(x, y) < h}``.  Both structures are translation
-invariant under the monoid operation (coordinatewise addition), which is what
-every averaging operator in this package relies on.
+``Space`` is the one place that knows the metric and its measure: the sup
+norm ``rho(u) = max_i |u_i|`` (``norm``, ``distance`` and the exact integer
+``lattice_distance`` of the Fraction sweeps), the ball measure, the sphere
+constant, the lattice shell counts and sphere sampling.  Balls are open:
+``B_h(x) = {y : rho(x, y) < h}``.  Both structures are translation invariant
+under the monoid operation (coordinatewise addition), which is what every
+averaging operator in this package relies on.
 
 Measure of the ball around the origin:
 
-* continuum: ``mu(B_h) = h^m * (2h)^(d-m) = 2^(d-m) * h^d``;
+* continuum: ``mu(B_h) = h^m * (2h)^(d-m) = 2^(d-m) * h^d``, so
+  ``d mu(B_t) / dt = c * t^(d-1)`` with the sphere constant ``c = d * 2^(d-m)``;
 * lattice:   ``(K+1)^m * (2K+1)^(d-m)`` where ``K`` is the largest integer
   strictly below ``h``.  For ``h <= 1`` the lattice ball degenerates to the
   origin alone, so lattice operations require ``h > 1``.
+
+The mixed-difference bounds are statements about boxes ``prod_i [x_i, x_i +
+h]`` or ``[x_i - h, x_i + h]``; their volumes and constants are written with
+the box in view and stay tied to the sup metric.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,21 +104,78 @@ class Space:
         dtype = np.int64 if self.is_lattice else np.float64
         return np.zeros(self.d, dtype=dtype)
 
+    # ------------------------------------------------------------------
+    # the metric
+    # ------------------------------------------------------------------
+
+    def norm(self, u) -> np.ndarray:
+        """``rho(u, 0)`` over the last axis, as float64."""
+        return np.max(np.abs(np.asarray(u, dtype=np.float64)), axis=-1)
+
     def distance(self, x, y) -> np.ndarray:
-        """Sup-metric distance; broadcasts over leading axes."""
+        """``rho(x, y)``; broadcasts over leading axes."""
         xv = np.asarray(x, dtype=np.float64)
         yv = np.asarray(y, dtype=np.float64)
         if xv.shape[-1] != self.d or yv.shape[-1] != self.d:
             raise ValueError("dimension mismatch in distance")
-        return np.max(np.abs(xv - yv), axis=-1)
+        return self.norm(xv - yv)
+
+    def lattice_distance(self, x: tuple, y: tuple) -> int:
+        """``rho(x, y)`` of two integer coordinate tuples, exact (a Python
+        int): the pair distance of the Fraction sweeps, which stay free of
+        numpy and of per-pair tuple building."""
+        return max(abs(a - b) for a, b in zip(x, y))
+
+    @property
+    def sphere_constant(self) -> float:
+        """``c = d * mu(B_1) = d * 2^(d-m)`` on the continuum, so that
+        ``d mu(B_t) / dt = c * t^(d-1)``: the factor of every radial
+        (layer-cake) reduction.  Callers multiply it in as one factor:
+        pre-forming ``c * t^(d-1)`` rounds differently."""
+        return self.d * 2.0 ** (self.d - self.m)
+
+    @functools.lru_cache(maxsize=64)
+    def shell_count_coefficients(self) -> tuple[float, ...]:
+        """Ascending coefficients of ``N(k)``, the number of points of
+        ``Z_+^m x Z^(d-m)`` at distance exactly k >= 1 from the origin: the
+        polynomial ``(k+1)^m (2k+1)^(d-m) - k^m (2k-1)^(d-m)`` of degree d - 1.
+        Cached per space: building the polynomial costs more than a whole
+        shell sum."""
+        d, m = self.d, self.m
+        k = np.polynomial.Polynomial([0.0, 1.0])
+        n = (k + 1) ** m * (2 * k + 1) ** (d - m) - k**m * (2 * k - 1) ** (d - m)
+        return tuple(n.coef[:d].tolist())  # the k^d terms cancel
+
+    def sample_sphere(self, radii: np.ndarray, rng) -> np.ndarray:
+        """Cone-measure-uniform points at prescribed sup-norm radii.
+
+        Each face of the sup-norm sphere carries the same measure per
+        coordinate (half-line faces are half as many but twice as large), so
+        picking the maximal coordinate uniformly and filling the rest uniformly
+        reproduces the surface distribution that the layer-cake factor
+        ``sphere_constant * t^(d-1)`` integrates.
+        """
+        n = len(radii)
+        d, m = self.d, self.m
+        u = np.empty((n, d), dtype=np.float64)
+        for j in range(d):
+            u[:, j] = rng.uniform(0.0 if j < m else -1.0, 1.0, n)
+        face = rng.integers(0, d, size=n)
+        sign = np.ones(n)
+        if d > m:
+            signed = face >= m
+            sign[signed] = rng.choice(np.array([-1.0, 1.0]), size=int(signed.sum()))
+        u *= radii[:, None]
+        u[np.arange(n), face] = sign * radii
+        return u
 
     # ------------------------------------------------------------------
     # balls
     # ------------------------------------------------------------------
 
     def require_valid_radius(self, h: HLike) -> None:
-        if not (float(h) > 0):
-            raise ValueError(f"ball radius must be positive, got {h}")
+        if not (0 < float(h) < math.inf):
+            raise ValueError(f"ball radius must be positive and finite, got {h}")
         if self.is_lattice and not (float(h) > 1):
             raise ValueError(
                 f"lattice balls need h > 1 (h = {h} gives the bare origin)"

@@ -18,7 +18,6 @@ from sharp_ineq.calculus import (
     default_spec,
     holder_lower_estimate,
     l1_norm,
-    seminorm_global,
     seminorm_local,
     sup_norm,
 )
@@ -238,16 +237,6 @@ def test_seminorm_local_lattice_window_guard():
     val = seminorm_local(f, space, 1.5, 4.0)
     # ball sum at the origin: 1.5 + 2 * 0.5
     assert val == 2.5
-
-
-def test_seminorm_global_takes_grid_max():
-    space = lattice(1, 0)
-    f = make_f_eh(space, PowerModulus(1.0), 1.5)
-    got = seminorm_global(f, space, [1.5, 2.5], 6.0)
-    at_25 = seminorm_local(f, space, 2.5, 6.0)
-    assert got == max(2.5, at_25)
-    with pytest.raises(ValueError):
-        seminorm_global(f, space, [], 6.0)
 
 
 def test_holder_lower_estimate_on_distance_witness():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -217,19 +218,36 @@ POWER1 = {"kind": "power", "alpha": 1.0}
             "'mc_samples'",
         ),
         ("constant", {"space": LINE, "modulus": POWER1, "h_values": [1], "seed": True}, "'seed'"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1], "tol": math.nan}, "finite"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1], "tol": -1}, "'tol'"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1], "tol": math.inf}, "finite"),
+        ("verify", {"space": ZZ, "modulus": POWER1, "h_values": [math.inf]}, "finite"),
+        ("verify", {"space": ZZ, "modulus": POWER1, "h_values": [math.inf], "exact": True},
+         "finite"),
+        ("oracle", {"exact": [{"theorem_id": "nagy", "space": ZZ, "modulus": POWER1,
+                               "h": math.inf}]}, "finite"),
     ],
     ids=["verify-negative-h", "constant-negative-h", "lattice-h-1",
          "exact-irrational-alpha", "suite-zero-trials", "constant-bad-seed",
          "constant-bad-mc-samples", "verify-bad-tol", "suite-bad-seed",
          "mc-checks-bad-seed", "stechkin-negative-n", "fractional-d", "fractional-m",
          "fractional-trials", "fractional-suite-seed", "fractional-mc-samples",
-         "boolean-seed"],
+         "boolean-seed", "nan-tol", "negative-tol", "infinite-tol", "lattice-infinite-h",
+         "exact-infinite-h", "oracle-exact-infinite-h"],
 )
 def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle):
     cfg = write_cfg(tmp_path, "bad.json", payload)
     code, out, err = run_cli(capsys, [command, "--config", cfg])
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and needle in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tol_flag_must_be_finite_and_nonnegative(capsys, line_cfg, tol):
+    code, out, err = run_cli(capsys, ["verify", "--config", line_cfg, f"--tol={tol}"])
+    assert code == EXIT_CONFIG
+    assert "'tol' must be finite and nonnegative" in err
     assert out == ""
 
 

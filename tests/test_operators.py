@@ -93,9 +93,6 @@ def test_charge_ball_mass_and_average():
     f = make_f_eh(space, RAMP, 1.5)
     nu = ops.ChargeModel(density=f)
     assert nu.ball_mass(space, 1.5, np.array([0.0])) == pytest.approx(2.5)
-    avg = ops.charge_average(nu, space, 1.5)
-    assert avg(np.array([0.0])) == pytest.approx(2.5 / 3.0)
-    assert "charge" in avg.name
 
 
 def test_charge_seminorm_matches_density_seminorm():
@@ -384,12 +381,6 @@ def test_theorem_report_hypersingular_table_kernel(space, h, omega):
     rep = ops.theorem_report("hypersingular", space, omega, h, kernel=TABLE_KERNEL)
     assert rep.verdict == ops.VERDICT_EQUALITY, rep.gap
     assert rep.lhs > 0
-
-
-def test_hypersingular_rhs_formula():
-    assert ops.hypersingular_rhs(1.0, 0.5, 4.0, 4.0) == pytest.approx(8.0)
-    with pytest.raises(ValueError):
-        ops.hypersingular_rhs(-1.0, 0.5, 4.0, 4.0)
 
 
 def test_hypersingular_operator_norm_and_witness():

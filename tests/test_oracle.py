@@ -20,7 +20,7 @@ F = Fraction
 
 
 def test_exact_f_eh_values():
-    f = oracle.exact_f_eh(RAMP, F(3, 2))
+    f = oracle.exact_f_eh(lattice(1, 0), RAMP, F(3, 2))
     assert f.support_radius == 1
     assert f.fn((0,)) == F(3, 2)
     assert f.fn((1,)) == F(1, 2)
@@ -29,15 +29,15 @@ def test_exact_f_eh_values():
 
 
 def test_exact_f_omega_values():
-    f = oracle.exact_f_omega(RAMP, c=F(1, 3))
+    f = oracle.exact_f_omega(lattice(2, 0), RAMP, c=F(1, 3))
     assert f.support_radius is None
     assert f.fn((2, -3)) == F(1, 3) + 3
-    down = oracle.exact_f_omega(RAMP, sign=-1)
+    down = oracle.exact_f_omega(lattice(1, 0), RAMP, sign=-1)
     assert down.fn((2,)) == -2
 
 
 def test_exact_holder_constant_of_bump():
-    f = oracle.exact_f_eh(RAMP, F(5, 2))
+    f = oracle.exact_f_eh(lattice(1, 0), RAMP, F(5, 2))
     got = oracle.exact_holder_constant(f, lattice(1, 0), RAMP, window_radius=8)
     assert got == 1
     assert isinstance(got, Fraction)
@@ -45,7 +45,7 @@ def test_exact_holder_constant_of_bump():
 
 def test_exact_holder_constant_table_modulus():
     om = TableModulus([(0, 0), (1, F(2, 3)), (2, 1)])
-    f = oracle.exact_f_eh(om, F(3, 2))
+    f = oracle.exact_f_eh(lattice(2, 0), om, F(3, 2))
     got = oracle.exact_holder_constant(f, lattice(2, 0), om, window_radius=4)
     assert got == 1
 
@@ -151,7 +151,7 @@ def test_exact_verify_guards():
         oracle.exact_verify("nagy", continuum(1, 0), RAMP, F(3, 2))
     with pytest.raises(ValueError, match="irrational"):
         oracle.exact_verify("nagy", lattice(1, 0), PowerModulus(0.5), F(3, 2))
-    unbounded = oracle.exact_f_omega(RAMP)
+    unbounded = oracle.exact_f_omega(lattice(1, 0), RAMP)
     with pytest.raises(ValueError, match="compactly supported"):
         oracle.exact_verify("nagy", lattice(1, 0), RAMP, F(3, 2), f=unbounded)
 
@@ -218,7 +218,8 @@ def test_cone_function_matches_formula(omega):
 
 def test_cone_eval_clamps_at_zero():
     out = _kernels.cone_eval(
-        np.array([[10.0, 10.0]]), np.zeros((1, 2)), np.array([0.5]), 1.0, PowerModulus(1.0)
+        np.array([[10.0, 10.0]]), np.zeros((1, 2)), np.array([0.5]), 1.0, PowerModulus(1.0),
+        continuum(2, 0),
     )
     assert out[0] == 0.0
 

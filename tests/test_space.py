@@ -1,5 +1,7 @@
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +61,9 @@ def test_radius_validation():
         continuum(1, 0).require_valid_radius(0.0)
     with pytest.raises(ValueError):
         continuum(1, 0).require_valid_radius(-2.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            lattice(1, 0).require_valid_radius(bad)
 
 
 def test_space_constructor_validation():
@@ -111,3 +116,54 @@ def test_lattice_count_formula(h, d):
     k = strict_int_below(h)
     expected = (k + 1) ** sp.m * (2 * k + 1) ** (sp.d - sp.m)
     assert sp.ball_measure(h) == expected
+
+
+@pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2, 3) for m in range(d + 1)])
+def test_metric_quantities_agree(d, m):
+    """Ball measure, enumeration, shell counts, sphere constant, sphere
+    sampling and the three distances of one space tell the same story."""
+    lat, cont = lattice(d, m), continuum(d, m)
+    coef = lat.shell_count_coefficients()
+    for h in (1.5, 2.5, 4):
+        k_max = strict_int_below(h)
+        shells = 1 + sum(np.polynomial.polynomial.polyval(k, coef) for k in range(1, k_max + 1))
+        assert lat.ball_measure(h) == len(lat.enumerate_ball(h)) == shells
+    assert cont.sphere_constant == d * cont.ball_measure(1)
+
+    rng = np.random.default_rng(10 * d + m)
+    radii = rng.uniform(0.0, 5.0, 500)
+    pts = cont.sample_sphere(radii, rng)
+    assert np.array_equal(cont.norm(pts), radii)
+    if m:
+        assert pts[:, :m].min() >= 0.0
+
+    x, y = rng.normal(size=(50, d)), rng.normal(size=(50, d))
+    assert np.array_equal(cont.distance(x, y), cont.norm(x - y))
+    ix = rng.integers(-6, 7, size=(50, d))
+    iy = rng.integers(-6, 7, size=(50, d))
+    exact = [lat.lattice_distance(tuple(a), tuple(b)) for a, b in zip(ix.tolist(), iy.tolist())]
+    assert all(type(r) is int for r in exact)
+    assert np.array_equal(np.array(exact, dtype=np.float64), lat.norm(ix - iy))
+
+
+def test_metric_lives_in_space():
+    """No module but ``space.py`` writes the sup metric or its measure by
+    hand: no ``2.0 ** (d - m)`` and no ``np.max(np.abs(...), axis=...)``.
+
+    A textual scan: it cannot see single-point sup norms such as
+    ``np.max(np.abs(x))`` or tuple distances such as
+    ``max(abs(c) for c in pt)``; those are kept out by review.
+    """
+    src = Path(__file__).resolve().parents[1] / "src" / "sharp_ineq"
+    patterns = [
+        re.compile(r"2\.0\s*\*\*\s*\(\s*d\s*-\s*m\s*\)"),
+        re.compile(r"np\.max\(\s*np\.abs\(.*axis\s*="),
+    ]
+    hits = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "space.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if any(p.search(line) for p in patterns)
+    ]
+    assert hits == []
