@@ -733,3 +733,135 @@ def test_theorem_report_guards():
         ops.theorem_report(
             "mixed_multiplicative", continuum(1, 0), TableModulus([(0, 0), (1, 1)]), 1.0
         )
+
+
+# Every term of every applicable report, as float.hex, recorded before the
+# reports shared one I(h) estimate: passing the estimate down instead of
+# recomputing it must leave each bit, and each Monte Carlo draw, unchanged.
+_MC_REPORT = QuadratureSpec(method=MONTE_CARLO, mc_samples=30000, seed=5)
+_ADDITIVE = ("lemma1", "nagy", "nagy_l1", "sobolev", "charge", "hypersingular")
+_REPORT_CASES = {
+    "R2_0_power_mc": (continuum(2, 0), PowerModulus(0.7), 1.2, _MC_REPORT, ops.THEOREM_IDS),
+    "R3_1_table_mc": (continuum(3, 1), _TABLE, 1.2, _MC_REPORT, _ADDITIVE + ("mixed_additive",)),
+    "R3_1_table_radial": (continuum(3, 1), _TABLE, 1.2, None, _ADDITIVE + ("mixed_additive",)),
+    "Z2_1_table": (lattice(2, 1), _TABLE, 2.5, None, _ADDITIVE),
+}
+
+_REPORT_PINNED = {
+    "R2_0_power_mc": {
+        "lemma1": (
+            '0x1.aee2fd2f5de42p-1', '0x1.aea84e97ddd8ap-1',
+            '0x0.0p+0', '0x1.573af37ab3030p-10', 'EqualityAttained'),
+        "nagy": (
+            '0x1.22d937b32c2d3p+0', '0x1.aea84e97ddd8ap-1',
+            '0x1.2e14419cf5034p-2', '0x0.0p+0', 'EqualityAttained'),
+        "nagy_l1": (
+            '0x1.22d937b32c2d3p+0', '0x1.aea84e97ddd8ap-1',
+            '0x1.2e14419cf5034p-2', '0x0.0p+0', 'EqualityAttained'),
+        "sobolev": (
+            '0x1.22d937b32c2d3p+0', '0x1.aea84e97ddd8ap-1',
+            '0x1.2e14419cf5034p-2', '0x0.0p+0', 'EqualityAttained'),
+        "charge": (
+            '0x1.22d937b32c2d3p+0', '0x1.aea84e97ddd8ap-1',
+            '0x1.2e14419cf5034p-2', '0x0.0p+0', 'EqualityAttained'),
+        "hypersingular": (
+            '0x1.85cfe878c1909p+5', '0x1.85cfe878c190cp+4',
+            '0x1.84e9d214bb853p+4', '0x1.4d6a5be77969cp-4', 'EqualityAttained'),
+        "mixed_additive": (
+            '0x1.22d937b32c2d3p+0', '0x1.aea84e97ddd8ap-1',
+            '0x1.2d9ee46df4ec8p-2', '0x1.573af37ab3030p-10', 'EqualityAttained'),
+        "mixed_multiplicative": (
+            '0x1.22d937b32c2d3p+0', '0x1.22d937b32c2d3p+0',
+            '0x0.0p+0', '0x0.0p+0', 'EqualityAttained'),
+    },
+    "R3_1_table_mc": {
+        "lemma1": (
+            '0x1.1cde3ef500612p-1', '0x1.1cdcdac93c187p-1',
+            '0x0.0p+0', '0x1.3979b77f220ddp-11', 'EqualityAttained'),
+        "nagy": (
+            '0x1.5c28f5c28f5c2p-1', '0x1.1cdcdac93c187p-1',
+            '0x1.fa60d7ca9a1d8p-4', '0x0.0p+0', 'EqualityAttained'),
+        "nagy_l1": (
+            '0x1.5c28f5c28f5c2p-1', '0x1.1cdcdac93c187p-1',
+            '0x1.fa60d7ca9a1d8p-4', '0x0.0p+0', 'EqualityAttained'),
+        "sobolev": (
+            '0x1.5c28f5c28f5c2p-1', '0x1.1cdcdac93c187p-1',
+            '0x1.fa60d7ca9a1d8p-4', '0x0.0p+0', 'EqualityAttained'),
+        "charge": (
+            '0x1.5c28f5c28f5c2p-1', '0x1.1cdcdac93c187p-1',
+            '0x1.fa60d7ca9a1d8p-4', '0x0.0p+0', 'EqualityAttained'),
+        "hypersingular": (
+            '0x1.14df39821ae35p+5', '0x1.3b66a4d6ee08cp+4',
+            '0x1.dba375965631fp+3', '0x1.f927c308d4ab6p-5', 'EqualityAttained'),
+        "mixed_additive": (
+            '0x1.5c28f5c28f5c2p-1', '0x1.1cdcdac93c187p-1',
+            '0x1.fa55b66c77d78p-4', '0x1.3979b77f220ddp-11', 'EqualityAttained'),
+    },
+    "R3_1_table_radial": {
+        "lemma1": (
+            '0x1.1cde3ef500612p-1', '0x1.1cde3ef500612p-1',
+            '0x0.0p+0', '0x1.da12f684bda15p-58', 'EqualityAttained'),
+        "nagy": (
+            '0x1.5c28f5c28f5c2p-1', '0x1.1cde3ef500612p-1',
+            '0x1.fa55b66c77d80p-4', '0x0.0p+0', 'EqualityAttained'),
+        "nagy_l1": (
+            '0x1.5c28f5c28f5c2p-1', '0x1.1cde3ef500612p-1',
+            '0x1.fa55b66c77d80p-4', '0x0.0p+0', 'EqualityAttained'),
+        "sobolev": (
+            '0x1.5c28f5c28f5c2p-1', '0x1.1cde3ef500612p-1',
+            '0x1.fa55b66c77d80p-4', '0x0.0p+0', 'EqualityAttained'),
+        "charge": (
+            '0x1.5c28f5c28f5c2p-1', '0x1.1cde3ef500612p-1',
+            '0x1.fa55b66c77d80p-4', '0x0.0p+0', 'EqualityAttained'),
+        "hypersingular": (
+            '0x1.14df39821ae35p+5', '0x1.3b60059a3523cp+4',
+            '0x1.dcbcdad40145bp+3', '0x0.0p+0', 'EqualityAttained'),
+        "mixed_additive": (
+            '0x1.5c28f5c28f5c2p-1', '0x1.1cde3ef500612p-1',
+            '0x1.fa55b66c77d80p-4', '0x1.da12f684bda15p-58', 'EqualityAttained'),
+    },
+    "Z2_1_table": {
+        "lemma1": (
+            '0x1.999999999999ap-1', '0x1.999999999999ap-1',
+            '0x0.0p+0', '0x0.0p+0', 'EqualityAttained'),
+        "nagy": (
+            '0x1.0000000000000p+0', '0x1.999999999999ap-1',
+            '0x1.9999999999998p-3', '0x0.0p+0', 'EqualityAttained'),
+        "nagy_l1": (
+            '0x1.0000000000000p+0', '0x1.999999999999ap-1',
+            '0x1.9999999999998p-3', '0x0.0p+0', 'EqualityAttained'),
+        "sobolev": (
+            '0x1.0000000000000p+0', '0x1.999999999999ap-1',
+            '0x1.9999999999998p-3', '0x0.0p+0', 'EqualityAttained'),
+        "charge": (
+            '0x1.0000000000000p+0', '0x1.999999999999ap-1',
+            '0x1.9999999999998p-3', '0x0.0p+0', 'EqualityAttained'),
+        "hypersingular": (
+            '0x1.394fc76efa20ep+3', '0x1.25d2c8cd3c8d0p+2',
+            '0x1.4cccc610b7b48p+2', '0x1.bdb0cad6d6430p-71', 'EqualityAttained'),
+    },
+    "stechkin_mc": [
+        ('0x1.6a09e667f4400p-1', '0x1.296709420c984p-1'),
+        ('0x1.0000000000600p-1', '0x1.d2acad65c742cp-2'),
+        ('0x1.279a745903800p-2', '0x1.3db407e1dd915p-2'),
+    ],
+}
+
+
+def _report_bits(space, omega, h, spec, tids):
+    out = {}
+    for tid in tids:
+        rep = ops.theorem_report(tid, space, omega, h, spec=spec)
+        bits = (rep.lhs, rep.rhs_term1, rep.rhs_term2, rep.error_bound)
+        out[tid] = tuple(float(b).hex() for b in bits) + (rep.verdict,)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_REPORT_CASES) + ["stechkin_mc"])
+def test_theorem_report_terms_pinned(name):
+    if name == "stechkin_mc":
+        pts = ops.stechkin_curve(continuum(2, 0), PowerModulus(0.7), [0.5, 1.0, 3.0], _MC_REPORT)
+        got = [(p.h.hex(), p.e_n.hex()) for p in pts]
+    else:
+        got = _report_bits(*_REPORT_CASES[name])
+    assert got == _REPORT_PINNED[name]
