@@ -102,6 +102,11 @@ class Estimate:
         return float(self.value)
 
 
+def _mc_mean(w: np.ndarray) -> Estimate:
+    """The mean of Monte Carlo weights ``w`` with its standard error."""
+    return Estimate(float(w.mean()), MONTE_CARLO, float(w.std(ddof=1) / math.sqrt(len(w))))
+
+
 @dataclass
 class FunctionModel:
     """A function on a space, with optional certified analytic metadata.
@@ -161,36 +166,6 @@ def constant_model(space: Space, value: float) -> FunctionModel:
 # ======================================================================
 
 
-def closed_form_ball_integral(space: Space, omega: Modulus, h: float) -> float:
-    """Exact ``I(h)`` for a power modulus on the continuum."""
-    if space.is_lattice or not isinstance(omega, PowerModulus):
-        raise ValueError("closed form requires a power modulus on the continuum")
-    d, a = space.d, omega.alpha
-    return space.sphere_constant / (d + a) * float(h) ** (d + a)
-
-
-def radial_ball_integral(space: Space, omega: Modulus, h: float) -> tuple[float, float]:
-    """Layer-cake reduction of ``I(h)`` to one dimension (continuum)."""
-    if space.is_lattice:
-        raise ValueError("radial reduction applies to continuum spaces only")
-    d = space.d
-    hf = float(h)
-    c = space.sphere_constant
-
-    def integrand(t: float) -> float:
-        return float(omega(t)) * t ** (d - 1)
-
-    val, err = adaptive_simpson(
-        integrand, 0.0, hf, kinks=[b for b in omega.breakpoints() if b < hf]
-    )
-    return c * val, c * err
-
-
-def lattice_ball_integral(space: Space, omega: Modulus, h) -> float:
-    """Exact enumeration of ``I(h)`` on a lattice (float arithmetic)."""
-    return float(np.sum(omega(space.norm(space.enumerate_ball(h)))))
-
-
 def ball_integral_of_modulus(
     space: Space, omega: Modulus, h, spec: Optional[QuadratureSpec] = None
 ) -> Estimate:
@@ -199,22 +174,28 @@ def ball_integral_of_modulus(
         spec = default_spec(space, omega)
     space.require_valid_radius(h)
     method = spec.method
+    d, hf, c = space.d, float(h), space.sphere_constant
     if method == CLOSED_FORM:
-        return Estimate(closed_form_ball_integral(space, omega, h), CLOSED_FORM, 0.0)
+        if space.is_lattice or not isinstance(omega, PowerModulus):
+            raise ValueError("closed form requires a power modulus on the continuum")
+        a = omega.alpha
+        return Estimate(c / (d + a) * hf ** (d + a), CLOSED_FORM, 0.0)
     if method == RADIAL1D:
-        val, err = radial_ball_integral(space, omega, h)
-        return Estimate(val, RADIAL1D, err)
+        if space.is_lattice:
+            raise ValueError("radial reduction applies to continuum spaces only")
+        kinks = [b for b in omega.breakpoints() if b < hf]
+        val, err = adaptive_simpson(lambda t: float(omega(t)) * t ** (d - 1), 0.0, hf, kinks=kinks)
+        return Estimate(c * val, RADIAL1D, c * err)
     if method == LATTICE_EXACT:
         if not space.is_lattice:
             raise ValueError("lattice_exact requires a lattice space")
-        return Estimate(lattice_ball_integral(space, omega, h), LATTICE_EXACT, 0.0)
+        value = float(np.sum(omega(space.norm(space.enumerate_ball(h)))))
+        return Estimate(value, LATTICE_EXACT, 0.0)
     if method == MONTE_CARLO:
         mu = float(space.ball_measure(h))
         samples = space.sample_ball(h, spec.mc_samples, spec.seed)
-        vals = np.asarray(omega(space.norm(samples)), dtype=np.float64)
-        mean = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-        return Estimate(mu * mean, MONTE_CARLO, mu * stderr)
+        est = _mc_mean(np.asarray(omega(space.norm(samples)), dtype=np.float64))
+        return Estimate(mu * est.value, MONTE_CARLO, mu * est.error_bound)
     raise ValueError(f"unhandled quadrature method {method!r}")
 
 

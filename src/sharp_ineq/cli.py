@@ -43,7 +43,7 @@ from .operators import (
     theorem_report,
 )
 from .oracle import EXACT_THEOREMS, MC_CHECKS, exact_verify, mc_cross_check, random_suite
-from .space import Space, config_integer
+from .space import Space, config_integer, config_number
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -105,18 +105,18 @@ def _load_config(path: str) -> dict:
 
 def _number(value, *, exact: bool = False):
     """A finite config number: JSON numerals, or strings like "3/2" for
-    rationals.  ``NaN`` and ``1e999`` (read as infinity) are refused."""
+    rationals.  Booleans, ``NaN`` and ``1e999`` (read as infinity) are refused."""
     if isinstance(value, str):
         try:
             q = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad number {value!r}") from exc
         return q if exact else float(q)
-    if isinstance(value, (int, float)):
-        if not math.isfinite(value):
-            raise ConfigError(f"bad number {value!r}: must be finite")
-        return Fraction(value) if exact else float(value)
-    raise ConfigError(f"bad number {value!r}")
+    try:
+        value = config_number(value, "number")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return Fraction(value) if exact else float(value)
 
 
 def _integer(value, name: str) -> int:
@@ -237,7 +237,9 @@ def _report_row(report: InequalityReport, want_exact: bool) -> dict:
 def cmd_verify(cfg: dict, args) -> tuple[str, int]:
     space = _space_from(cfg)
     omega = _modulus_from(cfg)
-    exact = bool(cfg.get("exact", False))
+    exact = cfg.get("exact", False)
+    if not isinstance(exact, bool):
+        raise ConfigError(f"'exact' must be true or false, got {exact!r}")
     theorems = cfg.get("theorems")
     if theorems is None:
         theorems = list(EXACT_THEOREMS) if exact else list(THEOREM_IDS)
@@ -255,6 +257,8 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
     h_values = _h_values(cfg, space, exact=exact)
     kernel = None
     if "kernel" in cfg:
+        if not isinstance(cfg["kernel"], dict):
+            raise ConfigError("'kernel' must be an object with a 'form'")
         try:
             kernel = kernel_from_config(cfg["kernel"])
         except (ValueError, KeyError, TypeError) as exc:

@@ -45,14 +45,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as _npoly
 
-from .calculus import (
-    Estimate,
-    FunctionModel,
-    QuadratureSpec,
-    ball_integral_of_modulus,
-    constant_model,
-    default_spec,
-)
+from .calculus import Estimate, FunctionModel, ball_integral_of_modulus, constant_model
 from .modulus import Modulus
 from .space import Space, continuum
 
@@ -146,9 +139,10 @@ def _box_mass(omega: Modulus, h: float, l1: float, u1: float, rest: Sequence[flo
     )
 
 
-def ball_deficiency(space: Space, omega: Modulus, h, spec: QuadratureSpec | None = None) -> Estimate:
-    """``omega(h) * mu(B_h) - I(h)``: the shared seminorm/L1 value of the bump."""
-    est = ball_integral_of_modulus(space, omega, h, spec or default_spec(space, omega))
+def ball_deficiency(space: Space, omega: Modulus, h, i_h: Estimate | None = None) -> Estimate:
+    """``omega(h) * mu(B_h) - I(h)``: the shared seminorm/L1 value of the bump,
+    on the caller's ``I(h)`` estimate ``i_h`` or, by default, ``default_spec``'s."""
+    est = i_h or ball_integral_of_modulus(space, omega, h)
     mu = float(space.ball_measure(h))
     return Estimate(float(omega(float(h))) * mu - est.value, est.method, est.error_bound)
 
@@ -158,8 +152,9 @@ def ball_deficiency(space: Space, omega: Modulus, h, spec: QuadratureSpec | None
 # ======================================================================
 
 
-def make_f_eh(space: Space, omega: Modulus, h, spec: QuadratureSpec | None = None) -> FunctionModel:
-    """The truncated bump ``(omega(h) - omega(rho(x, 0)))_+``."""
+def make_f_eh(space: Space, omega: Modulus, h, i_h: Estimate | None = None) -> FunctionModel:
+    """The truncated bump ``(omega(h) - omega(rho(x, 0)))_+``; its certified
+    seminorm and L1 norm are ``ball_deficiency(space, omega, h, i_h)``."""
     space.require_valid_radius(h)
     hf = float(h)
     peak = float(omega(hf))
@@ -170,7 +165,7 @@ def make_f_eh(space: Space, omega: Modulus, h, spec: QuadratureSpec | None = Non
     def evaluator(pts: np.ndarray) -> np.ndarray:
         return profile(space.norm(pts))
 
-    deficiency = ball_deficiency(space, omega, h, spec)
+    deficiency = ball_deficiency(space, omega, h, i_h)
     kinks = [b for b in omega.breakpoints() if b < hf] + [hf]
     prof_pieces = [
         (s0, s1, -sg, p, peak - tau) for (s0, s1, sg, p, tau) in omega.pieces(0.0, hf)
@@ -399,9 +394,10 @@ def make_G_eh(omega: Modulus, h, d: int) -> FunctionModel:
     )
 
 
-def sobolev_extremal_pair(space: Space, omega: Modulus, h, spec: QuadratureSpec | None = None):
-    """The pair saturating the upper-gradient bound: the bump and G == 1/2."""
-    f = make_f_eh(space, omega, h, spec)
+def sobolev_extremal_pair(space: Space, omega: Modulus, h, i_h: Estimate | None = None):
+    """The pair saturating the upper-gradient bound: the bump (built on
+    ``i_h`` as in ``make_f_eh``) and G == 1/2."""
+    f = make_f_eh(space, omega, h, i_h)
     g = constant_model(space, 0.5)
     g.name = "upper-gradient[1/2]"
     return f, g

@@ -25,6 +25,10 @@ named bounds at its extremal witness and returns an ``InequalityReport``;
 ``stechkin_curve`` traces the best-approximation error of the identity by
 operators of prescribed norm.
 
+The right-hand sides built on ``I(h)`` take it as an ``Estimate`` (``i_h``)
+instead of recomputing it; ``theorem_report`` and ``stechkin_curve``
+compute it once, so the witness and both terms of a report share it.
+
 Closed forms are used wherever the modulus admits power pieces; Monte Carlo
 paths exist for cross-checking and always report a standard error.
 """
@@ -48,6 +52,7 @@ from .calculus import (
     FunctionModel,
     QuadratureSpec,
     _ball_average_at,
+    _mc_mean,
     _translations,
     ball_integral_at,
     ball_integral_of_modulus,
@@ -62,7 +67,7 @@ from .extremals import (
     sobolev_extremal_pair,
 )
 from .modulus import Modulus, PowerModulus
-from .space import Space, continuum, strict_int_below
+from .space import Space, config_number, continuum, strict_int_below
 
 VERDICT_HOLDS = "Holds"
 VERDICT_EQUALITY = "EqualityAttained"
@@ -211,57 +216,61 @@ def steklov_average(
 
 
 def ostrowski_bound(
-    space: Space, omega: Modulus, h, holder_norm: float,
-    spec: Optional[QuadratureSpec] = None,
+    space: Space, omega: Modulus, h, holder_norm: float, i_h: Optional[Estimate] = None,
 ) -> float:
     """Sharp bound on ``sup |f - S_h f|``: smoothness constant times the
-    averaged modulus ``I(h)/mu(B_h)``."""
+    averaged modulus ``I(h)/mu(B_h)``.  ``i_h`` is the caller's estimate of
+    ``I(h)``; without one, ``default_spec``'s method computes it."""
     if holder_norm < 0:
         raise ValueError("the smoothness constant must be nonnegative")
-    i_h = ball_integral_of_modulus(space, omega, h, spec)
+    i_h = i_h or ball_integral_of_modulus(space, omega, h)
     return float(holder_norm) * i_h.value / float(space.ball_measure(h))
 
 
 def nagy_rhs(
     space: Space, omega: Modulus, h, holder_norm: float, seminorm_h: float,
-    spec: Optional[QuadratureSpec] = None,
+    i_h: Optional[Estimate] = None,
 ) -> float:
     """Sharp bound on ``sup |f|`` from the smoothness constant and the
-    window-h averaged-oscillation seminorm."""
+    window-h averaged-oscillation seminorm, on the ``I(h)`` estimate ``i_h``
+    as in ``ostrowski_bound``."""
     if seminorm_h < 0:
         raise ValueError("seminorm input must be nonnegative")
     mu = float(space.ball_measure(h))
-    return ostrowski_bound(space, omega, h, holder_norm, spec) + float(seminorm_h) / mu
+    return ostrowski_bound(space, omega, h, holder_norm, i_h) + float(seminorm_h) / mu
 
 
 def nagy_l1_rhs(
     space: Space, omega: Modulus, h, holder_norm: float, l1_norm_value: float,
-    spec: Optional[QuadratureSpec] = None,
+    i_h: Optional[Estimate] = None,
 ) -> float:
-    """The L1 variant: the seminorm is replaced by the (larger) L1 norm."""
+    """The L1 variant: the seminorm is replaced by the (larger) L1 norm
+    (``i_h`` as in ``ostrowski_bound``)."""
     if l1_norm_value < 0:
         raise ValueError("L1 norm input must be nonnegative")
     mu = float(space.ball_measure(h))
-    return ostrowski_bound(space, omega, h, holder_norm, spec) + float(l1_norm_value) / mu
+    return ostrowski_bound(space, omega, h, holder_norm, i_h) + float(l1_norm_value) / mu
 
 
 def sobolev_rhs(
     space: Space, omega: Modulus, h, gradient_bound: float, seminorm_h: float,
-    spec: Optional[QuadratureSpec] = None,
+    i_h: Optional[Estimate] = None,
 ) -> float:
-    """Sup-norm bound through an upper gradient: ``2 * ||G|| * I(h)/mu + sem/mu``."""
+    """Sup-norm bound through an upper gradient: ``2 * ||G|| * I(h)/mu + sem/mu``
+    (``i_h`` as in ``ostrowski_bound``)."""
     if gradient_bound < 0 or seminorm_h < 0:
         raise ValueError("norm inputs must be nonnegative")
     mu = float(space.ball_measure(h))
     return (
-        2.0 * float(gradient_bound) * ostrowski_bound(space, omega, h, 1.0, spec)
+        2.0 * float(gradient_bound) * ostrowski_bound(space, omega, h, 1.0, i_h)
         + float(seminorm_h) / mu
     )
 
 
-def deviation_u(space: Space, omega: Modulus, h, spec: Optional[QuadratureSpec] = None) -> float:
-    """Worst-case deviation ``sup |f - S_h f|`` over the unit smoothness class."""
-    return ostrowski_bound(space, omega, h, 1.0, spec)
+def deviation_u(space: Space, omega: Modulus, h, i_h: Optional[Estimate] = None) -> float:
+    """Worst-case deviation ``sup |f - S_h f|`` over the unit smoothness class
+    (``i_h`` as in ``ostrowski_bound``)."""
+    return ostrowski_bound(space, omega, h, 1.0, i_h)
 
 
 # ======================================================================
@@ -328,12 +337,12 @@ def charge_nagy_rhs(
     omega: Modulus,
     h,
     holder_norm: float,
-    spec: Optional[QuadratureSpec] = None,
+    i_h: Optional[Estimate] = None,
     seminorm_value: Optional[float] = None,
 ) -> float:
     """Sharp bound on ``sup |density|`` from charge data; delegates to the
     function-side bound with the charge seminorm in place of the function
-    seminorm (the two coincide by change of variables)."""
+    seminorm (the two coincide by change of variables) and passes ``i_h`` on."""
     if seminorm_value is None:
         d = nu.density
         if d.certified_seminorm_h is not None and d.seminorm_at_h is not None and math.isclose(
@@ -345,7 +354,7 @@ def charge_nagy_rhs(
                 "no certified seminorm at this window scale; pass seminorm_value "
                 "(e.g. from charge_seminorm)"
             )
-    return nagy_rhs(space, omega, h, holder_norm, seminorm_value, spec)
+    return nagy_rhs(space, omega, h, holder_norm, seminorm_value, i_h)
 
 
 # ======================================================================
@@ -366,8 +375,8 @@ class PowerLawKernel:
     cutoff: float = math.inf
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"kernel exponent beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"kernel exponent beta must be positive and finite, got {self.beta}")
         if not self.cutoff > 0:
             raise ValueError("cutoff must be positive")
 
@@ -396,7 +405,8 @@ class TableKernel:
     """
 
     def __init__(self, points: Sequence[Sequence[float]]):
-        pts = [(float(t), float(p)) for t, p in points]
+        pts = [(float(config_number(t, "kernel node")), float(config_number(p, "kernel node")))
+               for t, p in points]
         if not pts:
             raise ValueError("a table kernel needs at least one node")
         ts = [t for t, _ in pts]
@@ -432,9 +442,9 @@ class TableKernel:
 def kernel_from_config(cfg: dict):
     form = cfg.get("form")
     if form == "power_law":
-        return PowerLawKernel(
-            beta=float(cfg["beta"]), cutoff=float(cfg.get("cutoff", math.inf))
-        )
+        cutoff = config_number(cfg["cutoff"], "kernel cutoff") if "cutoff" in cfg else math.inf
+        return PowerLawKernel(beta=float(config_number(cfg["beta"], "kernel beta")),
+                              cutoff=float(cutoff))
     if form == "table":
         return TableKernel(cfg["points"])
     raise ValueError(f"unknown kernel form {form!r}")
@@ -529,9 +539,7 @@ def kernel_ball_mass(
             t = upper * rng.uniform(0.0, 1.0, spec.mc_samples) ** (1.0 / eta)
             dens = eta * t ** (eta - 1.0) / upper**eta
             w = space.sphere_constant * np.asarray(omega(t)) * t ** (-beta - 1.0) / dens
-            mean = float(w.mean())
-            stderr = float(w.std(ddof=1) / math.sqrt(len(w)))
-            return Estimate(mean, MONTE_CARLO, stderr)
+            return _mc_mean(w)
         try:
             val = space.sphere_constant * piecewise_power_integral(
                 omega.pieces(0.0, upper), 0.0, upper, -beta - 1.0
@@ -577,12 +585,8 @@ def kernel_tail_mass(
             rng = np.random.default_rng(spec.seed)
             t = hf * rng.uniform(0.0, 1.0, spec.mc_samples) ** (-1.0 / q)
             dens = q * hf**q * t ** (-q - 1.0)
-            w = space.sphere_constant * np.where(
-                t <= kernel.cutoff, t ** (-beta - 1.0), 0.0
-            ) / dens
-            mean = float(w.mean())
-            stderr = float(w.std(ddof=1) / math.sqrt(len(w)))
-            return Estimate(mean, MONTE_CARLO, stderr)
+            w = space.sphere_constant * np.where(t <= kernel.cutoff, t ** (-beta - 1.0), 0.0) / dens
+            return _mc_mean(w)
         top = 0.0 if math.isinf(kernel.cutoff) else kernel.cutoff ** (-beta)
         if math.isfinite(kernel.cutoff) and kernel.cutoff <= hf:
             return Estimate(0.0, CLOSED_FORM, 0.0)
@@ -755,9 +759,7 @@ def _hyp_tail_mc(
     fx = float(f(np.asarray(x, dtype=np.float64)))
     diff = fx - f(x[None, :] + u)
     w = diff * np.asarray(kernel.value(t, d)) * space.sphere_constant * t ** (d - 1) / dens
-    mean = float(w.mean())
-    stderr = float(w.std(ddof=1) / math.sqrt(n))
-    return Estimate(mean, MONTE_CARLO, stderr)
+    return _mc_mean(w)
 
 
 def hypersingular_truncated(
@@ -828,14 +830,10 @@ def hypersingular_full(
     fx = float(f(xv))
     diff = fx - f(xv[None, :] + u)
     w = diff * np.asarray(kernel.value(t, d)) * space.sphere_constant * t ** (d - 1) / dens
-    singular = float(w.mean())
-    singular_err = float(w.std(ddof=1) / math.sqrt(n))
+    singular = _mc_mean(w)
     tail = _hyp_tail_mc(f, space, kernel, s, xv, spec)
-    return Estimate(
-        singular + tail.value,
-        MONTE_CARLO,
-        math.hypot(singular_err, tail.error_bound),
-    )
+    err = math.hypot(singular.error_bound, tail.error_bound)
+    return Estimate(singular.value + tail.value, MONTE_CARLO, err)
 
 
 # ======================================================================
@@ -885,16 +883,17 @@ def _unit(d: int, i: int) -> np.ndarray:
 
 def mixed_nagy_rhs(
     d: int, m: int, omega: Modulus, h, holder_norm: float, sup_norm_value: float,
-    spec: Optional[QuadratureSpec] = None,
+    i_h: Optional[Estimate] = None,
 ) -> float:
     """Additive bound on the sup norm of the mixed derivative:
-    ``holder * I(h) / (2^(d-m) h^d) + 2^m / h^d * sup|f|``."""
+    ``holder * I(h) / (2^(d-m) h^d) + 2^m / h^d * sup|f|``, with ``I(h)`` of
+    ``continuum(d, m)`` (``i_h`` as in ``ostrowski_bound``)."""
     if min(holder_norm, sup_norm_value) < 0:
         raise ValueError("norm inputs must be nonnegative")
     sp = continuum(d, m)
     sp.require_valid_radius(h)
     hf = float(h)
-    i_h = ball_integral_of_modulus(sp, omega, h, spec)
+    i_h = i_h or ball_integral_of_modulus(sp, omega, h)
     return (
         holder_norm * i_h.value / sp.ball_measure(hf)
         + 2.0**m / hf**d * sup_norm_value
@@ -982,7 +981,8 @@ def stechkin_curve(
         if nf <= 0:
             raise ValueError(f"operator norm budget must be positive, got {n}")
         h = solve_h_for_measure(space, 1.0 / nf)
-        out.append(StechkinPoint(n=nf, h=h, e_n=deviation_u(space, omega, h, spec)))
+        i_h = ball_integral_of_modulus(space, omega, h, spec)
+        out.append(StechkinPoint(n=nf, h=h, e_n=deviation_u(space, omega, h, i_h)))
     return out
 
 
@@ -1063,21 +1063,25 @@ def theorem_report(
         return _report(theorem_id, d, m, omega, hf, lhs, term1, 0.0, tol, error_bound=err)
 
     if theorem_id in ("nagy", "nagy_l1", "sobolev", "charge"):
-        f = make_f_eh(space, omega, h, spec)
+        # no error bound: term1 and term2 share one I(h), whose error cancels at the bump
+        i_h = ball_integral_of_modulus(space, omega, h, spec)
+        if theorem_id == "sobolev":
+            f, grad = sobolev_extremal_pair(space, omega, h, i_h)
+        else:
+            f = make_f_eh(space, omega, h, i_h)
         lhs = f.certified_sup_norm
         if theorem_id == "nagy_l1":
-            total = nagy_l1_rhs(space, omega, h, 1.0, f.certified_l1, spec)
+            total = nagy_l1_rhs(space, omega, h, 1.0, f.certified_l1, i_h)
         elif theorem_id == "sobolev":
-            _, grad = sobolev_extremal_pair(space, omega, h, spec)
             total = sobolev_rhs(
-                space, omega, h, grad.certified_sup_norm, f.certified_seminorm_h, spec
+                space, omega, h, grad.certified_sup_norm, f.certified_seminorm_h, i_h
             )
         elif theorem_id == "charge":
             nu = ChargeModel(density=f)
-            total = charge_nagy_rhs(nu, space, omega, h, 1.0, spec)
+            total = charge_nagy_rhs(nu, space, omega, h, 1.0, i_h)
         else:
-            total = nagy_rhs(space, omega, h, 1.0, f.certified_seminorm_h, spec)
-        term1 = ostrowski_bound(space, omega, h, 1.0, spec)
+            total = nagy_rhs(space, omega, h, 1.0, f.certified_seminorm_h, i_h)
+        term1 = ostrowski_bound(space, omega, h, 1.0, i_h)
         if theorem_id == "sobolev":
             term1 = 2.0 * 0.5 * term1
         return _report(theorem_id, d, m, omega, hf, lhs, term1, total - term1, tol)
@@ -1117,9 +1121,9 @@ def theorem_report(
                 "checked on a certified separable witness (inequality only)"
             )
         if theorem_id == "mixed_additive":
-            total = mixed_nagy_rhs(d, m, omega, h, holder_cert, func_sup, spec)
             box = continuum(d, m)
             i_h = ball_integral_of_modulus(box, omega, h, spec)
+            total = mixed_nagy_rhs(d, m, omega, h, holder_cert, func_sup, i_h)
             term1 = holder_cert * i_h.value / box.ball_measure(hf)
             err = holder_cert * i_h.error_bound / box.ball_measure(hf)
             return _report(theorem_id, d, m, omega, hf, lhs, term1, total - term1, tol, notes, err)

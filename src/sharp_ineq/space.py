@@ -72,6 +72,13 @@ def config_integer(value, name: str) -> int:
     raise ValueError(f"bad {name} {value!r}: expected an integer")
 
 
+def config_number(value, name: str):
+    """A finite real config field, returned as given; booleans raise ``ValueError``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        return value
+    raise ValueError(f"bad {name} {value!r}: expected a finite number")
+
+
 @dataclass(frozen=True)
 class Space:
     """A half-line/line product space with its natural invariant measure."""

@@ -226,6 +226,20 @@ POWER1 = {"kind": "power", "alpha": 1.0}
          "finite"),
         ("oracle", {"exact": [{"theorem_id": "nagy", "space": ZZ, "modulus": POWER1,
                                "h": math.inf}]}, "finite"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [True]}, "True"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1], "tol": False}, "False"),
+        ("stechkin", {"space": LINE, "modulus": POWER1, "n_values": [True]}, "True"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1], "exact": "no"},
+         "'exact'"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1], "kernel": 5}, "'kernel'"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1],
+                    "kernel": {"form": "table", "points": [[math.nan, 1]]}}, "finite"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1],
+                    "kernel": {"form": "table", "points": [[1, math.nan]]}}, "finite"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1],
+                    "kernel": {"form": "table", "points": [[1, math.inf]]}}, "finite"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1],
+                    "kernel": {"form": "power_law", "beta": True}}, "beta"),
     ],
     ids=["verify-negative-h", "constant-negative-h", "lattice-h-1",
          "exact-irrational-alpha", "suite-zero-trials", "constant-bad-seed",
@@ -233,7 +247,9 @@ POWER1 = {"kind": "power", "alpha": 1.0}
          "mc-checks-bad-seed", "stechkin-negative-n", "fractional-d", "fractional-m",
          "fractional-trials", "fractional-suite-seed", "fractional-mc-samples",
          "boolean-seed", "nan-tol", "negative-tol", "infinite-tol", "lattice-infinite-h",
-         "exact-infinite-h", "oracle-exact-infinite-h"],
+         "exact-infinite-h", "oracle-exact-infinite-h", "boolean-h", "boolean-tol",
+         "boolean-n", "string-exact", "number-kernel", "nan-kernel-radius", "nan-kernel-value",
+         "infinite-kernel-value", "boolean-beta"],
 )
 def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle):
     cfg = write_cfg(tmp_path, "bad.json", payload)

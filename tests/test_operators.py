@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharp_ineq import _lattice, oracle
+from sharp_ineq import _lattice, extremals, oracle
 from sharp_ineq import operators as ops
 from sharp_ineq.calculus import (
     MONTE_CARLO,
@@ -178,6 +178,17 @@ def test_table_kernel_basics():
         ops.TableKernel([(0.0, 1.0)])
     with pytest.raises(ValueError):
         ops.TableKernel([(1.0, -1.0)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ops.PowerLawKernel(beta=math.inf),
+    lambda: ops.TableKernel([(math.nan, 1.0)]),
+    lambda: ops.TableKernel([(1.0, math.inf)]),
+    lambda: ops.TableKernel([(True, 1.0)]),
+], ids=["infinite-beta", "nan-radius", "infinite-value", "boolean-radius"])
+def test_kernels_reject_non_finite_and_boolean_numbers(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_kernel_config_round_trip():
@@ -865,3 +876,35 @@ def test_theorem_report_terms_pinned(name):
     else:
         got = _report_bits(*_REPORT_CASES[name])
     assert got == _REPORT_PINNED[name]
+
+
+@pytest.mark.parametrize("space, omega, h, spec", [
+    (continuum(2, 0), PowerModulus(0.7), 1.2, QuadratureSpec(MONTE_CARLO, 2000, seed=5)),
+    (continuum(3, 1), _TABLE, 1.2, None),
+    (lattice(2, 1), _TABLE, 2.5, None),
+], ids=["R2_0_mc", "R3_1_radial", "Z2_1"])
+def test_theorem_report_computes_modulus_integral_once(monkeypatch, space, omega, h, spec):
+    # the witness and both right-hand terms must share one I(h) estimate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ball_integral_of_modulus(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "ball_integral_of_modulus", counted)
+    monkeypatch.setattr(extremals, "ball_integral_of_modulus", counted)
+    got = {}
+    for tid in ops.THEOREM_IDS:
+        if space.is_lattice and tid.startswith("mixed"):
+            continue
+        if tid == "mixed_multiplicative" and not isinstance(omega, PowerModulus):
+            continue
+        calls.clear()
+        ops.theorem_report(tid, space, omega, h, spec=spec)
+        got[tid] = len(calls)
+    want = {tid: 0 if tid in ("hypersingular", "mixed_multiplicative") else 1 for tid in got}
+    assert got == want
+    if not space.is_lattice:
+        calls.clear()
+        ops.stechkin_curve(space, omega, [0.5, 2.0], spec)
+        assert len(calls) == 2
