@@ -491,14 +491,16 @@ def test_hypersingular_full_general_point_mc():
     assert abs(off.value - at_origin.value) <= 4 * off.error_bound + 1e-6
 
 
-# Bits of the radial reductions, sphere samplers and Monte Carlo weights,
-# recorded once as float.hex: a rewrite of the metric or the sphere
-# constant has to leave every one of them unchanged.
+# Bits of the radial reductions, sphere samplers, Monte Carlo weights,
+# singular-integral paths and ball averages, recorded once as float.hex: a
+# rewrite of the metric, the sphere constant or the shared integral paths
+# has to leave every one of them unchanged.
 _TABLE = TableModulus([(0, 0), ("1/2", "2/5"), (2, 1)])
 _POW = PowerModulus(0.8)
 _TK = ops.TableKernel([(0.5, 2.0), (1.5, 1.0), (3.0, 0.25)])
 _MC = QuadratureSpec(method=MONTE_CARLO, mc_samples=4000, seed=2)
 _P21, _P31 = continuum(2, 1), continuum(3, 1)
+_Z21, _Z20 = lattice(2, 1), lattice(2, 0)
 
 
 def _profile_only(f):
@@ -543,6 +545,24 @@ _PIN_CASES = {
         make_G_eh(_POW, 1.1, 2), _P21, 0.7, np.array([0.9, -0.2])),
     "mixed_nagy_rhs": lambda: ops.mixed_nagy_rhs(3, 1, _TABLE, 1.3, 1.5, 0.4),
     "l1_radial": lambda: l1_norm(make_f_eh(_P31, _TABLE, 1.2), _P31, 1.2),
+    "truncated_power_origin": lambda: ops.hypersingular_truncated(
+        make_f_e_omega(_P31, _TABLE, 1.2), _P31, ops.PowerLawKernel(0.4), 1.2),
+    "truncated_table_origin": lambda: ops.hypersingular_truncated(
+        make_f_e_omega(_P21, _POW, 1.1), _P21, _TK, 0.8),
+    "truncated_table_off_origin": lambda: ops.hypersingular_truncated(
+        make_f_eh(_P31, _TABLE, 1.2), _P31, _TK, 0.9,
+        x=np.array([0.3, -0.1, 0.4]), spec=_MC),
+    "truncated_lattice_tail": lambda: ops.hypersingular_truncated(
+        make_f_eh(_Z21, _POW, 2.5), _Z21, ops.PowerLawKernel(0.5), 1.5,
+        x=np.array([1.0, -2.0])),
+    "full_lattice_cut": lambda: ops.hypersingular_full(
+        make_f_omega(_Z20, _POW), _Z20, _POW, ops.PowerLawKernel(0.5, cutoff=6.0)),
+    "steklov_lattice": lambda: ops.steklov_average(
+        make_f_eh(_Z21, _POW, 2.5), _Z21, 2.5)(np.array([1.0, -1.0])),
+    "steklov_mc": lambda: ops.steklov_average(
+        make_f_e_omega(_P21, _POW, 1.1), _P21, 0.9, _MC)(np.array([0.3, -0.2])),
+    "steklov_box_mass": lambda: ops.steklov_average(
+        make_f_eh(_P21, _TABLE, 1.2), _P21, 0.9)(np.array([0.2, 0.1])),
 }
 
 _PINNED = {
@@ -567,6 +587,14 @@ _PINNED = {
     "mixed_difference": ('0x1.7423763ab2094p-6',),
     "mixed_nagy_rhs": ('0x1.3eaf852d09cd5p+0',),
     "l1_radial": ('0x1.b57928e0c9d9ap-1',),
+    "truncated_power_origin": ('-0x1.2f7180a355b5fp+4', '0x0.0p+0'),
+    "truncated_table_origin": ('-0x1.9b8719d0cfb10p+3', '0x1.a5f3688888889p-34'),
+    "truncated_table_off_origin": ('0x1.700ec3cebe437p+4', '0x1.59fbfdde6404cp-4'),
+    "truncated_lattice_tail": ('0x1.f272e71b641fap+0', '0x1.2f52250c3702ep-73'),
+    "full_lattice_cut": ('-0x1.88a0422c611e4p+4', '0x0.0p+0'),
+    "steklov_lattice": ('0x1.519de640b8c6fp-2',),
+    "steklov_mc": ('0x1.2d155089130a5p-2',),
+    "steklov_box_mass": ('0x1.9768a22786f92p-3',),
 }
 
 
