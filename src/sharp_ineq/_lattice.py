@@ -102,15 +102,15 @@ def make_plan(space: Space, window_radius: int, offsets: np.ndarray) -> GatherPl
 
 @functools.lru_cache(maxsize=256)
 def sweep_plan(space: Space, window_radius: int, k: int, punctured: bool = False) -> GatherPlan:
-    """Cached plan for a window of radius ``window_radius`` swept by the box
-    of radius ``k``: the lattice ball ``space.enumerate_ball(h)`` of every h
-    with ``strict_int_below(h) == k``, offsets in the same order.  With
-    ``punctured`` the origin is dropped, leaving the annulus ``1 <= rho <= k``
-    of a singular kernel cut at k.
+    """Cached plan for a window of radius ``window_radius`` swept by the
+    closed ball ``space.closed_ball(k)``: the open ball
+    ``space.enumerate_ball(h)`` of every h with ``strict_int_below(h) == k``,
+    offsets in the same order.  With ``punctured`` the origin is dropped,
+    leaving the annulus ``1 <= rho <= k`` of a singular kernel cut at k.
 
     The plan is shared between callers, so its arrays are read-only.
     """
-    offsets = window_points(space, k)
+    offsets = space.closed_ball(k)
     if punctured:
         offsets = offsets[space.norm(offsets) >= 1]
     plan = make_plan(space, window_radius, offsets)

@@ -11,7 +11,8 @@ Central quantities
       ``I(h) = c / (d + alpha) * h^(d + alpha)``, with the sphere constant
       ``c = d * 2^(d-m)`` of the space;
     * ``radial1d``      -- any modulus on the continuum, via the layer-cake
-      reduction ``I(h) = c * integral_0^h omega(t) t^(d-1) dt``;
+      reduction ``I(h) = c * integral_0^h omega(t) t^(d-1) dt``
+      (``radial_integral``);
     * ``lattice_exact`` -- exact enumeration on lattices;
     * ``monte_carlo``   -- uniform sampling, with a reported standard error.
 
@@ -21,6 +22,11 @@ Central quantities
     compactly supported functions; a grid-search lower estimate on the
     continuum (the certified value is returned when the model carries one,
     after a consistency check against the search).
+
+``radial_integral``
+    The layer-cake reduction ``c * integral_lo^hi g(t) t^(d-1) dt`` of a
+    radial integrand ``g(rho)`` over a shell: the one radial quadrature of
+    the package, ``operators`` included.
 
 ``sup_norm``, ``l1_norm``, ``holder_lower_estimate``
     Grid/exhaustive estimates of the uniform norm, the L1 norm, and the
@@ -162,16 +168,29 @@ def constant_model(space: Space, value: float) -> FunctionModel:
 
 
 # ======================================================================
-# Ball integral of the modulus
+# Radial integrals and the ball integral of the modulus
 # ======================================================================
+
+
+def radial_integral(
+    space: Space, g: Callable[[float], float], lo: float, hi: float, kinks
+) -> Estimate:
+    """``c * integral_lo^hi g(t) t^(d-1) dt`` (``c`` the sphere constant), the
+    integral of ``g(rho)`` over the shell ``lo <= rho < hi`` (0 if empty), by
+    adaptive Simpson split at ``kinks`` (unfiltered: the integrator sorts,
+    dedupes and clips them)."""
+    if hi <= lo:
+        return Estimate(0.0, RADIAL1D, 0.0)
+    d, c = space.d, space.sphere_constant
+    val, err = adaptive_simpson(lambda t: g(t) * t ** (d - 1), lo, hi, kinks=kinks)
+    return Estimate(c * val, RADIAL1D, c * err)
 
 
 def ball_integral_of_modulus(
     space: Space, omega: Modulus, h, spec: Optional[QuadratureSpec] = None
 ) -> Estimate:
     """``I(h)``, the ball integral of the modulus, by the requested method."""
-    if spec is None:
-        spec = default_spec(space, omega)
+    spec = spec or default_spec(space, omega)
     space.require_valid_radius(h)
     method = spec.method
     d, hf, c = space.d, float(h), space.sphere_constant
@@ -183,9 +202,7 @@ def ball_integral_of_modulus(
     if method == RADIAL1D:
         if space.is_lattice:
             raise ValueError("radial reduction applies to continuum spaces only")
-        kinks = [b for b in omega.breakpoints() if b < hf]
-        val, err = adaptive_simpson(lambda t: float(omega(t)) * t ** (d - 1), 0.0, hf, kinks=kinks)
-        return Estimate(c * val, RADIAL1D, c * err)
+        return radial_integral(space, lambda t: float(omega(t)), 0.0, hf, omega.breakpoints())
     if method == LATTICE_EXACT:
         if not space.is_lattice:
             raise ValueError("lattice_exact requires a lattice space")
@@ -296,22 +313,17 @@ def l1_norm(
 ) -> float:
     """``integral |f| d(mu)`` over the window (= over the space when f has
     compact support inside it)."""
-    if spec is None:
-        spec = QuadratureSpec(method=LATTICE_EXACT if space.is_lattice else RADIAL1D)
+    spec = spec or QuadratureSpec()
     if f.support_radius is not None and f.support_radius > window_radius:
         raise ValueError("window smaller than the declared support radius")
     if space.is_lattice:
         pts = _lattice.window_points(space, int(math.ceil(window_radius)))
         est = float(np.sum(np.abs(f(pts.astype(np.float64)))))
     elif f.radial_profile is not None:
-        d = space.d
-        kinks = list(f.meta.get("radial_kinks", ()))
-
-        def integrand(t: float) -> float:
-            return abs(float(f.radial_profile(t))) * t ** (d - 1)
-
-        val, _ = adaptive_simpson(integrand, 0.0, float(window_radius), kinks=kinks)
-        est = space.sphere_constant * val
+        est = radial_integral(
+            space, lambda t: abs(float(f.radial_profile(t))), 0.0, float(window_radius),
+            f.meta.get("radial_kinks", ()),
+        ).value
     elif space.d == 1:
         lo = 0.0 if space.m == 1 else -float(window_radius)
 
@@ -345,13 +357,9 @@ def _ball_average_at(
     if pieces is not None and not np.any(x):
         return space.sphere_constant * piecewise_power_integral(pieces, 0.0, hf, d - 1)
     if f.radial_profile is not None and not np.any(x):
-        kinks = [b for b in f.meta.get("radial_kinks", ()) if b < hf]
-
-        def integrand(t: float) -> float:
-            return float(f.radial_profile(t)) * t ** (d - 1)
-
-        val, _ = adaptive_simpson(integrand, 0.0, hf, kinks=kinks)
-        return space.sphere_constant * val
+        return radial_integral(
+            space, lambda t: float(f.radial_profile(t)), 0.0, hf, f.meta.get("radial_kinks", ())
+        ).value
     if d == 1:
         lo = -hf if space.m == 0 else 0.0
 
@@ -382,8 +390,7 @@ def ball_integral_at(
     best continuum path available (exact box mass / radial pieces / adaptive
     1-D / Monte Carlo with shared offsets)."""
     space.require_valid_radius(h)
-    if spec is None:
-        spec = QuadratureSpec(method=LATTICE_EXACT if space.is_lattice else MONTE_CARLO)
+    spec = spec or QuadratureSpec()
     xv = np.asarray(x, dtype=np.float64)
     if space.is_lattice:
         offs = space.enumerate_ball(h).astype(np.float64)
@@ -407,8 +414,7 @@ def seminorm_local(
     search; ``f.without_certificates()`` gives the search result itself.
     """
     space.require_valid_radius(h)
-    if spec is None:
-        spec = QuadratureSpec(method=LATTICE_EXACT if space.is_lattice else MONTE_CARLO)
+    spec = spec or QuadratureSpec()
     certified = None
     if (
         f.certified_seminorm_h is not None

@@ -127,6 +127,17 @@ def _integer(value, name: str) -> int:
         raise ConfigError(str(exc)) from exc
 
 
+def _seed(flag: Optional[int], value, name: str) -> int:
+    """The RNG seed: the ``--seed`` flag when given, else the config ``value``;
+    a nonnegative integer, as numpy's generators need."""
+    if flag is not None:
+        value, name = flag, "--seed"
+    seed = _integer(value, name)
+    if seed < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _space_from(cfg: dict) -> Space:
     node = cfg.get("space")
     if not isinstance(node, dict):
@@ -141,6 +152,8 @@ def _modulus_from(cfg: dict) -> Modulus:
     node = cfg.get("modulus")
     if not isinstance(node, dict):
         raise ConfigError("config needs a 'modulus' object")
+    if node.get("kind") == "power" and "alpha" in node:
+        node = {**node, "alpha": _number(node["alpha"])}
     if node.get("kind") == "table":
         pts = node.get("points")
         if isinstance(pts, list):
@@ -157,10 +170,8 @@ def _modulus_from(cfg: dict) -> Modulus:
 def _spec_from(cfg: dict, space: Space, omega: Modulus, seed: Optional[int]) -> Optional[QuadratureSpec]:
     method = cfg.get("method")
     overrides = {}
-    if seed is not None:
-        overrides["seed"] = int(seed)
-    elif "seed" in cfg:
-        overrides["seed"] = _integer(cfg["seed"], "'seed'")
+    if seed is not None or "seed" in cfg:
+        overrides["seed"] = _seed(seed, cfg.get("seed"), "'seed'")
     if "mc_samples" in cfg:
         overrides["mc_samples"] = _integer(cfg["mc_samples"], "'mc_samples'")
     if method is None and not overrides:
@@ -339,7 +350,7 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
             trials = _integer(node.get("trials", 1000), "suite 'trials'")
             if trials <= 0:
                 raise ConfigError(f"suite 'trials' must be positive, got {trials}")
-            seed = args.seed if args.seed is not None else _integer(node.get("seed", 1), "suite 'seed'")
+            seed = _seed(args.seed, node.get("seed", 1), "suite 'seed'")
             rep = random_suite(tid, trials=trials, seed=seed)
             failed = failed or rep.violations > 0
             reports.append(rep.to_json())
@@ -355,7 +366,7 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
         for name in checks:
             if name not in MC_CHECKS:
                 raise ConfigError(f"unknown cross-check {name!r}; expected one of {MC_CHECKS}")
-            seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), "'seed'")
+            seed = _seed(args.seed, cfg.get("seed", 0), "'seed'")
             res = mc_cross_check(name, seed=seed)
             failed = failed or not res["ok"]
             results.append(res)

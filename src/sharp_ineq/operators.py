@@ -12,6 +12,10 @@ The three operator families
 * ``hypersingular_full`` / ``hypersingular_truncated`` — integrals of
   ``(f(x) - f(x+u))`` against a radial kernel, singular at the origin.  The
   truncated operator (ball removed) has norm exactly ``2 * tail mass``.
+  Both check their own hypotheses and share one dispatcher,
+  ``_hypersingular``, over the radii ``rho(u) >= lo``: the lattice sum, the
+  radial form at the origin, or Monte Carlo (``_hyp_mc``, one sphere
+  sampler for the tail and the singular part).
 
 * ``mixed_difference`` — the normalized alternating-corner difference whose
   continuum limit is the mixed first derivative; forward steps on half-line
@@ -42,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _lattice
-from ._quad import QuadratureError, adaptive_simpson, bisect_increasing, piecewise_power_integral
+from ._quad import QuadratureError, bisect_increasing, piecewise_power_integral
 from .calculus import (
     CLOSED_FORM,
     LATTICE_EXACT,
@@ -51,12 +55,11 @@ from .calculus import (
     Estimate,
     FunctionModel,
     QuadratureSpec,
-    _ball_average_at,
     _mc_mean,
     _translations,
     ball_integral_at,
     ball_integral_of_modulus,
-    default_spec,
+    radial_integral,
 )
 from .extremals import (
     make_f_e_omega,
@@ -179,33 +182,20 @@ def steklov_average(
 ) -> FunctionModel:
     """The ball average ``S_h f`` as a function model.
 
-    Exact summation on lattices; on the continuum each evaluation routes
-    through the best available path for ``f`` (exact box mass, radial
-    pieces at the origin, 1-D adaptive quadrature, or Monte Carlo with
-    offsets shared across evaluation points).
+    Each evaluation point is one ``ball_integral_at``: an exact sum on
+    lattices; on the continuum the best available path for ``f`` (exact box
+    mass, radial pieces at the origin, 1-D adaptive quadrature, or Monte
+    Carlo with offsets shared across evaluation points).
     """
     space.require_valid_radius(h)
-    if spec is None:
-        spec = QuadratureSpec(method=LATTICE_EXACT if space.is_lattice else MONTE_CARLO)
+    spec = spec or QuadratureSpec()
     mu = float(space.ball_measure(h))
+    mc_offsets = None
+    if space.is_continuum and space.d >= 2 and "ball_mass_fn" not in f.meta:
+        mc_offsets = space.sample_ball(h, spec.mc_samples, spec.seed)
 
-    if space.is_lattice:
-        offsets = space.enumerate_ball(h).astype(np.float64)
-
-        def evaluator(pts: np.ndarray) -> np.ndarray:
-            shifted = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, space.d)
-            return f(shifted).reshape(len(pts), len(offsets)).sum(axis=1) / mu
-
-    else:
-        mc_offsets = None
-        if space.d >= 2 and "ball_mass_fn" not in f.meta:
-            mc_offsets = space.sample_ball(h, spec.mc_samples, spec.seed)
-
-        def evaluator(pts: np.ndarray) -> np.ndarray:
-            out = np.empty(pts.shape[0], dtype=np.float64)
-            for i, row in enumerate(pts):
-                out[i] = _ball_average_at(f, space, h, row, spec, mc_offsets)
-            return out / mu
+    def evaluator(pts: np.ndarray) -> np.ndarray:
+        return np.array([ball_integral_at(f, space, h, x, spec, mc_offsets) for x in pts]) / mu
 
     return FunctionModel(
         name=f"steklov[h={float(h):g}]({f.name})",
@@ -325,8 +315,7 @@ def charge_seminorm(
         padded = _lattice.evaluate_padded(plan, nu.density.evaluator)
         charges = padded[plan.base_idx[:, None] + plan.lin_offsets[None, :]].sum(axis=1)
         return float(np.max(np.abs(charges)))
-    if spec is None:
-        spec = QuadratureSpec(method=MONTE_CARLO)
+    spec = spec or QuadratureSpec()
     xs = _translations(nu.density, space, h, window_radius)
     return max(abs(nu.ball_mass(space, h, x, spec)) for x in xs)
 
@@ -428,6 +417,10 @@ class TableKernel:
     def support_radius(self) -> float:
         return float(self._t[-1])
 
+    def breakpoints(self) -> tuple[float, ...]:
+        """The node radii, where the kernel loses smoothness."""
+        return tuple(float(t) for t in self._t)
+
     def to_config(self) -> dict:
         return {
             "form": "table",
@@ -515,8 +508,7 @@ def kernel_ball_mass(
     the kernel blows up (first-piece exponent > beta); divergence raises.
     """
     space.require_valid_radius(h)
-    if spec is None:
-        spec = default_spec(space, omega)
+    spec = spec or QuadratureSpec()
     hf = float(h)
     d = space.d
 
@@ -551,18 +543,10 @@ def kernel_ball_mass(
         return Estimate(val, CLOSED_FORM, 0.0)
 
     # bounded table kernel: plain radial quadrature
-    upper = min(hf, kernel.support_radius)
-    if upper <= 0:
-        return Estimate(0.0, RADIAL1D, 0.0)
-    kinks = [b for b in omega.breakpoints() if b < upper]
-    kinks += [t for t in np.asarray(kernel._t) if 0 < t < upper]
-
-    def integrand(t: float) -> float:
-        return float(omega(t)) * float(kernel.value(t, d)) * t ** (d - 1)
-
-    val, err = adaptive_simpson(integrand, 0.0, upper, kinks=sorted(set(kinks)))
-    c = space.sphere_constant
-    return Estimate(c * val, RADIAL1D, c * err)
+    return radial_integral(
+        space, lambda t: float(omega(t)) * float(kernel.value(t, d)),
+        0.0, min(hf, kernel.support_radius), omega.breakpoints() + kernel.breakpoints(),
+    )
 
 
 def kernel_tail_mass(
@@ -570,8 +554,7 @@ def kernel_tail_mass(
 ) -> Estimate:
     """``T(h) = integral over the complement of B_h of P(rho) d(mu)``."""
     space.require_valid_radius(h)
-    if spec is None:
-        spec = QuadratureSpec(method=LATTICE_EXACT if space.is_lattice else CLOSED_FORM)
+    spec = spec or QuadratureSpec()
     hf = float(h)
     d = space.d
 
@@ -587,23 +570,15 @@ def kernel_tail_mass(
             dens = q * hf**q * t ** (-q - 1.0)
             w = space.sphere_constant * np.where(t <= kernel.cutoff, t ** (-beta - 1.0), 0.0) / dens
             return _mc_mean(w)
-        top = 0.0 if math.isinf(kernel.cutoff) else kernel.cutoff ** (-beta)
-        if math.isfinite(kernel.cutoff) and kernel.cutoff <= hf:
+        if kernel.cutoff <= hf:
             return Estimate(0.0, CLOSED_FORM, 0.0)
-        val = space.sphere_constant * (hf ** (-beta) - top) / beta
+        val = space.sphere_constant * (hf ** (-beta) - kernel.cutoff ** (-beta)) / beta
         return Estimate(val, CLOSED_FORM, 0.0)
 
-    upper = kernel.support_radius
-    if upper <= hf:
-        return Estimate(0.0, RADIAL1D, 0.0)
-
-    def integrand(t: float) -> float:
-        return float(kernel.value(t, d)) * t ** (d - 1)
-
-    kinks = [t for t in np.asarray(kernel._t) if hf < t < upper]
-    val, err = adaptive_simpson(integrand, hf, upper, kinks=kinks)
-    c = space.sphere_constant
-    return Estimate(c * val, RADIAL1D, c * err)
+    return radial_integral(
+        space, lambda t: float(kernel.value(t, d)), hf, kernel.support_radius,
+        kernel.breakpoints(),
+    )
 
 
 # ======================================================================
@@ -645,11 +620,6 @@ def hypersingular_norm_witness(space: Space, kernel, h, c: float = 1.0) -> Funct
             "radial_pieces": [(0.0, hf, 0.0, 1.0, cf), (hf, math.inf, 0.0, 1.0, -cf)],
         },
     )
-
-
-def _radial_value_at_origin(pieces) -> float:
-    s0, s1, sigma, p, tau = pieces[0]
-    return float(tau)  # power exponents are positive, so sigma * 0**p vanishes
 
 
 def _constant_beyond(f: FunctionModel) -> Optional[tuple[float, float]]:
@@ -699,7 +669,7 @@ def _hyp_lattice_sum(
         )
     body = 0.0
     if r >= k_min:
-        pts = _lattice.window_points(space, r).astype(np.float64)
+        pts = space.closed_ball(r).astype(np.float64)
         rho = space.norm(pts)
         keep = rho >= k_min
         pts, rho = pts[keep], rho[keep]
@@ -713,53 +683,69 @@ def _hyp_radial_origin(f: FunctionModel, space: Space, kernel, lo: float) -> Est
     function with radial power pieces, integrating radii in ``[lo, inf)``."""
     d = space.d
     pieces = f.meta["radial_pieces"]
-    f0 = _radial_value_at_origin(pieces)
-    c = space.sphere_constant
+    f0 = float(pieces[0][4])  # power exponents are positive, so sigma * 0**p vanishes
     if isinstance(kernel, PowerLawKernel):
         diff = [(s0, s1, -sg, p, f0 - tau) for (s0, s1, sg, p, tau) in pieces]
-        upper = kernel.cutoff
-        val = c * piecewise_power_integral(diff, lo, upper, -kernel.beta - 1.0)
-        return Estimate(val, CLOSED_FORM, 0.0)
-    upper = kernel.support_radius
-    if upper <= lo:
-        return Estimate(0.0, RADIAL1D, 0.0)
-
-    def integrand(t: float) -> float:
-        return (f0 - float(f.radial_profile(t))) * float(kernel.value(t, d)) * t ** (d - 1)
-
-    kinks = [b for b in f.meta.get("radial_kinks", ()) if lo < b < upper]
-    kinks += [t for t in np.asarray(kernel._t) if lo < t < upper]
-    val, err = adaptive_simpson(integrand, lo, upper, kinks=sorted(set(kinks)))
-    return Estimate(c * val, RADIAL1D, c * err)
+        val = piecewise_power_integral(diff, lo, kernel.cutoff, -kernel.beta - 1.0)
+        return Estimate(space.sphere_constant * val, CLOSED_FORM, 0.0)
+    return radial_integral(
+        space, lambda t: (f0 - float(f.radial_profile(t))) * float(kernel.value(t, d)),
+        lo, kernel.support_radius, tuple(f.meta.get("radial_kinks", ())) + kernel.breakpoints(),
+    )
 
 
-def _hyp_tail_mc(
-    f: FunctionModel, space: Space, kernel, h: float, x: np.ndarray, spec: QuadratureSpec
-) -> Estimate:
-    """Monte Carlo for the truncated operator at a general point.
-
-    Radii are Pareto-distributed with index ``beta/2`` (power-law kernel) so
-    the weight stays bounded over the entire unbounded tail — no cutoff and
-    no unaccounted remainder.
-    """
+def _hyp_mc(f: FunctionModel, space: Space, kernel, x, t, dens, rng) -> Estimate:
+    """Mean of ``(f(x) - f(x+u)) P(t) c t^(d-1) / dens`` over radii ``t`` of
+    density ``dens``, ``u`` drawn on the spheres ``rho(u) = t`` from ``rng``."""
     d = space.d
-    rng = np.random.default_rng(spec.seed)
-    n = spec.mc_samples
-    if isinstance(kernel, PowerLawKernel):
-        q = kernel.beta / 2.0
-        t = h * rng.uniform(0.0, 1.0, n) ** (-1.0 / q)
-        dens = q * h**q * t ** (-q - 1.0)
-    else:
-        upper = kernel.support_radius
-        if upper <= h:
-            return Estimate(0.0, MONTE_CARLO, 0.0)
-        t = rng.uniform(h, upper, n)
-        dens = np.full(n, 1.0 / (upper - h))
     u = space.sample_sphere(t, rng)
-    fx = float(f(np.asarray(x, dtype=np.float64)))
-    diff = fx - f(x[None, :] + u)
+    diff = float(f(x)) - f(x[None, :] + u)
     w = diff * np.asarray(kernel.value(t, d)) * space.sphere_constant * t ** (d - 1) / dens
     return _mc_mean(w)
+
+
+def _hypersingular(
+    f: FunctionModel, space: Space, kernel, lo: float, x, spec: QuadratureSpec,
+    omega: Optional[Modulus],
+) -> Estimate:
+    """``integral over rho(u) >= lo of (f(x) - f(x+u)) P(rho(u)) d(mu)`` (x
+    the origin if ``None``), the dispatch of both singular integrals: lattice
+    sum, radial form at the origin, else Monte Carlo over the tail ``rho(u) >=
+    s = lo`` on the stream ``spec.seed`` (a power law's radii Pareto of index
+    ``beta/2``: a bounded weight, no cutoff).  For ``lo = 0``, ``s`` is the
+    support radius of ``f`` (1 if none), and the singular part inside it is
+    added, sampled by ``omega``'s first piece on the stream ``spec.seed + 1``."""
+    xv = space.origin().astype(np.float64) if x is None else np.asarray(x, dtype=np.float64)
+    if space.is_lattice:
+        return _hyp_lattice_sum(f, space, kernel, xv, max(1, math.ceil(lo)))
+    if "radial_pieces" in f.meta and not np.any(xv):
+        return _hyp_radial_origin(f, space, kernel, lo)
+    s = lo or f.support_radius or 1.0
+    n = spec.mc_samples
+    rng = np.random.default_rng(spec.seed)
+    upper = kernel.support_radius
+    if isinstance(kernel, PowerLawKernel):
+        q = kernel.beta / 2.0
+        t = s * rng.uniform(0.0, 1.0, n) ** (-1.0 / q)
+        tail = _hyp_mc(f, space, kernel, xv, t, q * s**q * t ** (-q - 1.0), rng)
+    elif upper > s:
+        t = rng.uniform(s, upper, n)
+        tail = _hyp_mc(f, space, kernel, xv, t, np.full(n, 1.0 / (upper - s)), rng)
+    else:
+        tail = Estimate(0.0, MONTE_CARLO, 0.0)
+    if lo > 0:
+        return tail
+    rng = np.random.default_rng(spec.seed + 1)
+    if isinstance(kernel, PowerLawKernel):
+        eta = _first_piece_exponent(omega) - kernel.beta
+        t = s * rng.uniform(0.0, 1.0, n) ** (1.0 / eta)
+        dens = eta * t ** (eta - 1.0) / s**eta
+    else:
+        t = rng.uniform(0.0, s, n)
+        dens = np.full(n, 1.0 / s)
+    singular = _hyp_mc(f, space, kernel, xv, t, dens, rng)
+    err = math.hypot(singular.error_bound, tail.error_bound)
+    return Estimate(singular.value + tail.value, MONTE_CARLO, err)
 
 
 def hypersingular_truncated(
@@ -770,17 +756,11 @@ def hypersingular_truncated(
 
     The ball around the singularity is removed, so any bounded ``f`` is
     admissible.  Closed form at the origin for radial power pieces against a
-    power-law kernel; exact sums on lattices; Monte Carlo elsewhere.
+    power-law kernel; exact sums on lattices; Monte Carlo elsewhere
+    (``_hypersingular``).
     """
     space.require_valid_radius(h)
-    if spec is None:
-        spec = QuadratureSpec(method=LATTICE_EXACT if space.is_lattice else CLOSED_FORM)
-    xv = space.origin().astype(np.float64) if x is None else np.asarray(x, dtype=np.float64)
-    if space.is_lattice:
-        return _hyp_lattice_sum(f, space, kernel, xv, int(math.ceil(float(h))))
-    if "radial_pieces" in f.meta and not np.any(xv):
-        return _hyp_radial_origin(f, space, kernel, float(h))
-    return _hyp_tail_mc(f, space, kernel, float(h), xv, spec)
+    return _hypersingular(f, space, kernel, float(h), x, spec or QuadratureSpec(), None)
 
 
 def hypersingular_full(
@@ -793,47 +773,18 @@ def hypersingular_full(
     certified smoothness bound: required, along with a modulus that grows
     faster than a power-law kernel blows up.  Away from the origin the
     singular part is sampled inside the support radius of ``f`` (1 if it
-    has none) and the tail beyond it.
+    has none) and the tail beyond it (``_hypersingular``).
     """
     if f.certified_holder_bound is None:
         raise ValueError(
             "the full singular integral needs a certified smoothness bound; "
             "use the truncated operator for merely bounded functions"
         )
-    if isinstance(kernel, PowerLawKernel):
-        if _first_piece_exponent(omega) <= kernel.beta:
-            raise ValueError(
-                "singular part diverges: the modulus exponent must exceed the "
-                "kernel exponent beta"
-            )
-    if spec is None:
-        spec = QuadratureSpec(method=LATTICE_EXACT if space.is_lattice else CLOSED_FORM)
-    xv = space.origin().astype(np.float64) if x is None else np.asarray(x, dtype=np.float64)
-    if space.is_lattice:
-        return _hyp_lattice_sum(f, space, kernel, xv, 1)
-    if "radial_pieces" in f.meta and not np.any(xv):
-        return _hyp_radial_origin(f, space, kernel, 0.0)
-
-    # general point: importance-sampled singular part + Pareto tail
-    s = f.support_radius or 1.0
-    d = space.d
-    rng = np.random.default_rng(spec.seed + 1)
-    n = spec.mc_samples
-    if isinstance(kernel, PowerLawKernel):
-        eta = _first_piece_exponent(omega) - kernel.beta
-        t = s * rng.uniform(0.0, 1.0, n) ** (1.0 / eta)
-        dens = eta * t ** (eta - 1.0) / s**eta
-    else:
-        t = rng.uniform(0.0, s, n)
-        dens = np.full(n, 1.0 / s)
-    u = space.sample_sphere(t, rng)
-    fx = float(f(xv))
-    diff = fx - f(xv[None, :] + u)
-    w = diff * np.asarray(kernel.value(t, d)) * space.sphere_constant * t ** (d - 1) / dens
-    singular = _mc_mean(w)
-    tail = _hyp_tail_mc(f, space, kernel, s, xv, spec)
-    err = math.hypot(singular.error_bound, tail.error_bound)
-    return Estimate(singular.value + tail.value, MONTE_CARLO, err)
+    if isinstance(kernel, PowerLawKernel) and _first_piece_exponent(omega) <= kernel.beta:
+        raise ValueError(
+            "singular part diverges: the modulus exponent must exceed the kernel exponent beta"
+        )
+    return _hypersingular(f, space, kernel, 0.0, x, spec or QuadratureSpec(), omega)
 
 
 # ======================================================================

@@ -198,7 +198,7 @@ def exact_verify(
     if f is not None:
         f = _rational_valued(f)
 
-    offsets = _int_points(space, strict_int_below(hq))
+    offsets = [tuple(u) for u in space.closed_ball(strict_int_below(hq)).tolist()]
     mu = Fraction(len(offsets))
     origin = (0,) * space.d
     i_h = sum(

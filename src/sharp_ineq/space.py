@@ -10,7 +10,8 @@ A space is determined by three numbers:
 ``Space`` is the one place that knows the metric and its measure: the sup
 norm ``rho(u) = max_i |u_i|`` (``norm``, ``distance`` and the exact integer
 ``lattice_distance`` of the Fraction sweeps), the ball measure, the sphere
-constant, the lattice shell counts and sphere sampling.  Balls are open:
+constant, the lattice ball (``closed_ball``), the lattice shell counts and
+sphere sampling.  Balls are open:
 ``B_h(x) = {y : rho(x, y) < h}``.  Both structures are translation invariant
 under the monoid operation (coordinatewise addition), which is what every
 averaging operator in this package relies on.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -73,8 +75,10 @@ def config_integer(value, name: str) -> int:
 
 
 def config_number(value, name: str):
-    """A finite real config field, returned as given; booleans raise ``ValueError``."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+    """A finite real config field, returned as given.  Booleans, ``NaN``,
+    infinities and integers beyond the float range raise ``ValueError``."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
         return value
     raise ValueError(f"bad {name} {value!r}: expected a finite number")
 
@@ -201,12 +205,19 @@ class Space:
         hf = float(h)
         return 2.0 ** (self.d - self.m) * hf**self.d
 
+    def closed_ball(self, k: int) -> np.ndarray:
+        """The lattice points with ``rho(u, 0) <= k`` in C order, shape (N, d):
+        the one ball enumeration of the package (under the sup metric, the
+        box ``{0..k}^m x {-k..k}^(d-m)``)."""
+        return window_points(self, k)
+
     def enumerate_ball(self, h: HLike) -> np.ndarray:
-        """All lattice points of the open ball around the origin, shape (K, d)."""
+        """All lattice points of the open ball around the origin, shape (K, d):
+        ``closed_ball(strict_int_below(h))``."""
         if not self.is_lattice:
             raise ValueError("enumerate_ball is only defined on lattice spaces")
         self.require_valid_radius(h)
-        return window_points(self, strict_int_below(h))
+        return self.closed_ball(strict_int_below(h))
 
     def sample_ball(self, h: HLike, n: int, seed: int) -> np.ndarray:
         """Uniform sample of ``n`` points from the ball around the origin.

@@ -240,6 +240,15 @@ POWER1 = {"kind": "power", "alpha": 1.0}
                     "kernel": {"form": "table", "points": [[1, math.inf]]}}, "finite"),
         ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1],
                     "kernel": {"form": "power_law", "beta": True}}, "beta"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [10**400]}, "finite"),
+        ("stechkin", {"space": LINE, "modulus": POWER1, "n_values": [10**400]}, "finite"),
+        ("verify", {"space": LINE, "modulus": {"kind": "power", "alpha": True},
+                    "h_values": [1]}, "True"),
+        ("constant", {"space": {**LINE, "d": 2}, "modulus": POWER1, "h_values": [1],
+                      "method": "monte_carlo", "mc_samples": 100, "seed": -1}, "'seed'"),
+        ("oracle", {"suites": [{"theorem_id": "nagy", "trials": 2, "seed": -3}]},
+         "suite 'seed'"),
+        ("oracle", {"mc_checks": ["ball_integral"], "seed": -3}, "'seed'"),
     ],
     ids=["verify-negative-h", "constant-negative-h", "lattice-h-1",
          "exact-irrational-alpha", "suite-zero-trials", "constant-bad-seed",
@@ -249,7 +258,8 @@ POWER1 = {"kind": "power", "alpha": 1.0}
          "boolean-seed", "nan-tol", "negative-tol", "infinite-tol", "lattice-infinite-h",
          "exact-infinite-h", "oracle-exact-infinite-h", "boolean-h", "boolean-tol",
          "boolean-n", "string-exact", "number-kernel", "nan-kernel-radius", "nan-kernel-value",
-         "infinite-kernel-value", "boolean-beta"],
+         "infinite-kernel-value", "boolean-beta", "huge-integer-h", "huge-integer-n",
+         "boolean-alpha", "negative-seed", "negative-suite-seed", "negative-mc-checks-seed"],
 )
 def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle):
     cfg = write_cfg(tmp_path, "bad.json", payload)
@@ -257,6 +267,25 @@ def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle)
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and needle in err
     assert out == ""
+
+
+def test_seed_flag_must_be_nonnegative(capsys, line_cfg):
+    code, out, err = run_cli(capsys, ["constant", "--config", line_cfg, "--seed", "-1"])
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and "--seed must be a nonnegative integer" in err
+    assert out == ""
+
+
+def test_alpha_string_reads_as_its_number(capsys, tmp_path):
+    outs = []
+    for alpha in ("1/2", 0.5):
+        payload = {"space": LINE, "modulus": {"kind": "power", "alpha": alpha},
+                   "h_values": [1, "3/2"]}
+        cfg = write_cfg(tmp_path, "a.json", payload)
+        code, out, err = run_cli(capsys, ["verify", "--config", cfg])
+        assert code == EXIT_OK and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

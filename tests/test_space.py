@@ -167,3 +167,19 @@ def test_metric_lives_in_space():
         if any(p.search(line) for p in patterns)
     ]
     assert hits == []
+
+
+def test_radial_quadrature_lives_in_calculus():
+    """Only ``_quad.py`` and ``calculus.py`` call ``adaptive_simpson``: every
+    other radial integral goes through ``calculus.radial_integral``.  No
+    module reads a kernel's node array ``._t``; ``TableKernel.breakpoints``
+    exposes it.  A textual scan, like ``test_metric_lives_in_space``."""
+    src = Path(__file__).resolve().parents[1] / "src" / "sharp_ineq"
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            if "adaptive_simpson(" in line and path.name not in ("_quad.py", "calculus.py"):
+                hits.append(f"{path.name}:{lineno}: {line.strip()}")
+            if re.search(r"kernel\w*\._t\b", line):
+                hits.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert hits == []
