@@ -199,3 +199,116 @@ def test_table_pieces_integral_consistency(om):
     for s0, s1, sigma, p, tau in om.pieces(0.0, hi):
         total += sigma / (p + 1) * (s1 ** (p + 1) - s0 ** (p + 1)) + tau * (s1 - s0)
     assert math.isclose(total, om.antiderivative(hi), rel_tol=1e-11, abs_tol=1e-12)
+
+
+# float.hex of TableModulus.antiderivative, recorded when the trapezoid
+# cumulants were built eagerly in the constructor
+ANTIDERIVATIVE_PINS = [
+    ([(0, 0), (1, Fraction(1, 2)), (3, 1)],
+     ["0x1.47ae147ae147cp-7", "0x1.0000000000000p-4", "0x1.0000000000000p-2",
+      "0x1.4800000000000p+0", "0x1.7000000000000p+2"]),
+    ([(0, 0), (0.75, 0.625), (1.5, 0.96875), (2.25, 1.125)],
+     ["0x1.1111111111111p-6", "0x1.aaaaaaaaaaaaap-4", "0x1.9eaaaaaaaaaabp-2",
+      "0x1.e600000000000p+0", "0x1.bd80000000000p+2"]),
+    ([(0, 0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(5, 7), Fraction(1, 2)),
+      (2, Fraction(5, 7))],
+     ["0x1.47ae147ae147cp-6", "0x1.e000000000000p-4", "0x1.74ae26501bdd2p-2",
+      "0x1.5a1f58d0fac69p+0", "0x1.243eb1a1f58d1p+2"]),
+]
+
+
+@pytest.mark.parametrize("nodes, want", ANTIDERIVATIVE_PINS, ids=["half", "dyadic", "thirds-sevenths"])
+def test_table_antiderivative_pinned_bits(nodes, want):
+    om = TableModulus(nodes)
+    got = [om.antiderivative(t).hex() for t in (0.2, 0.5, 1.0, 2.5, 7.0)]
+    assert got == want
+
+
+def _fraction_slope_check(points):
+    """The table check as it read when written in Fractions: ``None`` when
+    the table is accepted, else the ``ValueError`` message."""
+    pts = [(Fraction(str(t)) if not isinstance(t, Fraction) else t,
+            Fraction(str(w)) if not isinstance(w, Fraction) else w)
+           for t, w in points]
+    for (t0, _), (t1, _) in zip(pts, pts[1:]):
+        if not t1 > t0:
+            return "table nodes need strictly increasing t"
+    for (_, w0), (_, w1) in zip(pts, pts[1:]):
+        if w1 < w0:
+            return "table values must be nondecreasing"
+    slopes = [(w1 - w0) / (t1 - t0) for (t0, w0), (t1, w1) in zip(pts, pts[1:])]
+    for s0, s1 in zip(slopes, slopes[1:]):
+        if s1 > s0:
+            return (
+                "table modulus must be concave (nonincreasing slopes); "
+                "a convex jump breaks semi-additivity"
+            )
+    return None
+
+
+def _seeded_table(rng, kind: int) -> list:
+    """A table from (0, 0) of one of six kinds: 0 dyadic floats, 1 collinear,
+    2 convex jump, 3 non-dyadic rationals (strings, Fractions, decimals),
+    4 slopes perturbed by 1e-30 either way, 5 repeated or decreasing t or w."""
+    n = int(rng.integers(2, 6))
+    if kind == 1:
+        c = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        ts = np.cumsum(rng.integers(1, 7, n)).tolist()
+        den = int(rng.integers(1, 8))
+        return [(0, 0)] + [(Fraction(t, den), c * Fraction(t, den)) for t in ts]
+    if kind == 3:
+        gaps = [Fraction(int(rng.integers(1, 12)), int(rng.choice([3, 7, 9, 10, 21])))
+                for _ in range(n)]
+        slopes = sorted((Fraction(int(rng.integers(0, 12)), int(rng.choice([3, 5, 7, 11])))
+                         for _ in range(n)), reverse=True)
+        if rng.random() < 0.3:
+            i = int(rng.integers(0, n - 1))
+            slopes[i], slopes[i + 1] = slopes[i + 1], slopes[i]
+    else:
+        gaps = rng.uniform(0.1, 1.5, n).tolist()
+        slopes = np.sort(rng.uniform(0.0, 1.0, n))[::-1].tolist()
+        if kind == 2:
+            i = int(rng.integers(0, n - 1))
+            slopes[i + 1] = slopes[i] + float(rng.uniform(1e-6, 0.5))
+        gaps = [Fraction(g) for g in gaps]
+        slopes = [Fraction(s) for s in slopes]
+        if kind == 4:
+            i = int(rng.integers(0, n - 1))
+            slopes[i + 1] = slopes[i] + Fraction(int(rng.choice([-1, 1])), 10**30)
+    pts = [(Fraction(0), Fraction(0))]
+    for g, s in zip(gaps, slopes):
+        pts.append((pts[-1][0] + g, pts[-1][1] + g * s))
+    if kind == 5:
+        i = int(rng.integers(1, n))
+        t, w = pts[i]
+        if rng.random() < 0.5:
+            pts[i + 1] = (t - Fraction(int(rng.integers(0, 2)), 7), pts[i + 1][1])
+        else:
+            pts[i + 1] = (pts[i + 1][0], w - Fraction(int(rng.integers(1, 3)), 9))
+    form = int(rng.integers(0, 3))  # the input types the constructor takes
+    if form == 1:
+        return [(str(t), str(w)) for t, w in pts]
+    if form == 2 and all(t.denominator & (t.denominator - 1) == 0 for t, _ in pts):
+        return [(float(t), w) for t, w in pts]
+    return pts
+
+
+def test_table_check_agrees_with_fraction_slopes():
+    rng = np.random.default_rng(2024)
+    seen = {}
+    for i in range(500):
+        pts = _seeded_table(rng, i % 6)
+        want = _fraction_slope_check(pts)
+        try:
+            TableModulus(pts)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, pts
+        seen[(i % 6, want)] = seen.get((i % 6, want), 0) + 1
+    assert seen[(1, None)] > 50  # collinear nodes are accepted
+    messages = {msg for _, msg in seen}
+    assert len(messages) == 4  # accepted, and each of the three messages
+    assert {msg for kind, msg in seen if kind == 4} == messages - {
+        "table nodes need strictly increasing t", "table values must be nondecreasing"
+    }

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -125,6 +126,18 @@ def test_charge_seminorm_lattice_gather_path(space, h):
     plan = _lattice.sweep_plan(space, radius, k)
     for arr in (plan.base_points, plan.offsets, plan.padded_points, plan.base_idx,
                 plan.lin_offsets):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+@pytest.mark.parametrize("punctured", [False, True])
+def test_sweep_plan_arrays_are_read_only(punctured):
+    # every array a cached plan holds is shared by all its callers
+    plan = _lattice.sweep_plan(lattice(2, 1), 4, 2, punctured)
+    arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
+    assert len(arrays) >= 5 and all(isinstance(a, np.ndarray) for a in arrays)
+    for arr in arrays:
+        assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
 

@@ -299,6 +299,40 @@ def test_random_suite_pinned_digests(tid, seed):
     assert hashlib.sha256(blob).hexdigest() == SUITE_DIGESTS[(tid, seed)]
 
 
+def _random_modulus_fraction_sums(rng, power_only: bool = False):
+    """``oracle._random_modulus`` as it read when it summed its nodes in
+    ``Fraction``s, one float at a time."""
+    if power_only or rng.random() < 0.5:
+        return PowerModulus(float(rng.uniform(0.3, 1.0)))
+    n = int(rng.integers(2, 4))
+    gaps = rng.uniform(0.4, 1.0, n)
+    slopes = np.sort(rng.uniform(0.1, 1.0, n))[::-1]
+    pts = [(Fraction(0), Fraction(0))]
+    t = Fraction(0)
+    w = Fraction(0)
+    for g, s in zip(gaps, slopes):
+        t += Fraction(float(g))
+        w += Fraction(float(g)) * Fraction(float(s))
+        pts.append((t, w))
+    return TableModulus(pts)
+
+
+def test_random_modulus_matches_fraction_sums():
+    tables = 0
+    for seed in range(200):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = oracle._random_modulus(rng_a)
+        want = _random_modulus_fraction_sums(rng_b)
+        assert type(got) is type(want)
+        assert got.to_config() == want.to_config()
+        if isinstance(got, TableModulus):
+            tables += 1
+            assert got._exact == want._exact
+            assert all(type(v) is Fraction for node in got._exact for v in node)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert tables > 80
+
+
 def test_suite_report_json_round_trip():
     rep = oracle.random_suite("mixed_additive", trials=10, seed=1)
     data = rep.to_json()
