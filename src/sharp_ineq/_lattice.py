@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -65,7 +65,9 @@ def window_points(space: Space, radius: int) -> np.ndarray:
 class GatherPlan:
     base_points: np.ndarray      # (N, d) window points
     offsets: np.ndarray          # (K, d) ball/annulus offsets
+    offset_rho: np.ndarray       # (K,) float64 rho(u, 0) of each offset
     padded_points: np.ndarray    # (P, d) every point the sweep touches
+    padded_float: np.ndarray     # (P, d) the same points as float64
     base_idx: np.ndarray         # (N,) flat indices of base points
     lin_offsets: np.ndarray      # (K,) linearized offsets
 
@@ -91,10 +93,13 @@ def make_plan(space: Space, window_radius: int, offsets: np.ndarray) -> GatherPl
     base_idx = (base_points - pad_lo) @ strides
     lin_offsets = offsets @ strides
 
+    padded_points = _box(pad_lo, pad_hi)
     return GatherPlan(
         base_points=base_points,
         offsets=offsets,
-        padded_points=_box(pad_lo, pad_hi),
+        offset_rho=space.norm(offsets),
+        padded_points=padded_points,
+        padded_float=padded_points.astype(np.float64),
         base_idx=base_idx,
         lin_offsets=lin_offsets,
     )
@@ -114,12 +119,12 @@ def sweep_plan(space: Space, window_radius: int, k: int, punctured: bool = False
     if punctured:
         offsets = offsets[space.norm(offsets) >= 1]
     plan = make_plan(space, window_radius, offsets)
-    for arr in (plan.base_points, plan.offsets, plan.padded_points, plan.base_idx, plan.lin_offsets):
-        arr.flags.writeable = False
+    for field in fields(plan):
+        getattr(plan, field.name).flags.writeable = False
     return plan
 
 
 def evaluate_padded(plan: GatherPlan, evaluator) -> np.ndarray:
     """Evaluate a batch evaluator on the plan's padded points (float64 flat)."""
-    vals = np.asarray(evaluator(plan.padded_points.astype(np.float64)), dtype=np.float64)
+    vals = np.asarray(evaluator(plan.padded_float), dtype=np.float64)
     return np.ascontiguousarray(vals.ravel())

@@ -128,10 +128,11 @@ def _integer(value, name: str) -> int:
 
 
 def _seed(flag: Optional[int], value, name: str) -> int:
-    """The RNG seed: the ``--seed`` flag when given, else the config ``value``;
-    a nonnegative integer, as numpy's generators need."""
+    """The RNG seed: the ``--seed`` flag when given (``main`` has checked
+    it), else the config ``value``; a nonnegative integer, as numpy's
+    generators need."""
     if flag is not None:
-        value, name = flag, "--seed"
+        return flag
     seed = _integer(value, name)
     if seed < 0:
         raise ConfigError(f"{name} must be a nonnegative integer, got {seed}")
@@ -439,6 +440,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # checked here, not where a seed is read: a run that reads none
+        # (an exact-only oracle config) must refuse it too
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
         cfg = _load_config(args.config)
         text, code = _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

@@ -20,6 +20,8 @@ reports violations instead of raising, so any gauge with a vectorized
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -118,9 +120,11 @@ class TableModulus(Modulus):
     ----------
     points : sequence of (t, w) pairs
         Must start at (0, 0) with strictly increasing ``t`` and nondecreasing
-        ``w``, and be concave (nonincreasing chord slopes, checked exactly in
-        ``Fraction``s): the constructive guarantee of semi-additivity.
-        Values past the last node are held constant.
+        ``w``, and be concave (nonincreasing chord slopes): the constructive
+        guarantee of semi-additivity.  The nodes are checked exactly, as
+        integers over a common denominator of the ``t`` (and of the ``w``),
+        with slopes compared by cross-multiplication.  Values past the last
+        node are held constant.
     """
 
     def __init__(self, points: Sequence[Sequence[Real]]):
@@ -131,27 +135,36 @@ class TableModulus(Modulus):
             raise ValueError("table modulus needs at least two nodes")
         if pts[0] != (0, 0):
             raise ValueError("table modulus must start at (0, 0)")
-        for (t0, _), (t1, _) in zip(pts, pts[1:]):
-            if not t1 > t0:
-                raise ValueError("table nodes need strictly increasing t")
-        for (_, w0), (_, w1) in zip(pts, pts[1:]):
-            if w1 < w0:
-                raise ValueError("table values must be nondecreasing")
-        slopes = [(w1 - w0) / (t1 - t0) for (t0, w0), (t1, w1) in zip(pts, pts[1:])]
-        for s0, s1 in zip(slopes, slopes[1:]):
-            if s1 > s0:
-                raise ValueError(
-                    "table modulus must be concave (nonincreasing slopes); "
-                    "a convex jump breaks semi-additivity"
-                )
+        t_den = math.lcm(*(t.denominator for t, _ in pts))
+        w_den = math.lcm(*(w.denominator for _, w in pts))
+        ts = [t.numerator * (t_den // t.denominator) for t, _ in pts]
+        ws = [w.numerator * (w_den // w.denominator) for _, w in pts]
+        dt = [t1 - t0 for t0, t1 in zip(ts, ts[1:])]
+        dw = [w1 - w0 for w0, w1 in zip(ws, ws[1:])]
+        if min(dt) <= 0:
+            raise ValueError("table nodes need strictly increasing t")
+        if min(dw) < 0:
+            raise ValueError("table values must be nondecreasing")
+        # slope dw1/dt1 > dw0/dt0, cross-multiplied over the positive gaps
+        if any(dw1 * dt0 > dw0 * dt1 for dw0, dw1, dt0, dt1 in zip(dw, dw[1:], dt, dt[1:])):
+            raise ValueError(
+                "table modulus must be concave (nonincreasing slopes); "
+                "a convex jump breaks semi-additivity"
+            )
         self._exact = pts
-        self._t = np.array([float(t) for t, _ in pts], dtype=np.float64)
-        self._w = np.array([float(w) for _, w in pts], dtype=np.float64)
-        # cumulative exact integrals at the nodes (trapezoids)
+        # int / int is correctly rounded, so these are float() of the nodes
+        self._t = np.array([t / t_den for t in ts], dtype=np.float64)
+        self._w = np.array([w / w_den for w in ws], dtype=np.float64)
+
+    @functools.cached_property
+    def _cum(self) -> list:
+        """Exact integrals of the modulus from 0 to each node (trapezoids),
+        built on the first ``antiderivative`` call, their only reader."""
+        pts = self._exact
         cum = [Fraction(0)]
         for (t0, w0), (t1, w1) in zip(pts, pts[1:]):
             cum.append(cum[-1] + (t1 - t0) * (w0 + w1) / 2)
-        self._cum = cum
+        return cum
 
     def __call__(self, t):
         tv = np.asarray(t, dtype=np.float64)

@@ -513,8 +513,10 @@ def kernel_ball_mass(
     d = space.d
 
     if space.is_lattice:
-        rho = space.norm(space.enumerate_ball(h))
-        rho = rho[rho > 0]  # omega(0) * P(0) is 0 * inf; the origin contributes nothing
+        # rho over the ball without its origin (omega(0) * P(0) is 0 * inf and
+        # contributes nothing), in enumerate_ball order: the cached plan of a
+        # one-point window swept by the punctured ball
+        rho = _lattice.sweep_plan(space, 0, strict_int_below(h), punctured=True).offset_rho
         vals = np.asarray(omega(rho)) * np.asarray(kernel.value(rho, d))
         return Estimate(float(vals.sum()), LATTICE_EXACT, 0.0)
 

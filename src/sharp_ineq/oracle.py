@@ -10,9 +10,10 @@ extremal constructors stamp on their outputs:
   zero gap is a machine-checked identity, not a small float.
 
 * ``random_suite`` throws randomized certified-smooth functions (maxima of
-  truncated cones) at an inequality and counts violations.  Sweeps run on
-  cached gather plans, so a thousand trials of any suite cost well under a
-  second.
+  truncated cones) at an inequality and counts violations.  It draws the
+  inputs of every trial first, in one pass over the seeded generator, then
+  evaluates them: trials that share a cached gather plan are swept as one
+  array, so a thousand trials of any suite cost well under a second.
 
 * ``mc_cross_check`` re-derives each closed-form quantity by plain Monte
   Carlo and reports the discrepancy in standard errors.
@@ -308,6 +309,18 @@ class ConeFunctionSpec:
         }
 
 
+def _cone_support(omega: Modulus, lam: float, heights, center_norms) -> Optional[float]:
+    """Radius beyond which every cone is 0: the largest
+    ``rho(p_i, 0) + omega^{-1}(c_i / lam)``, or ``None`` if a cone never
+    reaches 0."""
+    if lam <= 0:
+        return None
+    radii = [omega.inverse(c / lam) for c in heights]
+    if not all(math.isfinite(r) for r in radii):
+        return None
+    return max(n + r for n, r in zip(center_norms, radii))
+
+
 def make_cone_function(space: Space, omega: Modulus, spec: ConeFunctionSpec) -> FunctionModel:
     centers = np.asarray(spec.centers, dtype=np.float64).reshape(-1, space.d)
     heights = np.asarray(spec.heights, dtype=np.float64)
@@ -322,21 +335,14 @@ def make_cone_function(space: Space, omega: Modulus, spec: ConeFunctionSpec) -> 
     def evaluator(pts: np.ndarray) -> np.ndarray:
         return _kernels.cone_eval(pts, centers, heights, lam, omega, space)
 
-    if lam > 0:
-        radii = [omega.inverse(c / lam) for c in heights]
-        support = None
-        if all(math.isfinite(r) for r in radii):
-            support = float(
-                max(space.norm(c) + r for c, r in zip(centers, radii))
-            )
-    else:
-        support = None
     return FunctionModel(
         name=f"cones[k={len(heights)}]",
         evaluator=evaluator,
         certified_holder_bound=lam,
         certified_sup_norm=float(heights.max()),
-        support_radius=support,
+        support_radius=_cone_support(
+            omega, lam, heights.tolist(), space.norm(centers).tolist()
+        ),
     )
 
 
@@ -365,121 +371,201 @@ class SuiteReport:
         }
 
 
+_ADDITIVE = ("lemma1", "nagy", "nagy_l1", "sobolev", "charge")
+_ADDITIVE_SPACE = lattice(2, 1)
+_HYPERSINGULAR_SPACE = lattice(1, 0)
+
+
 def _random_modulus(rng, power_only: bool = False) -> Modulus:
     if power_only or rng.random() < 0.5:
         return PowerModulus(float(rng.uniform(0.3, 1.0)))
     n = int(rng.integers(2, 4))
-    gaps = rng.uniform(0.4, 1.0, n)
-    slopes = np.sort(rng.uniform(0.1, 1.0, n))[::-1]
+    gaps = rng.uniform(0.4, 1.0, n).tolist()
+    slopes = np.sort(rng.uniform(0.1, 1.0, n))[::-1].tolist()
+    # Floats are dyadic rationals: the nodes are exact integer sums over
+    # the largest denominator, a power of two all the others divide.
+    g_ratios = [g.as_integer_ratio() for g in gaps]
+    s_ratios = [s.as_integer_ratio() for s in slopes]
+    den = max(q for _, q in g_ratios + s_ratios)
     pts = [(Fraction(0), Fraction(0))]
-    t = Fraction(0)
-    w = Fraction(0)
-    for g, s in zip(gaps, slopes):
-        t += Fraction(float(g))
-        w += Fraction(float(g)) * Fraction(float(s))
-        pts.append((t, w))
+    t = w = 0
+    for (gp, gq), (sp, sq) in zip(g_ratios, s_ratios):
+        g = gp * (den // gq)
+        t += g
+        w += g * sp * (den // sq)
+        pts.append((Fraction(t, den), Fraction(w, den * den)))
     return TableModulus(pts)
 
 
-def _random_cone_spec(space: Space, omega: Modulus, rng) -> ConeFunctionSpec:
+def _draw_cones(space: Space, rng) -> tuple[float, tuple, list]:
+    """The random part of a cone function: slope ``lam``, integer centers in
+    the space, and for each cone the integer radius at which it reaches 0."""
     k = int(rng.integers(1, 4))
     lam = float(rng.uniform(0.5, 2.0))
     centers = []
-    heights = []
+    radii = []
     for _ in range(k):
         c = [int(rng.integers(0, 4)) if i < space.m else int(rng.integers(-3, 4))
              for i in range(space.d)]
-        r = int(rng.integers(1, 5))
-        height = lam * float(omega(float(r)))
-        if omega.is_bounded():
-            # keep strictly below the plateau so the cone provably hits zero
-            height = min(height, lam * omega.max_value * (1.0 - 1e-9))
+        radii.append(float(rng.integers(1, 5)))
         centers.append(tuple(float(v) for v in c))
-        heights.append(height)
-    return ConeFunctionSpec(centers=tuple(centers), heights=tuple(heights), lam=lam)
+    return lam, tuple(centers), radii
 
 
-def _lattice_sweep(f: FunctionModel, space: Space, h: float):
-    """Exact lattice sup / seminorm / L1 / averaging-deviation of a
-    compactly supported function, via one padded gather plan."""
-    k = strict_int_below(h)
-    radius = int(math.ceil(f.support_radius)) + k + 1
-    plan = _lattice.sweep_plan(space, radius, k)
-    padded = _lattice.evaluate_padded(plan, f.evaluator)
-    mu = float(len(plan.offsets))
-    ball = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets)
-    base_vals = padded[plan.base_idx]
-    return {
-        "sup": float(np.max(np.abs(padded))),
-        "sem": float(np.max(np.abs(ball))),
-        "l1": float(np.sum(np.abs(padded))),
-        "dev": float(np.max(np.abs(base_vals - ball / mu))),
-        "mu": mu,
-    }
+def _cone_spec(omega: Modulus, lam: float, centers: tuple, radii: list) -> ConeFunctionSpec:
+    """Cones of slope ``lam`` that reach 0 at the drawn radii: heights
+    ``lam * omega(r)``, from one ``omega`` call."""
+    heights = lam * np.asarray(omega(np.asarray(radii)), dtype=np.float64)
+    if omega.is_bounded():
+        # keep strictly below the plateau so the cone provably hits zero
+        heights = np.minimum(heights, lam * omega.max_value * (1.0 - 1e-9))
+    return ConeFunctionSpec(centers=centers, heights=tuple(heights.tolist()), lam=lam)
 
 
-def _suite_trial_additive(theorem_id: str, rng) -> tuple[float, float, dict]:
-    space = lattice(2, 1)
+def _random_cone_spec(space: Space, omega: Modulus, rng) -> ConeFunctionSpec:
+    return _cone_spec(omega, *_draw_cones(space, rng))
+
+
+class _Cones:
+    """The cone functions of every trial of a suite, from each trial's
+    modulus and ``_draw_cones`` draw: their specs, their centers and heights
+    as flat arrays (one ``space.norm`` call for all centers), and each
+    trial's support radius."""
+
+    def __init__(self, space: Space, omegas: list, draws: list):
+        self.space = space
+        self.omegas = omegas
+        self.specs = specs = [_cone_spec(omega, *d) for omega, d in zip(omegas, draws)]
+        self.centers = np.array([c for s in specs for c in s.centers], dtype=np.float64)
+        self.heights = np.array([c for s in specs for c in s.heights], dtype=np.float64)
+        self.start = np.cumsum([0] + [len(s.heights) for s in specs]).tolist()
+        norms = space.norm(self.centers).tolist()
+        self.support = [
+            _cone_support(omega, s.lam, s.heights, norms[a:b])
+            for omega, s, a, b in zip(omegas, specs, self.start, self.start[1:])
+        ]
+
+    def values(self, i: int, plan: _lattice.GatherPlan) -> np.ndarray:
+        """Trial ``i``'s cone function on the plan's padded box (flat)."""
+        a, b = self.start[i], self.start[i + 1]
+        return _kernels.cone_eval(
+            plan.padded_float, self.centers[a:b], self.heights[a:b], self.specs[i].lam,
+            self.omegas[i], self.space,
+        )
+
+
+def _draw_additive(rng) -> tuple:
     omega = _random_modulus(rng)
     h = float(rng.uniform(1.2, 3.0))
-    spec = _random_cone_spec(space, omega, rng)
-    f = make_cone_function(space, omega, spec)
-    sweep = _lattice_sweep(f, space, h)
-    lam = f.certified_holder_bound
-    i_h = ball_integral_of_modulus(space, omega, h).value
-    term1 = lam * i_h / sweep["mu"]
-    if theorem_id == "lemma1":
-        lhs, term2 = sweep["dev"], 0.0
-    elif theorem_id == "nagy":
-        lhs, term2 = sweep["sup"], sweep["sem"] / sweep["mu"]
-    elif theorem_id == "nagy_l1":
-        lhs, term2 = sweep["sup"], sweep["l1"] / sweep["mu"]
-    elif theorem_id == "sobolev":
-        # constant upper gradient lam/2; term1 = 2 * (lam/2) * I/mu unchanged
-        lhs, term2 = sweep["sup"], sweep["sem"] / sweep["mu"]
-    elif theorem_id == "charge":
-        nu = ChargeModel(density=f)
-        sem = charge_seminorm(
-            nu, space, h, window_radius=math.ceil(f.support_radius) + strict_int_below(h) + 1
-        )
-        lhs, term2 = sweep["sup"], sem / sweep["mu"]
-    else:
-        raise AssertionError(theorem_id)
-    rhs = term1 + term2
-    case = {"modulus": omega.to_config(), "h": h, "cones": spec.describe()}
-    return rhs - lhs, rhs, case
+    return omega, h, _draw_cones(_ADDITIVE_SPACE, rng)
 
 
-def _suite_trial_hypersingular(rng) -> tuple[float, float, dict]:
-    space = lattice(1, 0)
+def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[[int], dict]]:
+    """Gaps and right sides of the additive bounds on ``lattice(2, 1)``.
+
+    Trials sharing a sweep plan are evaluated together: one ``(T, P)``
+    array of function values on the padded box, per-trial ball sums, and
+    the maxima taken over all rows at once.  Every number is the one a
+    trial-by-trial sweep gives: maxima and elementwise arithmetic do not
+    depend on how the rows are grouped, and each row sum is the sum of a
+    contiguous row.
+    """
+    space = _ADDITIVE_SPACE
+    cones = _Cones(space, [omega for omega, _, _ in draws], [c for _, _, c in draws])
+    specs = cones.specs
+    groups: dict = {}
+    for i, ((_, h, _), support) in enumerate(zip(draws, cones.support)):
+        k = strict_int_below(h)
+        groups.setdefault((int(math.ceil(support)) + k + 1, k), []).append(i)
+
+    gaps = np.empty(len(draws))
+    rhss = np.empty(len(draws))
+    for (radius, k), idx in groups.items():
+        plan = _lattice.sweep_plan(space, radius, k)
+        mu = float(len(plan.offsets))
+        vals = np.stack([cones.values(i, plan) for i in idx])
+        lam = np.array([specs[i].lam for i in idx])
+        # I(h) over the plan's ball, which is enumerate_ball(h) in its order
+        i_h = np.array([np.sum(cones.omegas[i](plan.offset_rho)) for i in idx])
+        term1 = lam * i_h / mu
+        if theorem_id in ("lemma1", "nagy", "sobolev"):
+            ball = np.stack([_kernels.ball_sums(v, plan.base_idx, plan.lin_offsets) for v in vals])
+        if theorem_id == "lemma1":
+            lhs = np.abs(vals[:, plan.base_idx] - ball / mu).max(axis=1)
+            term2 = 0.0
+        else:
+            lhs = np.abs(vals).max(axis=1)
+            if theorem_id == "nagy_l1":
+                term2 = np.sum(np.abs(vals), axis=1) / mu
+            elif theorem_id == "charge":
+                # the independent side: the library's charge gather of each
+                # trial's own cone function
+                sem = []
+                for i in idx:
+                    omega, h, _ = draws[i]
+                    nu = ChargeModel(density=make_cone_function(space, omega, specs[i]))
+                    sem.append(charge_seminorm(nu, space, h, window_radius=radius))
+                term2 = np.array(sem) / mu
+            else:
+                # nagy; sobolev with the constant upper gradient lam/2, for
+                # which term1 = 2 * (lam/2) * I/mu is unchanged
+                term2 = np.abs(ball).max(axis=1) / mu
+        rhs = term1 + term2
+        rhss[idx] = rhs
+        gaps[idx] = rhs - lhs
+
+    def case(i: int) -> dict:
+        omega, h, _ = draws[i]
+        return {"modulus": omega.to_config(), "h": h, "cones": specs[i].describe()}
+
+    return gaps.tolist(), rhss.tolist(), case
+
+
+def _draw_hypersingular(rng) -> tuple:
     omega = _random_modulus(rng)
     h = float(rng.uniform(1.2, 3.0))
     kernel = PowerLawKernel(
         beta=float(rng.uniform(0.2, 0.9)), cutoff=float(rng.uniform(20.0, 40.0))
     )
-    spec = _random_cone_spec(space, omega, rng)
-    f = make_cone_function(space, omega, spec)
-    lam = f.certified_holder_bound
+    return omega, h, kernel, _draw_cones(_HYPERSINGULAR_SPACE, rng)
 
-    cut = int(math.floor(kernel.cutoff))
-    radius = int(math.ceil(f.support_radius)) + cut + 1
-    plan = _lattice.sweep_plan(space, radius, cut, punctured=True)
-    weights = np.asarray(kernel.value(space.norm(plan.offsets), space.d))
-    padded = _lattice.evaluate_padded(plan, f.evaluator)
-    weighted = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets, weights)
-    vals = padded[plan.base_idx] * weights.sum() - weighted
-    lhs = float(np.max(np.abs(vals)))
 
-    a_h = kernel_ball_mass(space, omega, kernel, h).value
-    t_h = kernel_tail_mass(space, kernel, h).value
-    rhs = lam * a_h + 2.0 * f.certified_sup_norm * t_h
-    case = {
-        "modulus": omega.to_config(),
-        "h": h,
-        "kernel": kernel.to_config(),
-        "cones": spec.describe(),
-    }
-    return rhs - lhs, rhs, case
+def _hypersingular_suite(draws: list) -> tuple[list, list, Callable[[int], dict]]:
+    """Gaps and right sides of the truncated hypersingular bound on
+    ``lattice(1, 0)``: the operator as weighted ball sums over the kernel's
+    annulus, against ``lam A(h) + 2 sup|f| T(h)``."""
+    space = _HYPERSINGULAR_SPACE
+    cones = _Cones(space, [omega for omega, _, _, _ in draws], [c for _, _, _, c in draws])
+    specs = cones.specs
+    gaps = []
+    rhss = []
+    for i, (omega, h, kernel, _) in enumerate(draws):
+        lam = specs[i].lam
+        cut = int(math.floor(kernel.cutoff))
+        radius = int(math.ceil(cones.support[i])) + cut + 1
+        plan = _lattice.sweep_plan(space, radius, cut, punctured=True)
+        weights = np.asarray(kernel.value(plan.offset_rho, space.d))
+        padded = cones.values(i, plan)
+        weighted = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets, weights)
+        vals = padded[plan.base_idx] * weights.sum() - weighted
+        lhs = float(np.max(np.abs(vals)))
+
+        a_h = kernel_ball_mass(space, omega, kernel, h).value
+        t_h = kernel_tail_mass(space, kernel, h).value
+        rhs = lam * a_h + 2.0 * max(specs[i].heights) * t_h
+        gaps.append(rhs - lhs)
+        rhss.append(rhs)
+
+    def case(i: int) -> dict:
+        omega, h, kernel, _ = draws[i]
+        return {
+            "modulus": omega.to_config(),
+            "h": h,
+            "kernel": kernel.to_config(),
+            "cones": specs[i].describe(),
+        }
+
+    return gaps, rhss, case
 
 
 def _suite_trial_mixed(theorem_id: str, rng) -> tuple[float, float, dict]:
@@ -527,6 +613,13 @@ def random_suite(theorem_id: str, trials: int = 1000, seed: int = 1) -> SuiteRep
     factor masses) and the right side from a certified upper bound on the
     smoothness constant, so a negative gap beyond tolerance is a genuine
     counterexample, never sampling noise.  Deterministic per seed.
+
+    The lattice suites draw the inputs of all trials first, in one pass over
+    the seeded generator, and then evaluate them.  No evaluation draws a
+    random number, so each trial sees the numbers it would see drawn and
+    evaluated one at a time, and the evaluation is free to batch trials
+    that share a sweep plan.  The mixed suites, closed products with no
+    sweep to share, draw and evaluate one trial at a time.
     """
     from .operators import EQUALITY_TOLS, THEOREM_IDS
 
@@ -535,20 +628,24 @@ def random_suite(theorem_id: str, trials: int = 1000, seed: int = 1) -> SuiteRep
     if trials <= 0:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
+    if theorem_id in _ADDITIVE:
+        draws = [_draw_additive(rng) for _ in range(trials)]
+        gaps, rhss, case = _additive_suite(theorem_id, draws)
+    elif theorem_id == "hypersingular":
+        draws = [_draw_hypersingular(rng) for _ in range(trials)]
+        gaps, rhss, case = _hypersingular_suite(draws)
+    else:
+        gaps, rhss, cases = zip(*(_suite_trial_mixed(theorem_id, rng) for _ in range(trials)))
+        case = cases.__getitem__
+
     tol = EQUALITY_TOLS[theorem_id]
     min_gap = math.inf
-    worst: dict = {}
+    worst = None
     violations = 0
-    for i in range(trials):
-        if theorem_id in ("lemma1", "nagy", "nagy_l1", "sobolev", "charge"):
-            gap, rhs, case = _suite_trial_additive(theorem_id, rng)
-        elif theorem_id == "hypersingular":
-            gap, rhs, case = _suite_trial_hypersingular(rng)
-        else:
-            gap, rhs, case = _suite_trial_mixed(theorem_id, rng)
+    for i, (gap, rhs) in enumerate(zip(gaps, rhss)):
         if gap < min_gap:
             min_gap = gap
-            worst = {"trial": i, "gap": gap, **case}
+            worst = i
         if gap < -tol * max(1.0, abs(rhs)):
             violations += 1
     return SuiteReport(
@@ -556,7 +653,7 @@ def random_suite(theorem_id: str, trials: int = 1000, seed: int = 1) -> SuiteRep
         trials=trials,
         violations=violations,
         min_gap=min_gap,
-        worst_case=worst,
+        worst_case={} if worst is None else {"trial": worst, "gap": min_gap, **case(worst)},
         seed=seed,
     )
 

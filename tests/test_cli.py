@@ -276,6 +276,18 @@ def test_seed_flag_must_be_nonnegative(capsys, line_cfg):
     assert out == ""
 
 
+def test_seed_flag_checked_when_no_seed_is_read(capsys, tmp_path):
+    # an exact-only oracle config draws no random number, and still refuses
+    payload = {"exact": [{"theorem_id": "nagy", "space": ZZ, "modulus": POWER1, "h": "3/2"}]}
+    cfg = write_cfg(tmp_path, "exact_only.json", payload)
+    code, out, _ = run_cli(capsys, ["oracle", "--config", cfg])
+    assert code == EXIT_OK and out
+    code, out, err = run_cli(capsys, ["oracle", "--config", cfg, "--seed", "-1"])
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and "--seed must be a nonnegative integer" in err
+    assert out == ""
+
+
 def test_alpha_string_reads_as_its_number(capsys, tmp_path):
     outs = []
     for alpha in ("1/2", 0.5):

@@ -300,11 +300,14 @@ def test_table_check_agrees_with_fraction_slopes():
         pts = _seeded_table(rng, i % 6)
         want = _fraction_slope_check(pts)
         try:
-            TableModulus(pts)
+            om = TableModulus(pts)
             got = None
         except ValueError as exc:
             got = str(exc)
         assert got == want, pts
+        if got is None:  # the float nodes are float() of the exact ones
+            assert om._t.tolist() == [float(t) for t, _ in om._exact]
+            assert om._w.tolist() == [float(w) for _, w in om._exact]
         seen[(i % 6, want)] = seen.get((i % 6, want), 0) + 1
     assert seen[(1, None)] > 50  # collinear nodes are accepted
     messages = {msg for _, msg in seen}
