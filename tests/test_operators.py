@@ -134,8 +134,12 @@ def test_charge_seminorm_lattice_gather_path(space, h):
 def test_sweep_plan_arrays_are_read_only(punctured):
     # every array a cached plan holds is shared by all its callers
     plan = _lattice.sweep_plan(lattice(2, 1), 4, 2, punctured)
-    arrays = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
-    assert len(arrays) >= 5 and all(isinstance(a, np.ndarray) for a in arrays)
+    names = [f.name for f in dataclasses.fields(plan)]
+    assert {"padded_points", "padded_float", "offsets", "offset_rho"} <= set(names)
+    arrays = [getattr(plan, name) for name in names]
+    assert all(isinstance(a, np.ndarray) for a in arrays)
+    assert plan.padded_float.dtype == np.float64
+    assert np.array_equal(plan.padded_float, plan.padded_points)
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
