@@ -36,7 +36,6 @@ from .extremals import (
     make_f_e_omega,
     make_f_eh,
     make_f_omega,
-    make_g_eh,
     sobolev_extremal_pair,
     split_point_a,
 )

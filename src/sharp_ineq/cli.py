@@ -37,6 +37,7 @@ from .modulus import Modulus, from_config as modulus_from_config
 from .operators import (
     THEOREM_IDS,
     InequalityReport,
+    inapplicable,
     kernel_from_config,
     modulus_label,
     stechkin_curve,
@@ -254,7 +255,9 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
         raise ConfigError(f"'exact' must be true or false, got {exact!r}")
     theorems = cfg.get("theorems")
     if theorems is None:
-        theorems = list(EXACT_THEOREMS) if exact else list(THEOREM_IDS)
+        # every theorem stated on this space and modulus
+        candidates = EXACT_THEOREMS if exact else THEOREM_IDS
+        theorems = [tid for tid in candidates if inapplicable(tid, space, omega) is None]
     if not isinstance(theorems, list) or not theorems:
         raise ConfigError("'theorems' must be a nonempty list of theorem ids")
     for tid in theorems:
@@ -262,6 +265,9 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
             raise ConfigError(f"unknown theorem id {tid!r}; expected one of {THEOREM_IDS}")
         if exact and tid not in EXACT_THEOREMS:
             raise ConfigError(f"exact mode covers {EXACT_THEOREMS}, not {tid!r}")
+        reason = inapplicable(tid, space, omega)
+        if reason is not None:
+            raise ConfigError(f"theorem {tid!r} does not apply here: {reason}")
     if exact and not space.is_lattice:
         raise ConfigError("exact mode runs on lattice spaces")
     if exact:

@@ -8,8 +8,8 @@ Families
     Uniform norm ``omega(h)``, smoothness constant 1, and both the
     window-h seminorm and the L1 norm equal
     ``omega(h) * mu(B_h) - I(h)``.  Saturates the averaged-oscillation
-    bounds and the L1 variant, and is the mixed derivative of the iterated
-    extremals below.
+    bounds and the L1 variant, and is the mixed derivative of the mixed
+    extremal below.
 
 ``make_f_omega(space, omega, c, sign)``
     ``c + sign * omega(rho(x, 0))``: smoothness constant exactly 1,
@@ -19,12 +19,19 @@ Families
     ``omega(rho) - omega(h)/2`` inside the h-ball, ``omega(h)/2`` outside;
     the two-sided witness for the truncated singular-kernel bound.
 
-``make_g_eh(omega, h, d)`` (all-lines space) and ``make_G_eh(omega, h, d)``
-    (one half-line coordinate) integrate ``f_eh`` once along every
-    coordinate, so their mixed derivative is ``f_eh`` itself.  ``G`` starts
-    its first-coordinate integration at the median split point ``a`` that
-    bisects the mass of ``(omega(h) - omega(rho))`` across the hyperplane
-    ``x_1 = a``, which is exactly what makes its uniform norm minimal.
+``make_G_eh(space, omega, h)`` (continuum only)
+    The corner-sign average of iterated bump integrals on
+    ``R_+^m x R^(d-m)``, for every ``0 <= m <= d``.  Its mixed derivative is
+    ``f_eh``, and its values at the ``2^d`` corners of the box
+    ``[0,h]^m x [-h,h]^(d-m)`` alternate at ``+-sup|G|``, so both mixed
+    bounds hold with equality.  For ``d = 2`` this is the theorem of
+    Rivlin and Sibner (Amer. Math. Monthly, 1965): a function with
+    ``F_xy >= 0`` is approximated by ``phi(x) + psi(y)`` with error a quarter
+    of its corner difference.
+
+``split_point_a(omega, h, d)`` solves for the hyperplane ``x_1 = a`` that
+bisects the bump mass on the one-half-line box; the Monte Carlo cross-checks
+read it, no extremal does.
 
 Every constructor attaches certified metadata evaluated in closed form from
 ``(omega, h, space)`` at construction time, so parameter sweeps stay exact.
@@ -32,7 +39,7 @@ Every constructor attaches certified metadata evaluated in closed form from
 The iterated integrals are evaluated without nested quadrature: integrating
 a function of ``max_i u_i`` over a box reduces, through the distribution
 function of the max, to a single 1-D Stieltjes integral whose integrand is
-piecewise ``t**p``; ``_box_mass`` sums those pieces exactly.
+piecewise ``t**p``; ``_box_mass_orthant`` sums those pieces exactly.
 """
 
 from __future__ import annotations
@@ -43,11 +50,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as _npoly
 
 from .calculus import Estimate, FunctionModel, ball_integral_of_modulus, constant_model
 from .modulus import Modulus
-from .space import Space, continuum
+from .space import Space
 
 
 # ======================================================================
@@ -89,13 +95,13 @@ def _box_mass_orthant(
     total = 0.0
     for s0, s1 in zip(cuts, cuts[1:]):
         mid = 0.5 * (s0 + s1)
-        coeffs = np.array([1.0])
+        coeffs = [1.0]  # V on this segment, lowest degree first
         for a, b in clipped:
-            if mid < b:
-                coeffs = _npoly.polymul(coeffs, np.array([-a, 1.0]))
+            if mid < b:  # times (t - a)
+                coeffs = [c * -a + low for c, low in zip(coeffs + [0.0], [0.0] + coeffs)]
             else:
-                coeffs = coeffs * (b - a)
-        deriv = _npoly.polyder(coeffs)
+                coeffs = [c * (b - a) for c in coeffs]
+        deriv = [k * c for k, c in enumerate(coeffs)][1:]
         for p0, p1, sigma, p, tau in omega.pieces(s0, s1):
             for k, ck in enumerate(deriv):
                 if ck == 0.0:
@@ -129,13 +135,6 @@ def bump_box_integral(
     return sum(
         _box_mass_orthant(omega, h, combo)
         for combo in itertools.product(*parts_per_coord)
-    )
-
-
-def _box_mass(omega: Modulus, h: float, l1: float, u1: float, rest: Sequence[float]) -> float:
-    """Orthant box mass with explicit first-coordinate range (iterated-integral form)."""
-    return _box_mass_orthant(
-        omega, h, [(float(l1), float(u1))] + [(0.0, float(b)) for b in rest]
     )
 
 
@@ -258,50 +257,8 @@ def make_f_e_omega(space: Space, omega: Modulus, h) -> FunctionModel:
 
 
 # ======================================================================
-# iterated-integral families (continuum only)
+# the mixed extremal (continuum only)
 # ======================================================================
-
-
-def make_g_eh(omega: Modulus, h, d: int) -> FunctionModel:
-    """Iterated integral of the bump from 0 along every coordinate (all-lines).
-
-    ``g(x) = integral over prod_i [0, x_i] of f_eh``, with orientation signs
-    for negative coordinates.  Its mixed derivative is ``f_eh`` itself; its
-    uniform norm is ``h^d * omega(h) - 2^(-d) * I(h)``, attained on the
-    corner ``(h, ..., h)``.
-    """
-    sp = continuum(d, 0)
-    sp.require_valid_radius(h)
-    hf = float(h)
-
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        out = np.empty(pts.shape[0], dtype=np.float64)
-        for i, row in enumerate(pts):
-            sign = 1.0
-            for c in row:
-                if c < 0:
-                    sign = -sign
-                elif c == 0:
-                    sign = 0.0
-                    break
-            if sign == 0.0:
-                out[i] = 0.0
-                continue
-            absr = np.abs(row)
-            out[i] = sign * _box_mass(omega, hf, 0.0, float(absr[0]), absr[1:].tolist())
-        return out
-
-    sup = _box_mass(omega, hf, 0.0, hf, [hf] * (d - 1))
-    return FunctionModel(
-        name=f"iterated-bump[d={d},h={hf:g}]",
-        evaluator=evaluator,
-        certified_sup_norm=sup,
-        meta={
-            "mixed_derivative_holder": 1.0,
-            "mixed_derivative_sup": float(omega(hf)),
-            "sup_attained_at": np.full(d, hf),
-        },
-    )
 
 
 @dataclass(frozen=True)
@@ -327,7 +284,7 @@ def split_point_a(omega: Modulus, h, d: int) -> SplitPoint:
     factor = 2.0 ** (d - 1)
 
     def mass_below(a: float) -> float:
-        return factor * _box_mass(omega, hf, 0.0, a, [hf] * (d - 1))
+        return factor * _box_mass_orthant(omega, hf, [(0.0, a)] + [(0.0, hf)] * (d - 1))
 
     total = mass_below(hf)
     if not total > 0:
@@ -344,52 +301,54 @@ def split_point_a(omega: Modulus, h, d: int) -> SplitPoint:
     return SplitPoint(a=a, residual=mass_below(a) - target, total_mass=total)
 
 
-def make_G_eh(omega: Modulus, h, d: int) -> FunctionModel:
-    """Iterated bump integral on the one-half-line space, centered at the split.
+def make_G_eh(space: Space, omega: Modulus, h) -> FunctionModel:
+    """The corner-sign mixed extremal on ``space = R_+^m x R^(d-m)``.
 
-    ``G(x) = integral_a^{x_1} integral_0^{x_2} ... integral_0^{x_d} f_eh``.
-    The mixed derivative is again ``f_eh``; starting the first coordinate at
-    the mass-bisecting ``a`` equalizes the two extreme values, giving
-    ``sup |G| = (h^d / 2) * omega(h) - 2^(-d) * I(h)``.
+    ``G(x) = prod_{i >= m} sgn(x_i) * 2^(-m) * sum_tau (-1)^|tau| M_tau(x)``
+    over ``tau`` in ``{0,1}^m``, where ``M_tau(x)`` is the bump mass over the
+    orthant box with side ``[0, x_i]`` (``tau_i = 0``) or ``[x_i, h]``
+    (``tau_i = 1``) on a half-line coordinate and ``[0, |x_i|]`` on a line
+    coordinate.  The bump is even in every coordinate, so each term has mixed
+    derivative ``f_eh`` and the average does too.  The masses are nonnegative
+    and sum to at most the orthant mass ``M`` of the bump, so
+    ``sup |G| = 2^(-m) M``, attained with alternating signs at the corners of
+    ``[0,h]^m x [-h,h]^(d-m)``.
     """
-    sp = continuum(d, 1)
-    sp.require_valid_radius(h)
+    if not space.is_continuum:
+        raise ValueError("the mixed extremal is a continuum witness")
+    space.require_valid_radius(h)
+    d, m = space.d, space.m
     hf = float(h)
-    split = split_point_a(omega, h, d)
-    a = split.a
+    taus = list(itertools.product((0, 1), repeat=m))
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
+        if m and np.any(pts[:, :m] < 0):
+            raise ValueError("the half-line coordinates must be nonnegative on this space")
         out = np.empty(pts.shape[0], dtype=np.float64)
         for i, row in enumerate(pts):
-            x1 = float(row[0])
-            if x1 < 0:
-                raise ValueError("first coordinate must be nonnegative on this space")
-            sign = 1.0 if x1 >= a else -1.0
-            for c in row[1:]:
-                if c < 0:
-                    sign = -sign
-                elif c == 0:
-                    sign = 0.0
-                    break
+            sign = float(np.prod(np.sign(row[m:])))
             if sign == 0.0:
                 out[i] = 0.0
                 continue
-            lo1, hi1 = (a, x1) if x1 >= a else (x1, a)
-            absrest = np.abs(row[1:])
-            out[i] = sign * _box_mass(omega, hf, lo1, hi1, absrest.tolist())
+            absr = np.abs(row).tolist()
+            total = 0.0
+            for tau in taus:
+                box = [
+                    (c, hf) if k < m and tau[k] else (0.0, c) for k, c in enumerate(absr)
+                ]
+                total += (-1.0) ** sum(tau) * _box_mass_orthant(omega, hf, box)
+            out[i] = sign * 2.0**-m * total
         return out
 
-    sup = 0.5 * split.total_mass / (2.0 ** (d - 1))
-    attained_lo = np.concatenate([[0.0], np.full(d - 1, hf)])
-    attained_hi = np.full(d, hf)
+    sup = 2.0**-m * _box_mass_orthant(omega, hf, [(0.0, hf)] * d)
     return FunctionModel(
-        name=f"split-iterated-bump[d={d},h={hf:g}]",
+        name=f"corner-sign-bump[d={d},m={m},h={hf:g}]",
         evaluator=evaluator,
         certified_sup_norm=sup,
         meta={
             "mixed_derivative_holder": 1.0,
             "mixed_derivative_sup": float(omega(hf)),
-            "sup_attained_at": (attained_lo, attained_hi),
+            "sup_attained_at": (np.array([0.0] * m + [hf] * (d - m)), np.full(d, hf)),
         },
     )
 

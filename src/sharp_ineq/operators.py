@@ -65,7 +65,6 @@ from .extremals import (
     make_f_e_omega,
     make_f_eh,
     make_f_omega,
-    make_g_eh,
     make_G_eh,
     sobolev_extremal_pair,
 )
@@ -965,20 +964,14 @@ def _report(
     )
 
 
-def _separable_mixed_witness(d: int, m: int, omega: Modulus, h: float):
-    """Certified data of a separable product witness for m >= 2 checks.
-
-    Per coordinate: a 1-D bump of height ``omega(h)`` centered at ``h`` (so
-    its support stays on the positive side), integrated from 0.  Returns
-    (sup of mixed derivative, certified smoothness bound of the derivative,
-    sup of the function).
-    """
-    peak = float(omega(h))
-    mass = 2.0 * (h * peak - omega.antiderivative(h))
-    deriv_sup = peak**d
-    holder_cert = d * peak ** (d - 1)
-    func_sup = mass**d
-    return deriv_sup, holder_cert, func_sup
+def inapplicable(theorem_id: str, space: Space, omega: Modulus) -> Optional[str]:
+    """Why ``theorem_id`` is not stated on ``space`` with ``omega``, or
+    ``None`` when it is."""
+    if theorem_id.startswith("mixed") and space.is_lattice:
+        return "mixed-difference bounds are continuum statements"
+    if theorem_id == "mixed_multiplicative" and not isinstance(omega, PowerModulus):
+        return "the multiplicative form is stated for power moduli"
+    return None
 
 
 def theorem_report(
@@ -990,15 +983,15 @@ def theorem_report(
     spec: Optional[QuadratureSpec] = None,
     tol: Optional[float] = None,
 ) -> InequalityReport:
-    """Check one named sharp bound at its extremal witness.
-
-    For every bound with a known extremal the verdict should be
-    ``EqualityAttained``; the two mixed bounds degrade gracefully to a plain
-    ``Holds`` for half-line dimension two and higher, where no extremal is
-    known and a certified separable witness is used instead.
+    """Check one named sharp bound at its extremal witness; every verdict
+    should be ``EqualityAttained``.  A theorem not stated on ``space`` with
+    ``omega`` (see ``inapplicable``) raises ``ValueError``.
     """
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
+    reason = inapplicable(theorem_id, space, omega)
+    if reason is not None:
+        raise ValueError(reason)
     if tol is None:
         tol = EQUALITY_TOLS[theorem_id]
     d, m = space.d, space.m
@@ -1057,33 +1050,22 @@ def theorem_report(
         return _report(theorem_id, d, m, omega, hf, lhs, term1, term2, tol, notes, err)
 
     if theorem_id in ("mixed_additive", "mixed_multiplicative"):
-        if space.is_lattice:
-            raise ValueError("mixed-difference bounds are continuum statements")
-        if theorem_id == "mixed_multiplicative" and not isinstance(omega, PowerModulus):
-            raise ValueError("the multiplicative form is stated for power moduli")
-        if m <= 1:
-            extremal = make_g_eh(omega, h, d) if m == 0 else make_G_eh(omega, h, d)
-            lhs = extremal.meta["mixed_derivative_sup"]
-            holder_cert = extremal.meta["mixed_derivative_holder"]
-            func_sup = extremal.certified_sup_norm
-            notes = ""
-        else:
-            lhs, holder_cert, func_sup = _separable_mixed_witness(d, m, omega, hf)
-            notes = (
-                "no extremal is known for two or more half-line coordinates; "
-                "checked on a certified separable witness (inequality only)"
-            )
+        extremal = make_G_eh(space, omega, h)
+        lhs = extremal.meta["mixed_derivative_sup"]
+        holder_cert = extremal.meta["mixed_derivative_holder"]
+        func_sup = extremal.certified_sup_norm
         if theorem_id == "mixed_additive":
-            box = continuum(d, m)
-            i_h = ball_integral_of_modulus(box, omega, h, spec)
+            i_h = ball_integral_of_modulus(space, omega, h, spec)
             total = mixed_nagy_rhs(d, m, omega, h, holder_cert, func_sup, i_h)
-            term1 = holder_cert * i_h.value / box.ball_measure(hf)
-            err = holder_cert * i_h.error_bound / box.ball_measure(hf)
-            return _report(theorem_id, d, m, omega, hf, lhs, term1, total - term1, tol, notes, err)
+            term1 = holder_cert * i_h.value / mu
+            err = holder_cert * i_h.error_bound / mu
+            return _report(
+                theorem_id, d, m, omega, hf, lhs, term1, total - term1, tol, error_bound=err
+            )
         alpha = omega.alpha
         h_star = optimal_h(d, m, alpha, func_sup, holder_cert)
         rhs = mixed_multiplicative_rhs(d, m, alpha, func_sup, holder_cert)
-        notes = (notes + "; " if notes else "") + f"additive bound minimized at h = {h_star:.12g}"
+        notes = f"additive bound minimized at h = {h_star:.12g}"
         return _report(theorem_id, d, m, omega, hf, lhs, rhs, 0.0, tol, notes)
 
     raise AssertionError("unreachable")

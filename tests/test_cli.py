@@ -182,6 +182,7 @@ def test_config_missing_modulus(capsys, tmp_path):
 LINE = {"kind": "continuum", "d": 1, "m": 0}
 ZZ = {"kind": "lattice", "d": 1, "m": 0}
 POWER1 = {"kind": "power", "alpha": 1.0}
+TABLE = {"kind": "table", "points": [[0, 0], ["1/2", "2/5"], [2, 1]]}
 
 
 @pytest.mark.parametrize(
@@ -249,6 +250,10 @@ POWER1 = {"kind": "power", "alpha": 1.0}
         ("oracle", {"suites": [{"theorem_id": "nagy", "trials": 2, "seed": -3}]},
          "suite 'seed'"),
         ("oracle", {"mc_checks": ["ball_integral"], "seed": -3}, "'seed'"),
+        ("verify", {"space": ZZ, "modulus": POWER1, "h_values": [1.5],
+                    "theorems": ["nagy", "mixed_additive"]}, "continuum statements"),
+        ("verify", {"space": LINE, "modulus": TABLE, "h_values": [1],
+                    "theorems": ["mixed_multiplicative"]}, "power moduli"),
     ],
     ids=["verify-negative-h", "constant-negative-h", "lattice-h-1",
          "exact-irrational-alpha", "suite-zero-trials", "constant-bad-seed",
@@ -259,7 +264,8 @@ POWER1 = {"kind": "power", "alpha": 1.0}
          "exact-infinite-h", "oracle-exact-infinite-h", "boolean-h", "boolean-tol",
          "boolean-n", "string-exact", "number-kernel", "nan-kernel-radius", "nan-kernel-value",
          "infinite-kernel-value", "boolean-beta", "huge-integer-h", "huge-integer-n",
-         "boolean-alpha", "negative-seed", "negative-suite-seed", "negative-mc-checks-seed"],
+         "boolean-alpha", "negative-seed", "negative-suite-seed", "negative-mc-checks-seed",
+         "lattice-mixed-listed", "table-multiplicative-listed"],
 )
 def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle):
     cfg = write_cfg(tmp_path, "bad.json", payload)
@@ -267,6 +273,25 @@ def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle)
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and needle in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "space,modulus,want",
+    [
+        (ZZ, POWER1, ["lemma1", "nagy", "nagy_l1", "sobolev", "charge", "hypersingular"]),
+        (LINE, TABLE, ["lemma1", "nagy", "nagy_l1", "sobolev", "charge", "hypersingular",
+                       "mixed_additive"]),
+    ],
+    ids=["lattice", "table"],
+)
+def test_verify_defaults_to_the_applicable_theorems(capsys, tmp_path, space, modulus, want):
+    cfg = write_cfg(tmp_path, "default.json", {"space": space, "modulus": modulus,
+                                               "h_values": [1.5]})
+    code, out, err = run_cli(capsys, ["verify", "--config", cfg])
+    assert code == EXIT_OK and err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[0] for row in rows] == want
+    assert {row[-1] for row in rows} == {"EqualityAttained"}
 
 
 def test_seed_flag_must_be_nonnegative(capsys, line_cfg):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from sharp_ineq.extremals import (
     make_f_e_omega,
     make_f_eh,
     make_f_omega,
-    make_g_eh,
     make_G_eh,
     sobolev_extremal_pair,
     split_point_a,
@@ -105,17 +105,17 @@ def test_bump_box_integral_outside_support():
 def test_iterated_bump_sup_norm():
     om = PowerModulus(1.0)
     # d=1: integral_0^1 (1 - t) dt = 1/2
-    g1 = make_g_eh(om, 1.0, 1)
+    g1 = make_G_eh(continuum(1, 0), om, 1.0)
     assert math.isclose(g1.certified_sup_norm, 0.5, rel_tol=1e-14)
     assert math.isclose(g1(np.array([1.0])), 0.5, rel_tol=1e-14)
     # d=2: h^d omega(h) - 2^-d I(h) = 1 - 8/3/4 = 1/3
-    g2 = make_g_eh(om, 1.0, 2)
+    g2 = make_G_eh(continuum(2, 0), om, 1.0)
     assert math.isclose(g2.certified_sup_norm, 1.0 / 3.0, rel_tol=1e-13)
     assert math.isclose(g2(np.array([1.0, 1.0])), 1.0 / 3.0, rel_tol=1e-13)
 
 
 def test_iterated_bump_sign_symmetry():
-    g = make_g_eh(PowerModulus(1.0), 1.0, 2)
+    g = make_G_eh(continuum(2, 0), PowerModulus(1.0), 1.0)
     v = g(np.array([0.7, 0.6]))
     assert g(np.array([-0.7, 0.6])) == -v
     assert g(np.array([-0.7, -0.6])) == v
@@ -144,17 +144,17 @@ def test_split_point_rejects_bad_h():
 def test_split_iterated_bump_sup():
     om = PowerModulus(1.0)
     # d=1: (h/2) omega(h) - I/2^d = 1/2 - 1/4 = 1/4
-    G1 = make_G_eh(om, 1.0, 1)
+    G1 = make_G_eh(continuum(1, 1), om, 1.0)
     assert math.isclose(G1.certified_sup_norm, 0.25, rel_tol=1e-13)
     # d=2: 1/2 - (8/3)/4... on the half-plane I(h)=d 2^{d-1}/(d+1) = 4/3; 1/2 - 1/3 = 1/6
-    G2 = make_G_eh(om, 1.0, 2)
+    G2 = make_G_eh(continuum(2, 1), om, 1.0)
     assert math.isclose(G2.certified_sup_norm, 1.0 / 6.0, rel_tol=1e-13)
 
 
 def test_split_iterated_bump_balance():
     """The split equalizes |G| at the two extreme corners."""
     om = PowerModulus(1.0)
-    G = make_G_eh(om, 1.0, 2)
+    G = make_G_eh(continuum(2, 1), om, 1.0)
     lo, hi = G.meta["sup_attained_at"]
     v_lo = abs(G(lo.astype(np.float64)))
     v_hi = abs(G(hi.astype(np.float64)))
@@ -163,9 +163,45 @@ def test_split_iterated_bump_balance():
 
 
 def test_split_iterated_bump_domain_guard():
-    G = make_G_eh(PowerModulus(1.0), 1.0, 1)
+    G = make_G_eh(continuum(1, 1), PowerModulus(1.0), 1.0)
     with pytest.raises(ValueError):
         G(np.array([-0.5]))
+    G = make_G_eh(continuum(3, 2), PowerModulus(1.0), 1.0)
+    with pytest.raises(ValueError):
+        G(np.array([0.5, -0.1, 0.2]))
+    with pytest.raises(ValueError):
+        make_G_eh(lattice(2, 1), PowerModulus(1.0), 1.5)
+
+
+_TABLE = TableModulus([(0, 0), ("1/2", "2/5"), (2, 1)])
+_DM = [(d, m) for d in (1, 2, 3) for m in range(d + 1)]
+
+
+@pytest.mark.parametrize("d, m", _DM)
+def test_corner_sign_extremal_alternates_and_is_bounded(d, m):
+    """G is +-sup at the 2^d corners of [0,h]^m x [-h,h]^(d-m), signed by the
+    number of low coordinates, and |G| <= sup on 10^4 random points in all."""
+    om = (PowerModulus(1.0), PowerModulus(0.5), _TABLE)[(d + m) % 3]
+    h = (0.7, 1.3)[d % 2]
+    G = make_G_eh(continuum(d, m), om, h)
+    sup = G.certified_sup_norm
+    lows = [0.0 if i < m else -h for i in range(d)]
+    corners = np.array(list(itertools.product(*[(lo, h) for lo in lows])))
+    signs = (-1.0) ** np.sum(corners < h, axis=1)
+    np.testing.assert_allclose(G(corners), signs * sup, rtol=1e-13, atol=0.0)
+    rng = np.random.default_rng([d, m])
+    pts = rng.uniform(-1.5 * h, 1.5 * h, (10_000 // len(_DM) + 1, d))
+    pts[:, :m] = np.abs(pts[:, :m])
+    assert np.all(np.abs(G(pts)) <= sup + 1e-12)
+
+
+@pytest.mark.parametrize("om", [PowerModulus(1.0), PowerModulus(0.5), _TABLE])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_corner_sign_certificate_is_half_the_split_mass(d, om):
+    # at m = 1 the certificate keeps the bits of the split-point form
+    split = split_point_a(om, 0.9, d)
+    G = make_G_eh(continuum(d, 1), om, 0.9)
+    assert G.certified_sup_norm == 0.5 * split.total_mass / 2.0 ** (d - 1)
 
 
 def test_sobolev_pair_contract():
@@ -204,7 +240,7 @@ def test_lattice_bump_certificates():
 def test_iterated_sup_closed_form(alpha, h, d):
     """sup g = h^d omega(h) - I(h)/2^d for the all-lines iterated bump."""
     om = PowerModulus(alpha)
-    g = make_g_eh(om, h, d)
+    g = make_G_eh(continuum(d, 0), om, h)
     I = d * 2.0**d / (d + alpha) * h ** (d + alpha)
     want = h**d * om(h) - I / 2.0**d
     assert math.isclose(g.certified_sup_norm, want, rel_tol=1e-10)

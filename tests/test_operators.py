@@ -17,7 +17,7 @@ from sharp_ineq.calculus import (
     l1_norm,
     seminorm_local,
 )
-from sharp_ineq.extremals import make_f_e_omega, make_f_eh, make_f_omega, make_g_eh, make_G_eh
+from sharp_ineq.extremals import make_f_e_omega, make_f_eh, make_f_omega, make_G_eh
 from sharp_ineq.modulus import PowerModulus, TableModulus
 from sharp_ineq.space import continuum, lattice, strict_int_below
 
@@ -559,7 +559,7 @@ _PIN_CASES = {
     "ball_integral_profile": lambda: ball_integral_at(
         _profile_only(make_f_e_omega(_P31, _TABLE, 1.2)), _P31, 1.5, np.zeros(3)),
     "mixed_difference": lambda: ops.mixed_difference(
-        make_G_eh(_POW, 1.1, 2), _P21, 0.7, np.array([0.9, -0.2])),
+        make_G_eh(_P21, _POW, 1.1), _P21, 0.7, np.array([0.9, -0.2])),
     "mixed_nagy_rhs": lambda: ops.mixed_nagy_rhs(3, 1, _TABLE, 1.3, 1.5, 0.4),
     "l1_radial": lambda: l1_norm(make_f_eh(_P31, _TABLE, 1.2), _P31, 1.2),
     "truncated_power_origin": lambda: ops.hypersingular_truncated(
@@ -629,22 +629,25 @@ def test_radial_and_sampled_values_pinned(name):
 # mixed differences
 
 
-def test_mixed_difference_is_ball_average_of_bump():
-    # the iterated bump integral differentiates back to the bump's average
-    om = PowerModulus(1.0)
-    g = make_g_eh(om, 1.0, 2)
-    space = continuum(2, 0)
-    f = make_f_eh(space, om, 1.0)
+@pytest.mark.parametrize("omega", [RAMP, PowerModulus(0.5), _TABLE], ids=["ramp", "root", "table"])
+@pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in range(d + 1)])
+def test_mixed_difference_is_ball_average_of_bump(d, m, omega):
+    # the mixed extremal differentiates back to the bump's average
+    space = continuum(d, m)
+    g = make_G_eh(space, omega, 1.0)
+    f = make_f_eh(space, omega, 1.0)
     s = ops.steklov_average(f, space, 1.0)
-    for x in ([0.0, 0.0], [0.3, -0.4], [1.5, 0.2]):
-        got = ops.mixed_difference(g, space, 1.0, np.array(x))
-        want = s(np.array(x))
+    for x in ([0.0, 0.0, 0.0], [0.3, -0.4, 0.1], [1.5, 0.2, -0.6]):
+        x = np.array(x[:d])
+        x[:m] = np.abs(x[:m])
+        got = ops.mixed_difference(g, space, 1.0, x)
+        want = s(x)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_mixed_difference_half_line_and_lattice_guards():
     space = continuum(2, 1)
-    G = make_G_eh(PowerModulus(1.0), 1.0, 2)
+    G = make_G_eh(space, PowerModulus(1.0), 1.0)
     with pytest.raises(ValueError):
         ops.mixed_difference(G, space, 1.0, np.array([-0.5, 0.0]))
     lat = lattice(1, 0)
@@ -658,10 +661,10 @@ def test_mixed_difference_half_line_and_lattice_guards():
 
 def test_mixed_nagy_rhs_equality_at_iterated_bump():
     om = PowerModulus(1.0)
-    g = make_g_eh(om, 1.0, 1)
+    g = make_G_eh(continuum(1, 0), om, 1.0)
     rhs = ops.mixed_nagy_rhs(1, 0, om, 1.0, 1.0, g.certified_sup_norm)
     assert rhs == pytest.approx(om(1.0), rel=1e-12)  # lhs = sup of the bump
-    G = make_G_eh(om, 1.0, 1)
+    G = make_G_eh(continuum(1, 1), om, 1.0)
     rhs_half = ops.mixed_nagy_rhs(1, 1, om, 1.0, 1.0, G.certified_sup_norm)
     assert rhs_half == pytest.approx(om(1.0), rel=1e-12)
 
@@ -772,12 +775,36 @@ def test_theorem_report_lattice():
     assert rep.lhs == pytest.approx(1.5)
 
 
-def test_theorem_report_m2_holds_branch():
-    rep = ops.theorem_report("mixed_additive", continuum(2, 2), RAMP, 1.0)
-    assert rep.verdict == ops.VERDICT_HOLDS
-    assert "separable" in rep.notes
-    rep2 = ops.theorem_report("mixed_multiplicative", continuum(3, 2), PowerModulus(0.5), 1.0)
-    assert rep2.verdict == ops.VERDICT_HOLDS
+@pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in range(d + 1)])
+def test_theorem_report_m2_holds_branch(d, m):
+    # one corner-sign extremal for every 0 <= m <= d: both mixed bounds attain
+    # equality, m >= 2 included
+    space = continuum(d, m)
+    for h in (0.7, 1.3):
+        for omega in (RAMP, PowerModulus(0.5), _TABLE):
+            for tid in ("mixed_additive", "mixed_multiplicative"):
+                if tid == "mixed_multiplicative" and omega is _TABLE:
+                    continue
+                rep = ops.theorem_report(tid, space, omega, h)
+                assert rep.verdict == ops.VERDICT_EQUALITY, (tid, omega, h)
+                assert rep.rhs == pytest.approx(float(omega(h)), rel=1e-12)
+
+
+def test_mixed_reports_skip_the_split_point(monkeypatch):
+    # the corner-sign certificate needs no bisection for the half-line
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return extremals.split_point_a(*args, **kwargs)
+
+    monkeypatch.setattr(extremals, "split_point_a", counted)
+    got = {}
+    for tid in ("mixed_additive", "mixed_multiplicative"):
+        calls.clear()
+        ops.theorem_report(tid, continuum(2, 1), RAMP, 1.0)
+        got[tid] = len(calls)
+    assert got == {"mixed_additive": 0, "mixed_multiplicative": 0}
 
 
 def test_theorem_report_guards():
