@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharp_ineq.extremals import (
+    _box_mass_orthant,
+    _power_diff,
     ball_deficiency,
     bump_box_integral,
     make_f_e_omega,
@@ -100,6 +102,48 @@ def test_bump_box_integral_against_mc():
 
 def test_bump_box_integral_outside_support():
     assert bump_box_integral(PowerModulus(1.0), 1.0, [(2.0, 3.0)]) == 0.0
+
+
+def _box_mass_polynomial_reference(omega, h, bounds):
+    """``_box_mass_orthant`` as it was written on ``numpy.polynomial``."""
+    from numpy.polynomial import polynomial as npoly
+
+    hf, W = float(h), float(omega(float(h)))
+    clipped = [(min(float(a), hf), min(float(b), hf)) for a, b in bounds]
+    t0, top = max(a for a, _ in clipped), max(b for _, b in clipped)
+    if any(b <= a for a, b in clipped) or top <= t0:
+        return 0.0
+    total = 0.0
+    cuts = sorted({t0, top, *[b for _, b in clipped if t0 < b < top]})
+    for s0, s1 in zip(cuts, cuts[1:]):
+        mid, coeffs = 0.5 * (s0 + s1), np.array([1.0])
+        for a, b in clipped:
+            coeffs = npoly.polymul(coeffs, [-a, 1.0]) if mid < b else coeffs * (b - a)
+        deriv = npoly.polyder(coeffs)
+        for p0, p1, sigma, p, tau in omega.pieces(s0, s1):
+            for k, ck in enumerate(deriv):
+                if ck == 0.0:
+                    continue
+                total += ck * (W - tau) * _power_diff(k + 1, p0, p1)
+                if sigma != 0.0:
+                    total -= ck * sigma * _power_diff(k + 1 + p, p0, p1)
+    return total
+
+
+def test_box_mass_keeps_the_polynomial_reference_bits():
+    rng = np.random.default_rng(11)
+    nonzero = 0
+    for i in range(300):
+        om = (PowerModulus(1.0), PowerModulus(0.5), _TABLE)[i % 3]
+        h = float(rng.uniform(0.3, 2.5))
+        d = int(rng.integers(1, 4))
+        bounds = [tuple(sorted(rng.uniform(0.0, 1.2 * h, 2))) for _ in range(d)]
+        if i % 2:
+            bounds[0] = (0.0, bounds[0][1])
+        want = _box_mass_polynomial_reference(om, h, bounds)
+        assert _box_mass_orthant(om, h, bounds) == want
+        nonzero += want != 0.0
+    assert nonzero > 200
 
 
 def test_iterated_bump_sup_norm():

@@ -629,20 +629,20 @@ def test_radial_and_sampled_values_pinned(name):
 # mixed differences
 
 
-@pytest.mark.parametrize("omega", [RAMP, PowerModulus(0.5), _TABLE], ids=["ramp", "root", "table"])
-@pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in range(d + 1)])
-def test_mixed_difference_is_ball_average_of_bump(d, m, omega):
-    # the mixed extremal differentiates back to the bump's average
-    space = continuum(d, m)
-    g = make_G_eh(space, omega, 1.0)
-    f = make_f_eh(space, omega, 1.0)
-    s = ops.steklov_average(f, space, 1.0)
-    for x in ([0.0, 0.0, 0.0], [0.3, -0.4, 0.1], [1.5, 0.2, -0.6]):
-        x = np.array(x[:d])
-        x[:m] = np.abs(x[:m])
-        got = ops.mixed_difference(g, space, 1.0, x)
-        want = s(x)
-        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+def test_mixed_difference_is_ball_average_of_bump():
+    # the mixed extremal differentiates back to the bump's average, every m
+    for d, m in [(d, m) for d in (1, 2, 3) for m in range(d + 1)]:
+        space = continuum(d, m)
+        for omega in (RAMP, PowerModulus(0.5), _TABLE):
+            g = make_G_eh(space, omega, 1.0)
+            f = make_f_eh(space, omega, 1.0)
+            s = ops.steklov_average(f, space, 1.0)
+            for x in ([0.0, 0.0, 0.0], [0.3, -0.4, 0.1], [1.5, 0.2, -0.6]):
+                x = np.array(x[:d])
+                x[:m] = np.abs(x[:m])
+                got = ops.mixed_difference(g, space, 1.0, x)
+                want = s(x)
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-12), (d, m, omega, x)
 
 
 def test_mixed_difference_half_line_and_lattice_guards():
@@ -775,28 +775,29 @@ def test_theorem_report_lattice():
     assert rep.lhs == pytest.approx(1.5)
 
 
-@pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in range(d + 1)])
-def test_theorem_report_m2_holds_branch(d, m):
+def test_theorem_report_m2_holds_branch():
     # one corner-sign extremal for every 0 <= m <= d: both mixed bounds attain
     # equality, m >= 2 included
-    space = continuum(d, m)
-    for h in (0.7, 1.3):
-        for omega in (RAMP, PowerModulus(0.5), _TABLE):
-            for tid in ("mixed_additive", "mixed_multiplicative"):
-                if tid == "mixed_multiplicative" and omega is _TABLE:
-                    continue
-                rep = ops.theorem_report(tid, space, omega, h)
-                assert rep.verdict == ops.VERDICT_EQUALITY, (tid, omega, h)
-                assert rep.rhs == pytest.approx(float(omega(h)), rel=1e-12)
+    for d, m in [(d, m) for d in (1, 2, 3) for m in range(d + 1)]:
+        space = continuum(d, m)
+        for h in (0.7, 1.3):
+            for omega in (RAMP, PowerModulus(0.5), _TABLE):
+                for tid in ("mixed_additive", "mixed_multiplicative"):
+                    if tid == "mixed_multiplicative" and omega is _TABLE:
+                        continue
+                    rep = ops.theorem_report(tid, space, omega, h)
+                    assert rep.verdict == ops.VERDICT_EQUALITY, (tid, d, m, omega, h)
+                    assert rep.rhs == pytest.approx(float(omega(h)), rel=1e-12)
 
 
 def test_mixed_reports_skip_the_split_point(monkeypatch):
     # the corner-sign certificate needs no bisection for the half-line
     calls = []
+    original = extremals.split_point_a
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return extremals.split_point_a(*args, **kwargs)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(extremals, "split_point_a", counted)
     got = {}
