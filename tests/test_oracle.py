@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sharp_ineq import _kernels, oracle
+from sharp_ineq import _kernels, _lattice, oracle
 from sharp_ineq.calculus import holder_lower_estimate, sup_norm
 from sharp_ineq.modulus import PowerModulus, TableModulus
 from sharp_ineq.space import continuum, lattice
@@ -48,6 +49,63 @@ def test_exact_holder_constant_table_modulus():
     f = oracle.exact_f_eh(lattice(2, 0), om, F(3, 2))
     got = oracle.exact_holder_constant(f, lattice(2, 0), om, window_radius=4)
     assert got == 1
+
+
+def _pair_loop_holder(f, space, omega, window_radius):
+    """The smoothness constant by the definition: every window pair, one
+    Fraction ratio each."""
+    pts = [tuple(p) for p in _lattice.window_points(space, window_radius).tolist()]
+    vals = [f.fn(p) for p in pts]
+    best = F(0)
+    for (i, x), (j, y) in itertools.combinations(enumerate(pts), 2):
+        num = abs(vals[i] - vals[j])
+        if num:
+            best = max(best, num / omega.eval_fraction(F(space.lattice_distance(x, y))))
+    return best
+
+
+def _random_exact_function(space, rng):
+    """Signed rational values on the window of a random support radius 0-2,
+    over one of the denominators 3, 4, 12 and 7, and 0 beyond it."""
+    s = int(rng.integers(0, 3))
+    den = int(rng.choice([3, 4, 12, 7]))
+    pts = [tuple(p) for p in _lattice.window_points(space, s).tolist()]
+    table = {p: F(int(rng.integers(-9, 10)), den) for p in pts}
+    return oracle.ExactFunction(fn=lambda p: table.get(p, F(0)), support_radius=s, label="random")
+
+
+HOLDER_MODULI = (
+    RAMP,
+    TableModulus([(0, 0), (1, F(7, 12)), (2, F(3, 4))]),
+    TableModulus([(0, 0), (1, F(2, 3)), (3, F(5, 4))]),
+)
+
+
+@pytest.mark.parametrize("space", [lattice(1, 0), lattice(2, 0), lattice(2, 1),
+                                   lattice(3, 0), lattice(3, 1)], ids=repr)
+def test_exact_holder_constant_matches_pair_loop(space):
+    # 3 x 60 + 2 x 24 functions; the window is one ring past the support,
+    # cut to the support (radius at least 1) on d = 3 to keep the pair loop cheap
+    rng = np.random.default_rng([14, space.d, space.m])
+    for trial in range(24 if space.d == 3 else 60):
+        f = _random_exact_function(space, rng)
+        omega = HOLDER_MODULI[trial % len(HOLDER_MODULI)]
+        radius = max(f.support_radius, 1) if space.d == 3 else f.support_radius + 1
+        want = _pair_loop_holder(f, space, omega, radius)
+        got = oracle.exact_holder_constant(f, space, omega, radius)
+        assert got == want and type(got) is Fraction, (trial, got, want)
+
+
+@pytest.mark.parametrize("big", [2**62 + 5, 2**70 + 1], ids=["int64-overflowing-difference", "beyond-int64"])
+def test_exact_holder_constant_huge_numerators(big):
+    # over one common denominator the numerators exceed 2**62, so a difference
+    # of two of them overflows int64: the sweep must fall back to Python ints
+    space = lattice(2, 0)
+    table = {(0, 0): F(big, 3), (1, 0): F(-big, 3), (0, -1): F(big - 7, 3), (1, 1): F(5, 12)}
+    f = oracle.ExactFunction(fn=lambda p: table.get(p, F(0)), support_radius=1, label="huge")
+    got = oracle.exact_holder_constant(f, space, RAMP, 2)
+    assert got == _pair_loop_holder(f, space, RAMP, 2) == F(2 * big, 3)
+    assert type(got) is Fraction
 
 
 @pytest.mark.parametrize("tid", oracle.EXACT_THEOREMS)
