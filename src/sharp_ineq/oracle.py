@@ -4,10 +4,12 @@ inequality suites, and Monte Carlo cross-checks of the closed forms.
 Three layers of distrust, none of which consults the certified metadata the
 extremal constructors stamp on their outputs:
 
-* ``exact_verify`` replays a bound on a lattice entirely in ``Fraction``
+* ``exact_verify`` replays a bound on a lattice in exact rational
   arithmetic — sup, seminorm, and smoothness constant are recomputed from
   scratch by finite sweeps whose windows are provably large enough, so a
-  zero gap is a machine-checked identity, not a small float.
+  zero gap is a machine-checked identity, not a small float.  The witness
+  is evaluated once on a window box, scaled to integer numerators over one
+  common denominator, and swept by integer reductions over shifted views.
 
 * ``random_suite`` throws randomized certified-smooth functions (maxima of
   truncated cones) at an inequality and counts violations.  It draws the
@@ -21,6 +23,7 @@ extremal constructors stamp on their outputs:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -104,26 +107,44 @@ def exact_f_omega(space: Space, omega: Modulus, c=0, sign: int = 1) -> ExactFunc
     return ExactFunction(fn=fn, support_radius=None, label=f"modulus-profile[c={cq}]")
 
 
-def _rational_valued(f: ExactFunction) -> ExactFunction:
-    """``f`` with every value checked to be an ``int`` or ``Fraction`` (a
-    ``bool`` or ``float`` raises ``ValueError``), so no float enters a sweep."""
-    fn = f.fn
-
-    def checked(pt: tuple) -> Fraction:
-        v = fn(pt)
+def _box_values(f: ExactFunction, space: Space, radius: int) -> tuple[np.ndarray, int]:
+    """``f`` once on each point of ``_lattice.window_points(space, radius)``,
+    as a box of integer numerators (Python ints) over one denominator ``den``.
+    A value that is not an ``int`` or ``Fraction`` (a ``bool`` or ``float``),
+    or a nonzero one beyond the claimed support radius, raises ``ValueError``."""
+    pts = [tuple(p) for p in _lattice.window_points(space, radius).tolist()]
+    vals = [f.fn(p) for p in pts]
+    s = f.support_radius
+    origin = (0,) * space.d
+    for p, v in zip(pts, vals):
         if type(v) is not Fraction and type(v) is not int:
             raise ValueError(
-                f"exact function {f.label} returned {v!r} ({type(v).__name__}) at {pt}; "
+                f"exact function {f.label} returned {v!r} ({type(v).__name__}) at {p}; "
                 "exact mode needs int or Fraction values"
             )
-        return v
+        if s is not None and v != 0 and space.lattice_distance(p, origin) > s:
+            raise ValueError(
+                f"exact function {f.label} claims support radius {s} but is {v} at {p}"
+            )
+    den = math.lcm(*(v.denominator for v in vals))
+    num = np.array([v.numerator * (den // v.denominator) for v in vals], dtype=object)
+    return num.reshape((radius + 1,) * space.m + (2 * radius + 1,) * (space.d - space.m)), den
 
-    return replace(f, fn=checked)
+
+def _sub_box(box: np.ndarray, space: Space, r: int, shift: tuple) -> np.ndarray:
+    """The values on the window of radius ``r`` shifted by ``shift``: a view
+    of ``box``, the values on a window large enough to hold them."""
+    m = space.m
+    lo = [0] * m + [(n - 1) // 2 - r for n in box.shape[m:]]
+    width = [r + 1] * m + [2 * r + 1] * (space.d - m)
+    return box[tuple(slice(a + c, a + c + w) for a, c, w in zip(lo, shift, width))]
 
 
-def _int_points(space: Space, radius: int) -> list:
-    """``_lattice.window_points`` as tuples of Python ints, for Fraction sweeps."""
-    return [tuple(p) for p in _lattice.window_points(space, radius).tolist()]
+def _fit(num: np.ndarray, terms: int) -> np.ndarray:
+    """Numerators as ``int64`` when no sum of ``terms`` of them can overflow,
+    else as they are: Python ints, exact at any size."""
+    top = max(map(abs, num.flat), default=0)
+    return num.astype(np.int64) if top * terms < 2**63 else num
 
 
 def exact_holder_constant(
@@ -136,34 +157,38 @@ def exact_holder_constant(
     contains a maximizing pair of the global ratio: the ratio against a far
     zero of ``f`` only decreases with distance once the modulus stops
     growing, so nothing outside the window can do better.  A nonzero value
-    in the window beyond the claimed support radius raises ``ValueError``.
+    in the window beyond the claimed support radius, or one that is not an
+    ``int`` or ``Fraction``, raises ``ValueError``.
+
+    The pairs are swept by difference offset ``u`` (one of each ``+-u``):
+    one subtraction of two overlapping views of the integer numerators gives
+    the widest ``|f(x + u) - f(x)|``.  The metric is translation invariant,
+    so all those pairs share the denominator ``omega(rho(u, 0))``, and the
+    largest ratio is exactly the widest difference at each distance over
+    that distance's modulus: one ``Fraction`` division per distance.
     """
-    pts = _int_points(space, window_radius)
-    vals = [f.fn(p) for p in pts]
-    dist = space.lattice_distance
-    s = f.support_radius
-    if s is not None:
-        origin = (0,) * space.d
-        for p, v in zip(pts, vals):
-            if v != 0 and dist(p, origin) > s:
-                raise ValueError(
-                    f"exact function {f.label} claims support radius {s} "
-                    f"but is {v} at {p}"
-                )
-    best = Fraction(0)
-    for (i, x), (j, y) in itertools.combinations(enumerate(pts), 2):
-        num = abs(vals[i] - vals[j])
-        if num == 0:
+    num, den = _box_values(f, space, window_radius)
+    box = _fit(num, 2)
+    origin = (0,) * space.d
+    widest: dict = {}
+    for u in itertools.product(*(range(1 - n, n) for n in box.shape)):
+        if u <= origin:  # the zero offset, and one of each pair +-u
             continue
-        ratio = num / omega.eval_fraction(Fraction(dist(x, y)))
-        if ratio > best:
-            best = ratio
-    return best
+        x = tuple(slice(max(-c, 0), n - max(c, 0)) for c, n in zip(u, box.shape))
+        y = tuple(slice(max(c, 0), n + min(c, 0)) for c, n in zip(u, box.shape))
+        top = abs(box[y] - box[x]).max()
+        if top:
+            r = space.lattice_distance(u, origin)
+            widest[r] = max(widest.get(r, 0), top)
+    ratios = (Fraction(int(t), den) / omega.eval_fraction(Fraction(r)) for r, t in widest.items())
+    return max(ratios, default=Fraction(0))
 
 
-def _holder_window(f: ExactFunction, omega: Modulus) -> int:
+def _replay_window(f: ExactFunction, omega: Modulus, k: int) -> int:
+    """The radius of the one window a replay reads: the smoothness window,
+    stretched to hold the seminorm sweep ``window(S + k + 1) + ball(k)``."""
     s = f.support_radius
-    base = 3 * s + 1
+    base = max(3 * s + 1, s + 2 * k + 1)
     if omega.is_bounded():
         t_last = omega.breakpoints()[-1] if omega.breakpoints() else 1.0
         base = max(base, s + int(math.ceil(t_last)) + 1)
@@ -177,7 +202,7 @@ def exact_verify(
     h,
     f: Optional[ExactFunction] = None,
 ) -> InequalityReport:
-    """Replay one additive bound on a lattice in pure Fraction arithmetic.
+    """Replay one additive bound on a lattice in exact rational arithmetic.
 
     Every norm entering either side is recomputed by finite exact sweeps;
     the report's ``exact`` field carries the rational lhs, both right-hand
@@ -196,10 +221,9 @@ def exact_verify(
     hq = Fraction(h)
     space.require_valid_radius(hq)
     omega.eval_fraction(Fraction(1))  # raises early for irrational moduli
-    if f is not None:
-        f = _rational_valued(f)
 
-    offsets = [tuple(u) for u in space.closed_ball(strict_int_below(hq)).tolist()]
+    k = strict_int_below(hq)
+    offsets = [tuple(u) for u in space.closed_ball(k).tolist()]
     mu = Fraction(len(offsets))
     origin = (0,) * space.d
     i_h = sum(
@@ -217,7 +241,8 @@ def exact_verify(
                     "exact mode needs a compactly supported function (or the "
                     "default witness) so its smoothness constant is sweepable"
                 )
-            holder = exact_holder_constant(f, space, omega, _holder_window(f, omega))
+            # its window holds the ball, so every value below is checked
+            holder = exact_holder_constant(f, space, omega, _replay_window(f, omega, k))
         ball = sum((f.fn(u) for u in offsets), Fraction(0))
         lhs = abs(f.fn(origin) - ball / mu)
         term1 = holder * i_h / mu
@@ -231,19 +256,19 @@ def exact_verify(
                 "exact mode needs a compactly supported function so that sup, "
                 "seminorm, and smoothness sweeps are provably global"
             )
-        holder = exact_holder_constant(f, space, omega, _holder_window(f, omega))
+        f = replace(f, fn=functools.cache(f.fn))  # each point once; freed with f
+        radius = _replay_window(f, omega, k)
+        holder = exact_holder_constant(f, space, omega, radius)
+        num, den = _box_values(f, space, radius)
         s = f.support_radius
-        sup_pts = _int_points(space, s)
-        sup = max(abs(f.fn(p)) for p in sup_pts)
-        k = strict_int_below(hq)
-        sweep_pts = _int_points(space, s + k + 1)
-        sem = max(
-            abs(sum((f.fn(tuple(a + b for a, b in zip(x, u))) for u in offsets), Fraction(0)))
-            for x in sweep_pts
-        )
-        lhs = sup
+        support = _sub_box(num, space, s, origin)
+        absf = abs(_fit(support, support.size))  # the L1 sum has the most terms
+        ints = _fit(num, len(offsets))
+        ball = sum(_sub_box(ints, space, s + k + 1, u) for u in offsets)
+        sem = Fraction(int(abs(ball).max()), den)
+        lhs = Fraction(int(absf.max()), den)
         if theorem_id == "nagy_l1":
-            l1 = sum((abs(f.fn(p)) for p in sup_pts), Fraction(0))
+            l1 = Fraction(int(absf.sum()), den)
             term1, term2 = holder * i_h / mu, l1 / mu
             notes = f"witness {f.label}; L1 norm summed over the support"
         elif theorem_id == "sobolev":

@@ -133,8 +133,7 @@ class Space:
 
     def lattice_distance(self, x: tuple, y: tuple) -> int:
         """``rho(x, y)`` of two integer coordinate tuples, exact (a Python
-        int): the pair distance of the Fraction sweeps, which stay free of
-        numpy and of per-pair tuple building."""
+        int): the distances of the exact replays, which form no float."""
         return max(abs(a - b) for a, b in zip(x, y))
 
     @property

@@ -157,6 +157,15 @@ def test_exact_verify_pinned_fractions(key):
         assert rep.verdict == "EqualityAttained"
 
 
+@pytest.mark.parametrize("omega", [RAMP, TableModulus([(0, 0), (1, F(7, 12)), (2, F(3, 4))])],
+                         ids=["power", "table"])
+@pytest.mark.parametrize("d, h", [(3, F(3, 2)), (4, F(3, 2)), (3, F(5, 2))], ids=str)
+def test_exact_verify_nagy_at_scale(d, h, omega):
+    rep = oracle.exact_verify("nagy", lattice(d, 0), omega, h)
+    assert rep.exact["gap"] == 0
+    assert rep.verdict == "EqualityAttained"
+
+
 def test_exact_verify_table_modulus():
     om = TableModulus([(0, 0), (1, F(2, 3)), (2, 1)])
     rep = oracle.exact_verify("nagy", lattice(1, 0), om, F(3, 2))
@@ -191,7 +200,7 @@ def test_exact_verify_rejects_inexact_values(tid, value):
         oracle.exact_verify(tid, lattice(1, 0), RAMP, F(3, 2), f=f)
 
 
-@pytest.mark.parametrize("tid", ["lemma1", "nagy", "charge"])
+@pytest.mark.parametrize("tid", ["lemma1", "nagy", "charge", "nagy_l1", "sobolev"])
 def test_exact_verify_rejects_false_support_radius(tid):
     # claims radius 1 but is 5 at (3,): the sweeps would never see that value
     def fn(pt):
@@ -200,6 +209,13 @@ def test_exact_verify_rejects_false_support_radius(tid):
     f = oracle.ExactFunction(fn=fn, support_radius=1, label="liar")
     with pytest.raises(ValueError, match="support radius 1"):
         oracle.exact_verify(tid, lattice(1, 0), RAMP, F(3, 2), f=f)
+    # claims radius 0 but is 5 at (5,): beyond the smoothness window 3s + 1 = 1,
+    # inside the seminorm sweep, which reads out to s + 2k + 1 = 7 at h = 7/2;
+    # unscanned, it passed with lhs 1 while the true sup is 5
+    far = {(0,): F(1), (5,): F(5)}
+    f = oracle.ExactFunction(fn=lambda p: far.get(p, F(0)), support_radius=0, label="far liar")
+    with pytest.raises(ValueError, match="support radius 0"):
+        oracle.exact_verify(tid, lattice(1, 0), RAMP, F(7, 2), f=f)
 
 
 def test_exact_verify_guards():
