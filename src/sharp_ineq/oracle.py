@@ -184,11 +184,11 @@ def exact_holder_constant(
     return max(ratios, default=Fraction(0))
 
 
-def _replay_window(f: ExactFunction, omega: Modulus, k: int) -> int:
+def _replay_window(f: ExactFunction, omega: Modulus, reach: int) -> int:
     """The radius of the one window a replay reads: the smoothness window,
-    stretched to hold the seminorm sweep ``window(S + k + 1) + ball(k)``."""
+    stretched to ``reach``, the radius of every other point the replay reads."""
     s = f.support_radius
-    base = max(3 * s + 1, s + 2 * k + 1)
+    base = max(3 * s + 1, reach)
     if omega.is_bounded():
         t_last = omega.breakpoints()[-1] if omega.breakpoints() else 1.0
         base = max(base, s + int(math.ceil(t_last)) + 1)
@@ -257,12 +257,12 @@ def exact_verify(
                 "seminorm, and smoothness sweeps are provably global"
             )
         f = replace(f, fn=functools.cache(f.fn))  # each point once; freed with f
-        radius = _replay_window(f, omega, k)
+        s = f.support_radius
+        radius = _replay_window(f, omega, s + 2 * k + 1)  # window(s + k + 1) + ball(k)
         holder = exact_holder_constant(f, space, omega, radius)
         num, den = _box_values(f, space, radius)
-        s = f.support_radius
         support = _sub_box(num, space, s, origin)
-        absf = abs(_fit(support, support.size))  # the L1 sum has the most terms
+        absf = abs(_fit(support, support.size))  # guarded for the L1 sum
         ints = _fit(num, len(offsets))
         ball = sum(_sub_box(ints, space, s + k + 1, u) for u in offsets)
         sem = Fraction(int(abs(ball).max()), den)

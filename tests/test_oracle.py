@@ -56,18 +56,19 @@ def _pair_loop_holder(f, space, omega, window_radius):
     Fraction ratio each."""
     pts = [tuple(p) for p in _lattice.window_points(space, window_radius).tolist()]
     vals = [f.fn(p) for p in pts]
+    modulus = [omega.eval_fraction(F(r)) for r in range(2 * window_radius + 1)]
     best = F(0)
     for (i, x), (j, y) in itertools.combinations(enumerate(pts), 2):
         num = abs(vals[i] - vals[j])
         if num:
-            best = max(best, num / omega.eval_fraction(F(space.lattice_distance(x, y))))
+            best = max(best, num / modulus[space.lattice_distance(x, y)])
     return best
 
 
-def _random_exact_function(space, rng):
-    """Signed rational values on the window of a random support radius 0-2,
-    over one of the denominators 3, 4, 12 and 7, and 0 beyond it."""
-    s = int(rng.integers(0, 3))
+def _random_exact_function(space, rng, max_support):
+    """Signed rational values on the window of a random support radius up to
+    ``max_support``, over one of the denominators 3, 4, 12 and 7, and 0 beyond it."""
+    s = int(rng.integers(0, max_support + 1))
     den = int(rng.choice([3, 4, 12, 7]))
     pts = [tuple(p) for p in _lattice.window_points(space, s).tolist()]
     table = {p: F(int(rng.integers(-9, 10)), den) for p in pts}
@@ -84,28 +85,44 @@ HOLDER_MODULI = (
 @pytest.mark.parametrize("space", [lattice(1, 0), lattice(2, 0), lattice(2, 1),
                                    lattice(3, 0), lattice(3, 1)], ids=repr)
 def test_exact_holder_constant_matches_pair_loop(space):
-    # 3 x 60 + 2 x 24 functions; the window is one ring past the support,
-    # cut to the support (radius at least 1) on d = 3 to keep the pair loop cheap
+    # 3 x 56 + 2 x 16 functions, the window one ring past the support; on
+    # d = 3 the support radius stays below 2 to keep the pair loop cheap
     rng = np.random.default_rng([14, space.d, space.m])
-    for trial in range(24 if space.d == 3 else 60):
-        f = _random_exact_function(space, rng)
+    for trial in range(16 if space.d == 3 else 56):
+        f = _random_exact_function(space, rng, 1 if space.d == 3 else 2)
         omega = HOLDER_MODULI[trial % len(HOLDER_MODULI)]
-        radius = max(f.support_radius, 1) if space.d == 3 else f.support_radius + 1
+        radius = f.support_radius + 1
         want = _pair_loop_holder(f, space, omega, radius)
         got = oracle.exact_holder_constant(f, space, omega, radius)
         assert got == want and type(got) is Fraction, (trial, got, want)
 
 
-@pytest.mark.parametrize("big", [2**62 + 5, 2**70 + 1], ids=["int64-overflowing-difference", "beyond-int64"])
+@pytest.mark.parametrize("big", [2**62 + 5, 2**70 + 1],
+                         ids=["int64-overflowing-difference", "beyond-int64"])
 def test_exact_holder_constant_huge_numerators(big):
     # over one common denominator the numerators exceed 2**62, so a difference
     # of two of them overflows int64: the sweep must fall back to Python ints
     space = lattice(2, 0)
-    table = {(0, 0): F(big, 3), (1, 0): F(-big, 3), (0, -1): F(big - 7, 3), (1, 1): F(5, 12)}
+    table = {(0, 0): F(big, 3), (1, 0): F(-big, 3), (0, -1): F(big - 7, 3), (1, 1): F(5, 3)}
     f = oracle.ExactFunction(fn=lambda p: table.get(p, F(0)), support_radius=1, label="huge")
     got = oracle.exact_holder_constant(f, space, RAMP, 2)
     assert got == _pair_loop_holder(f, space, RAMP, 2) == F(2 * big, 3)
     assert type(got) is Fraction
+
+
+def test_exact_verify_sums_guarded_by_their_own_counts():
+    # 2**61 on the 5 points of the support: a 3-offset ball sum fits int64,
+    # the 5-term L1 sum does not
+    f = oracle.ExactFunction(fn=lambda p: 2**61 if abs(p[0]) <= 2 else 0,
+                             support_radius=2, label="flat")
+    rep = oracle.exact_verify("nagy_l1", lattice(1, 0), RAMP, F(3, 2), f=f)
+    assert rep.exact["lhs"] == 2**61
+    assert rep.exact["rhs_term2"] == F(5 * 2**61, 3)
+    # 2**62 on 3 points: each value fits int64, their 3-offset ball sum does not
+    f = oracle.ExactFunction(fn=lambda p: 2**62 if abs(p[0]) <= 1 else 0,
+                             support_radius=1, label="flat")
+    rep = oracle.exact_verify("nagy", lattice(1, 0), RAMP, F(3, 2), f=f)
+    assert rep.exact["rhs_term2"] == 2**62
 
 
 @pytest.mark.parametrize("tid", oracle.EXACT_THEOREMS)
@@ -209,6 +226,8 @@ def test_exact_verify_rejects_false_support_radius(tid):
     f = oracle.ExactFunction(fn=fn, support_radius=1, label="liar")
     with pytest.raises(ValueError, match="support radius 1"):
         oracle.exact_verify(tid, lattice(1, 0), RAMP, F(3, 2), f=f)
+    if tid == "lemma1":
+        return  # it reads only its smoothness window and ball, out to radius 3 below
     # claims radius 0 but is 5 at (5,): beyond the smoothness window 3s + 1 = 1,
     # inside the seminorm sweep, which reads out to s + 2k + 1 = 7 at h = 7/2;
     # unscanned, it passed with lhs 1 while the true sup is 5
