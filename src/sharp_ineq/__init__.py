@@ -64,7 +64,6 @@ from .operators import (
     deviation_u,
     hypersingular_full,
     hypersingular_norm_witness,
-    hypersingular_operator_norm,
     hypersingular_truncated,
     kernel_ball_mass,
     kernel_from_config,

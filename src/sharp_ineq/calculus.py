@@ -134,7 +134,6 @@ class FunctionModel:
     certified_seminorm_h: Optional[float] = None
     seminorm_at_h: Optional[float] = None
     certified_l1: Optional[float] = None
-    upper_gradient_bound: Optional[float] = None
     support_radius: Optional[float] = None
     meta: dict = field(default_factory=dict)
 

@@ -43,7 +43,9 @@ from .operators import (
     stechkin_curve,
     theorem_report,
 )
-from .oracle import EXACT_THEOREMS, MC_CHECKS, exact_verify, mc_cross_check, random_suite
+from .oracle import (
+    EXACT_THEOREMS, MC_CHECKS, exact_inapplicable, exact_verify, mc_cross_check, random_suite,
+)
 from .space import Space, config_integer, config_number
 
 EXIT_OK = 0
@@ -204,14 +206,6 @@ def _h_values(cfg: dict, space: Space, *, exact: bool) -> list:
     return [_radius(v, space, exact=exact) for v in values]
 
 
-def _require_rational(omega: Modulus) -> None:
-    """Exact mode evaluates the modulus in Fractions; reject moduli that cannot."""
-    try:
-        omega.eval_fraction(Fraction(1))
-    except ValueError as exc:
-        raise ConfigError(f"exact mode needs a rational modulus: {exc}") from exc
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -263,15 +257,12 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
     for tid in theorems:
         if tid not in THEOREM_IDS:
             raise ConfigError(f"unknown theorem id {tid!r}; expected one of {THEOREM_IDS}")
-        if exact and tid not in EXACT_THEOREMS:
-            raise ConfigError(f"exact mode covers {EXACT_THEOREMS}, not {tid!r}")
+        reason = exact_inapplicable(tid, space, omega) if exact else None
+        if reason is not None:
+            raise ConfigError(reason)
         reason = inapplicable(tid, space, omega)
         if reason is not None:
             raise ConfigError(f"theorem {tid!r} does not apply here: {reason}")
-    if exact and not space.is_lattice:
-        raise ConfigError("exact mode runs on lattice spaces")
-    if exact:
-        _require_rational(omega)
     h_values = _h_values(cfg, space, exact=exact)
     kernel = None
     if "kernel" in cfg:
@@ -321,7 +312,10 @@ def cmd_stechkin(cfg: dict, args) -> tuple[str, int]:
         if not (0.0 < n < math.inf):
             raise ConfigError(f"'n_values' must be positive and finite, got {n}")
     spec = _spec_from(cfg, space, omega, args.seed)
-    points = stechkin_curve(space, omega, ns, spec)
+    try:
+        points = stechkin_curve(space, omega, ns, spec)
+    except ValueError as exc:  # its numeric failures are QuadratureErrors
+        raise ConfigError(str(exc)) from exc
     rows = [
         {
             "d": space.d,
@@ -388,11 +382,11 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
             if not isinstance(node, dict):
                 raise ConfigError("each exact entry must be an object")
             tid = node.get("theorem_id")
-            if tid not in EXACT_THEOREMS:
-                raise ConfigError(f"exact mode covers {EXACT_THEOREMS}, not {tid!r}")
             space = _space_from(node)
             omega = _modulus_from(node)
-            _require_rational(omega)
+            reason = exact_inapplicable(tid, space, omega)
+            if reason is not None:
+                raise ConfigError(reason)
             if "h" not in node:
                 raise ConfigError("each exact entry needs 'h'")
             h = _radius(node["h"], space, exact=True)

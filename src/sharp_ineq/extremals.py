@@ -189,7 +189,6 @@ def make_f_eh(space: Space, omega: Modulus, h, i_h: Estimate | None = None) -> F
         certified_seminorm_h=deficiency.value,
         seminorm_at_h=hf,
         certified_l1=deficiency.value,
-        upper_gradient_bound=0.5,
         support_radius=hf,
         meta=meta,
     )

@@ -587,15 +587,6 @@ def kernel_tail_mass(
 # ======================================================================
 
 
-def hypersingular_operator_norm(
-    space: Space, kernel, h, spec: Optional[QuadratureSpec] = None
-) -> Estimate:
-    """Operator norm of the truncated singular integral on bounded functions:
-    exactly twice the kernel tail mass."""
-    t = kernel_tail_mass(space, kernel, h, spec)
-    return Estimate(2.0 * t.value, t.method, 2.0 * t.error_bound)
-
-
 def hypersingular_norm_witness(space: Space, kernel, h, c: float = 1.0) -> FunctionModel:
     """The two-valued function ``c`` inside B_h / ``-c`` outside.
 

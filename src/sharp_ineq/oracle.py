@@ -10,6 +10,8 @@ extremal constructors stamp on their outputs:
   zero gap is a machine-checked identity, not a small float.  The witness
   is evaluated once on a window box, scaled to integer numerators over one
   common denominator, and swept by integer reductions over shifted views.
+  ``exact_inapplicable`` states once which replays run (the CLI reads it),
+  and all five bounds read ``term1 = holder I(h)/mu`` and one ``term2``.
 
 * ``random_suite`` throws randomized certified-smooth functions (maxima of
   truncated cones) at an inequality and counts violations.  It draws the
@@ -54,12 +56,35 @@ from .operators import (
 )
 from .space import Space, continuum, lattice, strict_int_below
 
-EXACT_THEOREMS = ("lemma1", "nagy", "nagy_l1", "sobolev", "charge")
+# the theorems exact_verify replays, each with the notes of its reports
+_EXACT_NOTES = {
+    "lemma1": "witness {}; all quantities rational",
+    "nagy": "witness {}",
+    "nagy_l1": "witness {}; L1 norm summed over the support",
+    "sobolev": "witness {}; constant upper gradient holder/2",
+    "charge": "witness {}; seminorm recomputed as a translated-ball charge sweep",
+}
+EXACT_THEOREMS = tuple(_EXACT_NOTES)
 
 
 # ======================================================================
 # Exact rational verification on lattices
 # ======================================================================
+
+
+def exact_inapplicable(theorem_id: str, space: Space, omega: Modulus) -> Optional[str]:
+    """Why ``exact_verify`` cannot replay ``theorem_id`` on ``space`` with
+    ``omega``, or ``None`` when it can: the exact twin of
+    ``operators.inapplicable``."""
+    if theorem_id not in EXACT_THEOREMS:
+        return f"exact mode covers {EXACT_THEOREMS}, not {theorem_id!r}"
+    if not space.is_lattice:
+        return "exact mode runs on lattice spaces"
+    try:
+        omega.eval_fraction(Fraction(1))
+    except ValueError as exc:
+        return f"exact mode needs a rational modulus: {exc}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -207,20 +232,28 @@ def exact_verify(
     Every norm entering either side is recomputed by finite exact sweeps;
     the report's ``exact`` field carries the rational lhs, both right-hand
     terms, and the gap.  A gap of exactly ``Fraction(0)`` is equality on the
-    nose.  Needs a rational-valued modulus (power exponent 1, or a table
-    with rational nodes) and ``h`` given as a ``Fraction`` or integer.  A
-    caller's ``f`` must return ``int`` or ``Fraction`` values and vanish
-    beyond its support radius; either breach raises ``ValueError``.
+    nose.  ``h`` is a ``Fraction`` or integer.  A replay that
+    ``exact_inapplicable`` refuses raises its reason as ``ValueError``, as
+    does a caller's ``f`` without a support radius, with a value that is not
+    an ``int`` or ``Fraction``, or nonzero beyond its support radius.
+
+    The witness defaults to ``exact_f_omega`` (``lemma1``; ``holder = 1`` by
+    concavity) or ``exact_f_eh``.  Every bound is ``term1 = holder I(h)/mu``
+    plus ``term2``: 0 for ``lemma1``, ``L1/mu`` for ``nagy_l1``, and the
+    ball-sum seminorm over ``mu`` for ``nagy``, ``sobolev`` and ``charge``.
     """
-    if theorem_id not in EXACT_THEOREMS:
-        raise ValueError(
-            f"exact verification covers {EXACT_THEOREMS}, not {theorem_id!r}"
-        )
-    if not space.is_lattice:
-        raise ValueError("exact verification runs on lattice spaces")
+    reason = exact_inapplicable(theorem_id, space, omega)
+    if reason is not None:
+        raise ValueError(reason)
     hq = Fraction(h)
     space.require_valid_radius(hq)
-    omega.eval_fraction(Fraction(1))  # raises early for irrational moduli
+    if f is None:
+        f = exact_f_omega(space, omega) if theorem_id == "lemma1" else exact_f_eh(space, omega, hq)
+    elif f.support_radius is None:
+        raise ValueError(
+            "exact mode needs a compactly supported function (or the default "
+            "witness) so that its sweeps are provably global"
+        )
 
     k = strict_int_below(hq)
     offsets = [tuple(u) for u in space.closed_ball(k).tolist()]
@@ -231,59 +264,35 @@ def exact_verify(
         Fraction(0),
     )
 
+    s = f.support_radius
+    if s is None:  # the default lemma1 witness
+        holder = Fraction(1)  # concavity: |omega(a) - omega(b)| <= omega(|a - b|)
+    else:
+        f = replace(f, fn=functools.cache(f.fn))  # each point once; freed with f
+        # lemma1 reads the ball; the others window(s + k + 1) + ball(k).  The
+        # window holds every point read below, so every value is checked.
+        radius = _replay_window(f, omega, k if theorem_id == "lemma1" else s + 2 * k + 1)
+        holder = exact_holder_constant(f, space, omega, radius)
+
     if theorem_id == "lemma1":
-        if f is None:
-            f = exact_f_omega(space, omega)
-            holder = Fraction(1)  # concavity: |omega(a) - omega(b)| <= omega(|a - b|)
-        else:
-            if f.support_radius is None:
-                raise ValueError(
-                    "exact mode needs a compactly supported function (or the "
-                    "default witness) so its smoothness constant is sweepable"
-                )
-            # its window holds the ball, so every value below is checked
-            holder = exact_holder_constant(f, space, omega, _replay_window(f, omega, k))
         ball = sum((f.fn(u) for u in offsets), Fraction(0))
         lhs = abs(f.fn(origin) - ball / mu)
-        term1 = holder * i_h / mu
         term2 = Fraction(0)
-        notes = f"witness {f.label}; all quantities rational"
     else:
-        if f is None:
-            f = exact_f_eh(space, omega, hq)
-        if f.support_radius is None:
-            raise ValueError(
-                "exact mode needs a compactly supported function so that sup, "
-                "seminorm, and smoothness sweeps are provably global"
-            )
-        f = replace(f, fn=functools.cache(f.fn))  # each point once; freed with f
-        s = f.support_radius
-        radius = _replay_window(f, omega, s + 2 * k + 1)  # window(s + k + 1) + ball(k)
-        holder = exact_holder_constant(f, space, omega, radius)
         num, den = _box_values(f, space, radius)
         support = _sub_box(num, space, s, origin)
         absf = abs(_fit(support, support.size))  # guarded for the L1 sum
-        ints = _fit(num, len(offsets))
-        ball = sum(_sub_box(ints, space, s + k + 1, u) for u in offsets)
-        sem = Fraction(int(abs(ball).max()), den)
         lhs = Fraction(int(absf.max()), den)
         if theorem_id == "nagy_l1":
-            l1 = Fraction(int(absf.sum()), den)
-            term1, term2 = holder * i_h / mu, l1 / mu
-            notes = f"witness {f.label}; L1 norm summed over the support"
-        elif theorem_id == "sobolev":
-            # G == holder/2 is always an admissible upper gradient
-            term1, term2 = 2 * (holder / 2) * i_h / mu, sem / mu
-            notes = f"witness {f.label}; constant upper gradient holder/2"
-        elif theorem_id == "charge":
-            term1, term2 = holder * i_h / mu, sem / mu
-            notes = (
-                f"witness {f.label}; seminorm recomputed as a translated-ball "
-                "charge sweep"
-            )
-        else:  # nagy
-            term1, term2 = holder * i_h / mu, sem / mu
-            notes = f"witness {f.label}"
+            term2 = Fraction(int(absf.sum()), den) / mu
+        else:
+            ints = _fit(num, len(offsets))
+            ball = sum(_sub_box(ints, space, s + k + 1, u) for u in offsets)
+            term2 = Fraction(int(abs(ball).max()), den) / mu
+    # sobolev's constant upper gradient G = holder/2 is always admissible, and
+    # its term 2 * (holder / 2) * I(h) / mu is this same Fraction
+    term1 = holder * i_h / mu
+    notes = _EXACT_NOTES[theorem_id].format(f.label)
 
     gap = term1 + term2 - lhs
     if gap < 0:
@@ -445,10 +454,6 @@ def _cone_spec(omega: Modulus, lam: float, centers: tuple, radii: list) -> ConeF
         # keep strictly below the plateau so the cone provably hits zero
         heights = np.minimum(heights, lam * omega.max_value * (1.0 - 1e-9))
     return ConeFunctionSpec(centers=centers, heights=tuple(heights.tolist()), lam=lam)
-
-
-def _random_cone_spec(space: Space, omega: Modulus, rng) -> ConeFunctionSpec:
-    return _cone_spec(omega, *_draw_cones(space, rng))
 
 
 class _Cones:

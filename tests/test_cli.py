@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from sharp_ineq import PowerModulus, Space, exact_verify
 from sharp_ineq.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -254,6 +256,13 @@ TABLE = {"kind": "table", "points": [[0, 0], ["1/2", "2/5"], [2, 1]]}
                     "theorems": ["nagy", "mixed_additive"]}, "continuum statements"),
         ("verify", {"space": LINE, "modulus": TABLE, "h_values": [1],
                     "theorems": ["mixed_multiplicative"]}, "power moduli"),
+        ("oracle", {"exact": [{"theorem_id": "nagy", "space": LINE, "modulus": POWER1,
+                               "h": "3/2"}]}, "lattice"),
+        ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1], "exact": True},
+         "lattice"),
+        ("stechkin", {"space": ZZ, "modulus": POWER1, "n_values": [1]}, "continuum"),
+        ("stechkin", {"space": LINE, "modulus": POWER1, "n_values": [1],
+                      "method": "lattice_exact"}, "lattice"),
     ],
     ids=["verify-negative-h", "constant-negative-h", "lattice-h-1",
          "exact-irrational-alpha", "suite-zero-trials", "constant-bad-seed",
@@ -265,7 +274,8 @@ TABLE = {"kind": "table", "points": [[0, 0], ["1/2", "2/5"], [2, 1]]}
          "boolean-n", "string-exact", "number-kernel", "nan-kernel-radius", "nan-kernel-value",
          "infinite-kernel-value", "boolean-beta", "huge-integer-h", "huge-integer-n",
          "boolean-alpha", "negative-seed", "negative-suite-seed", "negative-mc-checks-seed",
-         "lattice-mixed-listed", "table-multiplicative-listed"],
+         "lattice-mixed-listed", "table-multiplicative-listed", "oracle-exact-continuum",
+         "verify-exact-continuum", "stechkin-lattice", "stechkin-lattice-exact-continuum"],
 )
 def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle):
     cfg = write_cfg(tmp_path, "bad.json", payload)
@@ -273,6 +283,29 @@ def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle)
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and needle in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "tid,space,alpha",
+    [("hypersingular", ZZ, 1.0), ("nagy", LINE, 1.0), ("nagy", ZZ, 0.5)],
+    ids=["non-exact-theorem", "continuum", "irrational-alpha"],
+)
+def test_exact_mistakes_read_as_the_library_refusal(capsys, tmp_path, tid, space, alpha):
+    # one rule: exact_verify's ValueError is, word for word, both commands' config error
+    modulus = {"kind": "power", "alpha": alpha}
+    with pytest.raises(ValueError) as refusal:
+        exact_verify(tid, Space.from_config(space), PowerModulus(alpha), Fraction(3, 2))
+    payloads = {
+        "verify": {"space": space, "modulus": modulus, "h_values": ["3/2"], "exact": True,
+                   "theorems": [tid]},
+        "oracle": {"exact": [{"theorem_id": tid, "space": space, "modulus": modulus,
+                              "h": "3/2"}]},
+    }
+    for command, payload in payloads.items():
+        cfg = write_cfg(tmp_path, f"{command}.json", payload)
+        code, out, err = run_cli(capsys, [command, "--config", cfg])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"config error: {refusal.value}\n"
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,6 @@ def test_bump_profile_values():
     np.testing.assert_allclose(got, [1.0, 0.75, 0.5, 0.0, 0.0])
     assert f.certified_sup_norm == 1.0
     assert f.certified_holder_bound == 1.0
-    assert f.upper_gradient_bound == 0.5
     assert f.support_radius == 1.0
     assert f.seminorm_at_h == 1.0
 
@@ -252,7 +251,6 @@ def test_sobolev_pair_contract():
     space = continuum(2, 1)
     f, g = sobolev_extremal_pair(space, PowerModulus(0.5), 1.0)
     assert g(np.array([0.3, 0.3])) == 0.5
-    assert f.upper_gradient_bound == 0.5
     # the pair inequality |f(x)-f(y)| <= (g(x)+g(y)) omega(rho(x,y)) at H=1
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1, 1, size=(2000, 2))

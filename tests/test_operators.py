@@ -40,7 +40,8 @@ def test_steklov_average_lattice_values():
 @pytest.mark.parametrize("space", [lattice(2, 1), lattice(3, 0)], ids=["Z2_1", "Z3_0"])
 def test_steklov_average_lattice_matches_per_point_sums(space):
     rng = np.random.default_rng(space.d)
-    f = oracle.make_cone_function(space, RAMP, oracle._random_cone_spec(space, RAMP, rng))
+    spec = oracle._cone_spec(RAMP, *oracle._draw_cones(space, rng))
+    f = oracle.make_cone_function(space, RAMP, spec)
     s = ops.steklov_average(f, space, 2.5)
     offsets = space.enumerate_ball(2.5).astype(np.float64)
     mu = float(space.ball_measure(2.5))
@@ -112,7 +113,8 @@ LATTICES = [lattice(d, m) for d in (1, 2, 3) for m in range(d + 1)]
 def test_charge_seminorm_lattice_gather_path(space, h):
     rng = np.random.default_rng(10 * space.d + space.m)
     omega = RAMP if space.m % 2 else TableModulus([(0, 0), (1, 0.8), (3, 1.4)])
-    f = oracle.make_cone_function(space, omega, oracle._random_cone_spec(space, omega, rng))
+    spec = oracle._cone_spec(omega, *oracle._draw_cones(space, rng))
+    f = oracle.make_cone_function(space, omega, spec)
     k = strict_int_below(h)
     radius = math.ceil(f.support_radius) + k + 1
     nu = ops.ChargeModel(density=f)
@@ -414,11 +416,11 @@ def test_theorem_report_hypersingular_table_kernel(space, h, omega):
 def test_hypersingular_operator_norm_and_witness():
     space = continuum(1, 0)
     kernel = ops.PowerLawKernel(beta=0.5)
-    norm = ops.hypersingular_operator_norm(space, kernel, 1.0)
-    assert norm.value == pytest.approx(8.0)  # 2 T(1) = 8
+    norm = 2 * ops.kernel_tail_mass(space, kernel, 1.0).value
+    assert norm == pytest.approx(8.0)  # 2 T(1) = 8
     w = ops.hypersingular_norm_witness(space, kernel, 1.0)
     got = ops.hypersingular_truncated(w, space, kernel, 1.0)
-    assert got.value == pytest.approx(norm.value, rel=1e-12)
+    assert got.value == pytest.approx(norm, rel=1e-12)
 
 
 def test_hypersingular_full_frozen_value():
