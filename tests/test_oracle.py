@@ -148,24 +148,33 @@ def test_exact_verify_frozen_rationals():
 
 
 # Recorded before the shared box enumerator replaced the tuple builders of
-# the exact sweeps; every value is fixed by the mathematics.
+# the exact sweeps, and the "far" row before the smoothness window lost its
+# stretch for bounded moduli; every value is fixed by the mathematics.
 EXACT_PINS = {
     (2, 1, "power"): ("3/2", "5/6", "2/3", "5/6"),
     (2, 1, "table"): ("3/4", "5/9", "7/36", "5/9"),
     (3, 1, "power"): ("3/2", "17/18", "5/9", "17/18"),
     (3, 1, "table"): ("3/4", "17/27", "13/108", "17/27"),
+    (2, 1, "far"): ("29/56", "37/90", "269/2520", "37/90"),
+}
+# modulus and h of each pin; the "far" table's last node, 9, lies beyond
+# 2s + 1 = 5 for the support radius s = 2 of the h = 5/2 bump
+EXACT_PIN_CASES = {
+    "power": (RAMP, F(3, 2)),
+    "table": (TableModulus([(0, 0), (1, F(2, 3)), (2, F(5, 6))]), F(3, 2)),
+    "far": (TableModulus([(0, 0), (1, F(1, 3)), (2, F(1, 2)), (9, F(3, 4))]), F(5, 2)),
 }
 
 
 @pytest.mark.parametrize("key", sorted(EXACT_PINS), ids=lambda k: f"Z{k[0]}_{k[1]}-{k[2]}")
 def test_exact_verify_pinned_fractions(key):
     d, m, name = key
-    omega = RAMP if name == "power" else TableModulus([(0, 0), (1, F(2, 3)), (2, F(5, 6))])
+    omega, h = EXACT_PIN_CASES[name]
     lhs, term1, term2, lemma1 = (F(v) for v in EXACT_PINS[key])
     space = lattice(d, m)
     tids = oracle.EXACT_THEOREMS if d == 2 else ("nagy", "nagy_l1")
     for tid in tids:
-        rep = oracle.exact_verify(tid, space, omega, F(3, 2))
+        rep = oracle.exact_verify(tid, space, omega, h)
         if tid == "lemma1":
             want = {"lhs": lemma1, "rhs_term1": lemma1, "rhs_term2": F(0), "gap": F(0)}
         else:
