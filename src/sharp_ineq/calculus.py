@@ -397,6 +397,20 @@ def ball_integral_at(
     return _ball_average_at(f, space, h, xv, spec, mc_offsets)
 
 
+def _seminorm_plan(f: FunctionModel, space: Space, h, window_radius: float) -> _lattice.GatherPlan:
+    """The sweep plan of a lattice seminorm: the balls of radius ``h`` centred
+    on the window.  A window that does not hold every ball meeting ``f``'s
+    support would miss some of them, so it raises ``ValueError``."""
+    k = strict_int_below(h)
+    if f.support_radius is not None:
+        needed = int(math.ceil(f.support_radius)) + k
+        if window_radius < needed:
+            raise ValueError(
+                f"window radius {window_radius} too small: need support + ball = {needed}"
+            )
+    return _lattice.sweep_plan(space, int(math.ceil(window_radius)), k)
+
+
 def seminorm_local(
     f: FunctionModel,
     space: Space,
@@ -423,14 +437,7 @@ def seminorm_local(
         certified = f.certified_seminorm_h
 
     if space.is_lattice:
-        k = strict_int_below(h)
-        if f.support_radius is not None:
-            needed = int(math.ceil(f.support_radius)) + k
-            if window_radius < needed:
-                raise ValueError(
-                    f"window radius {window_radius} too small: need support + ball = {needed}"
-                )
-        plan = _lattice.sweep_plan(space, int(math.ceil(window_radius)), k)
+        plan = _seminorm_plan(f, space, h, window_radius)
         padded = _lattice.evaluate_padded(plan, f.evaluator)
         sums = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets)
         est = float(np.max(np.abs(sums)))

@@ -158,13 +158,6 @@ def _modulus_from(cfg: dict) -> Modulus:
         raise ConfigError("config needs a 'modulus' object")
     if node.get("kind") == "power" and "alpha" in node:
         node = {**node, "alpha": _number(node["alpha"])}
-    if node.get("kind") == "table":
-        pts = node.get("points")
-        if isinstance(pts, list):
-            node = dict(node)
-            node["points"] = [
-                [Fraction(p) if isinstance(p, str) else p for p in pair] for pair in pts
-            ]
     try:
         return modulus_from_config(node)
     except (ValueError, TypeError, ZeroDivisionError) as exc:

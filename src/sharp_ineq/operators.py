@@ -56,6 +56,7 @@ from .calculus import (
     FunctionModel,
     QuadratureSpec,
     _mc_mean,
+    _seminorm_plan,
     _translations,
     ball_integral_at,
     ball_integral_of_modulus,
@@ -304,13 +305,15 @@ def charge_seminorm(
     array (offsets in ``enumerate_ball`` order), and each row is summed on
     its own.  This path stays off ``seminorm_local`` and its
     ``_kernels.ball_sums`` matmul, so the two sides of the identity share
-    only plan building; the row sums reproduce ``ball_integral_at``'s
-    per-ball ``np.sum`` bit for bit.  Continuum: a search over
-    ``ball_mass`` at the translations ``seminorm_local`` searches.
+    only the window check and plan building; the row sums reproduce
+    ``ball_integral_at``'s per-ball ``np.sum`` bit for bit.  A window short
+    of the density's support dilated by the ball raises ``ValueError``.
+    Continuum: a search over ``ball_mass`` at the translations
+    ``seminorm_local`` searches.
     """
     space.require_valid_radius(h)
     if space.is_lattice:
-        plan = _lattice.sweep_plan(space, int(math.ceil(window_radius)), strict_int_below(h))
+        plan = _seminorm_plan(nu.density, space, h, window_radius)
         padded = _lattice.evaluate_padded(plan, nu.density.evaluator)
         charges = padded[plan.base_idx[:, None] + plan.lin_offsets[None, :]].sum(axis=1)
         return float(np.max(np.abs(charges)))

@@ -8,8 +8,9 @@ extremal constructors stamp on their outputs:
   arithmetic — sup, seminorm, and smoothness constant are recomputed from
   scratch by finite sweeps whose windows are provably large enough, so a
   zero gap is a machine-checked identity, not a small float.  The witness
-  is evaluated once on a window box, scaled to integer numerators over one
-  common denominator, and swept by integer reductions over shifted views.
+  is evaluated once per point on window boxes, scaled to integer numerators
+  over one common denominator, and swept by integer reductions over
+  shifted views.
   ``exact_inapplicable`` states once which replays run (the CLI reads it),
   and all five bounds read ``term1 = holder I(h)/mu`` and one ``term2``.
 
@@ -39,6 +40,7 @@ from .calculus import (
     MONTE_CARLO,
     FunctionModel,
     QuadratureSpec,
+    _mc_mean,
     ball_integral_of_modulus,
 )
 from .extremals import make_f_eh, split_point_a
@@ -172,18 +174,28 @@ def _fit(num: np.ndarray, terms: int) -> np.ndarray:
     return num.astype(np.int64) if top * terms < 2**63 else num
 
 
+def _ball_sums(box: np.ndarray, space: Space, r: int, offsets: list) -> np.ndarray:
+    """Integer sums over the ball ``offsets`` at each point of the window of
+    radius ``r``, from the numerators ``box`` on a window that holds them."""
+    ints = _fit(box, len(offsets))
+    return sum(_sub_box(ints, space, r, u) for u in offsets)
+
+
 def exact_holder_constant(
     f: ExactFunction, space: Space, omega: Modulus, window_radius: int
 ) -> Fraction:
     """Largest ``|f(x) - f(y)| / omega(rho(x, y))`` over window pairs.
 
-    For a function supported in radius S, a window of radius ``3 S + 1``
-    (stretched to ``S + t_last + 1`` for a modulus constant beyond t_last)
-    contains a maximizing pair of the global ratio: the ratio against a far
-    zero of ``f`` only decreases with distance once the modulus stops
-    growing, so nothing outside the window can do better.  A nonzero value
-    in the window beyond the claimed support radius, or one that is not an
-    ``int`` or ``Fraction``, raises ``ValueError``.
+    For a function supported in radius S, the window of radius ``3 S + 1``
+    holds a pair that attains the global ratio, for every nondecreasing
+    ``omega``.  Two points of the support are at most ``2 S`` apart, so a
+    pair at distance ``2 S + 1`` or more has a zero endpoint: its values
+    differ by at most ``sup |f|``, over a modulus of at least
+    ``omega(2 S + 1)``.  A pair with a point outside the window is such a
+    pair, or two zeros.  The pair (peak, peak + ``(2 S + 1) e_1``) attains
+    exactly ``sup |f| / omega(2 S + 1)`` and lies inside the window.  A
+    nonzero value in the window beyond the claimed support radius, or one
+    that is not an ``int`` or ``Fraction``, raises ``ValueError``.
 
     The pairs are swept by difference offset ``u`` (one of each ``+-u``):
     one subtraction of two overlapping views of the integer numerators gives
@@ -207,17 +219,6 @@ def exact_holder_constant(
             widest[r] = max(widest.get(r, 0), top)
     ratios = (Fraction(int(t), den) / omega.eval_fraction(Fraction(r)) for r, t in widest.items())
     return max(ratios, default=Fraction(0))
-
-
-def _replay_window(f: ExactFunction, omega: Modulus, reach: int) -> int:
-    """The radius of the one window a replay reads: the smoothness window,
-    stretched to ``reach``, the radius of every other point the replay reads."""
-    s = f.support_radius
-    base = max(3 * s + 1, reach)
-    if omega.is_bounded():
-        t_last = omega.breakpoints()[-1] if omega.breakpoints() else 1.0
-        base = max(base, s + int(math.ceil(t_last)) + 1)
-    return base
 
 
 def exact_verify(
@@ -269,25 +270,26 @@ def exact_verify(
         holder = Fraction(1)  # concavity: |omega(a) - omega(b)| <= omega(|a - b|)
     else:
         f = replace(f, fn=functools.cache(f.fn))  # each point once; freed with f
-        # lemma1 reads the ball; the others window(s + k + 1) + ball(k).  The
-        # window holds every point read below, so every value is checked.
-        radius = _replay_window(f, omega, k if theorem_id == "lemma1" else s + 2 * k + 1)
-        holder = exact_holder_constant(f, space, omega, radius)
+        holder = exact_holder_constant(f, space, omega, 3 * s + 1)
 
+    # lemma1 reads the ball at the centre; the others the support and every
+    # ball that meets it.  Each box holds every point its theorem reads, so
+    # every value read is checked.
     if theorem_id == "lemma1":
-        ball = sum((f.fn(u) for u in offsets), Fraction(0))
-        lhs = abs(f.fn(origin) - ball / mu)
+        num, den = _box_values(f, space, k)
+        centre = Fraction(_sub_box(num, space, 0, origin).item(), den)
+        ball = Fraction(_ball_sums(num, space, 0, offsets).item(), den)
+        lhs = abs(centre - ball / mu)
         term2 = Fraction(0)
     else:
-        num, den = _box_values(f, space, radius)
+        num, den = _box_values(f, space, s + 2 * k + 1)
         support = _sub_box(num, space, s, origin)
         absf = abs(_fit(support, support.size))  # guarded for the L1 sum
         lhs = Fraction(int(absf.max()), den)
         if theorem_id == "nagy_l1":
             term2 = Fraction(int(absf.sum()), den) / mu
         else:
-            ints = _fit(num, len(offsets))
-            ball = sum(_sub_box(ints, space, s + k + 1, u) for u in offsets)
+            ball = _ball_sums(num, space, s + k + 1, offsets)
             term2 = Fraction(int(abs(ball).max()), den) / mu
     # sobolev's constant upper gradient G = holder/2 is always admissible, and
     # its term 2 * (holder / 2) * I(h) / mu is this same Fraction
@@ -748,12 +750,9 @@ def mc_cross_check(name: str, seed: int = 0, samples: int = 200_000) -> dict:
         space, omega, h = continuum(2, 0), PowerModulus(0.5), 1.0
         f = make_f_eh(space, omega, h)
         det = f.certified_l1
-        box = rng.uniform(-h, h, (samples, 2))
-        vals = f(box)
+        est = _mc_mean(f(rng.uniform(-h, h, (samples, 2))))
         vol = (2.0 * h) ** 2
-        mc = float(vals.mean()) * vol
-        stderr = float(vals.std(ddof=1) / math.sqrt(samples)) * vol
-        return _check_pair(name, det, mc, stderr)
+        return _check_pair(name, det, est.value * vol, est.error_bound * vol)
 
     if name == "split_objective":
         omega, h = PowerModulus(1.0), 1.0
@@ -762,12 +761,10 @@ def mc_cross_check(name: str, seed: int = 0, samples: int = 200_000) -> dict:
         pts = np.column_stack(
             [rng.uniform(0.0, h, samples), rng.uniform(-h, h, samples)]
         )
-        vals = np.where(pts[:, 0] < split.a, f(pts), 0.0)
+        est = _mc_mean(np.where(pts[:, 0] < split.a, f(pts), 0.0))
         vol = 2.0 * h * h
-        mc = float(vals.mean()) * vol
-        stderr = float(vals.std(ddof=1) / math.sqrt(samples)) * vol
         det = split.total_mass / 2.0  # the split point halves the slab mass
-        return _check_pair(name, det, mc, stderr)
+        return _check_pair(name, det, est.value * vol, est.error_bound * vol)
 
     if name == "steklov_point":
         space, omega, h = continuum(2, 0), PowerModulus(1.0), 1.0
@@ -777,11 +774,8 @@ def mc_cross_check(name: str, seed: int = 0, samples: int = 200_000) -> dict:
 
         det = ball_integral_at(f, space, h, x)
         bare = FunctionModel(name="bare", evaluator=f.evaluator)
-        u = space.sample_ball(h, samples, seed)
-        vals = bare(x[None, :] + u)
+        est = _mc_mean(bare(x[None, :] + space.sample_ball(h, samples, seed)))
         mu = float(space.ball_measure(h))
-        mc = float(vals.mean()) * mu
-        stderr = float(vals.std(ddof=1) / math.sqrt(samples)) * mu
-        return _check_pair(name, det, mc, stderr)
+        return _check_pair(name, det, est.value * mu, est.error_bound * mu)
 
     raise AssertionError("unreachable")

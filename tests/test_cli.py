@@ -185,6 +185,24 @@ LINE = {"kind": "continuum", "d": 1, "m": 0}
 ZZ = {"kind": "lattice", "d": 1, "m": 0}
 POWER1 = {"kind": "power", "alpha": 1.0}
 TABLE = {"kind": "table", "points": [[0, 0], ["1/2", "2/5"], [2, 1]]}
+# malformed table nodes, refused where the library parses them
+BAD_NODES = {
+    "word": [[0, 0], ["1", "x"], [2, 1]],
+    "zero-denominator": [[0, 0], ["1", "1/0"], [2, 1]],
+    "bare-numbers": [0, 1, 2],
+}
+BAD_NODE_CASES = [
+    (command, {"kind": "table", "points": points}, f"{command}-table-{name}")
+    for command in ("constant", "verify", "oracle")
+    for name, points in BAD_NODES.items()
+]
+
+
+def _bad_node_payload(command, modulus):
+    if command == "oracle":
+        return {"exact": [{"theorem_id": "nagy", "space": ZZ, "modulus": modulus, "h": "3/2"}]}
+    payload = {"space": ZZ, "modulus": modulus, "h_values": ["3/2"]}
+    return {**payload, "exact": True} if command == "verify" else payload
 
 
 @pytest.mark.parametrize(
@@ -263,6 +281,7 @@ TABLE = {"kind": "table", "points": [[0, 0], ["1/2", "2/5"], [2, 1]]}
         ("stechkin", {"space": ZZ, "modulus": POWER1, "n_values": [1]}, "continuum"),
         ("stechkin", {"space": LINE, "modulus": POWER1, "n_values": [1],
                       "method": "lattice_exact"}, "lattice"),
+        *[(c, _bad_node_payload(c, m), "bad modulus config") for c, m, _ in BAD_NODE_CASES],
     ],
     ids=["verify-negative-h", "constant-negative-h", "lattice-h-1",
          "exact-irrational-alpha", "suite-zero-trials", "constant-bad-seed",
@@ -275,7 +294,8 @@ TABLE = {"kind": "table", "points": [[0, 0], ["1/2", "2/5"], [2, 1]]}
          "infinite-kernel-value", "boolean-beta", "huge-integer-h", "huge-integer-n",
          "boolean-alpha", "negative-seed", "negative-suite-seed", "negative-mc-checks-seed",
          "lattice-mixed-listed", "table-multiplicative-listed", "oracle-exact-continuum",
-         "verify-exact-continuum", "stechkin-lattice", "stechkin-lattice-exact-continuum"],
+         "verify-exact-continuum", "stechkin-lattice", "stechkin-lattice-exact-continuum",
+         *[name for _, _, name in BAD_NODE_CASES]],
 )
 def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle):
     cfg = write_cfg(tmp_path, "bad.json", payload)

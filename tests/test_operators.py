@@ -105,6 +105,23 @@ def test_charge_seminorm_matches_density_seminorm():
     assert got == pytest.approx(f.certified_seminorm_h, rel=1e-12)
 
 
+@pytest.mark.parametrize("sweep", ["charge_seminorm", "seminorm_local"])
+def test_lattice_seminorms_refuse_a_window_short_of_the_support(sweep):
+    # 1 at x = 6 with support radius 6.5: balls of radius 5/2 meet it from
+    # centres out to ceil(6.5) + 2 = 9, so a window of 3 would read 0
+    space = lattice(1, 0)
+    f = FunctionModel(name="spike", evaluator=lambda x: (x[:, 0] == 6).astype(np.float64),
+                      support_radius=6.5)
+    nu = ops.ChargeModel(density=f)
+    seminorm = {
+        "charge_seminorm": lambda w: ops.charge_seminorm(nu, space, 2.5, window_radius=w),
+        "seminorm_local": lambda w: seminorm_local(f, space, 2.5, w),
+    }[sweep]
+    with pytest.raises(ValueError, match=r"too small: need support \+ ball = 9"):
+        seminorm(3)
+    assert seminorm(9) == 1.0
+
+
 LATTICES = [lattice(d, m) for d in (1, 2, 3) for m in range(d + 1)]
 
 

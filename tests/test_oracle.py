@@ -80,6 +80,9 @@ HOLDER_MODULI = (
     TableModulus([(0, 0), (1, F(7, 12)), (2, F(3, 4))]),
     TableModulus([(0, 0), (1, F(2, 3)), (3, F(5, 4))]),
 )
+# a table whose last node, 9, lies beyond the window 3s + 1 of every
+# support radius s up to 2
+FAR_TABLE = TableModulus([(0, 0), (1, F(1, 3)), (2, F(1, 2)), (9, F(3, 4))])
 
 
 @pytest.mark.parametrize("space", [lattice(1, 0), lattice(2, 0), lattice(2, 1),
@@ -94,6 +97,20 @@ def test_exact_holder_constant_matches_pair_loop(space):
         radius = f.support_radius + 1
         want = _pair_loop_holder(f, space, omega, radius)
         got = oracle.exact_holder_constant(f, space, omega, radius)
+        assert got == want and type(got) is Fraction, (trial, got, want)
+
+
+@pytest.mark.parametrize("space, max_support", [(lattice(1, 0), 2), (lattice(2, 1), 1)],
+                         ids=["Z1_0", "Z2_1"])
+def test_exact_holder_constant_window_3s_plus_1_reaches_far_nodes(space, max_support):
+    # the window 3s + 1 must hold a maximizing pair, against a window past
+    # every node; the seed draws every support radius up to max_support
+    rng = np.random.default_rng([15, space.d, space.m])
+    for trial in range(8):
+        f = _random_exact_function(space, rng, max_support)
+        s = f.support_radius
+        want = _pair_loop_holder(f, space, FAR_TABLE, s + 10)
+        got = oracle.exact_holder_constant(f, space, FAR_TABLE, 3 * s + 1)
         assert got == want and type(got) is Fraction, (trial, got, want)
 
 
@@ -157,12 +174,11 @@ EXACT_PINS = {
     (3, 1, "table"): ("3/4", "17/27", "13/108", "17/27"),
     (2, 1, "far"): ("29/56", "37/90", "269/2520", "37/90"),
 }
-# modulus and h of each pin; the "far" table's last node, 9, lies beyond
-# 2s + 1 = 5 for the support radius s = 2 of the h = 5/2 bump
+# modulus and h of each pin; the h = 5/2 bump has support radius 2
 EXACT_PIN_CASES = {
     "power": (RAMP, F(3, 2)),
     "table": (TableModulus([(0, 0), (1, F(2, 3)), (2, F(5, 6))]), F(3, 2)),
-    "far": (TableModulus([(0, 0), (1, F(1, 3)), (2, F(1, 2)), (9, F(3, 4))]), F(5, 2)),
+    "far": (FAR_TABLE, F(5, 2)),
 }
 
 
