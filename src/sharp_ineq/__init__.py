@@ -97,6 +97,6 @@ from .oracle import (
     mc_cross_check,
     random_suite,
 )
-from .space import Space, continuum, lattice, strict_int_below
+from .space import RequestError, Space, continuum, lattice, strict_int_below
 
 __version__ = "0.1.0"

@@ -48,7 +48,7 @@ import numpy as np
 from . import _kernels, _lattice
 from ._quad import adaptive_simpson, piecewise_power_integral
 from .modulus import Modulus, PowerModulus
-from .space import Space, strict_int_below
+from .space import RequestError, Space, strict_int_below
 
 # quadrature method names
 CLOSED_FORM = "closed_form"
@@ -74,12 +74,12 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.method not in _METHODS:
-            raise ValueError(
+            raise RequestError(
                 f"unknown quadrature method {self.method!r}; expected one of {_METHODS}"
             )
         if self.mc_samples < 2:
             # a Monte Carlo error bar needs a sample variance
-            raise ValueError(f"need at least 2 Monte Carlo samples, got {self.mc_samples}")
+            raise RequestError(f"need at least 2 Monte Carlo samples, got {self.mc_samples}")
 
     def with_method(self, method: str) -> "QuadratureSpec":
         return replace(self, method=method)
@@ -195,16 +195,16 @@ def ball_integral_of_modulus(
     d, hf, c = space.d, float(h), space.sphere_constant
     if method == CLOSED_FORM:
         if space.is_lattice or not isinstance(omega, PowerModulus):
-            raise ValueError("closed form requires a power modulus on the continuum")
+            raise RequestError("closed form requires a power modulus on the continuum")
         a = omega.alpha
         return Estimate(c / (d + a) * hf ** (d + a), CLOSED_FORM, 0.0)
     if method == RADIAL1D:
         if space.is_lattice:
-            raise ValueError("radial reduction applies to continuum spaces only")
+            raise RequestError("radial reduction applies to continuum spaces only")
         return radial_integral(space, lambda t: float(omega(t)), 0.0, hf, omega.breakpoints())
     if method == LATTICE_EXACT:
         if not space.is_lattice:
-            raise ValueError("lattice_exact requires a lattice space")
+            raise RequestError("lattice_exact requires a lattice space")
         value = float(np.sum(omega(space.norm(space.enumerate_ball(h)))))
         return Estimate(value, LATTICE_EXACT, 0.0)
     if method == MONTE_CARLO:
@@ -411,6 +411,18 @@ def _seminorm_plan(f: FunctionModel, space: Space, h, window_radius: float) -> _
     return _lattice.sweep_plan(space, int(math.ceil(window_radius)), k)
 
 
+def _certified_seminorm(f: FunctionModel, h) -> Optional[float]:
+    """``f``'s certified seminorm when it is stated at window scale ``h``,
+    else ``None``."""
+    if (
+        f.certified_seminorm_h is not None
+        and f.seminorm_at_h is not None
+        and math.isclose(float(f.seminorm_at_h), float(h), rel_tol=1e-12)
+    ):
+        return f.certified_seminorm_h
+    return None
+
+
 def seminorm_local(
     f: FunctionModel,
     space: Space,
@@ -428,13 +440,7 @@ def seminorm_local(
     """
     space.require_valid_radius(h)
     spec = spec or QuadratureSpec()
-    certified = None
-    if (
-        f.certified_seminorm_h is not None
-        and f.seminorm_at_h is not None
-        and math.isclose(float(f.seminorm_at_h), float(h), rel_tol=1e-12)
-    ):
-        certified = f.certified_seminorm_h
+    certified = _certified_seminorm(f, h)
 
     if space.is_lattice:
         plan = _seminorm_plan(f, space, h, window_radius)

@@ -12,9 +12,12 @@ override fields inside it):
   rational replays, as one JSON document.
 
 Exit codes: 0 success, 1 a checked inequality was violated (or a suite /
-cross-check failed), 2 bad configuration, 3 numeric failure (divergent
-integral, unreachable tolerance).  Data goes to stdout (or ``--out``),
-diagnostics to stderr; output bytes are a pure function of config + seed.
+cross-check failed), 2 a refused request (any ``RequestError``: a malformed
+config, or a theorem or quadrature method outside its hypotheses), 3 numeric
+failure (divergent integral, point budget, unreachable tolerance).  The
+library states each rule once; ``main`` alone maps its errors to exit codes.
+Data goes to stdout (or ``--out``), diagnostics to stderr; output bytes are
+a pure function of config + seed.
 """
 
 from __future__ import annotations
@@ -43,19 +46,13 @@ from .operators import (
     stechkin_curve,
     theorem_report,
 )
-from .oracle import (
-    EXACT_THEOREMS, MC_CHECKS, exact_inapplicable, exact_verify, mc_cross_check, random_suite,
-)
-from .space import Space, config_integer, config_number
+from .oracle import EXACT_THEOREMS, MC_CHECKS, exact_verify, mc_cross_check, random_suite
+from .space import RequestError, Space, config_integer, config_number
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-class ConfigError(Exception):
-    """Raised for anything wrong with the config file itself."""
 
 
 # ----------------------------------------------------------------------
@@ -98,11 +95,11 @@ def _load_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise RequestError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise RequestError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise RequestError("config root must be a JSON object")
     return cfg
 
 
@@ -113,21 +110,10 @@ def _number(value, *, exact: bool = False):
         try:
             q = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad number {value!r}") from exc
+            raise RequestError(f"bad number {value!r}") from exc
         return q if exact else float(q)
-    try:
-        value = config_number(value, "number")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    value = config_number(value, "number")
     return Fraction(value) if exact else float(value)
-
-
-def _integer(value, name: str) -> int:
-    """A config integer (seeds, sample counts, trial counts)."""
-    try:
-        return config_integer(value, name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _seed(flag: Optional[int], value, name: str) -> int:
@@ -136,32 +122,26 @@ def _seed(flag: Optional[int], value, name: str) -> int:
     generators need."""
     if flag is not None:
         return flag
-    seed = _integer(value, name)
+    seed = config_integer(value, name)
     if seed < 0:
-        raise ConfigError(f"{name} must be a nonnegative integer, got {seed}")
+        raise RequestError(f"{name} must be a nonnegative integer, got {seed}")
     return seed
 
 
 def _space_from(cfg: dict) -> Space:
     node = cfg.get("space")
     if not isinstance(node, dict):
-        raise ConfigError("config needs a 'space' object with kind/d/m")
-    try:
-        return Space.from_config(node)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise RequestError("config needs a 'space' object with kind/d/m")
+    return Space.from_config(node)
 
 
 def _modulus_from(cfg: dict) -> Modulus:
     node = cfg.get("modulus")
     if not isinstance(node, dict):
-        raise ConfigError("config needs a 'modulus' object")
+        raise RequestError("config needs a 'modulus' object")
     if node.get("kind") == "power" and "alpha" in node:
         node = {**node, "alpha": _number(node["alpha"])}
-    try:
-        return modulus_from_config(node)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad modulus config: {exc}") from exc
+    return modulus_from_config(node)
 
 
 def _spec_from(cfg: dict, space: Space, omega: Modulus, seed: Optional[int]) -> Optional[QuadratureSpec]:
@@ -170,23 +150,17 @@ def _spec_from(cfg: dict, space: Space, omega: Modulus, seed: Optional[int]) -> 
     if seed is not None or "seed" in cfg:
         overrides["seed"] = _seed(seed, cfg.get("seed"), "'seed'")
     if "mc_samples" in cfg:
-        overrides["mc_samples"] = _integer(cfg["mc_samples"], "'mc_samples'")
+        overrides["mc_samples"] = config_integer(cfg["mc_samples"], "'mc_samples'")
     if method is None and not overrides:
         return None
-    try:
-        spec = default_spec(space, omega, **overrides)
-        return spec.with_method(str(method)) if method is not None else spec
-    except ValueError as exc:
-        raise ConfigError(f"bad quadrature settings: {exc}") from exc
+    spec = default_spec(space, omega, **overrides)
+    return spec.with_method(str(method)) if method is not None else spec
 
 
 def _radius(value, space: Space, *, exact: bool):
     """A config ball radius, checked against the space (h > 0; h > 1 on lattices)."""
     h = _number(value, exact=exact)
-    try:
-        space.require_valid_radius(h)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    space.require_valid_radius(h)
     return h
 
 
@@ -195,7 +169,7 @@ def _h_values(cfg: dict, space: Space, *, exact: bool) -> list:
     if values is None and "h" in cfg:
         values = [cfg["h"]]
     if not isinstance(values, list) or not values:
-        raise ConfigError("config needs 'h_values' (a nonempty list) or a single 'h'")
+        raise RequestError("config needs 'h_values' (a nonempty list) or a single 'h'")
     return [_radius(v, space, exact=exact) for v in values]
 
 
@@ -239,37 +213,25 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
     omega = _modulus_from(cfg)
     exact = cfg.get("exact", False)
     if not isinstance(exact, bool):
-        raise ConfigError(f"'exact' must be true or false, got {exact!r}")
+        raise RequestError(f"'exact' must be true or false, got {exact!r}")
     theorems = cfg.get("theorems")
     if theorems is None:
         # every theorem stated on this space and modulus
         candidates = EXACT_THEOREMS if exact else THEOREM_IDS
         theorems = [tid for tid in candidates if inapplicable(tid, space, omega) is None]
     if not isinstance(theorems, list) or not theorems:
-        raise ConfigError("'theorems' must be a nonempty list of theorem ids")
-    for tid in theorems:
-        if tid not in THEOREM_IDS:
-            raise ConfigError(f"unknown theorem id {tid!r}; expected one of {THEOREM_IDS}")
-        reason = exact_inapplicable(tid, space, omega) if exact else None
-        if reason is not None:
-            raise ConfigError(reason)
-        reason = inapplicable(tid, space, omega)
-        if reason is not None:
-            raise ConfigError(f"theorem {tid!r} does not apply here: {reason}")
+        raise RequestError("'theorems' must be a nonempty list of theorem ids")
     h_values = _h_values(cfg, space, exact=exact)
     kernel = None
     if "kernel" in cfg:
         if not isinstance(cfg["kernel"], dict):
-            raise ConfigError("'kernel' must be an object with a 'form'")
-        try:
-            kernel = kernel_from_config(cfg["kernel"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad kernel config: {exc}") from exc
+            raise RequestError("'kernel' must be an object with a 'form'")
+        kernel = kernel_from_config(cfg["kernel"])
     tol = args.tol
     if tol is None and cfg.get("tol") is not None:
         tol = _number(cfg["tol"])
     if tol is not None and not 0.0 <= tol < math.inf:
-        raise ConfigError(f"'tol' must be finite and nonnegative, got {tol}")
+        raise RequestError(f"'tol' must be finite and nonnegative, got {tol}")
     spec = _spec_from(cfg, space, omega, args.seed)
 
     rows = []
@@ -299,16 +261,9 @@ def cmd_stechkin(cfg: dict, args) -> tuple[str, int]:
     omega = _modulus_from(cfg)
     values = cfg.get("n_values")
     if not isinstance(values, list) or not values:
-        raise ConfigError("config needs 'n_values' (a nonempty list)")
-    ns = [_number(v) for v in values]
-    for n in ns:
-        if not (0.0 < n < math.inf):
-            raise ConfigError(f"'n_values' must be positive and finite, got {n}")
+        raise RequestError("config needs 'n_values' (a nonempty list)")
     spec = _spec_from(cfg, space, omega, args.seed)
-    try:
-        points = stechkin_curve(space, omega, ns, spec)
-    except ValueError as exc:  # its numeric failures are QuadratureErrors
-        raise ConfigError(str(exc)) from exc
+    points = stechkin_curve(space, omega, [_number(v) for v in values], spec)
     rows = [
         {
             "d": space.d,
@@ -326,26 +281,21 @@ def cmd_stechkin(cfg: dict, args) -> tuple[str, int]:
 
 def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
     if args.format == "csv":
-        raise ConfigError("oracle output is nested; use --format json")
+        raise RequestError("oracle output is nested; use --format json")
     out: dict = {}
     failed = False
 
     suites = cfg.get("suites", [])
     if suites:
         if not isinstance(suites, list):
-            raise ConfigError("'suites' must be a list of suite objects")
+            raise RequestError("'suites' must be a list of suite objects")
         reports = []
         for node in suites:
             if not isinstance(node, dict) or "theorem_id" not in node:
-                raise ConfigError("each suite needs at least a 'theorem_id'")
-            tid = node["theorem_id"]
-            if tid not in THEOREM_IDS:
-                raise ConfigError(f"unknown theorem id {tid!r}")
-            trials = _integer(node.get("trials", 1000), "suite 'trials'")
-            if trials <= 0:
-                raise ConfigError(f"suite 'trials' must be positive, got {trials}")
+                raise RequestError("each suite needs at least a 'theorem_id'")
+            trials = config_integer(node.get("trials", 1000), "suite 'trials'")
             seed = _seed(args.seed, node.get("seed", 1), "suite 'seed'")
-            rep = random_suite(tid, trials=trials, seed=seed)
+            rep = random_suite(node["theorem_id"], trials=trials, seed=seed)
             failed = failed or rep.violations > 0
             reports.append(rep.to_json())
         out["suites"] = reports
@@ -355,11 +305,9 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
         if checks is True or checks == "all":
             checks = list(MC_CHECKS)
         if not isinstance(checks, list):
-            raise ConfigError("'mc_checks' must be a list of check names, true, or 'all'")
+            raise RequestError("'mc_checks' must be a list of check names, true, or 'all'")
         results = []
         for name in checks:
-            if name not in MC_CHECKS:
-                raise ConfigError(f"unknown cross-check {name!r}; expected one of {MC_CHECKS}")
             seed = _seed(args.seed, cfg.get("seed", 0), "'seed'")
             res = mc_cross_check(name, seed=seed)
             failed = failed or not res["ok"]
@@ -369,27 +317,23 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
     exact_nodes = cfg.get("exact", [])
     if exact_nodes:
         if not isinstance(exact_nodes, list):
-            raise ConfigError("'exact' must be a list of exact-verification objects")
+            raise RequestError("'exact' must be a list of exact-verification objects")
         reports = []
         for node in exact_nodes:
             if not isinstance(node, dict):
-                raise ConfigError("each exact entry must be an object")
-            tid = node.get("theorem_id")
+                raise RequestError("each exact entry must be an object")
             space = _space_from(node)
             omega = _modulus_from(node)
-            reason = exact_inapplicable(tid, space, omega)
-            if reason is not None:
-                raise ConfigError(reason)
             if "h" not in node:
-                raise ConfigError("each exact entry needs 'h'")
+                raise RequestError("each exact entry needs 'h'")
             h = _radius(node["h"], space, exact=True)
-            report = exact_verify(tid, space, omega, h)
+            report = exact_verify(node.get("theorem_id"), space, omega, h)
             failed = failed or report.verdict == "Violated"
             reports.append(_report_row(report, True))
         out["exact"] = reports
 
     if not out:
-        raise ConfigError("oracle config needs at least one of 'suites', 'mc_checks', 'exact'")
+        raise RequestError("oracle config needs at least one of 'suites', 'mc_checks', 'exact'")
     return _json_text(out), EXIT_VIOLATION if failed else EXIT_OK
 
 
@@ -436,10 +380,10 @@ def main(argv=None) -> int:
         # checked here, not where a seed is read: a run that reads none
         # (an exact-only oracle config) must refuse it too
         if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
+            raise RequestError(f"--seed must be a nonnegative integer, got {args.seed}")
         cfg = _load_config(args.config)
         text, code = _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except RequestError as exc:  # ahead of ValueError, its base class
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, CertificationError, ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -28,6 +28,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .space import RequestError
+
 Real = Union[int, float, Fraction]
 
 
@@ -76,7 +78,7 @@ class PowerModulus(Modulus):
     def __post_init__(self):
         a = float(self.alpha)
         if not (0.0 < a <= 1.0):
-            raise ValueError(f"power modulus needs 0 < alpha <= 1, got {self.alpha}")
+            raise RequestError(f"power modulus needs 0 < alpha <= 1, got {self.alpha}")
 
     def __call__(self, t):
         tv = np.asarray(t, dtype=np.float64)
@@ -132,9 +134,9 @@ class TableModulus(Modulus):
                 Fraction(str(w)) if not isinstance(w, Fraction) else w)
                for t, w in points]
         if len(pts) < 2:
-            raise ValueError("table modulus needs at least two nodes")
+            raise RequestError("table modulus needs at least two nodes")
         if pts[0] != (0, 0):
-            raise ValueError("table modulus must start at (0, 0)")
+            raise RequestError("table modulus must start at (0, 0)")
         t_den = math.lcm(*(t.denominator for t, _ in pts))
         w_den = math.lcm(*(w.denominator for _, w in pts))
         ts = [t.numerator * (t_den // t.denominator) for t, _ in pts]
@@ -142,12 +144,12 @@ class TableModulus(Modulus):
         dt = [t1 - t0 for t0, t1 in zip(ts, ts[1:])]
         dw = [w1 - w0 for w0, w1 in zip(ws, ws[1:])]
         if min(dt) <= 0:
-            raise ValueError("table nodes need strictly increasing t")
+            raise RequestError("table nodes need strictly increasing t")
         if min(dw) < 0:
-            raise ValueError("table values must be nondecreasing")
+            raise RequestError("table values must be nondecreasing")
         # slope dw1/dt1 > dw0/dt0, cross-multiplied over the positive gaps
         if any(dw1 * dt0 > dw0 * dt1 for dw0, dw1, dt0, dt1 in zip(dw, dw[1:], dt, dt[1:])):
-            raise ValueError(
+            raise RequestError(
                 "table modulus must be concave (nonincreasing slopes); "
                 "a convex jump breaks semi-additivity"
             )
@@ -291,12 +293,18 @@ def validate(omega: Modulus, grid: Sequence[float], tol: float = 1e-12) -> Modul
 
 
 def from_config(cfg: dict) -> Modulus:
-    kind = cfg.get("kind")
-    if kind == "power":
-        return PowerModulus(alpha=float(cfg.get("alpha", 1.0)))
-    if kind == "table":
-        pts = cfg.get("points")
-        if not pts:
-            raise ValueError("table modulus config needs a 'points' list")
-        return TableModulus(pts)
-    raise ValueError(f"unknown modulus kind: {kind!r}")
+    """The modulus a config object describes.  Anything malformed, down to
+    a table node that is no number or lies beyond the float range, raises
+    ``RequestError``."""
+    try:
+        kind = cfg.get("kind")
+        if kind == "power":
+            return PowerModulus(alpha=float(cfg.get("alpha", 1.0)))
+        if kind == "table":
+            pts = cfg.get("points")
+            if not pts:
+                raise ValueError("table modulus config needs a 'points' list")
+            return TableModulus(pts)
+        raise ValueError(f"unknown modulus kind: {kind!r}")
+    except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
+        raise RequestError(f"bad modulus config: {exc}") from exc

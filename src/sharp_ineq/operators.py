@@ -55,6 +55,7 @@ from .calculus import (
     Estimate,
     FunctionModel,
     QuadratureSpec,
+    _certified_seminorm,
     _mc_mean,
     _seminorm_plan,
     _translations,
@@ -70,7 +71,7 @@ from .extremals import (
     sobolev_extremal_pair,
 )
 from .modulus import Modulus, PowerModulus
-from .space import Space, config_number, continuum, strict_int_below
+from .space import RequestError, Space, config_number, continuum, strict_int_below
 
 VERDICT_HOLDS = "Holds"
 VERDICT_EQUALITY = "EqualityAttained"
@@ -182,20 +183,29 @@ def steklov_average(
 ) -> FunctionModel:
     """The ball average ``S_h f`` as a function model.
 
-    Each evaluation point is one ``ball_integral_at``: an exact sum on
-    lattices; on the continuum the best available path for ``f`` (exact box
-    mass, radial pieces at the origin, 1-D adaptive quadrature, or Monte
-    Carlo with offsets shared across evaluation points).
+    On lattices an exact sum, ``f`` evaluated once on every ball of the
+    batch.  On the continuum each evaluation point is one
+    ``ball_integral_at``, the best available path for ``f`` (exact box mass,
+    radial pieces at the origin, 1-D adaptive quadrature, or Monte Carlo
+    with offsets shared across evaluation points).
     """
     space.require_valid_radius(h)
     spec = spec or QuadratureSpec()
     mu = float(space.ball_measure(h))
-    mc_offsets = None
-    if space.is_continuum and space.d >= 2 and "ball_mass_fn" not in f.meta:
-        mc_offsets = space.sample_ball(h, spec.mc_samples, spec.seed)
+    if space.is_lattice:
+        offsets = space.enumerate_ball(h).astype(np.float64)
 
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        return np.array([ball_integral_at(f, space, h, x, spec, mc_offsets) for x in pts]) / mu
+        def evaluator(pts: np.ndarray) -> np.ndarray:
+            vals = f((pts[:, None, :] + offsets).reshape(-1, space.d))
+            return vals.reshape(len(pts), len(offsets)).sum(axis=1) / mu
+    else:
+        mc_offsets = None
+        if space.d >= 2 and "ball_mass_fn" not in f.meta:
+            mc_offsets = space.sample_ball(h, spec.mc_samples, spec.seed)
+
+        def evaluator(pts: np.ndarray) -> np.ndarray:
+            return np.array([ball_integral_at(f, space, h, x, spec, mc_offsets)
+                             for x in pts]) / mu
 
     return FunctionModel(
         name=f"steklov[h={float(h):g}]({f.name})",
@@ -335,12 +345,8 @@ def charge_nagy_rhs(
     function-side bound with the charge seminorm in place of the function
     seminorm (the two coincide by change of variables) and passes ``i_h`` on."""
     if seminorm_value is None:
-        d = nu.density
-        if d.certified_seminorm_h is not None and d.seminorm_at_h is not None and math.isclose(
-            float(d.seminorm_at_h), float(h), rel_tol=1e-12
-        ):
-            seminorm_value = d.certified_seminorm_h
-        else:
+        seminorm_value = _certified_seminorm(nu.density, h)
+        if seminorm_value is None:
             raise ValueError(
                 "no certified seminorm at this window scale; pass seminorm_value "
                 "(e.g. from charge_seminorm)"
@@ -367,9 +373,9 @@ class PowerLawKernel:
 
     def __post_init__(self):
         if not 0 < self.beta < math.inf:
-            raise ValueError(f"kernel exponent beta must be positive and finite, got {self.beta}")
+            raise RequestError(f"kernel exponent beta must be positive and finite, got {self.beta}")
         if not self.cutoff > 0:
-            raise ValueError("cutoff must be positive")
+            raise RequestError("cutoff must be positive")
 
     def value(self, t, d: int):
         tv = np.asarray(t, dtype=np.float64)
@@ -399,12 +405,12 @@ class TableKernel:
         pts = [(float(config_number(t, "kernel node")), float(config_number(p, "kernel node")))
                for t, p in points]
         if not pts:
-            raise ValueError("a table kernel needs at least one node")
+            raise RequestError("a table kernel needs at least one node")
         ts = [t for t, _ in pts]
         if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("kernel nodes need strictly increasing positive radii")
+            raise RequestError("kernel nodes need strictly increasing positive radii")
         if any(p < 0 for _, p in pts):
-            raise ValueError("kernel values must be nonnegative")
+            raise RequestError("kernel values must be nonnegative")
         self._t = np.array(ts, dtype=np.float64)
         self._p = np.array([p for _, p in pts], dtype=np.float64)
 
@@ -435,14 +441,19 @@ class TableKernel:
 
 
 def kernel_from_config(cfg: dict):
-    form = cfg.get("form")
-    if form == "power_law":
-        cutoff = config_number(cfg["cutoff"], "kernel cutoff") if "cutoff" in cfg else math.inf
-        return PowerLawKernel(beta=float(config_number(cfg["beta"], "kernel beta")),
-                              cutoff=float(cutoff))
-    if form == "table":
-        return TableKernel(cfg["points"])
-    raise ValueError(f"unknown kernel form {form!r}")
+    """The kernel a config object describes.  Anything malformed, down to a
+    missing key, raises ``RequestError``."""
+    try:
+        form = cfg.get("form")
+        if form == "power_law":
+            cutoff = config_number(cfg["cutoff"], "kernel cutoff") if "cutoff" in cfg else math.inf
+            return PowerLawKernel(beta=float(config_number(cfg["beta"], "kernel beta")),
+                                  cutoff=float(cutoff))
+        if form == "table":
+            return TableKernel(cfg["points"])
+        raise ValueError(f"unknown kernel form {form!r}")
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        raise RequestError(f"bad kernel config: {exc}") from exc
 
 
 # Bernoulli numbers B_2, B_4, ..., B_18; the last one only bounds the remainder.
@@ -920,12 +931,12 @@ def stechkin_curve(
     class is ``I(h)/mu(B_h)``.
     """
     if space.is_lattice:
-        raise ValueError("the best-approximation curve needs a continuum of scales")
+        raise RequestError("the best-approximation curve needs a continuum of scales")
     out = []
     for n in n_values:
         nf = float(n)
         if nf <= 0:
-            raise ValueError(f"operator norm budget must be positive, got {n}")
+            raise RequestError(f"n_values must be positive (operator norm budgets), got {n}")
         h = solve_h_for_measure(space, 1.0 / nf)
         i_h = ball_integral_of_modulus(space, omega, h, spec)
         out.append(StechkinPoint(n=nf, h=h, e_n=deviation_u(space, omega, h, i_h)))
@@ -979,13 +990,13 @@ def theorem_report(
 ) -> InequalityReport:
     """Check one named sharp bound at its extremal witness; every verdict
     should be ``EqualityAttained``.  A theorem not stated on ``space`` with
-    ``omega`` (see ``inapplicable``) raises ``ValueError``.
+    ``omega`` (see ``inapplicable``) raises ``RequestError``.
     """
     if theorem_id not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
+        raise RequestError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
     reason = inapplicable(theorem_id, space, omega)
     if reason is not None:
-        raise ValueError(reason)
+        raise RequestError(f"theorem {theorem_id!r} does not apply here: {reason}")
     if tol is None:
         tol = EQUALITY_TOLS[theorem_id]
     d, m = space.d, space.m

@@ -56,7 +56,7 @@ from .operators import (
     mixed_nagy_rhs,
     modulus_label,
 )
-from .space import Space, continuum, lattice, strict_int_below
+from .space import RequestError, Space, continuum, lattice, strict_int_below
 
 # the theorems exact_verify replays, each with the notes of its reports
 _EXACT_NOTES = {
@@ -234,9 +234,10 @@ def exact_verify(
     the report's ``exact`` field carries the rational lhs, both right-hand
     terms, and the gap.  A gap of exactly ``Fraction(0)`` is equality on the
     nose.  ``h`` is a ``Fraction`` or integer.  A replay that
-    ``exact_inapplicable`` refuses raises its reason as ``ValueError``, as
-    does a caller's ``f`` without a support radius, with a value that is not
-    an ``int`` or ``Fraction``, or nonzero beyond its support radius.
+    ``exact_inapplicable`` refuses raises its reason as ``RequestError``.
+    A caller's ``f`` without a support radius, with a value that is not an
+    ``int`` or ``Fraction``, or nonzero beyond its support radius raises
+    ``ValueError``.
 
     The witness defaults to ``exact_f_omega`` (``lemma1``; ``holder = 1`` by
     concavity) or ``exact_f_eh``.  Every bound is ``term1 = holder I(h)/mu``
@@ -245,7 +246,7 @@ def exact_verify(
     """
     reason = exact_inapplicable(theorem_id, space, omega)
     if reason is not None:
-        raise ValueError(reason)
+        raise RequestError(reason)
     hq = Fraction(h)
     space.require_valid_radius(hq)
     if f is None:
@@ -656,9 +657,9 @@ def random_suite(theorem_id: str, trials: int = 1000, seed: int = 1) -> SuiteRep
     from .operators import EQUALITY_TOLS, THEOREM_IDS
 
     if theorem_id not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
+        raise RequestError(f"unknown theorem id {theorem_id!r}")
     if trials <= 0:
-        raise ValueError("trials must be positive")
+        raise RequestError(f"suite 'trials' must be positive, got {trials}")
     rng = np.random.default_rng(seed)
     if theorem_id in _ADDITIVE:
         draws = [_draw_additive(rng) for _ in range(trials)]
@@ -722,7 +723,7 @@ def _check_pair(name: str, det: float, mc: float, stderr: float) -> dict:
 def mc_cross_check(name: str, seed: int = 0, samples: int = 200_000) -> dict:
     """Re-derive one closed-form quantity by Monte Carlo; report sigmas."""
     if name not in MC_CHECKS:
-        raise ValueError(f"unknown cross-check {name!r}; expected one of {MC_CHECKS}")
+        raise RequestError(f"unknown cross-check {name!r}; expected one of {MC_CHECKS}")
     mc_spec = QuadratureSpec(method=MONTE_CARLO, mc_samples=samples, seed=seed)
     rng = np.random.default_rng(seed + 17)
 

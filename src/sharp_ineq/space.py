@@ -60,9 +60,16 @@ def strict_int_below(h: HLike) -> int:
     return math.floor(hf)
 
 
+class RequestError(ValueError):
+    """A request outside the package's rules: a malformed config value, or a
+    method or theorem asked for where its hypotheses do not hold.  Numeric
+    failures stay plain ``ValueError``; the command line tells the two apart
+    by this type alone (exit 2 against exit 3)."""
+
+
 def config_integer(value, name: str) -> int:
     """An integer config field.  Integral numbers and integer strings pass;
-    booleans, fractional numbers and anything else raise ``ValueError``
+    booleans, fractional numbers and anything else raise ``RequestError``
     instead of being truncated by ``int()``."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -71,16 +78,16 @@ def config_integer(value, name: str) -> int:
             return int(value)
         except ValueError:
             pass
-    raise ValueError(f"bad {name} {value!r}: expected an integer")
+    raise RequestError(f"bad {name} {value!r}: expected an integer")
 
 
 def config_number(value, name: str):
     """A finite real config field, returned as given.  Booleans, ``NaN``,
-    infinities and integers beyond the float range raise ``ValueError``."""
+    infinities and integers beyond the float range raise ``RequestError``."""
     if (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max):
         return value
-    raise ValueError(f"bad {name} {value!r}: expected a finite number")
+    raise RequestError(f"bad {name} {value!r}: expected a finite number")
 
 
 @dataclass(frozen=True)
@@ -93,11 +100,11 @@ class Space:
 
     def __post_init__(self):
         if self.kind not in (CONTINUUM, LATTICE):
-            raise ValueError(f"unknown space kind: {self.kind!r}")
+            raise RequestError(f"unknown space kind: {self.kind!r}")
         if not (isinstance(self.d, int) and self.d >= 1):
-            raise ValueError(f"dimension d must be a positive integer, got {self.d!r}")
+            raise RequestError(f"dimension d must be a positive integer, got {self.d!r}")
         if not (isinstance(self.m, int) and 0 <= self.m <= self.d):
-            raise ValueError(f"half-line count m must satisfy 0 <= m <= d, got {self.m!r}")
+            raise RequestError(f"half-line count m must satisfy 0 <= m <= d, got {self.m!r}")
 
     # ------------------------------------------------------------------
     # basic geometry
@@ -185,9 +192,9 @@ class Space:
 
     def require_valid_radius(self, h: HLike) -> None:
         if not (0 < float(h) < math.inf):
-            raise ValueError(f"ball radius must be positive and finite, got {h}")
+            raise RequestError(f"ball radius must be positive and finite, got {h}")
         if self.is_lattice and not (float(h) > 1):
-            raise ValueError(
+            raise RequestError(
                 f"lattice balls need h > 1 (h = {h} gives the bare origin)"
             )
 
@@ -248,7 +255,7 @@ class Space:
         try:
             kind, d, m = cfg["kind"], cfg["d"], cfg["m"]
         except KeyError as exc:
-            raise ValueError(f"space config missing key {exc}") from exc
+            raise RequestError(f"space config missing key {exc}") from exc
         return Space(kind=str(kind), d=config_integer(d, "d"), m=config_integer(m, "m"))
 
     def to_config(self) -> dict:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -6,7 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from sharp_ineq import PowerModulus, Space, exact_verify
+from sharp_ineq import (
+    PowerModulus,
+    QuadratureSpec,
+    RequestError,
+    Space,
+    TableModulus,
+    ball_integral_of_modulus,
+    cli,
+    continuum,
+    exact_verify,
+    lattice,
+    stechkin_curve,
+    theorem_report,
+)
 from sharp_ineq.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -190,11 +204,27 @@ BAD_NODES = {
     "word": [[0, 0], ["1", "x"], [2, 1]],
     "zero-denominator": [[0, 0], ["1", "1/0"], [2, 1]],
     "bare-numbers": [0, 1, 2],
+    "beyond-float": [[0, 0], ["1", "1e400"], [2, "1e400"]],
 }
 BAD_NODE_CASES = [
     (command, {"kind": "table", "points": points}, f"{command}-table-{name}")
     for command in ("constant", "verify", "oracle")
     for name, points in BAD_NODES.items()
+]
+
+
+# a quadrature method asked for where it does not apply
+METHOD_MISMATCHES = {
+    "closed-form-table": ({"space": LINE, "modulus": TABLE, "method": "closed_form"},
+                          "closed form"),
+    "lattice-exact-continuum": ({"space": LINE, "modulus": POWER1, "method": "lattice_exact"},
+                                "lattice"),
+    "radial1d-lattice": ({"space": ZZ, "modulus": POWER1, "method": "radial1d"}, "continuum"),
+}
+METHOD_MISMATCH_CASES = [
+    (command, {**payload, "h_values": [1.5]}, needle, f"{command}-{name}")
+    for command in ("constant", "verify")
+    for name, (payload, needle) in METHOD_MISMATCHES.items()
 ]
 
 
@@ -282,6 +312,7 @@ def _bad_node_payload(command, modulus):
         ("stechkin", {"space": LINE, "modulus": POWER1, "n_values": [1],
                       "method": "lattice_exact"}, "lattice"),
         *[(c, _bad_node_payload(c, m), "bad modulus config") for c, m, _ in BAD_NODE_CASES],
+        *[(c, payload, needle) for c, payload, needle, _ in METHOD_MISMATCH_CASES],
     ],
     ids=["verify-negative-h", "constant-negative-h", "lattice-h-1",
          "exact-irrational-alpha", "suite-zero-trials", "constant-bad-seed",
@@ -295,7 +326,8 @@ def _bad_node_payload(command, modulus):
          "boolean-alpha", "negative-seed", "negative-suite-seed", "negative-mc-checks-seed",
          "lattice-mixed-listed", "table-multiplicative-listed", "oracle-exact-continuum",
          "verify-exact-continuum", "stechkin-lattice", "stechkin-lattice-exact-continuum",
-         *[name for _, _, name in BAD_NODE_CASES]],
+         *[name for _, _, name in BAD_NODE_CASES],
+         *[name for _, _, _, name in METHOD_MISMATCH_CASES]],
 )
 def test_config_mistakes_exit_config(capsys, tmp_path, command, payload, needle):
     cfg = write_cfg(tmp_path, "bad.json", payload)
@@ -326,6 +358,60 @@ def test_exact_mistakes_read_as_the_library_refusal(capsys, tmp_path, tid, space
         code, out, err = run_cli(capsys, [command, "--config", cfg])
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == f"config error: {refusal.value}\n"
+
+
+@pytest.mark.parametrize(
+    "refuse,command,payload",
+    [
+        (lambda: theorem_report("mixed_additive", lattice(1, 0), PowerModulus(1.0), 1.5),
+         "verify", {"space": ZZ, "modulus": POWER1, "h_values": [1.5],
+                    "theorems": ["mixed_additive"]}),
+        (lambda: stechkin_curve(lattice(1, 0), PowerModulus(1.0), [1.0]),
+         "stechkin", {"space": ZZ, "modulus": POWER1, "n_values": [1]}),
+        (lambda: QuadratureSpec(mc_samples=1),
+         "constant", {"space": LINE, "modulus": POWER1, "h_values": [1],
+                      "method": "monte_carlo", "mc_samples": 1}),
+        (lambda: ball_integral_of_modulus(continuum(1, 0), TableModulus(TABLE["points"]), 1.0,
+                                          QuadratureSpec(method="closed_form")),
+         "constant", {"space": LINE, "modulus": TABLE, "h_values": [1],
+                      "method": "closed_form"}),
+    ],
+    ids=["lattice-mixed", "stechkin-lattice", "one-mc-sample", "closed-form-table"],
+)
+def test_request_mistakes_read_as_the_library_refusal(capsys, tmp_path, refuse, command,
+                                                      payload):
+    # one rule, one text: the library's RequestError is, word for word, the config error
+    with pytest.raises(RequestError) as refusal:
+        refuse()
+    cfg = write_cfg(tmp_path, "bad.json", payload)
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"config error: {refusal.value}\n"
+
+
+# error types that main alone maps to an exit code; _number parses the
+# CLI's own rational strings ("3/2"), which no library reader takes
+_MAPPED = {"ValueError", "TypeError", "KeyError", "ZeroDivisionError"}
+_MAY_CATCH = {"main", "_number"}
+
+
+def _caught_names(handler: ast.ExceptHandler) -> set:
+    if handler.type is None:  # a bare except catches every type
+        return set(_MAPPED)
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(handler.type) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_only_main_maps_library_errors_to_exit_codes():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    wrappers = sorted(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name not in _MAY_CATCH
+        for handler in ast.walk(fn)
+        if isinstance(handler, ast.ExceptHandler) and _caught_names(handler) & _MAPPED
+    )
+    assert wrappers == [], "re-wrapped library errors; raise RequestError in the library"
 
 
 @pytest.mark.parametrize(
