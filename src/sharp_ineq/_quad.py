@@ -1,4 +1,4 @@
-"""One-dimensional adaptive quadrature and root bracketing.
+"""One-dimensional adaptive quadrature and bisection.
 
 The integrator is bisection-refined Simpson: each interval is accepted when
 the two-half refinement changes the Simpson value by less than 15x the local
@@ -8,7 +8,8 @@ a piecewise-defined integrand; this keeps convergence fast for truncated
 cones and table moduli.
 
 A hard evaluation budget turns runaway refinements into errors instead of
-silent inaccuracy.
+silent inaccuracy.  ``bisect_increasing`` solves ``g(h) = target`` on a
+bracket the caller knows straddles the root; it never widens it.
 """
 
 from __future__ import annotations
@@ -120,31 +121,14 @@ def bisect_increasing(
     lo: float,
     hi: float,
 ) -> float:
-    """Solve ``g(h) = target`` for increasing ``g`` by bisection.
+    """Solve ``g(h) = target`` for increasing ``g`` by bisection on [lo, hi].
 
-    The bracket [lo, hi] is expanded geometrically if it does not already
-    straddle the target.  Terminates when the bracket width drops below
-    1e-12 relative to the midpoint, or after 400 halvings.
+    A bracket that does not straddle the target raises ``QuadratureError``.
+    Terminates when the bracket width drops below 1e-12 relative to the
+    midpoint, or after 400 halvings.
     """
-    if lo <= 0.0:
-        lo = 1e-30
-    glo = g(lo)
-    ghi = g(hi)
-    grow = 0
-    while glo > target and grow < 200:
-        hi = lo
-        ghi = glo
-        lo /= 2.0
-        glo = g(lo)
-        grow += 1
-    while ghi < target and grow < 400:
-        lo = hi
-        glo = ghi
-        hi *= 2.0
-        ghi = g(hi)
-        grow += 1
-    if glo > target or ghi < target:
-        raise QuadratureError("bisection could not bracket the target value")
+    if g(lo) > target or g(hi) < target:
+        raise QuadratureError("the bracket does not straddle the target value")
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         if (hi - lo) <= 1e-12 * max(abs(mid), 1e-300):

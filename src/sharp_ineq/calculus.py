@@ -188,31 +188,40 @@ def radial_integral(
 def ball_integral_of_modulus(
     space: Space, omega: Modulus, h, spec: Optional[QuadratureSpec] = None
 ) -> Estimate:
-    """``I(h)``, the ball integral of the modulus, by the requested method."""
+    """``I(h)``, the ball integral of the modulus, by the requested method.
+    A value beyond the float range, or a zero (an underflow) where ``omega(h)
+    > 0``, raises ``ValueError`` naming ``I(h)`` and ``h``, not a silent bound."""
     spec = spec or default_spec(space, omega)
     space.require_valid_radius(h)
     method = spec.method
     d, hf, c = space.d, float(h), space.sphere_constant
-    if method == CLOSED_FORM:
-        if space.is_lattice or not isinstance(omega, PowerModulus):
-            raise RequestError("closed form requires a power modulus on the continuum")
-        a = omega.alpha
-        return Estimate(c / (d + a) * hf ** (d + a), CLOSED_FORM, 0.0)
-    if method == RADIAL1D:
-        if space.is_lattice:
-            raise RequestError("radial reduction applies to continuum spaces only")
-        return radial_integral(space, lambda t: float(omega(t)), 0.0, hf, omega.breakpoints())
-    if method == LATTICE_EXACT:
-        if not space.is_lattice:
-            raise RequestError("lattice_exact requires a lattice space")
-        value = float(np.sum(omega(space.norm(space.enumerate_ball(h)))))
-        return Estimate(value, LATTICE_EXACT, 0.0)
-    if method == MONTE_CARLO:
-        mu = float(space.ball_measure(h))
-        samples = space.sample_ball(h, spec.mc_samples, spec.seed)
-        est = _mc_mean(np.asarray(omega(space.norm(samples)), dtype=np.float64))
-        return Estimate(mu * est.value, MONTE_CARLO, mu * est.error_bound)
-    raise ValueError(f"unhandled quadrature method {method!r}")
+    try:
+        if method == CLOSED_FORM:
+            if space.is_lattice or not isinstance(omega, PowerModulus):
+                raise RequestError("closed form requires a power modulus on the continuum")
+            a = omega.alpha
+            est = Estimate(c / (d + a) * hf ** (d + a), CLOSED_FORM, 0.0)
+        elif method == RADIAL1D:
+            if space.is_lattice:
+                raise RequestError("radial reduction applies to continuum spaces only")
+            est = radial_integral(space, lambda t: float(omega(t)), 0.0, hf, omega.breakpoints())
+        elif method == LATTICE_EXACT:
+            if not space.is_lattice:
+                raise RequestError("lattice_exact requires a lattice space")
+            value = float(np.sum(omega(space.norm(space.enumerate_ball(h)))))
+            est = Estimate(value, LATTICE_EXACT, 0.0)
+        else:  # MONTE_CARLO, the one method QuadratureSpec admits besides these
+            mu = float(space.ball_measure(h))
+            samples = space.sample_ball(h, spec.mc_samples, spec.seed)
+            mc = _mc_mean(np.asarray(omega(space.norm(samples)), dtype=np.float64))
+            est = Estimate(mu * mc.value, MONTE_CARLO, mu * mc.error_bound)
+    except OverflowError:
+        est = Estimate(math.inf, method, 0.0)
+    if not math.isfinite(est.value):
+        raise ValueError(f"I(h) overflows the float range at h = {hf:g}")
+    if est.value == 0.0 and omega(hf) > 0:
+        raise ValueError(f"I(h) underflows to 0 at h = {hf:g}")
+    return est
 
 
 # ======================================================================

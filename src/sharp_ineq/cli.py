@@ -364,7 +364,8 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override every RNG seed")
-        p.add_argument("--tol", type=float, default=None, help="override verdict tolerance")
+        if name == "verify":
+            p.add_argument("--tol", type=float, default=None, help="override verdict tolerance")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
         p.add_argument(
             "--format", choices=("csv", "json"),

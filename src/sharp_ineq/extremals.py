@@ -51,6 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._quad import bisect_increasing
 from .calculus import Estimate, FunctionModel, ball_integral_of_modulus, constant_model
 from .modulus import Modulus
 from .space import Space
@@ -275,7 +276,8 @@ def split_point_a(omega: Modulus, h, d: int) -> SplitPoint:
     On the one-half-line geometry ``B_h = (0,h) x (-h,h)^(d-1)``, find
     ``a`` in (0, h) with
     ``integral_{x in B_h, x_1 < a} (omega(h) - omega(rho)) = half the total``.
-    Plain bisection; the objective is continuous and strictly increasing.
+    Plain bisection (``bisect_increasing`` on ``[0, h]``, which straddles
+    half the mass); the objective is continuous and strictly increasing.
     """
     hf = float(h)
     if not hf > 0:
@@ -289,14 +291,7 @@ def split_point_a(omega: Modulus, h, d: int) -> SplitPoint:
     if not total > 0:
         raise ValueError("degenerate bump: zero mass (is omega constant near 0?)")
     target = 0.5 * total
-    lo, hi = 0.0, hf
-    for _ in range(90):  # width h * 2**-90 << 1e-12 * h
-        mid = 0.5 * (lo + hi)
-        if mass_below(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    a = 0.5 * (lo + hi)
+    a = bisect_increasing(mass_below, target, 0.0, hf)
     return SplitPoint(a=a, residual=mass_below(a) - target, total_mass=total)
 
 

@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _lattice
-from ._quad import QuadratureError, bisect_increasing, piecewise_power_integral
+from ._quad import piecewise_power_integral
 from .calculus import (
     CLOSED_FORM,
     LATTICE_EXACT,
@@ -512,13 +512,25 @@ def _first_piece_exponent(omega: Modulus) -> float:
     return float(pieces[0][3])
 
 
+def _singular_margin(omega: Modulus, kernel: PowerLawKernel) -> float:
+    """``eta = (first-piece exponent of omega) - beta``; on the continuum
+    ``omega(rho) P(rho)`` is integrable at 0 exactly when ``eta > 0``, else raises."""
+    eta = _first_piece_exponent(omega) - kernel.beta
+    if eta <= 0:
+        raise ValueError(
+            "singular part diverges: the modulus exponent must exceed the kernel exponent beta"
+        )
+    return eta
+
+
 def kernel_ball_mass(
     space: Space, omega: Modulus, kernel, h, spec: Optional[QuadratureSpec] = None
 ) -> Estimate:
     """``A(h) = integral over B_h of omega(rho) * P(rho) d(mu)``.
 
-    Finite for a power-law kernel exactly when the modulus grows faster than
-    the kernel blows up (first-piece exponent > beta); divergence raises.
+    A lattice sum is always finite.  On the continuum a power-law kernel
+    needs a modulus that grows faster than the kernel blows up
+    (``_singular_margin``); divergence raises.
     """
     space.require_valid_radius(h)
     spec = spec or QuadratureSpec()
@@ -536,25 +548,16 @@ def kernel_ball_mass(
     if isinstance(kernel, PowerLawKernel):
         beta = kernel.beta
         upper = min(hf, kernel.cutoff)
+        eta = _singular_margin(omega, kernel)
         if spec.method == MONTE_CARLO:
-            eta = _first_piece_exponent(omega) - beta
-            if eta <= 0:
-                raise ValueError(
-                    "kernel ball mass diverges: modulus exponent must exceed beta"
-                )
             rng = np.random.default_rng(spec.seed)
             t = upper * rng.uniform(0.0, 1.0, spec.mc_samples) ** (1.0 / eta)
             dens = eta * t ** (eta - 1.0) / upper**eta
             w = space.sphere_constant * np.asarray(omega(t)) * t ** (-beta - 1.0) / dens
             return _mc_mean(w)
-        try:
-            val = space.sphere_constant * piecewise_power_integral(
-                omega.pieces(0.0, upper), 0.0, upper, -beta - 1.0
-            )
-        except QuadratureError as exc:
-            raise ValueError(
-                "kernel ball mass diverges: modulus exponent must exceed beta"
-            ) from exc
+        val = space.sphere_constant * piecewise_power_integral(
+            omega.pieces(0.0, upper), 0.0, upper, -beta - 1.0
+        )
         return Estimate(val, CLOSED_FORM, 0.0)
 
     # bounded table kernel: plain radial quadrature
@@ -743,7 +746,7 @@ def _hypersingular(
         return tail
     rng = np.random.default_rng(spec.seed + 1)
     if isinstance(kernel, PowerLawKernel):
-        eta = _first_piece_exponent(omega) - kernel.beta
+        eta = _singular_margin(omega, kernel)
         t = s * rng.uniform(0.0, 1.0, n) ** (1.0 / eta)
         dens = eta * t ** (eta - 1.0) / s**eta
     else:
@@ -775,21 +778,22 @@ def hypersingular_full(
 ) -> Estimate:
     """``integral over the whole space of (f(x) - f(x+u)) P(rho(u)) d(mu)``.
 
-    Convergence near the singularity is underwritten by the function's
-    certified smoothness bound: required, along with a modulus that grows
-    faster than a power-law kernel blows up.  Away from the origin the
-    singular part is sampled inside the support radius of ``f`` (1 if it
-    has none) and the tail beyond it (``_hypersingular``).
+    On the continuum, convergence near the singularity is underwritten by
+    the function's certified smoothness bound: required, along with a
+    modulus that grows faster than a power-law kernel blows up
+    (``_singular_margin``).  A lattice sum has no singularity and needs
+    neither.  Away from the origin the singular part is sampled inside the
+    support radius of ``f`` (1 if it has none) and the tail beyond it
+    (``_hypersingular``).
     """
-    if f.certified_holder_bound is None:
-        raise ValueError(
-            "the full singular integral needs a certified smoothness bound; "
-            "use the truncated operator for merely bounded functions"
-        )
-    if isinstance(kernel, PowerLawKernel) and _first_piece_exponent(omega) <= kernel.beta:
-        raise ValueError(
-            "singular part diverges: the modulus exponent must exceed the kernel exponent beta"
-        )
+    if space.is_continuum:
+        if f.certified_holder_bound is None:
+            raise ValueError(
+                "the full singular integral needs a certified smoothness bound; "
+                "use the truncated operator for merely bounded functions"
+            )
+        if isinstance(kernel, PowerLawKernel):
+            _singular_margin(omega, kernel)
     return _hypersingular(f, space, kernel, 0.0, x, spec or QuadratureSpec(), omega)
 
 
@@ -881,19 +885,17 @@ def mixed_multiplicative_rhs(
     d: int, m: int, alpha: float, sup_norm_value: float, holder_norm: float
 ) -> float:
     """``C(d, m, alpha) * sup^(alpha/(d+alpha)) * holder^(d/(d+alpha))``."""
-    _check_dm_alpha(d, m, alpha)
+    c = mixed_multiplicative_constant(d, m, alpha)
     if min(sup_norm_value, holder_norm) < 0:
         raise ValueError("norm inputs must be nonnegative")
-    c = mixed_multiplicative_constant(d, m, alpha)
     r = alpha / (d + alpha)
     return c * sup_norm_value**r * holder_norm ** (1.0 - r)
 
 
 def _check_dm_alpha(d: int, m: int, alpha: float) -> None:
-    if not (isinstance(d, int) and isinstance(m, int) and 0 <= m <= d and d >= 1):
-        raise ValueError(f"need integers 0 <= m <= d, got d={d}, m={m}")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"need 0 < alpha <= 1, got {alpha}")
+    """The space and modulus rules, read from ``Space`` and ``PowerModulus``."""
+    continuum(d, m)
+    PowerModulus(alpha)
 
 
 # ======================================================================
@@ -917,7 +919,7 @@ def solve_h_for_measure(space: Space, target: float) -> float:
         raise ValueError("ball measure is a step function on lattices; no inverse")
     if target <= 0:
         raise ValueError("target measure must be positive")
-    return bisect_increasing(lambda hh: float(space.ball_measure(hh)), target, 0.5, 2.0)
+    return (target / space.ball_measure(1.0)) ** (1.0 / space.d)
 
 
 def stechkin_curve(
@@ -949,23 +951,26 @@ def stechkin_curve(
 
 
 def _report(
-    theorem_id: str, space_d: int, space_m: int, omega: Modulus, h: float,
-    lhs: float, term1: float, term2: float, tol: float,
-    notes: str = "", error_bound: float = 0.0,
+    theorem_id: str, space: Space, omega: Modulus, h,
+    lhs, term1, term2, tol: float,
+    notes: str = "", error_bound: float = 0.0, exact: Optional[dict] = None,
 ) -> InequalityReport:
+    """One checked bound, its verdict by ``classify_verdict`` on the terms as
+    passed in: ``Fraction`` terms (``exact``) are decided without a float."""
     return InequalityReport(
         theorem_id=theorem_id,
-        d=space_d,
-        m=space_m,
+        d=space.d,
+        m=space.m,
         modulus_label=modulus_label(omega),
         h=float(h),
-        lhs=lhs,
-        rhs_term1=term1,
-        rhs_term2=term2,
+        lhs=float(lhs),
+        rhs_term1=float(term1),
+        rhs_term2=float(term2),
         tolerance=tol,
         verdict=classify_verdict(lhs, term1 + term2, tol, error_bound),
         notes=notes,
         error_bound=error_bound,
+        exact=exact,
     )
 
 
@@ -1011,7 +1016,7 @@ def theorem_report(
         i_h = ball_integral_of_modulus(space, omega, h, spec)
         term1 = i_h.value / mu  # ostrowski_bound at smoothness constant 1
         err = i_h.error_bound / mu
-        return _report(theorem_id, d, m, omega, hf, lhs, term1, 0.0, tol, error_bound=err)
+        return _report(theorem_id, space, omega, hf, lhs, term1, 0.0, tol, error_bound=err)
 
     if theorem_id in ("nagy", "nagy_l1", "sobolev", "charge"):
         # no error bound: term1 and term2 share one I(h), whose error cancels at the bump
@@ -1035,7 +1040,7 @@ def theorem_report(
         term1 = ostrowski_bound(space, omega, h, 1.0, i_h)
         if theorem_id == "sobolev":
             term1 = 2.0 * 0.5 * term1
-        return _report(theorem_id, d, m, omega, hf, lhs, term1, total - term1, tol)
+        return _report(theorem_id, space, omega, hf, lhs, term1, total - term1, tol)
 
     if theorem_id == "hypersingular":
         if kernel is None:
@@ -1052,7 +1057,7 @@ def theorem_report(
         err = val.error_bound + a.error_bound + 2.0 * f.certified_sup_norm * t.error_bound
         if err > 0:
             notes += f"; tail/quadrature remainder <= {err:.3g}"
-        return _report(theorem_id, d, m, omega, hf, lhs, term1, term2, tol, notes, err)
+        return _report(theorem_id, space, omega, hf, lhs, term1, term2, tol, notes, err)
 
     if theorem_id in ("mixed_additive", "mixed_multiplicative"):
         extremal = make_G_eh(space, omega, h)
@@ -1065,12 +1070,12 @@ def theorem_report(
             term1 = holder_cert * i_h.value / mu
             err = holder_cert * i_h.error_bound / mu
             return _report(
-                theorem_id, d, m, omega, hf, lhs, term1, total - term1, tol, error_bound=err
+                theorem_id, space, omega, hf, lhs, term1, total - term1, tol, error_bound=err
             )
         alpha = omega.alpha
         h_star = optimal_h(d, m, alpha, func_sup, holder_cert)
         rhs = mixed_multiplicative_rhs(d, m, alpha, func_sup, holder_cert)
         notes = f"additive bound minimized at h = {h_star:.12g}"
-        return _report(theorem_id, d, m, omega, hf, lhs, rhs, 0.0, tol, notes)
+        return _report(theorem_id, space, omega, hf, lhs, rhs, 0.0, tol, notes)
 
     raise AssertionError("unreachable")

@@ -49,12 +49,12 @@ from .operators import (
     ChargeModel,
     InequalityReport,
     PowerLawKernel,
+    _report,
     charge_seminorm,
     kernel_ball_mass,
     kernel_tail_mass,
     mixed_multiplicative_rhs,
     mixed_nagy_rhs,
-    modulus_label,
 )
 from .space import RequestError, Space, continuum, lattice, strict_int_below
 
@@ -232,9 +232,11 @@ def exact_verify(
 
     Every norm entering either side is recomputed by finite exact sweeps;
     the report's ``exact`` field carries the rational lhs, both right-hand
-    terms, and the gap.  A gap of exactly ``Fraction(0)`` is equality on the
-    nose.  ``h`` is a ``Fraction`` or integer.  A replay that
-    ``exact_inapplicable`` refuses raises its reason as ``RequestError``.
+    terms, and the gap.  The verdict is ``classify_verdict``'s at tolerance
+    0 on these ``Fraction``s, decided without a float: a gap of exactly
+    ``Fraction(0)`` is equality on the nose.  ``h`` is a ``Fraction`` or
+    integer.  A replay that ``exact_inapplicable`` refuses raises its reason
+    as ``RequestError``.
     A caller's ``f`` without a support radius, with a value that is not an
     ``int`` or ``Fraction``, or nonzero beyond its support radius raises
     ``ValueError``.
@@ -297,27 +299,8 @@ def exact_verify(
     term1 = holder * i_h / mu
     notes = _EXACT_NOTES[theorem_id].format(f.label)
 
-    gap = term1 + term2 - lhs
-    if gap < 0:
-        verdict = "Violated"
-    elif gap == 0:
-        verdict = "EqualityAttained"
-    else:
-        verdict = "Holds"
-    return InequalityReport(
-        theorem_id=theorem_id,
-        d=space.d,
-        m=space.m,
-        modulus_label=modulus_label(omega),
-        h=float(hq),
-        lhs=float(lhs),
-        rhs_term1=float(term1),
-        rhs_term2=float(term2),
-        tolerance=0.0,
-        verdict=verdict,
-        notes=notes,
-        exact={"lhs": lhs, "rhs_term1": term1, "rhs_term2": term2, "gap": gap},
-    )
+    exact = {"lhs": lhs, "rhs_term1": term1, "rhs_term2": term2, "gap": term1 + term2 - lhs}
+    return _report(theorem_id, space, omega, hq, lhs, term1, term2, 0.0, notes, exact=exact)
 
 
 # ======================================================================

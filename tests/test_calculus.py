@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ def test_invalid_radius_rejected():
         ball_integral_of_modulus(lattice(1, 0), PowerModulus(1.0), 1.0)
     with pytest.raises(ValueError):
         ball_integral_of_modulus(continuum(1, 0), PowerModulus(1.0), 0.0)
+
+
+@pytest.mark.parametrize("space, omega, h, method, word", [
+    (continuum(1, 0), PowerModulus(0.5), 5e299, CLOSED_FORM, "overflows"),  # OverflowError
+    (continuum(2, 0), TableModulus([(0, 0), (1, 0.75), (2, 1)]), 1e154, RADIAL1D,
+     "overflows"),  # a sum that reaches inf without raising
+    (continuum(1, 0), PowerModulus(0.5), 5e-301, CLOSED_FORM, "underflows"),
+])
+def test_ball_integral_beyond_float_range_names_itself(space, omega, h, method, word):
+    with pytest.raises(ValueError, match=rf"I\(h\) {word}.* h = {re.escape(f'{h:g}')}$"):
+        ball_integral_of_modulus(space, omega, h, QuadratureSpec(method=method))
 
 
 def test_continuum_grid_respects_half_lines():

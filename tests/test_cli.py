@@ -524,6 +524,56 @@ def test_divergent_kernel_is_numeric_failure(capsys, tmp_path):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("beta", [0.6, 1.5])
+@pytest.mark.parametrize("modulus", [
+    {"kind": "power", "alpha": 0.5},
+    {"kind": "table", "points": [[0, 0], [1, "3/4"], [2, 1]]},
+], ids=["power", "table"])
+@pytest.mark.parametrize("d, m", [(1, 0), (2, 1)])
+def test_lattice_kernel_converges_for_every_beta(capsys, tmp_path, d, m, modulus, beta):
+    # counting measure puts no mass at 0 < rho < 1: beta at or beyond the
+    # modulus exponent diverges only on the continuum
+    cfg = write_cfg(tmp_path, "lat.json", {
+        "space": {"kind": "lattice", "d": d, "m": m}, "modulus": modulus,
+        "h_values": [2.5], "theorems": ["hypersingular"],
+        "kernel": {"form": "power_law", "beta": beta},
+    })
+    code, out, err = run_cli(capsys, ["verify", "--config", cfg])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.strip().splitlines()[1].endswith(",EqualityAttained")
+
+
+def test_stechkin_radius_is_the_closed_form(capsys, tmp_path):
+    # the budget n = 1e100 lies far beyond any bisection bracket
+    cfg = write_cfg(tmp_path, "s.json", {"space": LINE, "modulus": {"kind": "power", "alpha": 0.5},
+                                         "n_values": [1e100]})
+    code, out, err = run_cli(capsys, ["stechkin", "--config", cfg, "--format", "json"])
+    assert (code, err) == (EXIT_OK, "")
+    [row] = json.loads(out)
+    assert row["h"] == (1.0 / 1e100 / 2.0) ** (1.0 / 1)
+    assert row["e_n"] > 0
+
+
+@pytest.mark.parametrize("n", [1e300, 1e-300])
+def test_stechkin_extreme_budget_names_the_ball_integral(capsys, tmp_path, n):
+    # I(h) underflows to 0 at h = 5e-301 and overflows at h = 5e299; neither
+    # may pass on as a silent e_n
+    cfg = write_cfg(tmp_path, "s.json", {"space": LINE, "modulus": {"kind": "power", "alpha": 0.5},
+                                         "n_values": [n]})
+    code, out, err = run_cli(capsys, ["stechkin", "--config", cfg])
+    assert code == EXIT_NUMERIC
+    assert "I(h)" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["constant", "stechkin", "oracle"])
+def test_tol_flag_only_on_verify(capsys, line_cfg, command):
+    # the verdict tolerance is read by verify alone
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", line_cfg, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_lattice_sweep_over_point_budget_is_numeric_failure(capsys, tmp_path):
     # a cutoff of 10^7 shells is refused before any array is allocated
     cfg = write_cfg(

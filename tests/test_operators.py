@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from sharp_ineq.calculus import (
 )
 from sharp_ineq.extremals import make_f_e_omega, make_f_eh, make_f_omega, make_G_eh
 from sharp_ineq.modulus import PowerModulus, TableModulus
-from sharp_ineq.space import continuum, lattice, strict_int_below
+from sharp_ineq.space import RequestError, continuum, lattice, strict_int_below
 
 RAMP = PowerModulus(1.0)
 
@@ -463,6 +464,16 @@ def test_hypersingular_full_requires_certificate():
         )
 
 
+@pytest.mark.parametrize("space, beta", [(lattice(1, 0), 0.5), (lattice(2, 1), 1.5)])
+def test_hypersingular_full_on_a_lattice_needs_no_certificate(space, beta):
+    # a lattice sum has no singularity: neither the smoothness certificate
+    # nor beta below the modulus exponent enters it
+    omega, kernel = PowerModulus(0.5), ops.PowerLawKernel(beta=beta)
+    f = make_f_e_omega(space, omega, 2.5)
+    want = ops.hypersingular_full(f, space, omega, kernel)
+    assert ops.hypersingular_full(f.without_certificates(), space, omega, kernel) == want
+
+
 def test_hypersingular_truncated_lattice_brute_force():
     space = lattice(1, 0)
     kernel = ops.PowerLawKernel(beta=0.5, cutoff=25.0)
@@ -697,6 +708,18 @@ def test_mixed_multiplicative_constants():
         ops.mixed_multiplicative_constant(1, 0, 1.5)
 
 
+@pytest.mark.parametrize("d, m, alpha", [(1, 2, 1.0), (0, 0, 1.0), (1.0, 0, 1.0), (1, 0, 1.5),
+                                         (1, 0, 0.0)])
+def test_mixed_bounds_read_the_space_and_modulus_rules(d, m, alpha):
+    # a d/m or alpha outside the hypotheses is a refused request, worded by
+    # Space and PowerModulus
+    for call in (lambda: ops.mixed_multiplicative_constant(d, m, alpha),
+                 lambda: ops.optimal_h(d, m, alpha, 1.0, 1.0),
+                 lambda: ops.mixed_multiplicative_rhs(d, m, alpha, 1.0, 1.0)):
+        with pytest.raises(RequestError):
+            call()
+
+
 def test_optimal_h_minimizes_additive_bound():
     om = PowerModulus(0.6)
     sup, hold = 0.8, 1.7
@@ -747,6 +770,15 @@ def test_classify_verdict_edges():
     # the band edge itself is equality (scale 2, tol 0: gap -1 against 4 * 0.25)
     assert ops.classify_verdict(2.0, 1.0, 0.0, 0.25) == ops.VERDICT_EQUALITY
     assert ops.classify_verdict(2.0, 1.0, 0.0, 0.2499) == ops.VERDICT_VIOLATED
+
+
+def test_classify_verdict_decides_fractions_exactly():
+    # a gap of 1e-30 is lost in a float conversion, which would read both as equality
+    eps = Fraction(1, 10**30)
+    assert float(1 + eps) == 1.0
+    assert ops.classify_verdict(Fraction(1), 1 + eps, 0.0) == ops.VERDICT_HOLDS
+    assert ops.classify_verdict(1 + eps, Fraction(1), 0.0) == ops.VERDICT_VIOLATED
+    assert ops.classify_verdict(1 + eps, 1 + eps, 0.0) == ops.VERDICT_EQUALITY
 
 
 def test_report_row_schema():
@@ -943,10 +975,12 @@ _REPORT_PINNED = {
             '0x1.394fc76efa20ep+3', '0x1.25d2c8cd3c8d0p+2',
             '0x1.4cccc610b7b48p+2', '0x1.bdb0cad6d6430p-71', 'EqualityAttained'),
     },
+    # the radius is the closed form (target / mu(B_1))^(1/d): sqrt(1/2), 1/2
+    # and sqrt(1/12) correctly rounded, where bisection stopped ~3e-13 off
     "stechkin_mc": [
-        ('0x1.6a09e667f4400p-1', '0x1.296709420c984p-1'),
-        ('0x1.0000000000600p-1', '0x1.d2acad65c742cp-2'),
-        ('0x1.279a745903800p-2', '0x1.3db407e1dd915p-2'),
+        ('0x1.6a09e667f3bcdp-1', '0x1.296709420c4ccp-1'),
+        ('0x1.0000000000000p-1', '0x1.d2acad65c6c85p-2'),
+        ('0x1.279a74590331cp-2', '0x1.3db407e1dd568p-2'),
     ],
 }
 

@@ -226,8 +226,9 @@ def test_exact_verify_user_function_holds():
 
     f = oracle.ExactFunction(fn=fn, support_radius=1, label="two-point")
     rep = oracle.exact_verify("nagy", lattice(1, 0), RAMP, F(3, 2), f=f)
-    assert rep.verdict in ("Holds", "EqualityAttained")
-    assert rep.exact["gap"] >= 0
+    # sup 2 against 4/3 (holder 2, I = 2, mu = 3) + 1 (ball sums (3, 2, 1) over mu)
+    assert rep.verdict == "Holds"
+    assert rep.exact["gap"] == F(1, 3)
 
 
 @pytest.mark.parametrize("tid", ["lemma1", "nagy"])

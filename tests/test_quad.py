@@ -48,15 +48,14 @@ def test_bisect_increasing_basic():
     assert math.isclose(root, 2.0, rel_tol=1e-11)
 
 
-def test_bisect_expands_bracket():
-    # target far outside the initial bracket still converges
-    root = bisect_increasing(lambda x: x * x, 400.0, 0.5, 1.0)
-    assert math.isclose(root, 20.0, rel_tol=1e-10)
-
-
 def test_bisect_failure():
     with pytest.raises(QuadratureError):
         bisect_increasing(lambda x: 1.0, 2.0, 0.1, 1.0)
+    # the bracket is never widened: a root outside it is refused
+    with pytest.raises(QuadratureError, match="straddle"):
+        bisect_increasing(lambda x: x * x, 400.0, 0.5, 1.0)
+    with pytest.raises(QuadratureError, match="straddle"):
+        bisect_increasing(lambda x: x * x, 0.01, 0.5, 1.0)
 
 
 def test_piecewise_power_basic():
