@@ -61,7 +61,6 @@ from .operators import (
     charge_nagy_rhs,
     charge_seminorm,
     classify_verdict,
-    deviation_u,
     hypersingular_full,
     hypersingular_norm_witness,
     hypersingular_truncated,

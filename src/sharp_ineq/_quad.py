@@ -144,7 +144,8 @@ def _power_term(coeff: float, q: float, s0: float, s1: float) -> float:
     """``coeff * integral of t**(q-1) over [s0, s1]`` in closed form.
 
     Endpoints may be 0 or inf wherever the integral converges; anything
-    divergent raises instead of returning inf/nan.
+    divergent, or a power beyond the float range, raises instead of
+    returning inf/nan.
     """
     if coeff == 0.0:
         return 0.0
@@ -156,8 +157,13 @@ def _power_term(coeff: float, q: float, s0: float, s1: float) -> float:
         raise QuadratureError(f"power integral t**{q - 1:g} diverges at 0")
     if q > 0.0 and math.isinf(s1):
         raise QuadratureError(f"power integral t**{q - 1:g} diverges at infinity")
-    lo = s0**q
-    hi = 0.0 if math.isinf(s1) else s1**q
+    try:
+        lo = s0**q
+        hi = 0.0 if math.isinf(s1) else s1**q
+    except OverflowError:
+        raise QuadratureError(
+            f"power integral t**{q - 1:g} overflows the float range on [{s0:g}, {s1:g}]"
+        ) from None
     return coeff * (hi - lo) / q
 
 

@@ -16,6 +16,11 @@ Central quantities
     * ``lattice_exact`` -- exact enumeration on lattices;
     * ``monte_carlo``   -- uniform sampling, with a reported standard error.
 
+``ball_integral_at``
+    ``integral over x + B_h of f d(mu)`` for one centre or rows of centres:
+    the one ball-integral path of the package (``steklov_average`` and the
+    continuum charge seminorm included).
+
 ``seminorm_local``
     The averaged-oscillation seminorm at window scale ``h``:
     ``sup over x of | integral over x + B_h of f |``.  Exact on lattices for
@@ -118,8 +123,11 @@ class FunctionModel:
     """A function on a space, with optional certified analytic metadata.
 
     ``evaluator`` maps a batch of points, shape (n, d) float64, to values of
-    shape (n,).  ``radial_profile``, when present, asserts that
-    ``f(x) = radial_profile(rho(x, 0))`` which unlocks exact 1-D reductions.
+    shape (n,).  ``radial_pieces``, when present, asserts that ``f`` is radial
+    with ``f(x) = sigma * rho**p + tau`` for ``rho = rho(x, 0)`` in each
+    ``(s0, s1, sigma, p, tau)`` row, the rows tiling ``[0, inf)``: the one
+    radial description, from which ``_radial_kinks`` and ``_radial_value``
+    derive the rest and which unlocks exact 1-D reductions.
 
     The ``certified_*`` fields are *proved* quantities attached by a
     constructor (closed forms evaluated at construction time), not numerics;
@@ -128,7 +136,7 @@ class FunctionModel:
 
     name: str
     evaluator: Callable[[np.ndarray], np.ndarray]
-    radial_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    radial_pieces: Optional[list] = None
     certified_holder_bound: Optional[float] = None
     certified_sup_norm: Optional[float] = None
     certified_seminorm_h: Optional[float] = None
@@ -148,7 +156,7 @@ class FunctionModel:
         return FunctionModel(
             name=self.name + "|uncertified",
             evaluator=self.evaluator,
-            radial_profile=self.radial_profile,
+            radial_pieces=self.radial_pieces,
             support_radius=self.support_radius,
             meta=dict(self.meta),
         )
@@ -159,11 +167,22 @@ def constant_model(space: Space, value: float) -> FunctionModel:
     return FunctionModel(
         name=f"const[{v:g}]",
         evaluator=lambda pts: np.full(pts.shape[0], v),
-        radial_profile=lambda t: np.full(np.shape(t) or (), v),
+        radial_pieces=[(0.0, math.inf, 0.0, 1.0, v)],
         certified_holder_bound=0.0,
         certified_sup_norm=abs(v),
-        meta={"radial_pieces": [(0.0, math.inf, 0.0, 1.0, v)]},
     )
+
+
+def _radial_kinks(f: FunctionModel) -> list:
+    """The finite right ends of ``f``'s radial pieces: where its profile may
+    lose smoothness (the kinks of ``radial_integral``)."""
+    return [s1 for _, s1, _, _, _ in f.radial_pieces if math.isfinite(s1)]
+
+
+def _radial_value(f: FunctionModel, space: Space, t: float) -> float:
+    """``f(t e_1)``, the profile of a radial ``f`` at ``rho = t >= 0``
+    (``space.norm(t e_1) = t``)."""
+    return f(t * np.eye(1, space.d)[0])
 
 
 # ======================================================================
@@ -327,10 +346,10 @@ def l1_norm(
     if space.is_lattice:
         pts = _lattice.window_points(space, int(math.ceil(window_radius)))
         est = float(np.sum(np.abs(f(pts.astype(np.float64)))))
-    elif f.radial_profile is not None:
+    elif f.radial_pieces is not None:
         est = radial_integral(
-            space, lambda t: abs(float(f.radial_profile(t))), 0.0, float(window_radius),
-            f.meta.get("radial_kinks", ()),
+            space, lambda t: abs(_radial_value(f, space, t)), 0.0, float(window_radius),
+            _radial_kinks(f),
         ).value
     elif space.d == 1:
         lo = 0.0 if space.m == 1 else -float(window_radius)
@@ -352,38 +371,35 @@ def l1_norm(
 
 
 def _ball_average_at(
-    f: FunctionModel, space: Space, h, x: np.ndarray, spec: QuadratureSpec,
-    mc_offsets: Optional[np.ndarray] = None,
-) -> float:
-    """``integral over x + B_h of f`` on the continuum (not divided by measure)."""
-    hf = float(h)
+    f: FunctionModel, space: Space, h, xs: np.ndarray, spec: QuadratureSpec
+) -> np.ndarray:
+    """``integral over x + B_h of f`` on the continuum (not divided by
+    measure) for each row ``x`` of ``xs``: the exact box mass, the radial
+    pieces at the origin, adaptive Simpson on the line, else Monte Carlo on
+    one offset sample, drawn at most once per call."""
+    hf, d = float(h), space.d
     ball_mass_fn = f.meta.get("ball_mass_fn")
-    if ball_mass_fn is not None:
-        return float(ball_mass_fn(space, hf, np.asarray(x, dtype=np.float64)))
-    pieces = f.meta.get("radial_pieces")
-    d = space.d
-    if pieces is not None and not np.any(x):
-        return space.sphere_constant * piecewise_power_integral(pieces, 0.0, hf, d - 1)
-    if f.radial_profile is not None and not np.any(x):
-        return radial_integral(
-            space, lambda t: float(f.radial_profile(t)), 0.0, hf, f.meta.get("radial_kinks", ())
-        ).value
-    if d == 1:
-        lo = -hf if space.m == 0 else 0.0
-
-        def scalar(t: float) -> float:
-            return float(f(np.array([x[0] + t])))
-
-        kinks = []
-        r = f.support_radius
-        if r is not None and math.isfinite(r):
-            kinks = [c - x[0] for c in (-r, r) if lo < c - x[0] < hf]
-        val, _ = adaptive_simpson(scalar, lo, hf, kinks=kinks)
-        return val
-    if mc_offsets is None:
-        mc_offsets = space.sample_ball(h, spec.mc_samples, spec.seed)
-    mu = float(space.ball_measure(h))
-    return mu * float(np.mean(f(x[None, :] + mc_offsets)))
+    offsets = None
+    out = np.empty(len(xs))
+    for i, x in enumerate(xs):
+        if ball_mass_fn is not None:
+            out[i] = ball_mass_fn(space, hf, x)
+        elif f.radial_pieces is not None and not np.any(x):
+            out[i] = space.sphere_constant * piecewise_power_integral(
+                f.radial_pieces, 0.0, hf, d - 1
+            )
+        elif d == 1:
+            lo, r = (-hf if space.m == 0 else 0.0), f.support_radius
+            kinks = [] if r is None else [c - x[0] for c in (-r, r) if lo < c - x[0] < hf]
+            out[i], _ = adaptive_simpson(
+                lambda t: float(f(np.array([x[0] + t]))), lo, hf, kinks=kinks
+            )
+        else:
+            if offsets is None:
+                offsets = space.sample_ball(h, spec.mc_samples, spec.seed)
+                mu = float(space.ball_measure(h))
+            out[i] = mu * float(np.mean(f(x[None, :] + offsets)))
+    return out
 
 
 def ball_integral_at(
@@ -392,18 +408,22 @@ def ball_integral_at(
     h,
     x,
     spec: Optional[QuadratureSpec] = None,
-    mc_offsets: Optional[np.ndarray] = None,
 ) -> float:
-    """``integral over x + B_h of f d(mu)``: exact sum on lattices, else the
-    best continuum path available (exact box mass / radial pieces / adaptive
-    1-D / Monte Carlo with shared offsets)."""
+    """``integral over x + B_h of f d(mu)``, the one ball-integral path: a
+    float for one centre ``x``, an array for rows of centres, as
+    ``FunctionModel.__call__``.  On lattices one gather of every ball, each
+    row summed on its own (bit for bit the single-centre sum); on the
+    continuum ``_ball_average_at``, the best path per centre."""
     space.require_valid_radius(h)
-    spec = spec or QuadratureSpec()
     xv = np.asarray(x, dtype=np.float64)
+    xs = np.atleast_2d(xv)
     if space.is_lattice:
         offs = space.enumerate_ball(h).astype(np.float64)
-        return float(np.sum(f(xv[None, :] + offs)))
-    return _ball_average_at(f, space, h, xv, spec, mc_offsets)
+        vals = f((xs[:, None, :] + offs).reshape(-1, space.d))
+        out = vals.reshape(len(xs), len(offs)).sum(axis=1)
+    else:
+        out = _ball_average_at(f, space, h, xs, spec or QuadratureSpec())
+    return float(out[0]) if xv.ndim == 1 else out
 
 
 def _seminorm_plan(f: FunctionModel, space: Space, h, window_radius: float) -> _lattice.GatherPlan:
@@ -441,14 +461,14 @@ def seminorm_local(
 ) -> float:
     """``sup over x of | integral over x + B_h of f |`` at window scale h.
 
-    Lattice: exact sweep (requires the window to contain the declared
-    support dilated by the ball radius).  Continuum: search over a grid of
-    translations (``_translations``).  A certified value
+    Lattice: exact sweep by the ``_kernels.ball_sums`` matmul (requires the
+    window to contain the declared support dilated by the ball radius).
+    Continuum: the max of ``|ball_integral_at|`` over the grid of
+    translations (``_translations``), one batched call.  A certified value
     stated at this h is returned after checking it is not *beaten* by the
     search; ``f.without_certificates()`` gives the search result itself.
     """
     space.require_valid_radius(h)
-    spec = spec or QuadratureSpec()
     certified = _certified_seminorm(f, h)
 
     if space.is_lattice:
@@ -458,15 +478,7 @@ def seminorm_local(
         est = float(np.max(np.abs(sums)))
     else:
         xs = _translations(f, space, h, window_radius)
-        mc_offsets = None
-        if space.d >= 2 and f.radial_profile is None:
-            mc_offsets = space.sample_ball(h, spec.mc_samples, spec.seed)
-        best = 0.0
-        for x in xs:
-            v = abs(_ball_average_at(f, space, h, x, spec, mc_offsets))
-            if v > best:
-                best = v
-        est = best
+        est = float(np.max(np.abs(ball_integral_at(f, space, h, xs, spec))))
     _check_certified_upper(est, certified, f"seminorm at h={h}", tol=1e-8)
     if certified is not None:
         return float(certified)

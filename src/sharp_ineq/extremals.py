@@ -11,8 +11,8 @@ Families
     bounds and the L1 variant, and is the mixed derivative of the mixed
     extremal below.
 
-``make_f_omega(space, omega, c, sign)``
-    ``c + sign * omega(rho(x, 0))``: smoothness constant exactly 1,
+``make_f_omega(space, omega)``
+    The radial gauge ``omega(rho(x, 0))``: smoothness constant exactly 1,
     saturating the Steklov deviation bound at the origin.
 
 ``make_f_e_omega(space, omega, h)``
@@ -35,6 +35,8 @@ read it, no extremal does.
 
 Every constructor attaches certified metadata evaluated in closed form from
 ``(omega, h, space)`` at construction time, so parameter sweeps stay exact.
+The three radial families state their profile once, as power pieces
+(``FunctionModel.radial_pieces``) read off ``omega.pieces``.
 
 The iterated integrals are evaluated without nested quadrature: integrating
 a function of ``max_i u_i`` over a box reduces, through the distribution
@@ -51,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._quad import bisect_increasing
+from ._quad import _power_term, bisect_increasing
 from .calculus import Estimate, FunctionModel, ball_integral_of_modulus, constant_model
 from .modulus import Modulus
 from .space import Space
@@ -60,11 +62,6 @@ from .space import Space
 # ======================================================================
 # exact box masses  integral of (omega(h) - omega(max_i u_i))_+ over a box
 # ======================================================================
-
-
-def _power_diff(q: float, s0: float, s1: float) -> float:
-    """(s1**q - s0**q) / q, the antiderivative increment of t**(q-1)."""
-    return (s1**q - s0**q) / q
 
 
 def _box_mass_orthant(
@@ -107,9 +104,9 @@ def _box_mass_orthant(
             for k, ck in enumerate(deriv):
                 if ck == 0.0:
                     continue
-                total += ck * (W - tau) * _power_diff(k + 1, p0, p1)
+                total += ck * (W - tau) * _power_term(1.0, k + 1, p0, p1)
                 if sigma != 0.0:
-                    total -= ck * sigma * _power_diff(k + 1 + p, p0, p1)
+                    total -= ck * sigma * _power_term(1.0, k + 1 + p, p0, p1)
     return total
 
 
@@ -159,18 +156,14 @@ def make_f_eh(space: Space, omega: Modulus, h, i_h: Estimate | None = None) -> F
     hf = float(h)
     peak = float(omega(hf))
 
-    def profile(t):
-        return np.maximum(peak - np.asarray(omega(np.abs(t)), dtype=np.float64), 0.0)
-
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        return profile(space.norm(pts))
+        return np.maximum(peak - np.asarray(omega(space.norm(pts)), dtype=np.float64), 0.0)
 
     deficiency = ball_deficiency(space, omega, h, i_h)
-    kinks = [b for b in omega.breakpoints() if b < hf] + [hf]
-    prof_pieces = [
+    pieces = [
         (s0, s1, -sg, p, peak - tau) for (s0, s1, sg, p, tau) in omega.pieces(0.0, hf)
     ] + [(hf, math.inf, 0.0, 1.0, 0.0)]
-    meta = {"radial_kinks": kinks, "radial_pieces": prof_pieces}
+    meta = {}
     if space.is_continuum:
 
         def ball_mass(space_: Space, hw: float, x: np.ndarray) -> float:
@@ -184,7 +177,7 @@ def make_f_eh(space: Space, omega: Modulus, h, i_h: Estimate | None = None) -> F
     return FunctionModel(
         name=f"bump[h={hf:g}]",
         evaluator=evaluator,
-        radial_profile=profile,
+        radial_pieces=pieces,
         certified_holder_bound=1.0,
         certified_sup_norm=peak,
         certified_seminorm_h=deficiency.value,
@@ -195,34 +188,19 @@ def make_f_eh(space: Space, omega: Modulus, h, i_h: Estimate | None = None) -> F
     )
 
 
-def make_f_omega(space: Space, omega: Modulus, c: float = 0.0, sign: int = +1) -> FunctionModel:
-    """``c + sign * omega(rho(x, 0))``: the unbounded smoothness-1 witness."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    cf = float(c)
-
-    def profile(t):
-        return cf + sign * np.asarray(omega(np.abs(t)), dtype=np.float64)
+def make_f_omega(space: Space, omega: Modulus) -> FunctionModel:
+    """The radial gauge ``omega(rho(x, 0))``: the smoothness-1 witness,
+    unbounded unless ``omega`` is."""
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        return profile(space.norm(pts))
+        return np.asarray(omega(space.norm(pts)), dtype=np.float64)
 
-    sup = None
-    if omega.is_bounded():
-        reach = getattr(omega, "max_value", None)
-        if reach is not None:
-            sup = max(abs(cf + sign * reach), abs(cf))
-    pieces = [
-        (s0, s1, sign * sg, p, cf + sign * tau)
-        for (s0, s1, sg, p, tau) in omega.pieces(0.0, math.inf)
-    ]
     return FunctionModel(
-        name=f"radial-gauge[c={cf:g},{'+' if sign > 0 else '-'}]",
+        name="radial-gauge[c=0,+]",
         evaluator=evaluator,
-        radial_profile=profile,
+        radial_pieces=omega.pieces(0.0, math.inf),
         certified_holder_bound=1.0,
-        certified_sup_norm=sup,
-        meta={"radial_kinks": list(omega.breakpoints()), "radial_pieces": pieces},
+        certified_sup_norm=omega.max_value if omega.is_bounded() else None,
     )
 
 
@@ -232,13 +210,9 @@ def make_f_e_omega(space: Space, omega: Modulus, h) -> FunctionModel:
     hf = float(h)
     half = float(omega(hf)) / 2.0
 
-    def profile(t):
-        tv = np.abs(np.asarray(t, dtype=np.float64))
-        inner = np.asarray(omega(tv), dtype=np.float64) - half
-        return np.where(tv < hf, inner, half)
-
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        return profile(space.norm(pts))
+        rho = space.norm(pts)
+        return np.where(rho < hf, np.asarray(omega(rho), dtype=np.float64) - half, half)
 
     pieces = [
         (s0, s1, sg, p, tau - half) for (s0, s1, sg, p, tau) in omega.pieces(0.0, hf)
@@ -246,13 +220,9 @@ def make_f_e_omega(space: Space, omega: Modulus, h) -> FunctionModel:
     return FunctionModel(
         name=f"two-level[h={hf:g}]",
         evaluator=evaluator,
-        radial_profile=profile,
+        radial_pieces=pieces,
         certified_holder_bound=1.0,
         certified_sup_norm=half,
-        meta={
-            "radial_kinks": [b for b in omega.breakpoints() if b < hf] + [hf],
-            "radial_pieces": pieces,
-        },
     )
 
 

@@ -57,6 +57,8 @@ from .calculus import (
     QuadratureSpec,
     _certified_seminorm,
     _mc_mean,
+    _radial_kinks,
+    _radial_value,
     _seminorm_plan,
     _translations,
     ball_integral_at,
@@ -181,31 +183,17 @@ def classify_verdict(lhs: float, rhs: float, tol: float, error_bound: float = 0.
 def steklov_average(
     f: FunctionModel, space: Space, h, spec: Optional[QuadratureSpec] = None
 ) -> FunctionModel:
-    """The ball average ``S_h f`` as a function model.
-
-    On lattices an exact sum, ``f`` evaluated once on every ball of the
-    batch.  On the continuum each evaluation point is one
-    ``ball_integral_at``, the best available path for ``f`` (exact box mass,
-    radial pieces at the origin, 1-D adaptive quadrature, or Monte Carlo
-    with offsets shared across evaluation points).
+    """The ball average ``S_h f`` as a function model: each batch of
+    evaluation points is one ``ball_integral_at`` call over its rows, divided
+    by ``mu(B_h)`` (on lattices one gather of every ball of the batch; on the
+    continuum the best path per point, Monte Carlo offsets drawn at most
+    once per batch).
     """
     space.require_valid_radius(h)
-    spec = spec or QuadratureSpec()
     mu = float(space.ball_measure(h))
-    if space.is_lattice:
-        offsets = space.enumerate_ball(h).astype(np.float64)
 
-        def evaluator(pts: np.ndarray) -> np.ndarray:
-            vals = f((pts[:, None, :] + offsets).reshape(-1, space.d))
-            return vals.reshape(len(pts), len(offsets)).sum(axis=1) / mu
-    else:
-        mc_offsets = None
-        if space.d >= 2 and "ball_mass_fn" not in f.meta:
-            mc_offsets = space.sample_ball(h, spec.mc_samples, spec.seed)
-
-        def evaluator(pts: np.ndarray) -> np.ndarray:
-            return np.array([ball_integral_at(f, space, h, x, spec, mc_offsets)
-                             for x in pts]) / mu
+    def evaluator(pts: np.ndarray) -> np.ndarray:
+        return ball_integral_at(f, space, h, pts, spec) / mu
 
     return FunctionModel(
         name=f"steklov[h={float(h):g}]({f.name})",
@@ -267,12 +255,6 @@ def sobolev_rhs(
     )
 
 
-def deviation_u(space: Space, omega: Modulus, h, i_h: Optional[Estimate] = None) -> float:
-    """Worst-case deviation ``sup |f - S_h f|`` over the unit smoothness class
-    (``i_h`` as in ``ostrowski_bound``)."""
-    return ostrowski_bound(space, omega, h, 1.0, i_h)
-
-
 # ======================================================================
 # Charges (set functions through their densities)
 # ======================================================================
@@ -292,8 +274,10 @@ class ChargeModel:
     def name(self) -> str:
         return f"charge({self.density.name})"
 
-    def ball_mass(self, space: Space, h, x, spec: Optional[QuadratureSpec] = None) -> float:
-        """``nu(x + B_h)``: the charge of a translated ball."""
+    def ball_mass(self, space: Space, h, x, spec: Optional[QuadratureSpec] = None):
+        """``nu(x + B_h)``: the charge of a translated ball, a float for one
+        centre ``x`` and an array for rows of centres (``ball_integral_at``
+        of the density)."""
         return ball_integral_at(self.density, space, h, x, spec)
 
 
@@ -316,10 +300,10 @@ def charge_seminorm(
     its own.  This path stays off ``seminorm_local`` and its
     ``_kernels.ball_sums`` matmul, so the two sides of the identity share
     only the window check and plan building; the row sums reproduce
-    ``ball_integral_at``'s per-ball ``np.sum`` bit for bit.  A window short
+    ``ball_integral_at``'s per-ball row sums bit for bit.  A window short
     of the density's support dilated by the ball raises ``ValueError``.
-    Continuum: a search over ``ball_mass`` at the translations
-    ``seminorm_local`` searches.
+    Continuum: the max of ``|ball_mass|`` over the translations
+    ``seminorm_local`` searches, one batched call.
     """
     space.require_valid_radius(h)
     if space.is_lattice:
@@ -327,9 +311,8 @@ def charge_seminorm(
         padded = _lattice.evaluate_padded(plan, nu.density.evaluator)
         charges = padded[plan.base_idx[:, None] + plan.lin_offsets[None, :]].sum(axis=1)
         return float(np.max(np.abs(charges)))
-    spec = spec or QuadratureSpec()
     xs = _translations(nu.density, space, h, window_radius)
-    return max(abs(nu.ball_mass(space, h, x, spec)) for x in xs)
+    return float(np.max(np.abs(nu.ball_mass(space, h, xs, spec))))
 
 
 def charge_nagy_rhs(
@@ -613,21 +596,14 @@ def hypersingular_norm_witness(space: Space, kernel, h, c: float = 1.0) -> Funct
     hf = float(h)
     cf = float(c)
 
-    def profile(t):
-        return np.where(np.abs(np.asarray(t, dtype=np.float64)) < hf, cf, -cf)
-
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        return profile(space.norm(pts))
+        return np.where(space.norm(pts) < hf, cf, -cf)
 
     return FunctionModel(
         name=f"two-sided-sign[h={hf:g}]",
         evaluator=evaluator,
-        radial_profile=profile,
+        radial_pieces=[(0.0, hf, 0.0, 1.0, cf), (hf, math.inf, 0.0, 1.0, -cf)],
         certified_sup_norm=abs(cf),
-        meta={
-            "radial_kinks": [hf],
-            "radial_pieces": [(0.0, hf, 0.0, 1.0, cf), (hf, math.inf, 0.0, 1.0, -cf)],
-        },
     )
 
 
@@ -636,9 +612,8 @@ def _constant_beyond(f: FunctionModel) -> Optional[tuple[float, float]]:
     (``c = 0``) or a final constant radial piece; ``None`` when neither is known."""
     if f.support_radius is not None:
         return float(f.support_radius), 0.0
-    pieces = f.meta.get("radial_pieces")
-    if pieces:
-        s0, s1, sigma, _, tau = pieces[-1]
+    if f.radial_pieces:
+        s0, s1, sigma, _, tau = f.radial_pieces[-1]
         if math.isinf(s1) and sigma == 0:
             return float(s0), float(tau)
     return None
@@ -691,15 +666,15 @@ def _hyp_radial_origin(f: FunctionModel, space: Space, kernel, lo: float) -> Est
     """Closed/adaptive value of the singular integral at the origin for a
     function with radial power pieces, integrating radii in ``[lo, inf)``."""
     d = space.d
-    pieces = f.meta["radial_pieces"]
+    pieces = f.radial_pieces
     f0 = float(pieces[0][4])  # power exponents are positive, so sigma * 0**p vanishes
     if isinstance(kernel, PowerLawKernel):
         diff = [(s0, s1, -sg, p, f0 - tau) for (s0, s1, sg, p, tau) in pieces]
         val = piecewise_power_integral(diff, lo, kernel.cutoff, -kernel.beta - 1.0)
         return Estimate(space.sphere_constant * val, CLOSED_FORM, 0.0)
     return radial_integral(
-        space, lambda t: (f0 - float(f.radial_profile(t))) * float(kernel.value(t, d)),
-        lo, kernel.support_radius, tuple(f.meta.get("radial_kinks", ())) + kernel.breakpoints(),
+        space, lambda t: (f0 - _radial_value(f, space, t)) * float(kernel.value(t, d)),
+        lo, kernel.support_radius, tuple(_radial_kinks(f)) + kernel.breakpoints(),
     )
 
 
@@ -727,7 +702,7 @@ def _hypersingular(
     xv = space.origin().astype(np.float64) if x is None else np.asarray(x, dtype=np.float64)
     if space.is_lattice:
         return _hyp_lattice_sum(f, space, kernel, xv, max(1, math.ceil(lo)))
-    if "radial_pieces" in f.meta and not np.any(xv):
+    if f.radial_pieces is not None and not np.any(xv):
         return _hyp_radial_origin(f, space, kernel, lo)
     s = lo or f.support_radius or 1.0
     n = spec.mc_samples
@@ -941,7 +916,7 @@ def stechkin_curve(
             raise RequestError(f"n_values must be positive (operator norm budgets), got {n}")
         h = solve_h_for_measure(space, 1.0 / nf)
         i_h = ball_integral_of_modulus(space, omega, h, spec)
-        out.append(StechkinPoint(n=nf, h=h, e_n=deviation_u(space, omega, h, i_h)))
+        out.append(StechkinPoint(n=nf, h=h, e_n=ostrowski_bound(space, omega, h, 1.0, i_h)))
     return out
 
 

@@ -120,18 +120,15 @@ def exact_f_eh(space: Space, omega: Modulus, h) -> ExactFunction:
     return ExactFunction(fn=fn, support_radius=support, label=f"bump[h={hq}]")
 
 
-def exact_f_omega(space: Space, omega: Modulus, c=0, sign: int = 1) -> ExactFunction:
-    """The radial modulus profile ``c + sign * omega(rho)``; smoothness
-    constant exactly 1 by concavity (no sweep needed or possible)."""
-    cq = Fraction(c)
-    sg = 1 if sign >= 0 else -1
+def exact_f_omega(space: Space, omega: Modulus) -> ExactFunction:
+    """The radial modulus profile ``omega(rho)``; smoothness constant
+    exactly 1 by concavity (no sweep needed or possible)."""
     origin = (0,) * space.d
 
     def fn(pt: tuple) -> Fraction:
-        rho = space.lattice_distance(pt, origin)
-        return cq + sg * omega.eval_fraction(Fraction(rho))
+        return omega.eval_fraction(Fraction(space.lattice_distance(pt, origin)))
 
-    return ExactFunction(fn=fn, support_radius=None, label=f"modulus-profile[c={cq}]")
+    return ExactFunction(fn=fn, support_radius=None, label="modulus-profile[c=0]")
 
 
 def _box_values(f: ExactFunction, space: Space, radius: int) -> tuple[np.ndarray, int]:

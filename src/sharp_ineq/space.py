@@ -202,14 +202,21 @@ class Space:
         """Measure of the open ball of radius ``h`` around the origin.
 
         Exact: returns an ``int`` on lattices (a ``Fraction``-safe count) and
-        a float on the continuum.
+        a float on the continuum, where a measure beyond the float range
+        raises ``ValueError`` naming ``mu(B_h)`` and ``h``.
         """
         self.require_valid_radius(h)
         if self.is_lattice:
             k = strict_int_below(h)
             return (k + 1) ** self.m * (2 * k + 1) ** (self.d - self.m)
         hf = float(h)
-        return 2.0 ** (self.d - self.m) * hf**self.d
+        try:
+            mu = 2.0 ** (self.d - self.m) * hf**self.d
+        except OverflowError:
+            mu = math.inf
+        if mu == math.inf:
+            raise ValueError(f"mu(B_h) overflows the float range at h = {hf:g}")
+        return mu
 
     def closed_ball(self, k: int) -> np.ndarray:
         """The lattice points with ``rho(u, 0) <= k`` in C order, shape (N, d):

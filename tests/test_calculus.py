@@ -22,8 +22,9 @@ from sharp_ineq.calculus import (
     seminorm_local,
     sup_norm,
 )
-from sharp_ineq.extremals import make_f_eh, make_f_omega
+from sharp_ineq.extremals import make_f_e_omega, make_f_eh, make_f_omega
 from sharp_ineq.modulus import PowerModulus, TableModulus
+from sharp_ineq.operators import ChargeModel, charge_seminorm
 from sharp_ineq.space import Space, continuum, lattice
 
 
@@ -159,11 +160,11 @@ def test_l1_norm_of_bump_matches_deficiency():
 
 
 def _bare_bump(space):
-    """The bump with its certificates, radial profile and box-mass engine
+    """The bump with its certificates, radial pieces and box-mass engine
     stripped, so only the generic quadrature paths can integrate it."""
     f = make_f_eh(space, PowerModulus(1.0), 1.0)
     bare = f.without_certificates()
-    bare.radial_profile = None
+    bare.radial_pieces = None
     bare.meta = {}
     return f, bare
 
@@ -230,6 +231,55 @@ def test_ball_integral_at_continuum_translated_mc():
     assert abs(got - mc) <= 4.0 * stderr
 
 
+def _batch_cases():
+    z21 = lattice(2, 1)
+    bump = make_f_eh(z21, PowerModulus(1.0), 2.5)
+    yield "lattice", bump, z21, 2.5, None, [[0.0, 0.0], [1.0, -2.0], [3.0, 1.0]]
+    p21 = continuum(2, 1)
+    box = make_f_eh(p21, PowerModulus(0.5), 1.0)
+    yield "box mass", box, p21, 0.8, None, [[0.0, 0.0], [0.3, -0.4], [1.2, 0.5]]
+    p20 = continuum(2, 0)
+    two_level = make_f_e_omega(p20, PowerModulus(1.0), 1.0)
+    mc = QuadratureSpec(method=MONTE_CARLO, mc_samples=2000, seed=3)
+    yield "pieces and MC", two_level, p20, 0.5, mc, [[0.4, -0.1], [0.0, 0.0], [-0.6, 0.2]]
+    line = continuum(1, 0)
+    _, bare = _bare_bump(line)
+    yield "adaptive line", bare, line, 1.0, None, [[0.0], [0.3], [-0.7]]
+
+
+@pytest.mark.parametrize("case", list(_batch_cases()), ids=lambda c: c[0])
+def test_ball_integral_at_batched_centres_match_single(case):
+    _, f, space, h, spec, centres = case
+    xs = np.array(centres)
+    got = ball_integral_at(f, space, h, xs, spec)
+    assert got.shape == (len(xs),)
+    want = [ball_integral_at(f, space, h, x, spec) for x in xs]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    if space.is_lattice:  # the row sums are the per-ball np.sum of the gather
+        offs = space.enumerate_ball(h).astype(np.float64)
+        assert want == [float(np.sum(f(x[None, :] + offs))) for x in xs]
+
+
+def test_ball_integral_search_draws_one_sample_per_call(monkeypatch):
+    # every off-origin centre of the search reads the same Monte Carlo offsets
+    draws = []
+    sample_ball = Space.sample_ball
+
+    def counted(self, *args):
+        draws.append(args)
+        return sample_ball(self, *args)
+
+    monkeypatch.setattr(Space, "sample_ball", counted)
+    space = continuum(2, 0)
+    f = make_f_e_omega(space, PowerModulus(1.0), 1.0)
+    spec = QuadratureSpec(method=MONTE_CARLO, mc_samples=20_000, seed=3)
+    for search in (lambda: seminorm_local(f, space, 0.5, 1.0, spec),
+                   lambda: charge_seminorm(ChargeModel(f), space, 0.5, 1.0, spec)):
+        draws.clear()
+        assert search().hex() == "0x1.d589ec6734a41p-2"
+        assert len(draws) == 1
+
+
 def test_seminorm_local_certified_and_sweep_agree():
     space = continuum(1, 0)
     om = PowerModulus(1.0)
@@ -283,5 +333,5 @@ def test_constant_model_and_uncertified_copy():
     assert c.certified_holder_bound == 0.0
     bare = c.without_certificates()
     assert bare.certified_sup_norm is None
-    assert "radial_pieces" in bare.meta
+    assert bare.radial_pieces == c.radial_pieces
     assert bare(np.array([1.0, 0.0])) == -3.0

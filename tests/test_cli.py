@@ -565,6 +565,20 @@ def test_stechkin_extreme_budget_names_the_ball_integral(capsys, tmp_path, n):
     assert "I(h)" in err and out == ""
 
 
+@pytest.mark.parametrize("command, space, h, word", [
+    ("constant", {"kind": "continuum", "d": 2, "m": 0}, 1e200, "mu(B_h)"),
+    ("verify", LINE, 1e300, "power integral"),
+])
+def test_float_range_failure_names_its_quantity(capsys, tmp_path, command, space, h, word):
+    # the ball measure overflows before I(h) is reached; the mixed bounds'
+    # box masses overflow in a closed-form power integral
+    cfg = write_cfg(tmp_path, "big.json", {"space": space, "h_values": [h],
+                                           "modulus": {"kind": "power", "alpha": 1.0}})
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert word in err
+
+
 @pytest.mark.parametrize("command", ["constant", "stechkin", "oracle"])
 def test_tol_flag_only_on_verify(capsys, line_cfg, command):
     # the verdict tolerance is read by verify alone

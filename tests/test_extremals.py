@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sharp_ineq.extremals import (
     _box_mass_orthant,
-    _power_diff,
     ball_deficiency,
     bump_box_integral,
     make_f_e_omega,
@@ -18,7 +17,9 @@ from sharp_ineq.extremals import (
     sobolev_extremal_pair,
     split_point_a,
 )
+from sharp_ineq.calculus import _radial_kinks, _radial_value, constant_model
 from sharp_ineq.modulus import PowerModulus, TableModulus
+from sharp_ineq.operators import PowerLawKernel, hypersingular_norm_witness
 from sharp_ineq.space import continuum, lattice
 
 
@@ -58,20 +59,47 @@ def test_two_level_profile():
     got = f(np.array([[0.0], [0.5], [1.0], [2.0]]))
     np.testing.assert_allclose(got, [-0.5, 0.0, 0.5, 0.5])
     assert f.certified_sup_norm == 0.5
-    assert f.meta["radial_pieces"][-1] == (1.0, math.inf, 0.0, 1.0, 0.5)
+    assert f.radial_pieces[-1] == (1.0, math.inf, 0.0, 1.0, 0.5)
 
 
 def test_radial_gauge_signs_and_sup():
     space = continuum(1, 0)
     om = TableModulus([(0, 0), (1, 1)])
-    up = make_f_omega(space, om, c=0.25, sign=+1)
-    down = make_f_omega(space, om, c=0.25, sign=-1)
-    assert up(np.array([2.0])) == 1.25
-    assert down(np.array([2.0])) == -0.75
-    assert up.certified_sup_norm == 1.25
+    gauge = make_f_omega(space, om)
+    assert gauge(np.array([2.0])) == 1.0
+    assert gauge.certified_sup_norm == 1.0
     assert make_f_omega(space, PowerModulus(0.5)).certified_sup_norm is None
-    with pytest.raises(ValueError):
-        make_f_omega(space, om, sign=0)
+
+
+def _radial_models(space, omega, h):
+    """Each radial constructor with the kinks it stated beside its pieces
+    before the pieces became its one radial description."""
+    below = [b for b in omega.breakpoints() if b < h] + [h]
+    yield make_f_eh(space, omega, h), below
+    yield make_f_omega(space, omega), list(omega.breakpoints())
+    yield make_f_e_omega(space, omega, h), below
+    yield hypersingular_norm_witness(space, PowerLawKernel(0.5), h), [h]
+    yield constant_model(space, -0.7), []
+
+
+@pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in range(d + 1)])
+@pytest.mark.parametrize("omega", [PowerModulus(0.5), PowerModulus(1.0),
+                                   TableModulus([(0, 0), ("1/2", "2/5"), (2, 1)])],
+                         ids=["power0.5", "power1", "table"])
+def test_radial_pieces_state_the_profile(d, m, omega):
+    space = continuum(d, m)
+    for f, kinks in _radial_models(space, omega, 1.2):
+        pieces = f.radial_pieces
+        ends = [(s0, s1) for s0, s1, _, _, _ in pieces]
+        assert ends[0][0] == 0.0 and ends[-1][1] == math.inf, f.name
+        assert all(s0 < s1 for s0, s1 in ends), f.name
+        assert all(a[1] == b[0] for a, b in zip(ends, ends[1:])), f.name
+        for s0, s1, sigma, p, tau in pieces:
+            width = 3.0 if math.isinf(s1) else s1 - s0
+            for t in (s0 + 0.25 * width, s0 + 0.5 * width, s0 + 0.75 * width):
+                assert _radial_value(f, space, t) == pytest.approx(
+                    sigma * t**p + tau, rel=1e-12, abs=0.0), (f.name, t)
+        assert _radial_kinks(f) == kinks, f.name
 
 
 def test_bump_ball_mass_fn_central_value():
@@ -123,9 +151,10 @@ def _box_mass_polynomial_reference(omega, h, bounds):
             for k, ck in enumerate(deriv):
                 if ck == 0.0:
                     continue
-                total += ck * (W - tau) * _power_diff(k + 1, p0, p1)
+                total += ck * (W - tau) * ((p1 ** (k + 1) - p0 ** (k + 1)) / (k + 1))
                 if sigma != 0.0:
-                    total -= ck * sigma * _power_diff(k + 1 + p, p0, p1)
+                    q = k + 1 + p
+                    total -= ck * sigma * ((p1**q - p0**q) / q)
     return total
 
 

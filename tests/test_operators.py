@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sharp_ineq import _lattice, extremals, oracle
 from sharp_ineq import operators as ops
+from sharp_ineq._quad import QuadratureError
 from sharp_ineq.calculus import (
     MONTE_CARLO,
     FunctionModel,
@@ -65,12 +66,6 @@ def test_ostrowski_bound_value():
     assert ops.ostrowski_bound(continuum(1, 0), RAMP, 1.0, 3.0) == pytest.approx(1.5)
     with pytest.raises(ValueError):
         ops.ostrowski_bound(continuum(1, 0), RAMP, 1.0, -1.0)
-
-
-def test_deviation_is_unit_ostrowski():
-    space = continuum(2, 1)
-    om = PowerModulus(0.5)
-    assert ops.deviation_u(space, om, 1.3) == ops.ostrowski_bound(space, om, 1.3, 1.0)
 
 
 def test_additive_rhs_values_at_extremal():
@@ -550,11 +545,6 @@ _P21, _P31 = continuum(2, 1), continuum(3, 1)
 _Z21, _Z20 = lattice(2, 1), lattice(2, 0)
 
 
-def _profile_only(f):
-    return FunctionModel("profile", f.evaluator, radial_profile=f.radial_profile,
-                         meta={"radial_kinks": f.meta["radial_kinks"]})
-
-
 _PIN_CASES = {
     "full_power_off_origin": lambda: ops.hypersingular_full(
         make_f_eh(_P21, _POW, 1.1), _P21, _POW, ops.PowerLawKernel(0.3),
@@ -586,8 +576,6 @@ _PIN_CASES = {
     "modulus_integral_lattice": lambda: ball_integral_of_modulus(lattice(3, 1), _POW, 3.5),
     "ball_integral_pieces": lambda: ball_integral_at(
         make_f_e_omega(_P31, _TABLE, 1.2), _P31, 1.5, np.zeros(3)),
-    "ball_integral_profile": lambda: ball_integral_at(
-        _profile_only(make_f_e_omega(_P31, _TABLE, 1.2)), _P31, 1.5, np.zeros(3)),
     "mixed_difference": lambda: ops.mixed_difference(
         make_G_eh(_P21, _POW, 1.1), _P21, 0.7, np.array([0.9, -0.2])),
     "mixed_nagy_rhs": lambda: ops.mixed_nagy_rhs(3, 1, _TABLE, 1.3, 1.5, 0.4),
@@ -630,7 +618,6 @@ _PINNED = {
     "modulus_integral_mc": ('0x1.4b9830127b827p+2', '0x1.f1300fe93551dp-7'),
     "modulus_integral_lattice": ('0x1.97a350c3fc13bp+8', '0x0.0p+0'),
     "ball_integral_pieces": ('0x1.de26d4801f752p+1',),
-    "ball_integral_profile": ('0x1.de26d4801f751p+1',),
     "mixed_difference": ('0x1.7423763ab2088p-6',),
     "mixed_nagy_rhs": ('0x1.3eaf852d09cd5p+0',),
     "l1_radial": ('0x1.b57928e0c9d9ap-1',),
@@ -857,6 +844,11 @@ def test_mixed_reports_skip_the_split_point(monkeypatch):
         ops.theorem_report(tid, continuum(2, 1), RAMP, 1.0)
         got[tid] = len(calls)
     assert got == {"mixed_additive": 0, "mixed_multiplicative": 0}
+
+
+def test_mixed_report_beyond_float_range_names_the_power_integral():
+    with pytest.raises(QuadratureError, match="power integral"):
+        ops.theorem_report("mixed_additive", continuum(1, 0), PowerModulus(1.0), 1e300)
 
 
 def test_theorem_report_guards():
