@@ -63,12 +63,11 @@ def window_points(space: Space, radius: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GatherPlan:
-    base_points: np.ndarray      # (N, d) window points
     offsets: np.ndarray          # (K, d) ball/annulus offsets
     offset_rho: np.ndarray       # (K,) float64 rho(u, 0) of each offset
     padded_points: np.ndarray    # (P, d) every point the sweep touches
     padded_float: np.ndarray     # (P, d) the same points as float64
-    base_idx: np.ndarray         # (N,) flat indices of base points
+    base_idx: np.ndarray         # (N,) flat indices of the window points
     lin_offsets: np.ndarray      # (K,) linearized offsets
 
 
@@ -89,13 +88,11 @@ def make_plan(space: Space, window_radius: int, offsets: np.ndarray) -> GatherPl
     for i in range(d - 2, -1, -1):
         strides[i] = strides[i + 1] * shape[i + 1]
 
-    base_points = window_points(space, r)
-    base_idx = (base_points - pad_lo) @ strides
+    base_idx = (window_points(space, r) - pad_lo) @ strides
     lin_offsets = offsets @ strides
 
     padded_points = _box(pad_lo, pad_hi)
     return GatherPlan(
-        base_points=base_points,
         offsets=offsets,
         offset_rho=space.norm(offsets),
         padded_points=padded_points,

@@ -63,26 +63,19 @@ def adaptive_simpson(
     a: float,
     b: float,
     *,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_evals: int = DEFAULT_MAX_EVALS,
     kinks: Iterable[float] = (),
 ) -> tuple[float, float]:
-    """Integrate ``f`` on [a, b]; returns (value, error_bound).
+    """Integrate ``f`` on [a, b], ``a <= b``; returns (value, error_bound).
 
     ``kinks`` lists interior points where the integrand may lose smoothness;
-    the interval is pre-split there.  Tolerances combine as
-    ``tol = max(abs_tol, rel_tol * |coarse estimate|)`` and are divided
-    between subintervals proportionally to a first sweep; refinement stops
-    at depth 60.
+    the interval is pre-split there.  Tolerances combine as ``tol =
+    max(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * |coarse estimate|)`` and are
+    divided between subintervals proportionally to a first sweep; refinement
+    stops at depth 60 or past ``DEFAULT_MAX_EVALS`` evaluations.  The
+    constants are read at call time.
     """
-    if not (b > a):
-        if b == a:
-            return 0.0, 0.0
-        value, err = adaptive_simpson(
-            f, b, a, abs_tol=abs_tol, rel_tol=rel_tol, max_evals=max_evals, kinks=kinks
-        )
-        return -value, err
+    if b == a:
+        return 0.0, 0.0
 
     pts = [a]
     for k in sorted(set(float(k) for k in kinks)):
@@ -100,7 +93,7 @@ def adaptive_simpson(
         s = _simpson(flo, fmid, fhi, hi - lo)
         cache.append((lo, hi, flo, fmid, fhi, s))
         coarse += s
-    tol = max(abs_tol, rel_tol * abs(coarse))
+    tol = max(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * abs(coarse))
 
     total = 0.0
     err_total = 0.0
@@ -108,7 +101,7 @@ def adaptive_simpson(
     for lo, hi, flo, fmid, fhi, s in cache:
         piece_tol = max(tol * (hi - lo) / span, 1e-300)
         v, e, evals = _adaptive_piece(
-            f, lo, hi, flo, fmid, fhi, s, piece_tol, evals, max_evals, 60
+            f, lo, hi, flo, fmid, fhi, s, piece_tol, evals, DEFAULT_MAX_EVALS, 60
         )
         total += v
         err_total += e

@@ -19,14 +19,14 @@ Central quantities
 ``ball_integral_at``
     ``integral over x + B_h of f d(mu)`` for one centre or rows of centres:
     the one ball-integral path of the package (``steklov_average`` and the
-    continuum charge seminorm included).
+    continuum ``seminorm_local`` included).
 
 ``seminorm_local``
-    The averaged-oscillation seminorm at window scale ``h``:
-    ``sup over x of | integral over x + B_h of f |``.  Exact on lattices for
-    compactly supported functions; a grid-search lower estimate on the
-    continuum (the certified value is returned when the model carries one,
-    after a consistency check against the search).
+    The averaged-oscillation seminorm at window scale ``h``, the one seminorm
+    search (charges included): ``sup over x of | integral over x + B_h of f |``.
+    Exact on lattices for compactly supported functions; a grid-search lower
+    estimate on the continuum (the certified value is returned when the model
+    carries one, after a consistency check against the search).
 
 ``radial_integral``
     The layer-cake reduction ``c * integral_lo^hi g(t) t^(d-1) dt`` of a
@@ -50,7 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels, _lattice
+from . import _lattice
 from ._quad import adaptive_simpson, piecewise_power_integral
 from .modulus import Modulus, PowerModulus
 from .space import RequestError, Space, strict_int_below
@@ -162,7 +162,7 @@ class FunctionModel:
         )
 
 
-def constant_model(space: Space, value: float) -> FunctionModel:
+def constant_model(value: float) -> FunctionModel:
     v = float(value)
     return FunctionModel(
         name=f"const[{v:g}]",
@@ -461,8 +461,9 @@ def seminorm_local(
 ) -> float:
     """``sup over x of | integral over x + B_h of f |`` at window scale h.
 
-    Lattice: exact sweep by the ``_kernels.ball_sums`` matmul (requires the
-    window to contain the declared support dilated by the ball radius).
+    Lattice: exact sweep of one gather of every window ball, each row summed
+    on its own (bit for bit ``ball_integral_at``'s row sums); a window short
+    of the declared support dilated by the ball radius raises ``ValueError``.
     Continuum: the max of ``|ball_integral_at|`` over the grid of
     translations (``_translations``), one batched call.  A certified value
     stated at this h is returned after checking it is not *beaten* by the
@@ -474,7 +475,7 @@ def seminorm_local(
     if space.is_lattice:
         plan = _seminorm_plan(f, space, h, window_radius)
         padded = _lattice.evaluate_padded(plan, f.evaluator)
-        sums = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets)
+        sums = padded[plan.base_idx[:, None] + plan.lin_offsets[None, :]].sum(axis=1)
         est = float(np.max(np.abs(sums)))
     else:
         xs = _translations(f, space, h, window_radius)

@@ -312,7 +312,6 @@ def make_G_eh(space: Space, omega: Modulus, h) -> FunctionModel:
         meta={
             "mixed_derivative_holder": 1.0,
             "mixed_derivative_sup": float(omega(hf)),
-            "sup_attained_at": (np.array([0.0] * m + [hf] * (d - m)), np.full(d, hf)),
         },
     )
 
@@ -321,6 +320,6 @@ def sobolev_extremal_pair(space: Space, omega: Modulus, h, i_h: Estimate | None 
     """The pair saturating the upper-gradient bound: the bump (built on
     ``i_h`` as in ``make_f_eh``) and G == 1/2."""
     f = make_f_eh(space, omega, h, i_h)
-    g = constant_model(space, 0.5)
+    g = constant_model(0.5)
     g.name = "upper-gradient[1/2]"
     return f, g

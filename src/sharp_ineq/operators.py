@@ -59,11 +59,10 @@ from .calculus import (
     _mc_mean,
     _radial_kinks,
     _radial_value,
-    _seminorm_plan,
-    _translations,
     ball_integral_at,
     ball_integral_of_modulus,
     radial_integral,
+    seminorm_local,
 )
 from .extremals import (
     make_f_e_omega,
@@ -183,13 +182,12 @@ def classify_verdict(lhs: float, rhs: float, tol: float, error_bound: float = 0.
 def steklov_average(
     f: FunctionModel, space: Space, h, spec: Optional[QuadratureSpec] = None
 ) -> FunctionModel:
-    """The ball average ``S_h f`` as a function model: each batch of
-    evaluation points is one ``ball_integral_at`` call over its rows, divided
-    by ``mu(B_h)`` (on lattices one gather of every ball of the batch; on the
-    continuum the best path per point, Monte Carlo offsets drawn at most
-    once per batch).
+    """The ball average ``S_h f`` (operator norm ``1/mu(B_h)``) as a function
+    model: each batch of evaluation points is one ``ball_integral_at`` call
+    over its rows, divided by ``mu(B_h)`` (on lattices one gather of every
+    ball of the batch; on the continuum the best path per point, Monte Carlo
+    offsets drawn at most once per batch).  ``lemma1`` reads it at the origin.
     """
-    space.require_valid_radius(h)
     mu = float(space.ball_measure(h))
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
@@ -199,7 +197,6 @@ def steklov_average(
         name=f"steklov[h={float(h):g}]({f.name})",
         evaluator=evaluator,
         certified_sup_norm=f.certified_sup_norm,
-        meta={"operator_norm": 1.0 / mu},
     )
 
 
@@ -264,8 +261,8 @@ def sobolev_rhs(
 class ChargeModel:
     """A signed set function absolutely continuous w.r.t. the space measure.
 
-    Only the density is ever stored: every charge quantity reduces to an
-    integral of the density, so the set-function view is a thin shell.
+    Only the density is ever stored: every charge quantity, ``nu(x + B_h)``
+    included, is an integral of the density; the set-function view is a shell.
     """
 
     density: FunctionModel
@@ -273,12 +270,6 @@ class ChargeModel:
     @property
     def name(self) -> str:
         return f"charge({self.density.name})"
-
-    def ball_mass(self, space: Space, h, x, spec: Optional[QuadratureSpec] = None):
-        """``nu(x + B_h)``: the charge of a translated ball, a float for one
-        centre ``x`` and an array for rows of centres (``ball_integral_at``
-        of the density)."""
-        return ball_integral_at(self.density, space, h, x, spec)
 
 
 def charge_seminorm(
@@ -288,31 +279,15 @@ def charge_seminorm(
     window_radius: float,
     spec: Optional[QuadratureSpec] = None,
 ) -> float:
-    """``sup over x of |nu(x + B_h)|`` by direct ball-mass search.
+    """``sup over x of |nu(x + B_h)|``: by the identity ``charge seminorm ==
+    density seminorm``, the ``seminorm_local`` search on the density.
 
-    Deliberately does *not* consult certified seminorm metadata on the
-    density: this is the independent side of the identity
-    ``charge seminorm == density seminorm``.
-
-    Lattice: the density is evaluated once on the padded box of a cached
-    plan, the charges of all window balls are gathered as an ``(N, K)``
-    array (offsets in ``enumerate_ball`` order), and each row is summed on
-    its own.  This path stays off ``seminorm_local`` and its
-    ``_kernels.ball_sums`` matmul, so the two sides of the identity share
-    only the window check and plan building; the row sums reproduce
-    ``ball_integral_at``'s per-ball row sums bit for bit.  A window short
-    of the density's support dilated by the ball raises ``ValueError``.
-    Continuum: the max of ``|ball_mass|`` over the translations
-    ``seminorm_local`` searches, one batched call.
+    The density's certificates are stripped first, so a certified seminorm
+    is never read: the value is the search itself (on lattices the exact
+    sweep, on the continuum the translation grid).  A window short of the
+    density's support dilated by the ball raises ``ValueError``.
     """
-    space.require_valid_radius(h)
-    if space.is_lattice:
-        plan = _seminorm_plan(nu.density, space, h, window_radius)
-        padded = _lattice.evaluate_padded(plan, nu.density.evaluator)
-        charges = padded[plan.base_idx[:, None] + plan.lin_offsets[None, :]].sum(axis=1)
-        return float(np.max(np.abs(charges)))
-    xs = _translations(nu.density, space, h, window_radius)
-    return float(np.max(np.abs(nu.ball_mass(space, h, xs, spec))))
+    return seminorm_local(nu.density.without_certificates(), space, h, window_radius, spec)
 
 
 def charge_nagy_rhs(
@@ -587,23 +562,21 @@ def kernel_tail_mass(
 # ======================================================================
 
 
-def hypersingular_norm_witness(space: Space, kernel, h, c: float = 1.0) -> FunctionModel:
-    """The two-valued function ``c`` inside B_h / ``-c`` outside.
-
-    Evaluating the truncated operator on it at the origin yields
-    ``2 c T(h)``, attaining the operator norm for ``c = 1``.
+def hypersingular_norm_witness(space: Space, h) -> FunctionModel:
+    """The two-valued function ``1`` inside B_h / ``-1`` outside, whatever
+    the kernel: the truncated operator on it at the origin yields ``2 T(h)``,
+    attaining the operator norm.
     """
     hf = float(h)
-    cf = float(c)
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        return np.where(space.norm(pts) < hf, cf, -cf)
+        return np.where(space.norm(pts) < hf, 1.0, -1.0)
 
     return FunctionModel(
         name=f"two-sided-sign[h={hf:g}]",
         evaluator=evaluator,
-        radial_pieces=[(0.0, hf, 0.0, 1.0, cf), (hf, math.inf, 0.0, 1.0, -cf)],
-        certified_sup_norm=abs(cf),
+        radial_pieces=[(0.0, hf, 0.0, 1.0, 1.0), (hf, math.inf, 0.0, 1.0, -1.0)],
+        certified_sup_norm=1.0,
     )
 
 
@@ -826,14 +799,8 @@ def mixed_nagy_rhs(
     ``continuum(d, m)`` (``i_h`` as in ``ostrowski_bound``)."""
     if min(holder_norm, sup_norm_value) < 0:
         raise ValueError("norm inputs must be nonnegative")
-    sp = continuum(d, m)
-    sp.require_valid_radius(h)
-    hf = float(h)
-    i_h = i_h or ball_integral_of_modulus(sp, omega, h)
-    return (
-        holder_norm * i_h.value / sp.ball_measure(hf)
-        + 2.0**m / hf**d * sup_norm_value
-    )
+    term1 = ostrowski_bound(continuum(d, m), omega, h, holder_norm, i_h)
+    return term1 + 2.0**m / float(h) ** d * sup_norm_value
 
 
 def mixed_multiplicative_constant(d: int, m: int, alpha: float) -> float:
@@ -986,10 +953,9 @@ def theorem_report(
     if theorem_id == "lemma1":
         f = make_f_omega(space, omega)
         origin = space.origin().astype(np.float64)
-        s_val = ball_integral_at(f, space, h, origin, spec) / mu
-        lhs = abs(float(f(origin)) - s_val)
+        lhs = abs(f(origin) - steklov_average(f, space, h, spec)(origin))
         i_h = ball_integral_of_modulus(space, omega, h, spec)
-        term1 = i_h.value / mu  # ostrowski_bound at smoothness constant 1
+        term1 = ostrowski_bound(space, omega, h, 1.0, i_h)
         err = i_h.error_bound / mu
         return _report(theorem_id, space, omega, hf, lhs, term1, 0.0, tol, error_bound=err)
 
@@ -1014,7 +980,7 @@ def theorem_report(
             total = nagy_rhs(space, omega, h, 1.0, f.certified_seminorm_h, i_h)
         term1 = ostrowski_bound(space, omega, h, 1.0, i_h)
         if theorem_id == "sobolev":
-            term1 = 2.0 * 0.5 * term1
+            term1 = 2.0 * grad.certified_sup_norm * term1
         return _report(theorem_id, space, omega, hf, lhs, term1, total - term1, tol)
 
     if theorem_id == "hypersingular":
@@ -1022,7 +988,7 @@ def theorem_report(
             beta = 0.5 * _first_piece_exponent(omega)
             kernel = PowerLawKernel(beta=beta)
         f = make_f_e_omega(space, omega, h)
-        val = hypersingular_full(f, space, omega, kernel, x=None, spec=spec)
+        val = hypersingular_full(f, space, omega, kernel, spec=spec)
         a = kernel_ball_mass(space, omega, kernel, h, spec)
         t = kernel_tail_mass(space, kernel, h, spec)
         lhs = abs(val.value)
@@ -1042,7 +1008,7 @@ def theorem_report(
         if theorem_id == "mixed_additive":
             i_h = ball_integral_of_modulus(space, omega, h, spec)
             total = mixed_nagy_rhs(d, m, omega, h, holder_cert, func_sup, i_h)
-            term1 = holder_cert * i_h.value / mu
+            term1 = ostrowski_bound(space, omega, h, holder_cert, i_h)
             err = holder_cert * i_h.error_bound / mu
             return _report(
                 theorem_id, space, omega, hf, lhs, term1, total - term1, tol, error_bound=err

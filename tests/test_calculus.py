@@ -144,7 +144,7 @@ def test_sup_norm_window_too_small():
 
 def test_certification_error_fires():
     space = continuum(1, 0)
-    f = constant_model(space, 2.0)
+    f = constant_model(2.0)
     f.certified_sup_norm = 1.0  # deliberately wrong certificate
     with pytest.raises(CertificationError):
         sup_norm(f, space, 1.0)
@@ -327,8 +327,7 @@ def test_holder_rejects_coincident_pairs():
 
 
 def test_constant_model_and_uncertified_copy():
-    space = continuum(2, 1)
-    c = constant_model(space, -3.0)
+    c = constant_model(-3.0)
     assert c(np.array([0.5, 0.5])) == -3.0
     assert c.certified_holder_bound == 0.0
     bare = c.without_certificates()

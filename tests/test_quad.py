@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sharp_ineq import _quad
 from sharp_ineq._quad import (
     QuadratureError,
     adaptive_simpson,
@@ -31,11 +33,12 @@ def test_simpson_with_kink():
     assert math.isclose(val, exact, rel_tol=1e-12)
 
 
-def test_simpson_budget_exhaustion():
+def test_simpson_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(_quad, "DEFAULT_MAX_EVALS", 50)
+    monkeypatch.setattr(_quad, "DEFAULT_ABS_TOL", 1e-14)
+    monkeypatch.setattr(_quad, "DEFAULT_REL_TOL", 1e-14)
     with pytest.raises(QuadratureError):
-        adaptive_simpson(
-            lambda t: math.sin(1.0 / (t + 1e-9)), 0.0, 1.0, max_evals=50, abs_tol=1e-14, rel_tol=1e-14
-        )
+        adaptive_simpson(lambda t: math.sin(1.0 / (t + 1e-9)), 0.0, 1.0)
 
 
 def test_simpson_degenerate_interval():
@@ -110,5 +113,7 @@ def test_piecewise_power_matches_simpson(p, k, hi):
     # compare on [eps, hi] to dodge the (integrable) singular head
     eps = 1e-6 * hi
     head = 1.3 * eps ** (p + k + 1) / (p + k + 1)
-    num, _ = adaptive_simpson(lambda t: 1.3 * t**p * t**k, eps, hi, abs_tol=1e-12, rel_tol=1e-12)
+    with mock.patch.object(_quad, "DEFAULT_ABS_TOL", 1e-12), \
+            mock.patch.object(_quad, "DEFAULT_REL_TOL", 1e-12):
+        num, _ = adaptive_simpson(lambda t: 1.3 * t**p * t**k, eps, hi)
     assert math.isclose(closed, head + num, rel_tol=1e-7, abs_tol=1e-9)
