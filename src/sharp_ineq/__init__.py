@@ -41,11 +41,9 @@ from .extremals import (
 )
 from .modulus import (
     Modulus,
-    ModulusValidation,
     PowerModulus,
     TableModulus,
     from_config as modulus_from_config,
-    validate as validate_modulus,
 )
 from .operators import (
     EQUALITY_TOLS,

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .space import _max_last_axis
+
 
 def ball_sums(padded_flat, base_idx, lin_offsets, weights=None):
     """For each window point i, sum ``w_j * f(x_i + u_j)`` over ball offsets.
@@ -40,4 +42,4 @@ def cone_eval(points, centers, heights, lam, omega, space):
     ``space``; ``omega`` is any modulus."""
     dist = space.norm(points[:, None, :] - centers[None, :, :])
     vals = heights[None, :] - lam * omega(dist)
-    return np.maximum(vals.max(axis=1), 0.0)
+    return np.maximum(_max_last_axis(vals), 0.0)

@@ -23,6 +23,7 @@ a pure function of config + seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -234,6 +235,8 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
         raise RequestError(f"'tol' must be finite and nonnegative, got {tol}")
     spec = _spec_from(cfg, space, omega, args.seed)
 
+    # the theorems at one h share one I(h); the cache lives for this command only
+    modulus_integral = functools.cache(ball_integral_of_modulus)
     rows = []
     violated = False
     for h in h_values:
@@ -243,7 +246,7 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
             else:
                 report = theorem_report(
                     tid, space, omega, h, kernel=kernel, spec=spec,
-                    tol=tol,
+                    tol=tol, modulus_integral=modulus_integral,
                 )
             violated = violated or report.verdict == "Violated"
             rows.append(_report_row(report, exact))

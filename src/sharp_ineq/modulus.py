@@ -12,10 +12,6 @@ Two families are supported.
     (checked at construction) implies semi-additivity
     ``omega(s + t) <= omega(s) + omega(t)``, which is the property every
     bound in this package actually uses.
-
-``validate`` re-checks the axioms numerically on a caller-supplied grid and
-reports violations instead of raising, so any gauge with a vectorized
-``__call__`` can be audited, including one no constructor here would accept.
 """
 
 from __future__ import annotations
@@ -252,44 +248,6 @@ class TableModulus(Modulus):
     def __repr__(self):
         nodes = ", ".join(f"({float(t):g}, {float(w):g})" for t, w in self._exact)
         return f"TableModulus([{nodes}])"
-
-
-@dataclass
-class ModulusValidation:
-    ok: bool
-    violations: list[str]
-
-
-def validate(omega: Modulus, grid: Sequence[float], tol: float = 1e-12) -> ModulusValidation:
-    """Numerically audit modulus axioms on a grid of sample arguments.
-
-    Checks nonnegativity and omega(0) == 0, monotonicity along the sorted
-    grid, and semi-additivity over all grid pairs (evaluation extends past
-    the grid, so ``s + t`` never escapes the domain).
-    """
-    g = np.array(sorted(float(t) for t in grid if t >= 0.0), dtype=np.float64)
-    if g.size == 0:
-        raise ValueError("validation grid must contain nonnegative points")
-    bad: list[str] = []
-    vals = np.asarray(omega(g), dtype=np.float64)
-    if float(omega(0.0)) != 0.0:
-        bad.append("omega(0) != 0")
-    if np.any(vals < -tol):
-        bad.append("negative values on grid")
-    if np.any(np.diff(vals) < -tol):
-        i = int(np.argmax(np.diff(vals) < -tol))
-        bad.append(f"not nondecreasing near t = {g[i + 1]:g}")
-    s = g[:, None] + g[None, :]
-    lhs = np.asarray(omega(s), dtype=np.float64)
-    rhs = vals[:, None] + vals[None, :]
-    mask = lhs > rhs + tol * np.maximum(1.0, np.abs(rhs))
-    if np.any(mask):
-        i, j = np.argwhere(mask)[0]
-        bad.append(
-            f"semi-additivity fails at s = {g[i]:g}, t = {g[j]:g}: "
-            f"omega(s+t) = {lhs[i, j]:g} > {rhs[i, j]:g}"
-        )
-    return ModulusValidation(ok=not bad, violations=bad)
 
 
 def from_config(cfg: dict) -> Modulus:

@@ -934,10 +934,17 @@ def theorem_report(
     kernel=None,
     spec: Optional[QuadratureSpec] = None,
     tol: Optional[float] = None,
+    modulus_integral=None,
 ) -> InequalityReport:
     """Check one named sharp bound at its extremal witness; every verdict
     should be ``EqualityAttained``.  A theorem not stated on ``space`` with
     ``omega`` (see ``inapplicable``) raises ``RequestError``.
+
+    ``modulus_integral`` computes ``I(h)`` with the signature of
+    ``ball_integral_of_modulus``, the default (looked up at call time).  A
+    caller checking several theorems at one ``h`` passes one memoized copy,
+    so that they share one estimate; it is still called where the theorem
+    needs ``I(h)``, so errors surface in the same order.
     """
     if theorem_id not in THEOREM_IDS:
         raise RequestError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
@@ -946,6 +953,8 @@ def theorem_report(
         raise RequestError(f"theorem {theorem_id!r} does not apply here: {reason}")
     if tol is None:
         tol = EQUALITY_TOLS[theorem_id]
+    if modulus_integral is None:
+        modulus_integral = ball_integral_of_modulus
     d, m = space.d, space.m
     hf = float(h)
     mu = float(space.ball_measure(h))
@@ -954,14 +963,14 @@ def theorem_report(
         f = make_f_omega(space, omega)
         origin = space.origin().astype(np.float64)
         lhs = abs(f(origin) - steklov_average(f, space, h, spec)(origin))
-        i_h = ball_integral_of_modulus(space, omega, h, spec)
+        i_h = modulus_integral(space, omega, h, spec)
         term1 = ostrowski_bound(space, omega, h, 1.0, i_h)
         err = i_h.error_bound / mu
         return _report(theorem_id, space, omega, hf, lhs, term1, 0.0, tol, error_bound=err)
 
     if theorem_id in ("nagy", "nagy_l1", "sobolev", "charge"):
         # no error bound: term1 and term2 share one I(h), whose error cancels at the bump
-        i_h = ball_integral_of_modulus(space, omega, h, spec)
+        i_h = modulus_integral(space, omega, h, spec)
         if theorem_id == "sobolev":
             f, grad = sobolev_extremal_pair(space, omega, h, i_h)
         else:
@@ -1006,7 +1015,7 @@ def theorem_report(
         holder_cert = extremal.meta["mixed_derivative_holder"]
         func_sup = extremal.certified_sup_norm
         if theorem_id == "mixed_additive":
-            i_h = ball_integral_of_modulus(space, omega, h, spec)
+            i_h = modulus_integral(space, omega, h, spec)
             total = mixed_nagy_rhs(d, m, omega, h, holder_cert, func_sup, i_h)
             term1 = ostrowski_bound(space, omega, h, holder_cert, i_h)
             err = holder_cert * i_h.error_bound / mu

@@ -90,6 +90,17 @@ def config_number(value, name: str):
     raise RequestError(f"bad {name} {value!r}: expected a finite number")
 
 
+def _max_last_axis(a: np.ndarray):
+    """``a.max(axis=-1)`` as ``np.maximum`` folded over the columns of a short
+    last axis: the sup-norm reduction of ``Space.norm`` and the max over the
+    cones of ``_kernels.cone_eval``.  NaN propagates as in ``np.max``; a 1-d
+    ``a`` gives a numpy scalar, not a 0-d array."""
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = np.maximum(out, a[..., j])
+    return out[()]
+
+
 @dataclass(frozen=True)
 class Space:
     """A half-line/line product space with its natural invariant measure."""
@@ -127,8 +138,15 @@ class Space:
     # ------------------------------------------------------------------
 
     def norm(self, u) -> np.ndarray:
-        """``rho(u, 0)`` over the last axis, as float64."""
-        return np.max(np.abs(np.asarray(u, dtype=np.float64)), axis=-1)
+        """``rho(u, 0)`` over the last axis, as float64; a single point gives
+        a numpy ``float64`` scalar.
+
+        The max is folded over the ``d`` columns (``_max_last_axis``): numpy
+        reduces a short last axis row by row, an order of magnitude slower
+        than the fold.  A max is exact, so the bits are those of
+        ``np.max(np.abs(u), axis=-1)``.
+        """
+        return _max_last_axis(np.abs(np.asarray(u, dtype=np.float64)))
 
     def distance(self, x, y) -> np.ndarray:
         """``rho(x, y)``; broadcasts over leading axes."""

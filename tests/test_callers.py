@@ -27,7 +27,6 @@ UNCALLED_KEPT = {
     "calculus.sup_norm",
     "calculus.l1_norm",
     "calculus.holder_lower_estimate",
-    "modulus.validate",
     "operators.hypersingular_norm_witness",
     "operators.hypersingular_truncated",
     "operators.mixed_difference",

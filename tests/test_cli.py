@@ -17,7 +17,9 @@ from sharp_ineq import (
     cli,
     continuum,
     exact_verify,
+    extremals,
     lattice,
+    operators,
     stechkin_curve,
     theorem_report,
 )
@@ -95,6 +97,38 @@ def test_verify_exact_mode(capsys, tmp_path):
     assert lines[0].endswith(",exact")
     for line in lines[1:]:
         assert line.endswith(",EqualityAttained,0")
+
+
+@pytest.mark.parametrize("theorems, exact, want", [
+    (None, False, [0.8, 1.3]),
+    (["hypersingular", "mixed_multiplicative"], False, []),
+    (["lemma1", "nagy", "charge"], True, []),
+], ids=["every-theorem", "no-modulus-integral", "exact"])
+def test_verify_computes_one_modulus_integral_per_h(capsys, tmp_path, monkeypatch,
+                                                    theorems, exact, want):
+    # the theorems at one h share one Monte Carlo I(h): 2 calls for two h
+    # values where a call per theorem made 12
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return ball_integral_of_modulus(*args, **kwargs)
+
+    for module in (cli, operators, extremals):
+        monkeypatch.setattr(module, "ball_integral_of_modulus", counted)
+    if exact:
+        payload = {"space": {"kind": "lattice", "d": 2, "m": 0}, "h_values": ["3/2", "5/2"],
+                   "exact": True}
+    else:
+        payload = {"space": {"kind": "continuum", "d": 2, "m": 0}, "h_values": [0.8, 1.3],
+                   "method": "monte_carlo", "mc_samples": 2000, "seed": 3}
+    payload["modulus"] = {"kind": "power", "alpha": 1.0}
+    if theorems is not None:
+        payload["theorems"] = theorems
+    code, out, _ = run_cli(capsys, ["verify", "--config", write_cfg(tmp_path, "v.json", payload)])
+    assert code == EXIT_OK
+    assert len(out.strip().splitlines()) == 1 + 2 * (len(theorems) if theorems else 8)
+    assert calls == want
 
 
 def test_verify_exact_rejects_continuum(capsys, tmp_path):

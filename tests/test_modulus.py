@@ -10,7 +10,6 @@ from sharp_ineq.modulus import (
     PowerModulus,
     TableModulus,
     from_config,
-    validate,
 )
 
 
@@ -104,41 +103,6 @@ def test_pieces_handle_infinite_upper_end():
     assert pieces[-1][1] == math.inf
     s0, s1, sigma, p, tau = pieces[-1]
     assert sigma == 0.0 and tau == 1.0  # constant tail
-
-
-def test_validate_flags_bad_grids():
-    om = PowerModulus(0.5)
-    ok = validate(om, np.linspace(0, 3, 40))
-    assert ok.ok and not ok.violations
-
-
-class _Nodes:
-    """A bare piecewise-linear gauge, built without ``TableModulus``'s checks."""
-
-    def __init__(self, ts, ws):
-        self.ts, self.ws = ts, ws
-
-    def __call__(self, t):
-        out = np.interp(np.asarray(t, dtype=np.float64), self.ts, self.ws)
-        return out if out.ndim else float(out)
-
-
-@pytest.mark.parametrize(
-    "omega, messages",
-    [
-        (_Nodes([0, 1, 2], [0, 0.25, 1]), ["semi-additivity fails"]),  # convex: slopes rise
-        (_Nodes([0, 1, 2, 3, 4], [0.1, -0.2, 0.3, 0.2, 5.0]),
-         ["omega(0) != 0", "negative values", "not nondecreasing near t = 0.5",
-          "semi-additivity fails"]),
-    ],
-    ids=["convex-table", "every-axiom"],
-)
-def test_validate_reports_each_violation(omega, messages):
-    got = validate(omega, np.linspace(0, 4, 9))
-    assert not got.ok
-    assert len(got.violations) == len(messages)
-    for text, want in zip(got.violations, messages):
-        assert text.startswith(want), got.violations
 
 
 def test_config_round_trip():
