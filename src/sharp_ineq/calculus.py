@@ -45,7 +45,7 @@ a ``CertificationError`` is raised, because that contradicts a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,15 +82,13 @@ class QuadratureSpec:
             raise RequestError(
                 f"unknown quadrature method {self.method!r}; expected one of {_METHODS}"
             )
-        if self.mc_samples < 2:
-            # a Monte Carlo error bar needs a sample variance
-            raise RequestError(f"need at least 2 Monte Carlo samples, got {self.mc_samples}")
-
-    def with_method(self, method: str) -> "QuadratureSpec":
-        return replace(self, method=method)
+        if not 2 <= self.mc_samples <= _lattice.POINT_BUDGET:
+            # an error bar needs a sample variance; the samples must fit in memory
+            raise RequestError(f"need at least 2 Monte Carlo samples and at most "
+                               f"{_lattice.POINT_BUDGET}, got {self.mc_samples}")
 
 
-def default_spec(space: Space, omega: Modulus, **overrides) -> QuadratureSpec:
+def default_spec(space: Space, omega: Modulus) -> QuadratureSpec:
     """The natural exact-or-near-exact method for a space/modulus pair."""
     if space.is_lattice:
         method = LATTICE_EXACT
@@ -98,7 +96,7 @@ def default_spec(space: Space, omega: Modulus, **overrides) -> QuadratureSpec:
         method = CLOSED_FORM
     else:
         method = RADIAL1D
-    return QuadratureSpec(method=method, **overrides)
+    return QuadratureSpec(method=method)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from ._quad import QuadratureError
@@ -104,19 +103,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _number(value, *, exact: bool = False):
-    """A finite config number: JSON numerals, or strings like "3/2" for
-    rationals.  Booleans, ``NaN`` and ``1e999`` (read as infinity) are refused."""
-    if isinstance(value, str):
-        try:
-            q = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RequestError(f"bad number {value!r}") from exc
-        return q if exact else float(q)
-    value = config_number(value, "number")
-    return Fraction(value) if exact else float(value)
-
-
 def _seed(flag: Optional[int], value, name: str) -> int:
     """The RNG seed: the ``--seed`` flag when given (``main`` has checked
     it), else the config ``value``; a nonnegative integer, as numpy's
@@ -140,8 +126,6 @@ def _modulus_from(cfg: dict) -> Modulus:
     node = cfg.get("modulus")
     if not isinstance(node, dict):
         raise RequestError("config needs a 'modulus' object")
-    if node.get("kind") == "power" and "alpha" in node:
-        node = {**node, "alpha": _number(node["alpha"])}
     return modulus_from_config(node)
 
 
@@ -154,24 +138,25 @@ def _spec_from(cfg: dict, space: Space, omega: Modulus, seed: Optional[int]) -> 
         overrides["mc_samples"] = config_integer(cfg["mc_samples"], "'mc_samples'")
     if method is None and not overrides:
         return None
-    spec = default_spec(space, omega, **overrides)
-    return spec.with_method(str(method)) if method is not None else spec
+    method = default_spec(space, omega).method if method is None else str(method)
+    return QuadratureSpec(method=method, **overrides)
 
 
-def _radius(value, space: Space, *, exact: bool):
+def _radius(value, name: str, space: Space, *, exact: bool):
     """A config ball radius, checked against the space (h > 0; h > 1 on lattices)."""
-    h = _number(value, exact=exact)
+    h = config_number(value, name, exact=exact)
     space.require_valid_radius(h)
     return h
 
 
 def _h_values(cfg: dict, space: Space, *, exact: bool) -> list:
     values = cfg.get("h_values")
+    name = "'h_values'"
     if values is None and "h" in cfg:
-        values = [cfg["h"]]
+        values, name = [cfg["h"]], "'h'"
     if not isinstance(values, list) or not values:
         raise RequestError("config needs 'h_values' (a nonempty list) or a single 'h'")
-    return [_radius(v, space, exact=exact) for v in values]
+    return [_radius(v, name, space, exact=exact) for v in values]
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +215,7 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
         kernel = kernel_from_config(cfg["kernel"])
     tol = args.tol
     if tol is None and cfg.get("tol") is not None:
-        tol = _number(cfg["tol"])
+        tol = config_number(cfg["tol"], "'tol'")
     if tol is not None and not 0.0 <= tol < math.inf:
         raise RequestError(f"'tol' must be finite and nonnegative, got {tol}")
     spec = _spec_from(cfg, space, omega, args.seed)
@@ -266,7 +251,7 @@ def cmd_stechkin(cfg: dict, args) -> tuple[str, int]:
     if not isinstance(values, list) or not values:
         raise RequestError("config needs 'n_values' (a nonempty list)")
     spec = _spec_from(cfg, space, omega, args.seed)
-    points = stechkin_curve(space, omega, [_number(v) for v in values], spec)
+    points = stechkin_curve(space, omega, [config_number(v, "'n_values'") for v in values], spec)
     rows = [
         {
             "d": space.d,
@@ -329,7 +314,7 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
             omega = _modulus_from(node)
             if "h" not in node:
                 raise RequestError("each exact entry needs 'h'")
-            h = _radius(node["h"], space, exact=True)
+            h = _radius(node["h"], "'h'", space, exact=True)
             report = exact_verify(node.get("theorem_id"), space, omega, h)
             failed = failed or report.verdict == "Violated"
             reports.append(_report_row(report, True))

@@ -267,10 +267,6 @@ class ChargeModel:
 
     density: FunctionModel
 
-    @property
-    def name(self) -> str:
-        return f"charge({self.density.name})"
-
 
 def charge_seminorm(
     nu: ChargeModel,
@@ -360,7 +356,7 @@ class TableKernel:
     """
 
     def __init__(self, points: Sequence[Sequence[float]]):
-        pts = [(float(config_number(t, "kernel node")), float(config_number(p, "kernel node")))
+        pts = [(config_number(t, "kernel node"), config_number(p, "kernel node"))
                for t, p in points]
         if not pts:
             raise RequestError("a table kernel needs at least one node")
@@ -405,12 +401,11 @@ def kernel_from_config(cfg: dict):
         form = cfg.get("form")
         if form == "power_law":
             cutoff = config_number(cfg["cutoff"], "kernel cutoff") if "cutoff" in cfg else math.inf
-            return PowerLawKernel(beta=float(config_number(cfg["beta"], "kernel beta")),
-                                  cutoff=float(cutoff))
+            return PowerLawKernel(beta=config_number(cfg["beta"], "kernel beta"), cutoff=cutoff)
         if form == "table":
             return TableKernel(cfg["points"])
         raise ValueError(f"unknown kernel form {form!r}")
-    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise RequestError(f"bad kernel config: {exc}") from exc
 
 

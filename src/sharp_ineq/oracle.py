@@ -8,7 +8,7 @@ extremal constructors stamp on their outputs:
   arithmetic — sup, seminorm, and smoothness constant are recomputed from
   scratch by finite sweeps whose windows are provably large enough, so a
   zero gap is a machine-checked identity, not a small float.  The witness
-  is evaluated once per point on window boxes, scaled to integer numerators
+  is evaluated once per point on one window box, scaled to integer numerators
   over one common denominator, and swept by integer reductions over
   shifted views.
   ``exact_inapplicable`` states once which replays run (the CLI reads it),
@@ -26,10 +26,9 @@ extremal constructors stamp on their outputs:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -46,6 +45,8 @@ from .calculus import (
 from .extremals import make_f_eh, split_point_a
 from .modulus import Modulus, PowerModulus, TableModulus
 from .operators import (
+    EQUALITY_TOLS,
+    THEOREM_IDS,
     ChargeModel,
     InequalityReport,
     PowerLawKernel,
@@ -179,7 +180,8 @@ def _ball_sums(box: np.ndarray, space: Space, r: int, offsets: list) -> np.ndarr
 
 
 def exact_holder_constant(
-    f: ExactFunction, space: Space, omega: Modulus, window_radius: int
+    f: ExactFunction, space: Space, omega: Modulus, window_radius: int, *,
+    box: Optional[tuple] = None,
 ) -> Fraction:
     """Largest ``|f(x) - f(y)| / omega(rho(x, y))`` over window pairs.
 
@@ -200,17 +202,21 @@ def exact_holder_constant(
     so all those pairs share the denominator ``omega(rho(u, 0))``, and the
     largest ratio is exactly the widest difference at each distance over
     that distance's modulus: one ``Fraction`` division per distance.
+
+    ``box`` is ``_box_values`` of ``f`` on a window of radius at least
+    ``window_radius``, when the caller has it; the sweep reads its
+    ``window_radius`` view.
     """
-    num, den = _box_values(f, space, window_radius)
-    box = _fit(num, 2)
     origin = (0,) * space.d
+    num, den = box if box is not None else _box_values(f, space, window_radius)
+    vals = _fit(_sub_box(num, space, window_radius, origin), 2)
     widest: dict = {}
-    for u in itertools.product(*(range(1 - n, n) for n in box.shape)):
+    for u in itertools.product(*(range(1 - n, n) for n in vals.shape)):
         if u <= origin:  # the zero offset, and one of each pair +-u
             continue
-        x = tuple(slice(max(-c, 0), n - max(c, 0)) for c, n in zip(u, box.shape))
-        y = tuple(slice(max(c, 0), n + min(c, 0)) for c, n in zip(u, box.shape))
-        top = abs(box[y] - box[x]).max()
+        x = tuple(slice(max(-c, 0), n - max(c, 0)) for c, n in zip(u, vals.shape))
+        y = tuple(slice(max(c, 0), n + min(c, 0)) for c, n in zip(u, vals.shape))
+        top = abs(vals[y] - vals[x]).max()
         if top:
             r = space.lattice_distance(u, origin)
             widest[r] = max(widest.get(r, 0), top)
@@ -265,24 +271,24 @@ def exact_verify(
         Fraction(0),
     )
 
+    # One box holds every point the replay reads, so every value read is
+    # checked and each is computed once: the smoothness window 3s + 1, the
+    # support with every ball that meets it (s + 2k + 1), and lemma1's ball
+    # at the centre.
     s = f.support_radius
     if s is None:  # the default lemma1 witness
+        num, den = _box_values(f, space, k)
         holder = Fraction(1)  # concavity: |omega(a) - omega(b)| <= omega(|a - b|)
     else:
-        f = replace(f, fn=functools.cache(f.fn))  # each point once; freed with f
-        holder = exact_holder_constant(f, space, omega, 3 * s + 1)
+        num, den = _box_values(f, space, max(3 * s + 1, s + 2 * k + 1))
+        holder = exact_holder_constant(f, space, omega, 3 * s + 1, box=(num, den))
 
-    # lemma1 reads the ball at the centre; the others the support and every
-    # ball that meets it.  Each box holds every point its theorem reads, so
-    # every value read is checked.
     if theorem_id == "lemma1":
-        num, den = _box_values(f, space, k)
         centre = Fraction(_sub_box(num, space, 0, origin).item(), den)
         ball = Fraction(_ball_sums(num, space, 0, offsets).item(), den)
         lhs = abs(centre - ball / mu)
         term2 = Fraction(0)
     else:
-        num, den = _box_values(f, space, s + 2 * k + 1)
         support = _sub_box(num, space, s, origin)
         absf = abs(_fit(support, support.size))  # guarded for the L1 sum
         lhs = Fraction(int(absf.max()), den)
@@ -388,7 +394,8 @@ class SuiteReport:
         }
 
 
-_ADDITIVE = ("lemma1", "nagy", "nagy_l1", "sobolev", "charge")
+# a suite keeps every trial's draws, about 3 KB each, until it reports
+MAX_TRIALS = 10**5
 _ADDITIVE_SPACE = lattice(2, 1)
 _HYPERSINGULAR_SPACE = lattice(1, 0)
 
@@ -634,14 +641,12 @@ def random_suite(theorem_id: str, trials: int = 1000, seed: int = 1) -> SuiteRep
     that share a sweep plan.  The mixed suites, closed products with no
     sweep to share, draw and evaluate one trial at a time.
     """
-    from .operators import EQUALITY_TOLS, THEOREM_IDS
-
     if theorem_id not in THEOREM_IDS:
         raise RequestError(f"unknown theorem id {theorem_id!r}")
-    if trials <= 0:
-        raise RequestError(f"suite 'trials' must be positive, got {trials}")
+    if not 0 < trials <= MAX_TRIALS:
+        raise RequestError(f"suite 'trials' must lie in 1..{MAX_TRIALS}, got {trials}")
     rng = np.random.default_rng(seed)
-    if theorem_id in _ADDITIVE:
+    if theorem_id in EXACT_THEOREMS:
         draws = [_draw_additive(rng) for _ in range(trials)]
         gaps, rhss, case = _additive_suite(theorem_id, draws)
     elif theorem_id == "hypersingular":

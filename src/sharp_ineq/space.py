@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -81,13 +81,22 @@ def config_integer(value, name: str) -> int:
     raise RequestError(f"bad {name} {value!r}: expected an integer")
 
 
-def config_number(value, name: str):
-    """A finite real config field, returned as given.  Booleans, ``NaN``,
-    infinities and integers beyond the float range raise ``RequestError``."""
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max):
-        return value
-    raise RequestError(f"bad {name} {value!r}: expected a finite number")
+def config_number(value, name: str, *, exact: bool = False):
+    """The one reader of a config number: a number (not a bool) or a
+    rational string such as ``"3/2"``, read as the decimal it prints,
+    ``Fraction(str(x))`` (the float ``2.1`` is ``21/10`` in exact mode; in
+    float mode every finite float reads as itself).  Returns a float, or
+    with ``exact`` a ``Fraction``.  Anything else, ``NaN``, infinities and
+    values beyond the float range (strings included) raise ``RequestError``.
+    """
+    try:
+        if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+            raise ValueError
+        q = Fraction(str(value))  # "nan" and "inf" are no fractions
+        x = float(q)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise RequestError(f"bad {name} {value!r}: expected a finite number") from None
+    return q if exact else x
 
 
 def _max_last_axis(a: np.ndarray):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from sharp_ineq import _lattice
 from sharp_ineq.calculus import (
     CLOSED_FORM,
     LATTICE_EXACT,
@@ -25,7 +26,7 @@ from sharp_ineq.calculus import (
 from sharp_ineq.extremals import make_f_e_omega, make_f_eh, make_f_omega
 from sharp_ineq.modulus import PowerModulus, TableModulus
 from sharp_ineq.operators import ChargeModel, charge_seminorm
-from sharp_ineq.space import Space, continuum, lattice
+from sharp_ineq.space import RequestError, Space, continuum, lattice
 
 
 def closed(d, m, alpha, h):
@@ -35,8 +36,16 @@ def closed(d, m, alpha, h):
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(method="gauss")
-    spec = QuadratureSpec().with_method(MONTE_CARLO)
-    assert spec == QuadratureSpec(method=MONTE_CARLO)
+    spec = QuadratureSpec(method=MONTE_CARLO)
+    assert (spec.method, spec.mc_samples, spec.seed) == (MONTE_CARLO, 200_000, 0)
+
+
+def test_quadrature_spec_bounds_the_sample_count():
+    # refused before any draw: a Monte Carlo path holds (samples, d) arrays
+    assert QuadratureSpec(mc_samples=_lattice.POINT_BUDGET).mc_samples == _lattice.POINT_BUDGET
+    for n in (_lattice.POINT_BUDGET + 1, 10**12):
+        with pytest.raises(RequestError, match=f"at most {_lattice.POINT_BUDGET}, got {n}"):
+            QuadratureSpec(method=MONTE_CARLO, mc_samples=n)
 
 
 def test_default_spec_dispatch():

@@ -22,7 +22,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "sharp_ineq"
 
 # definitions kept, with no caller in src, for the audit of the continuum
-# witnesses (ROADMAP item 9), which gives each a caller or deletes it
+# witnesses (ROADMAP item 10), which gives each a caller or deletes it
 UNCALLED_KEPT = {
     "calculus.sup_norm",
     "calculus.l1_norm",

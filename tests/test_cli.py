@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sharp_ineq import (
@@ -19,6 +20,7 @@ from sharp_ineq import (
     exact_verify,
     extremals,
     lattice,
+    modulus,
     operators,
     stechkin_curve,
     theorem_report,
@@ -423,10 +425,9 @@ def test_request_mistakes_read_as_the_library_refusal(capsys, tmp_path, refuse, 
     assert err == f"config error: {refusal.value}\n"
 
 
-# error types that main alone maps to an exit code; _number parses the
-# CLI's own rational strings ("3/2"), which no library reader takes
+# error types that main alone maps to an exit code
 _MAPPED = {"ValueError", "TypeError", "KeyError", "ZeroDivisionError"}
-_MAY_CATCH = {"main", "_number"}
+_MAY_CATCH = {"main"}
 
 
 def _caught_names(handler: ast.ExceptHandler) -> set:
@@ -496,6 +497,100 @@ def test_alpha_string_reads_as_its_number(capsys, tmp_path):
         assert code == EXIT_OK and err == ""
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# Every config number, one per field: the command, a payload with the JSON
+# text of the number at "@N@", the words naming the field in a refusal, and
+# two (number, equivalent JSON float) pairs, an int and a "p/q" string.
+NUMBER_FIELDS = {
+    "h_values": ("verify", {"space": LINE, "modulus": POWER1, "h_values": ["@N@"]},
+                 "'h_values'", [("2", "2.0"), ('"3/2"', "1.5")]),
+    "exact-h": ("oracle", {"exact": [{"theorem_id": "nagy", "space": ZZ, "modulus": POWER1,
+                                      "h": "@N@"}]},
+                "'h'", [("2", "2.0"), ('"21/10"', "2.1")]),
+    "alpha": ("constant", {"space": LINE, "modulus": {"kind": "power", "alpha": "@N@"},
+                           "h_values": [1.5]},
+              "alpha", [("1", "1.0"), ('"1/2"', "0.5")]),
+    "table-node": ("constant", {"space": LINE, "modulus": {"kind": "table",
+                                                            "points": [[0, 0], ["@N@", 1], [4, 2]]},
+                                "h_values": [1.5]},
+                   "table node", [("1", "1.0"), ('"1/2"', "0.5")]),
+    "kernel-beta": ("verify", {"space": ZZ, "modulus": POWER1, "h_values": [2.5],
+                               "theorems": ["hypersingular"],
+                               "kernel": {"form": "power_law", "beta": "@N@"}},
+                    "kernel beta", [("2", "2.0"), ('"1/4"', "0.25")]),
+    "kernel-cutoff": ("verify", {"space": ZZ, "modulus": POWER1, "h_values": [2.5],
+                                 "theorems": ["hypersingular"],
+                                 "kernel": {"form": "power_law", "beta": 0.5, "cutoff": "@N@"}},
+                      "kernel cutoff", [("3", "3.0"), ('"7/2"', "3.5")]),
+    "kernel-node": ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1],
+                               "theorems": ["hypersingular"],
+                               "kernel": {"form": "table", "points": [["@N@", 1], [4, 0.5]]}},
+                    "kernel node", [("1", "1.0"), ('"1/2"', "0.5")]),
+    "tol": ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1], "tol": "@N@"},
+            "'tol'", [("0", "0.0"), ('"1/4"', "0.25")]),
+    "n_values": ("stechkin", {"space": LINE, "modulus": POWER1, "n_values": ["@N@"]},
+                 "'n_values'", [("2", "2.0"), ('"3/2"', "1.5")]),
+}
+# refused in every field; a string beyond the float range exited 3 at the parent
+BAD_NUMBERS = {"true": "true", "nan": "NaN", "json-1e999": "1e999", "string-1e999": '"1e999"',
+               "zero-denominator": '"1/0"', "word": '"x"'}
+
+
+def _run_number(capsys, tmp_path, field, text):
+    command, payload, _, _ = NUMBER_FIELDS[field]
+    path = tmp_path / f"{field}.json"
+    path.write_text(json.dumps(payload).replace('"@N@"', text))
+    return run_cli(capsys, [command, "--config", str(path)])
+
+
+@pytest.mark.parametrize("kind", ["int", "string"])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_config_numbers_read_one_way(capsys, tmp_path, field, kind):
+    # an int or a "p/q" string prints the bytes of the JSON float it equals
+    text, float_text = NUMBER_FIELDS[field][3][kind == "string"]
+    want = _run_number(capsys, tmp_path, field, float_text)
+    assert want[0] == EXIT_OK and want[1] and want[2] == ""
+    assert _run_number(capsys, tmp_path, field, text) == want
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS)
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_config_number_mistakes_name_their_field(capsys, tmp_path, field, bad):
+    code, out, err = _run_number(capsys, tmp_path, field, BAD_NUMBERS[bad])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error:") and NUMBER_FIELDS[field][2] in err
+
+
+def test_library_reads_config_numbers_as_the_cli_does():
+    assert modulus.from_config({"kind": "power", "alpha": "1/2"}) == PowerModulus(0.5)
+    with pytest.raises(RequestError, match="alpha"):
+        modulus.from_config({"kind": "power", "alpha": True})
+    assert operators.kernel_from_config({"form": "power_law", "beta": "1/4"}) == \
+        operators.PowerLawKernel(beta=0.25)
+
+
+@pytest.mark.parametrize("command, payload, needle", [
+    ("constant", {"space": LINE, "modulus": POWER1, "h_values": [1], "method": "monte_carlo",
+                  "mc_samples": 1e12}, "Monte Carlo samples"),
+    ("constant", {"space": LINE, "modulus": POWER1, "h_values": [1], "method": "monte_carlo",
+                  "mc_samples": 2**22 + 1}, "Monte Carlo samples"),
+    ("oracle", {"suites": [{"theorem_id": "charge", "trials": 1e9}]}, "suite 'trials'"),
+    ("oracle", {"suites": [{"theorem_id": "mixed_additive", "trials": 10**5 + 1}]},
+     "suite 'trials'"),
+], ids=["mc-samples-1e12", "mc-samples-budget", "trials-1e9", "trials-budget"])
+def test_config_sizes_refused_before_any_draw(capsys, tmp_path, monkeypatch, command,
+                                              payload, needle):
+    # before: an uncaught MemoryError (exit 1), or a suite that never finishes
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(Space, "sample_ball", no_draw)
+    cfg = write_cfg(tmp_path, "big.json", payload)
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error:") and needle in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

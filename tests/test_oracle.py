@@ -10,7 +10,7 @@ import pytest
 from sharp_ineq import _kernels, _lattice, oracle
 from sharp_ineq.calculus import holder_lower_estimate, sup_norm
 from sharp_ineq.modulus import PowerModulus, TableModulus
-from sharp_ineq.space import continuum, lattice
+from sharp_ineq.space import RequestError, continuum, lattice
 
 RAMP = PowerModulus(1.0)
 F = Fraction
@@ -262,6 +262,36 @@ def test_exact_verify_rejects_false_support_radius(tid):
         oracle.exact_verify(tid, lattice(1, 0), RAMP, F(7, 2), f=f)
 
 
+@pytest.mark.parametrize("tid", oracle.EXACT_THEOREMS)
+@pytest.mark.parametrize("space, h", [(lattice(1, 0), F(7, 2)), (lattice(2, 1), F(5, 2))])
+@pytest.mark.parametrize("witness", ["default", "caller"])
+def test_exact_verify_builds_one_box(monkeypatch, tid, space, h, witness):
+    # one box per replay, each point evaluated once (the parent built two for
+    # every witness with a support radius)
+    boxes, points = [], []
+    box_values = oracle._box_values
+
+    def counted(f, space, radius):
+        boxes.append(radius)
+        return box_values(f, space, radius)
+
+    monkeypatch.setattr(oracle, "_box_values", counted)
+    bump = oracle.exact_f_eh(space, RAMP, h)
+
+    def fn(pt):
+        points.append(pt)
+        return bump.fn(pt)
+
+    f = None if witness == "default" else oracle.ExactFunction(fn, bump.support_radius, "bump")
+    rep = oracle.exact_verify(tid, space, RAMP, h, f=f)
+    assert rep.exact["gap"] == 0
+    k = s = bump.support_radius
+    want = k if (tid, witness) == ("lemma1", "default") else max(3 * s + 1, s + 2 * k + 1)
+    assert boxes == [want]
+    if f is not None:
+        assert len(points) == len(set(points)) == len(space.closed_ball(want))
+
+
 def test_exact_verify_guards():
     with pytest.raises(ValueError):
         oracle.exact_verify("hypersingular", lattice(1, 0), RAMP, F(3, 2))
@@ -463,6 +493,17 @@ def test_suite_report_json_round_trip():
 def test_random_suite_unknown_id():
     with pytest.raises(ValueError):
         oracle.random_suite("goldbach", trials=5, seed=1)
+
+
+@pytest.mark.parametrize("trials", [0, oracle.MAX_TRIALS + 1, 10**9])
+def test_random_suite_trials_bounded(monkeypatch, trials):
+    # refused before a single draw: a suite keeps every trial's draws
+    def no_draw(rng):
+        raise AssertionError("drew a trial")
+
+    monkeypatch.setattr(oracle, "_draw_additive", no_draw)
+    with pytest.raises(RequestError, match=f"suite 'trials' must lie in 1..{oracle.MAX_TRIALS}"):
+        oracle.random_suite("nagy", trials=trials, seed=1)
 
 
 # ----------------------------------------------------------------------

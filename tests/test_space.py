@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from sharp_ineq._kernels import cone_eval
 from sharp_ineq.modulus import PowerModulus, TableModulus
-from sharp_ineq.space import Space, continuum, lattice, strict_int_below
+from sharp_ineq.space import (
+    RequestError,
+    Space,
+    config_number,
+    continuum,
+    lattice,
+    strict_int_below,
+)
 
 
 def test_strict_int_below():
@@ -96,6 +103,34 @@ def test_config_round_trip():
         assert Space.from_config(sp.to_config()) == sp
     with pytest.raises(ValueError):
         Space.from_config({"kind": "continuum", "d": 2})
+
+
+def test_config_number_is_the_one_reading():
+    # a float reads as the decimal it prints, so exact mode keeps 2.1 as 21/10
+    assert config_number(2.1, "h", exact=True) == Fraction(21, 10)
+    assert config_number("3/2", "h", exact=True) == Fraction(3, 2)
+    assert config_number("3/2", "h") == 1.5
+    assert config_number(3, "h", exact=True) == 3 and type(config_number(3, "h")) is float
+    # numpy scalars of library callers read as the numbers they print
+    assert config_number(np.float64(0.25), "x") == 0.25
+    assert config_number(np.int64(3), "x", exact=True) == 3
+    assert config_number(np.float32(0.1), "x", exact=True) == Fraction(1, 10)
+    # in float mode every finite double reads as itself
+    bits = np.random.default_rng(3).integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64)
+    for x in bits[np.isfinite(bits)].tolist():
+        assert config_number(x, "x") == x
+    for bad in (True, np.bool_(True), math.nan, math.inf, 10**400, "1e999", "-1e999", "1/0",
+                "x", "nan", None, [1]):
+        with pytest.raises(RequestError, match="bad h "):
+            config_number(bad, "h")
+
+
+def test_table_modulus_takes_numpy_nodes():
+    nodes = [(np.int64(0), np.float64(0)), (np.float64(0.5), np.float32(0.25)), (2, "1/2")]
+    om = TableModulus(nodes)
+    assert om._exact == [(0, 0), (Fraction(1, 2), Fraction(1, 4)), (2, Fraction(1, 2))]
+    with pytest.raises(RequestError, match="table node"):
+        TableModulus([(0, 0), (np.bool_(True), 1)])
 
 
 @given(
@@ -233,6 +268,27 @@ def test_metric_lives_in_space():
         for lineno, line in enumerate(path.read_text().splitlines(), start=1)
         if any(p.search(line) for p in patterns)
         and f"{path.name}: {line.strip()}" not in FUNCTION_SUPS
+    ]
+    assert hits == []
+
+
+def test_config_numbers_are_read_in_space():
+    """``space.config_number`` is the one reader of a config number: no
+    other module parses one by ``Fraction(str(...))``, ``float(cfg...)`` or
+    ``float(node...)``, or keeps a ``_number`` helper of its own.  A textual
+    scan, like ``test_metric_lives_in_space``."""
+    src = Path(__file__).resolve().parents[1] / "src" / "sharp_ineq"
+    patterns = [
+        re.compile(r"Fraction\(\s*str\("),
+        re.compile(r"\bfloat\(\s*(cfg|node)\b"),
+        re.compile(r"\b_number\b"),
+    ]
+    hits = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "space.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if any(p.search(line) for p in patterns)
     ]
     assert hits == []
 
