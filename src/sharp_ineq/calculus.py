@@ -357,6 +357,7 @@ def l1_norm(
 
         est, _ = adaptive_simpson(scalar, lo, float(window_radius))
     else:
+        space.require_sample_budget(spec.mc_samples)
         rng = np.random.default_rng(spec.seed)
         w = float(window_radius)
         lo = np.where(np.arange(space.d) < space.m, 0.0, -w)

@@ -136,10 +136,14 @@ def _spec_from(cfg: dict, space: Space, omega: Modulus, seed: Optional[int]) -> 
         overrides["seed"] = _seed(seed, cfg.get("seed"), "'seed'")
     if "mc_samples" in cfg:
         overrides["mc_samples"] = config_integer(cfg["mc_samples"], "'mc_samples'")
-    if method is None and not overrides:
-        return None
-    method = default_spec(space, omega).method if method is None else str(method)
-    return QuadratureSpec(method=method, **overrides)
+    spec = None
+    if method is not None or overrides:
+        method = default_spec(space, omega).method if method is None else str(method)
+        spec = QuadratureSpec(method=method, **overrides)
+    # the sample count (the library's default without a spec) reaches every
+    # Monte Carlo fallback, whatever the method: refuse before anything is drawn
+    space.require_sample_budget((spec or QuadratureSpec()).mc_samples)
+    return spec
 
 
 def _radius(value, name: str, space: Space, *, exact: bool):
@@ -310,12 +314,14 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
         for node in exact_nodes:
             if not isinstance(node, dict):
                 raise RequestError("each exact entry must be an object")
+            if "theorem_id" not in node:
+                raise RequestError("each exact entry needs a 'theorem_id'")
             space = _space_from(node)
             omega = _modulus_from(node)
             if "h" not in node:
                 raise RequestError("each exact entry needs 'h'")
             h = _radius(node["h"], "'h'", space, exact=True)
-            report = exact_verify(node.get("theorem_id"), space, omega, h)
+            report = exact_verify(node["theorem_id"], space, omega, h)
             failed = failed or report.verdict == "Violated"
             reports.append(_report_row(report, True))
         out["exact"] = reports
@@ -337,7 +343,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    building it costs about as much as a short command, and ``main`` may
+    run many times in one process.  Lazy, so an importer that never parses
+    pays nothing; ``parse_args`` still returns a fresh namespace per call."""
     parser = argparse.ArgumentParser(
         prog="sharp-ineq",
         description="Sharp-constant laboratory for smoothness inequalities",

@@ -40,7 +40,7 @@ from typing import Union
 
 import numpy as np
 
-from ._lattice import window_points
+from ._lattice import POINT_BUDGET, window_points
 
 CONTINUUM = "continuum"
 LATTICE = "lattice"
@@ -190,6 +190,16 @@ class Space:
         n = (k + 1) ** m * (2 * k + 1) ** (d - m) - k**m * (2 * k - 1) ** (d - m)
         return tuple(n.coef[:d].tolist())  # the k^d terms cancel
 
+    def require_sample_budget(self, n: int) -> None:
+        """Refuse ``n`` sample points whose ``(n, d)`` coordinates exceed
+        ``POINT_BUDGET``: every Monte Carlo path over this space holds them
+        in one array, so memory grows with ``n * d``, not ``n``."""
+        if n * self.d > POINT_BUDGET:
+            raise RequestError(
+                f"mc_samples * d = {n} * {self.d} sample coordinates exceed "
+                f"the budget of {POINT_BUDGET}"
+            )
+
     def sample_sphere(self, radii: np.ndarray, rng) -> np.ndarray:
         """Cone-measure-uniform points at prescribed sup-norm radii.
 
@@ -200,6 +210,7 @@ class Space:
         ``sphere_constant * t^(d-1)`` integrates.
         """
         n = len(radii)
+        self.require_sample_budget(n)
         d, m = self.d, self.m
         u = np.empty((n, d), dtype=np.float64)
         for j in range(d):
@@ -267,6 +278,7 @@ class Space:
         or parallelize the work afterwards.
         """
         self.require_valid_radius(h)
+        self.require_sample_budget(n)
         rng = np.random.default_rng(seed)
         if self.is_lattice:
             pts = self.enumerate_ball(h)

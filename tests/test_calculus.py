@@ -12,6 +12,7 @@ from sharp_ineq.calculus import (
     RADIAL1D,
     CertificationError,
     Estimate,
+    FunctionModel,
     QuadratureSpec,
     ball_integral_at,
     ball_integral_of_modulus,
@@ -46,6 +47,28 @@ def test_quadrature_spec_bounds_the_sample_count():
     for n in (_lattice.POINT_BUDGET + 1, 10**12):
         with pytest.raises(RequestError, match=f"at most {_lattice.POINT_BUDGET}, got {n}"):
             QuadratureSpec(method=MONTE_CARLO, mc_samples=n)
+
+
+def test_sample_coordinates_bounded_before_any_draw(monkeypatch):
+    # memory grows with samples * d: the line takes the whole budget, d = 3
+    # not half of it, at each of the three places that hold (samples, d)
+    continuum(1, 0).require_sample_budget(_lattice.POINT_BUDGET)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    n = _lattice.POINT_BUDGET // 2
+    refusal = re.escape(f"mc_samples * d = {n} * 3 sample coordinates exceed")
+    bare = FunctionModel(name="bare", evaluator=lambda pts: np.ones(len(pts)))
+    for refuse in (
+        lambda: continuum(3, 1).sample_ball(1.5, n, seed=0),
+        lambda: lattice(3, 0).sample_ball(1.5, n, seed=0),
+        lambda: continuum(3, 0).sample_sphere(np.ones(n), rng=None),
+        lambda: l1_norm(bare, continuum(3, 0), 1.0, QuadratureSpec(MONTE_CARLO, n)),
+    ):
+        with pytest.raises(RequestError, match=refusal):
+            refuse()
 
 
 def test_default_spec_dispatch():

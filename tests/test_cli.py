@@ -1,7 +1,11 @@
+import argparse
 import ast
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -342,6 +346,8 @@ def _bad_node_payload(command, modulus):
                     "theorems": ["mixed_multiplicative"]}, "power moduli"),
         ("oracle", {"exact": [{"theorem_id": "nagy", "space": LINE, "modulus": POWER1,
                                "h": "3/2"}]}, "lattice"),
+        ("oracle", {"exact": [{"space": ZZ, "modulus": POWER1, "h": "3/2"}]},
+         "each exact entry needs a 'theorem_id'"),
         ("verify", {"space": LINE, "modulus": POWER1, "h_values": [1], "exact": True},
          "lattice"),
         ("stechkin", {"space": ZZ, "modulus": POWER1, "n_values": [1]}, "continuum"),
@@ -361,6 +367,7 @@ def _bad_node_payload(command, modulus):
          "infinite-kernel-value", "boolean-beta", "huge-integer-h", "huge-integer-n",
          "boolean-alpha", "negative-seed", "negative-suite-seed", "negative-mc-checks-seed",
          "lattice-mixed-listed", "table-multiplicative-listed", "oracle-exact-continuum",
+         "oracle-exact-no-theorem-id",
          "verify-exact-continuum", "stechkin-lattice", "stechkin-lattice-exact-continuum",
          *[name for _, _, name in BAD_NODE_CASES],
          *[name for _, _, _, name in METHOD_MISMATCH_CASES]],
@@ -570,15 +577,26 @@ def test_library_reads_config_numbers_as_the_cli_does():
         operators.PowerLawKernel(beta=0.25)
 
 
+SPACE3 = {"kind": "continuum", "d": 3, "m": 0}
+
+
 @pytest.mark.parametrize("command, payload, needle", [
     ("constant", {"space": LINE, "modulus": POWER1, "h_values": [1], "method": "monte_carlo",
                   "mc_samples": 1e12}, "Monte Carlo samples"),
     ("constant", {"space": LINE, "modulus": POWER1, "h_values": [1], "method": "monte_carlo",
                   "mc_samples": 2**22 + 1}, "Monte Carlo samples"),
+    ("constant", {"space": SPACE3, "modulus": POWER1, "h_values": [1], "method": "monte_carlo",
+                  "mc_samples": 2**21}, "mc_samples * d = 2097152 * 3"),
+    ("verify", {"space": SPACE3, "modulus": POWER1, "h_values": [1],
+                "theorems": ["hypersingular"], "mc_samples": 2**21},
+     "mc_samples * d = 2097152 * 3"),
+    ("verify", {"space": {**SPACE3, "d": 21}, "modulus": POWER1, "h_values": [1]},
+     "mc_samples * d = 200000 * 21"),
     ("oracle", {"suites": [{"theorem_id": "charge", "trials": 1e9}]}, "suite 'trials'"),
     ("oracle", {"suites": [{"theorem_id": "mixed_additive", "trials": 10**5 + 1}]},
      "suite 'trials'"),
-], ids=["mc-samples-1e12", "mc-samples-budget", "trials-1e9", "trials-budget"])
+], ids=["mc-samples-1e12", "mc-samples-budget", "mc-coordinates-constant",
+        "mc-coordinates-verify", "mc-coordinates-default", "trials-1e9", "trials-budget"])
 def test_config_sizes_refused_before_any_draw(capsys, tmp_path, monkeypatch, command,
                                               payload, needle):
     # before: an uncaught MemoryError (exit 1), or a suite that never finishes
@@ -834,3 +852,76 @@ def test_cli_outputs_pinned(capsys, tmp_path, name, digest):
     code, out, _ = run_cli(capsys, [command, "--config", path])
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_parser_reuse_leaks_no_flag_into_the_next_call(capsys, tmp_path, monkeypatch, line_cfg):
+    seen = []
+    verify = cli._COMMANDS["verify"]
+
+    def recorded(cfg, args):
+        seen.append(dict(vars(args)))
+        return verify(cfg, args)
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", recorded)
+    plain = ["verify", "--config", line_cfg]
+    dest = tmp_path / "out.json"
+    first = run_cli(capsys, plain)
+    flagged = run_cli(capsys, [*plain, "--tol", "0.5", "--seed", "3", "--format", "json",
+                               "--out", str(dest)])
+    assert flagged == (EXIT_OK, "", "") and json.loads(dest.read_text())
+    assert run_cli(capsys, plain) == first
+    assert seen[2] == seen[0] != seen[1]
+    assert {k: seen[2][k] for k in ("tol", "seed", "format", "out")} == \
+        {"tol": None, "seed": None, "format": "csv", "out": None}
+
+
+def test_usage_error_between_calls_changes_no_byte(capsys, line_cfg):
+    argv = ["constant", "--config", line_cfg]
+    before = run_cli(capsys, argv)
+    with pytest.raises(SystemExit) as usage:
+        main([*argv, "--tol", "1"])  # --tol belongs to verify alone
+    assert usage.value.code == EXIT_CONFIG
+    cap = capsys.readouterr()
+    assert cap.out == "" and "unrecognized arguments: --tol 1" in cap.err
+    assert run_cli(capsys, argv) == before
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch, line_cfg):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    # the subcommand parsers are ArgumentParsers too, so the whole tree counts
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert run_cli(capsys, ["constant", "--config", line_cfg])[0] == EXIT_OK
+    assert built == ["sharp-ineq", *(f"sharp-ineq {name}" for name in cli._COMMANDS)]
+
+
+SHIPPED_BY_COMMAND = {
+    "constant": "constant_continuum.json",
+    "verify": "verify_continuum.json",
+    "stechkin": "stechkin_line.json",
+    "oracle": "oracle_quick.json",
+}
+
+
+def test_fresh_process_prints_the_in_process_bytes(capsys):
+    # a one-shot process builds its own parser; a reused one must print the
+    # same bytes after every other command has run
+    for command, name in SHIPPED_BY_COMMAND.items():
+        run_cli(capsys, [command, "--config", str(CONFIGS / name)])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for command, name in SHIPPED_BY_COMMAND.items():
+        argv = [command, "--config", str(CONFIGS / name)]
+        fresh = subprocess.run([sys.executable, "-m", "sharp_ineq.cli", *argv],
+                               capture_output=True, env=env, timeout=120)
+        code, out, err = run_cli(capsys, argv)
+        assert fresh.returncode == code == EXIT_OK
+        assert (fresh.stdout, fresh.stderr) == (out.encode(), err.encode()) and err == ""
