@@ -136,14 +136,10 @@ def _spec_from(cfg: dict, space: Space, omega: Modulus, seed: Optional[int]) -> 
         overrides["seed"] = _seed(seed, cfg.get("seed"), "'seed'")
     if "mc_samples" in cfg:
         overrides["mc_samples"] = config_integer(cfg["mc_samples"], "'mc_samples'")
-    spec = None
-    if method is not None or overrides:
-        method = default_spec(space, omega).method if method is None else str(method)
-        spec = QuadratureSpec(method=method, **overrides)
-    # the sample count (the library's default without a spec) reaches every
-    # Monte Carlo fallback, whatever the method: refuse before anything is drawn
-    space.require_sample_budget((spec or QuadratureSpec()).mc_samples)
-    return spec
+    if method is None and not overrides:
+        return None
+    method = default_spec(space, omega).method if method is None else str(method)
+    return QuadratureSpec(method=method, **overrides)
 
 
 def _radius(value, name: str, space: Space, *, exact: bool):

@@ -674,6 +674,7 @@ def _hypersingular(
         return _hyp_radial_origin(f, space, kernel, lo)
     s = lo or f.support_radius or 1.0
     n = spec.mc_samples
+    space.require_sample_budget(n)  # the sphere samples of _hyp_mc are (n, d)
     rng = np.random.default_rng(spec.seed)
     upper = kernel.support_radius
     if isinstance(kernel, PowerLawKernel):

@@ -192,8 +192,9 @@ class Space:
 
     def require_sample_budget(self, n: int) -> None:
         """Refuse ``n`` sample points whose ``(n, d)`` coordinates exceed
-        ``POINT_BUDGET``: every Monte Carlo path over this space holds them
-        in one array, so memory grows with ``n * d``, not ``n``."""
+        ``POINT_BUDGET``, before any generator is built: a Monte Carlo path
+        that samples points of this space holds them in one array, so its
+        memory grows with ``n * d``, not ``n``."""
         if n * self.d > POINT_BUDGET:
             raise RequestError(
                 f"mc_samples * d = {n} * {self.d} sample coordinates exceed "
@@ -210,7 +211,6 @@ class Space:
         ``sphere_constant * t^(d-1)`` integrates.
         """
         n = len(radii)
-        self.require_sample_budget(n)
         d, m = self.d, self.m
         u = np.empty((n, d), dtype=np.float64)
         for j in range(d):

@@ -26,7 +26,12 @@ from sharp_ineq.calculus import (
 )
 from sharp_ineq.extremals import make_f_e_omega, make_f_eh, make_f_omega
 from sharp_ineq.modulus import PowerModulus, TableModulus
-from sharp_ineq.operators import ChargeModel, charge_seminorm
+from sharp_ineq.operators import (
+    ChargeModel,
+    PowerLawKernel,
+    charge_seminorm,
+    hypersingular_truncated,
+)
 from sharp_ineq.space import RequestError, Space, continuum, lattice
 
 
@@ -51,7 +56,7 @@ def test_quadrature_spec_bounds_the_sample_count():
 
 def test_sample_coordinates_bounded_before_any_draw(monkeypatch):
     # memory grows with samples * d: the line takes the whole budget, d = 3
-    # not half of it, at each of the three places that hold (samples, d)
+    # not half of it, at each of the three entry points that hold (samples, d)
     continuum(1, 0).require_sample_budget(_lattice.POINT_BUDGET)
 
     def no_draw(*args, **kwargs):
@@ -64,7 +69,8 @@ def test_sample_coordinates_bounded_before_any_draw(monkeypatch):
     for refuse in (
         lambda: continuum(3, 1).sample_ball(1.5, n, seed=0),
         lambda: lattice(3, 0).sample_ball(1.5, n, seed=0),
-        lambda: continuum(3, 0).sample_sphere(np.ones(n), rng=None),
+        lambda: hypersingular_truncated(bare, continuum(3, 0), PowerLawKernel(beta=0.5), 1.0,
+                                        spec=QuadratureSpec(MONTE_CARLO, n)),
         lambda: l1_norm(bare, continuum(3, 0), 1.0, QuadratureSpec(MONTE_CARLO, n)),
     ):
         with pytest.raises(RequestError, match=refusal):

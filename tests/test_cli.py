@@ -577,26 +577,15 @@ def test_library_reads_config_numbers_as_the_cli_does():
         operators.PowerLawKernel(beta=0.25)
 
 
-SPACE3 = {"kind": "continuum", "d": 3, "m": 0}
-
-
 @pytest.mark.parametrize("command, payload, needle", [
     ("constant", {"space": LINE, "modulus": POWER1, "h_values": [1], "method": "monte_carlo",
                   "mc_samples": 1e12}, "Monte Carlo samples"),
     ("constant", {"space": LINE, "modulus": POWER1, "h_values": [1], "method": "monte_carlo",
                   "mc_samples": 2**22 + 1}, "Monte Carlo samples"),
-    ("constant", {"space": SPACE3, "modulus": POWER1, "h_values": [1], "method": "monte_carlo",
-                  "mc_samples": 2**21}, "mc_samples * d = 2097152 * 3"),
-    ("verify", {"space": SPACE3, "modulus": POWER1, "h_values": [1],
-                "theorems": ["hypersingular"], "mc_samples": 2**21},
-     "mc_samples * d = 2097152 * 3"),
-    ("verify", {"space": {**SPACE3, "d": 21}, "modulus": POWER1, "h_values": [1]},
-     "mc_samples * d = 200000 * 21"),
     ("oracle", {"suites": [{"theorem_id": "charge", "trials": 1e9}]}, "suite 'trials'"),
     ("oracle", {"suites": [{"theorem_id": "mixed_additive", "trials": 10**5 + 1}]},
      "suite 'trials'"),
-], ids=["mc-samples-1e12", "mc-samples-budget", "mc-coordinates-constant",
-        "mc-coordinates-verify", "mc-coordinates-default", "trials-1e9", "trials-budget"])
+], ids=["mc-samples-1e12", "mc-samples-budget", "trials-1e9", "trials-budget"])
 def test_config_sizes_refused_before_any_draw(capsys, tmp_path, monkeypatch, command,
                                               payload, needle):
     # before: an uncaught MemoryError (exit 1), or a suite that never finishes
@@ -609,6 +598,43 @@ def test_config_sizes_refused_before_any_draw(capsys, tmp_path, monkeypatch, com
     code, out, err = run_cli(capsys, [command, "--config", cfg])
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("config error:") and needle in err
+
+
+SPACE3 = {"kind": "continuum", "d": 3, "m": 0}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("constant", {}),
+    ("verify", {"theorems": ["nagy"]}),
+], ids=["constant", "verify"])
+def test_sample_coordinates_refused_before_any_draw(capsys, tmp_path, monkeypatch, command,
+                                                    extra):
+    # a (2^21, 3) ball sample holds 1.5 budgets of coordinates; sample_ball
+    # refuses it before building its generator
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    payload = {"space": SPACE3, "modulus": POWER1, "h_values": [1], "method": "monte_carlo",
+               "mc_samples": 2**21, **extra}
+    cfg = write_cfg(tmp_path, "big.json", payload)
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error:") and "mc_samples * d = 2097152 * 3" in err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("constant", {"space": {**SPACE3, "d": 21}, "h_values": [1]}),
+    ("stechkin", {"space": {**SPACE3, "d": 21}, "n_values": [1]}),
+    ("verify", {"space": SPACE3, "h_values": [1], "theorems": ["hypersingular"],
+                "mc_samples": 2**21}),
+], ids=["constant-d21", "stechkin-d21", "verify-hypersingular-d3"])
+def test_sample_budget_spares_runs_that_sample_no_points(capsys, tmp_path, command, payload):
+    # closed forms and the radial hypersingular path hold no (mc_samples, d)
+    # array, so neither a large d nor a large sample count is refused
+    cfg = write_cfg(tmp_path, "c.json", {"modulus": POWER1, **payload})
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert (code, err) == (EXIT_OK, "") and out
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
