@@ -17,6 +17,7 @@ Two families are supported.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,19 +152,22 @@ class TableModulus(Modulus):
                 "a convex jump breaks semi-additivity"
             )
         self._exact = pts
+        self._numerators = (ts, ws, 2 * t_den * w_den)
         # int / int is correctly rounded, so these are float() of the nodes
         self._t = np.array([t / t_den for t in ts], dtype=np.float64)
         self._w = np.array([w / w_den for w in ws], dtype=np.float64)
 
     @functools.cached_property
     def _cum(self) -> list:
-        """Exact integrals of the modulus from 0 to each node (trapezoids),
-        built on the first ``antiderivative`` call, their only reader."""
-        pts = self._exact
-        cum = [Fraction(0)]
-        for (t0, w0), (t1, w1) in zip(pts, pts[1:]):
-            cum.append(cum[-1] + (t1 - t0) * (w0 + w1) / 2)
-        return cum
+        """The integrals of the modulus from 0 to each node, as floats,
+        built on the first ``antiderivative`` call, their only reader.  The
+        trapezoid ``(t1 - t0) (w0 + w1) / 2`` is an integer over the one
+        denominator ``2 t_den w_den``, so each integral is an exact integer
+        sum, divided once: ``int / int`` rounds correctly, the float of
+        the ``Fraction`` sum."""
+        ts, ws, den = self._numerators
+        areas = ((t1 - t0) * (w0 + w1) for t0, t1, w0, w1 in zip(ts, ts[1:], ws, ws[1:]))
+        return [num / den for num in itertools.accumulate(areas, initial=0)]
 
     def __call__(self, t):
         tv = np.asarray(t, dtype=np.float64)
@@ -177,13 +181,13 @@ class TableModulus(Modulus):
         idx = int(np.searchsorted(self._t, tf, side="right")) - 1
         if idx >= len(self._t) - 1:
             # beyond the last node the modulus is constant
-            full = float(self._cum[-1])
+            full = self._cum[-1]
             return full + (tf - float(self._t[-1])) * float(self._w[-1])
         t0, w0 = float(self._t[idx]), float(self._w[idx])
         t1, w1 = float(self._t[idx + 1]), float(self._w[idx + 1])
         frac = (tf - t0) / (t1 - t0)
         w_at = w0 + frac * (w1 - w0)
-        return float(self._cum[idx]) + (tf - t0) * (w0 + w_at) / 2.0
+        return self._cum[idx] + (tf - t0) * (w0 + w_at) / 2.0
 
     def inverse(self, y: float) -> float:
         if y <= 0:

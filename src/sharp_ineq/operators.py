@@ -39,6 +39,7 @@ paths exist for cross-checking and always report a standard error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -435,6 +436,18 @@ def _hurwitz_zeta(s: float, a: float) -> tuple[float, float]:
     return math.fsum(terms[:-1]), abs(terms[-1])
 
 
+@functools.lru_cache(maxsize=256)
+def _shell_counts(space: Space, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The radii ``k0 .. k1`` as float64 and the shell counts ``N(k)`` there,
+    cached per space and range (read-only): the hypersingular suite asks for
+    the same few ranges on every trial."""
+    _lattice.require_budget(k1 - k0 + 1)
+    ks = np.arange(k0, k1 + 1, dtype=np.float64)
+    counts = np.polynomial.polynomial.polyval(ks, space.shell_count_coefficients())
+    ks.flags.writeable = counts.flags.writeable = False
+    return ks, counts
+
+
 def _lattice_shell_tail(space: Space, kernel, k0: int) -> Estimate:
     """``sum_{k >= k0} N(k) P(k)``, the kernel mass of the shells rho >= k0.
 
@@ -444,16 +457,12 @@ def _lattice_shell_tail(space: Space, kernel, k0: int) -> Estimate:
     the Hurwitz zeta values.
     """
     d = space.d
-    coef = space.shell_count_coefficients()
     if math.isfinite(kernel.support_radius):
-        k1 = int(math.floor(kernel.support_radius))
-        _lattice.require_budget(k1 - k0 + 1)
-        ks = np.arange(k0, k1 + 1, dtype=np.float64)
-        counts = np.polynomial.polynomial.polyval(ks, coef)
+        ks, counts = _shell_counts(space, k0, int(math.floor(kernel.support_radius)))
         vals = counts * np.asarray(kernel.value(ks, d))
         return Estimate(float(vals.sum()), LATTICE_EXACT, 0.0)
     value = err = 0.0
-    for j, c in enumerate(coef):
+    for j, c in enumerate(space.shell_count_coefficients()):
         z, z_err = _hurwitz_zeta(d + kernel.beta - j, k0)
         value += c * z
         err += abs(c) * z_err
@@ -486,7 +495,6 @@ def kernel_ball_mass(
     (``_singular_margin``); divergence raises.
     """
     space.require_valid_radius(h)
-    spec = spec or QuadratureSpec()
     hf = float(h)
     d = space.d
 
@@ -499,6 +507,7 @@ def kernel_ball_mass(
         return Estimate(float(vals.sum()), LATTICE_EXACT, 0.0)
 
     if isinstance(kernel, PowerLawKernel):
+        spec = spec or QuadratureSpec()
         beta = kernel.beta
         upper = min(hf, kernel.cutoff)
         eta = _singular_margin(omega, kernel)
@@ -525,7 +534,6 @@ def kernel_tail_mass(
 ) -> Estimate:
     """``T(h) = integral over the complement of B_h of P(rho) d(mu)``."""
     space.require_valid_radius(h)
-    spec = spec or QuadratureSpec()
     hf = float(h)
     d = space.d
 
@@ -533,6 +541,7 @@ def kernel_tail_mass(
         return _lattice_shell_tail(space, kernel, int(math.ceil(hf)))
 
     if isinstance(kernel, PowerLawKernel):
+        spec = spec or QuadratureSpec()
         beta = kernel.beta
         if spec.method == MONTE_CARLO:
             q = beta / 2.0

@@ -17,8 +17,14 @@ extremal constructors stamp on their outputs:
 * ``random_suite`` throws randomized certified-smooth functions (maxima of
   truncated cones) at an inequality and counts violations.  It draws the
   inputs of every trial first, in one pass over the seeded generator, then
-  evaluates them: trials that share a cached gather plan are swept as one
-  array, so a thousand trials of any suite cost well under a second.
+  evaluates them.  On the lattice every distance a suite reads is an
+  integer, so the additive suites evaluate each trial's modulus once, as a
+  row of a table over those integers, and sweep the trials that share a
+  cached gather plan as one group: the cone values are one gather from the
+  table and ``I(h)`` one row sum per trial.  Each number keeps the bits of
+  a trial-by-trial sweep: elementwise ufuncs do not depend on the array's
+  shape, maxima are exact, the row sums read a C-contiguous take, and the
+  ball sums stay one matmul per trial.
 
 * ``mc_cross_check`` re-derives each closed-form quantity by plain Monte
   Carlo and reports the discrepancy in standard errors.
@@ -436,33 +442,58 @@ def _draw_cones(space: Space, rng) -> tuple[float, tuple, list]:
     return lam, tuple(centers), radii
 
 
-def _cone_spec(omega: Modulus, lam: float, centers: tuple, radii: list) -> ConeFunctionSpec:
-    """Cones of slope ``lam`` that reach 0 at the drawn radii: heights
-    ``lam * omega(r)``, from one ``omega`` call."""
-    heights = lam * np.asarray(omega(np.asarray(radii)), dtype=np.float64)
-    if omega.is_bounded():
-        # keep strictly below the plateau so the cone provably hits zero
-        heights = np.minimum(heights, lam * omega.max_value * (1.0 - 1e-9))
-    return ConeFunctionSpec(centers=centers, heights=tuple(heights.tolist()), lam=lam)
+def _modulus_table(omegas: list, n: int) -> np.ndarray:
+    """Each modulus of ``omegas`` at the integers ``0 .. n - 1``, one
+    C-contiguous row per modulus: all power rows from one broadcast
+    ``np.power``, any other modulus called once on the grid.  An elementwise
+    ufunc and ``np.interp`` give each point the bits it gets alone, so
+    ``table[t, r]`` is ``omegas[t](r)`` exactly."""
+    grid = np.arange(n, dtype=np.float64)
+    table = np.empty((len(omegas), n))
+    power = [t for t, omega in enumerate(omegas) if isinstance(omega, PowerModulus)]
+    alpha = np.array([omegas[t].alpha for t in power], dtype=np.float64)
+    table[power] = np.power(grid[None, :], alpha[:, None])
+    for t, omega in enumerate(omegas):
+        if not isinstance(omega, PowerModulus):
+            table[t] = omega(grid)
+    return table
 
 
 class _Cones:
     """The cone functions of every trial of a suite, from each trial's
-    modulus and ``_draw_cones`` draw: their specs, their centers and heights
-    as flat arrays (one ``space.norm`` call for all centers), and each
-    trial's support radius."""
+    modulus and ``_draw_cones`` draw.
+
+    The cones of slope ``lam`` reach 0 at the drawn integer radii: heights
+    ``lam * omega(r)``, read for all trials from one ``_modulus_table``, and
+    kept strictly below a bounded modulus's plateau so that each cone
+    provably reaches 0.  Kept as flat arrays over all cones (centers,
+    heights, the trial of each cone) and per trial (slope, first cone
+    ``start``, spec, support radius).
+    """
 
     def __init__(self, space: Space, omegas: list, draws: list):
         self.space = space
         self.omegas = omegas
-        self.specs = specs = [_cone_spec(omega, *d) for omega, d in zip(omegas, draws)]
-        self.centers = np.array([c for s in specs for c in s.centers], dtype=np.float64)
-        self.heights = np.array([c for s in specs for c in s.heights], dtype=np.float64)
-        self.start = np.cumsum([0] + [len(s.heights) for s in specs]).tolist()
+        self.lam = np.array([lam for lam, _, _ in draws])
+        counts = [len(centers) for _, centers, _ in draws]
+        self.start = np.cumsum([0] + counts).tolist()
+        self.trial = np.repeat(np.arange(len(draws)), counts)
+        self.centers = np.array([c for _, centers, _ in draws for c in centers], dtype=np.float64)
+        radii = np.array([r for _, _, radii in draws for r in radii], dtype=np.intp)
+        table = _modulus_table(omegas, int(radii.max()) + 1)
+        cap = [lam * omega.max_value * (1.0 - 1e-9) if omega.is_bounded() else math.inf
+               for omega, (lam, _, _) in zip(omegas, draws)]
+        self.heights = np.minimum(self.lam[self.trial] * table[self.trial, radii],
+                                  np.array(cap)[self.trial])
+        heights = self.heights.tolist()
+        self.specs = [
+            ConeFunctionSpec(centers=centers, heights=tuple(heights[a:b]), lam=lam)
+            for (lam, centers, _), a, b in zip(draws, self.start, self.start[1:])
+        ]
         norms = space.norm(self.centers).tolist()
         self.support = [
             _cone_support(omega, s.lam, s.heights, norms[a:b])
-            for omega, s, a, b in zip(omegas, specs, self.start, self.start[1:])
+            for omega, s, a, b in zip(omegas, self.specs, self.start, self.start[1:])
         ]
 
     def values(self, i: int, plan: _lattice.GatherPlan) -> np.ndarray:
@@ -473,6 +504,20 @@ class _Cones:
             self.omegas[i], self.space,
         )
 
+    def on_lattice(self, idx: list, plan: _lattice.GatherPlan, table: np.ndarray) -> np.ndarray:
+        """The cone functions of trials ``idx``, with integer centers, on the
+        plan's padded box: one row per trial.  Each cone's distances to the
+        box are integers, so its ``omega`` values are one flat take from its
+        trial's row of ``table`` (``_modulus_table`` over every distance),
+        and each trial's cones reduce by one ``np.maximum.reduceat``."""
+        cones = [c for i in idx for c in range(self.start[i], self.start[i + 1])]
+        first = np.cumsum([0] + [self.start[i + 1] - self.start[i] for i in idx[:-1]])
+        trial = self.trial[cones]
+        rho = self.space.norm(plan.padded_float - self.centers[cones][:, None, :])
+        omega = table.ravel()[(trial * table.shape[1])[:, None] + rho.astype(np.intp)]
+        vals = self.heights[cones][:, None] - self.lam[trial][:, None] * omega
+        return np.maximum(np.maximum.reduceat(vals, first, axis=0), 0.0)
+
 
 def _draw_additive(rng) -> tuple:
     omega = _random_modulus(rng)
@@ -480,34 +525,63 @@ def _draw_additive(rng) -> tuple:
     return omega, h, _draw_cones(_ADDITIVE_SPACE, rng)
 
 
+def _sweep_groups(cones: _Cones, hs: list) -> tuple[dict, np.ndarray]:
+    """The trials of an additive suite by sweep plan ``(radius, k)``, with
+    ``k = strict_int_below(h)`` and a window one step past the sweep of the
+    cones' support; and the ``_modulus_table`` of every trial's modulus
+    over each distance those plans read.  A padded point of a plan lies
+    within ``radius + k`` of the origin, so its distance to a cone's center
+    ``c`` is at most ``radius + k + rho(c, 0)``."""
+    groups: dict = {}
+    for i, (h, support) in enumerate(zip(hs, cones.support)):
+        k = strict_int_below(h)
+        groups.setdefault((int(math.ceil(support)) + k + 1, k), []).append(i)
+    reach = max(radius + k for radius, k in groups) + int(cones.space.norm(cones.centers).max())
+    return groups, _modulus_table(cones.omegas, reach + 1)
+
+
+def _ball_integrals(table: np.ndarray, idx: list, plan: _lattice.GatherPlan) -> np.ndarray:
+    """``I(h)`` of trials ``idx``: each trial's ``table`` row summed over the
+    plan's ball, which is ``enumerate_ball(h)`` in its order.  The rows are
+    one flat take, C-contiguous, so each sums as the contiguous row it is,
+    the bits of ``np.sum(omega(plan.offset_rho))``; the strided
+    ``table[idx][:, rho]`` sums in another order."""
+    rows = np.array(idx) * table.shape[1]
+    return table.ravel()[rows[:, None] + plan.offset_rho.astype(np.intp)].sum(axis=1)
+
+
 def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[[int], dict]]:
     """Gaps and right sides of the additive bounds on ``lattice(2, 1)``.
 
-    Trials sharing a sweep plan are evaluated together: one ``(T, P)``
-    array of function values on the padded box, per-trial ball sums, and
-    the maxima taken over all rows at once.  Every number is the one a
-    trial-by-trial sweep gives: maxima and elementwise arithmetic do not
-    depend on how the rows are grouped, and each row sum is the sum of a
-    contiguous row.
+    Every distance the suite reads is an integer: padded points, cone
+    centers, the drawn cone radii and the ball offsets are.  So each trial's
+    modulus is evaluated once, as its row of one ``_modulus_table`` over
+    those distances, and read back by index for the cone values of each
+    group of trials that share a sweep plan (``_Cones.on_lattice``) and
+    for ``I(h)`` (``_ball_integrals``); the cone heights come from a table
+    of their own (``_Cones``).  A group costs one sup-distance pass over its
+    cones, one gather, ``heights - lam * omega``, a max over each trial's
+    cones and the clip at 0; its ball sums stay one ``@`` per trial.
+
+    Every number is the one a trial-by-trial sweep gives: elementwise
+    ufuncs give each element the same bits whatever the array's shape;
+    maxima are exact, so no grouping or order moves them; each ``I(h)`` is
+    the sum of a contiguous row; and the ball sums are the per-trial
+    matmuls, since one matmul over all rows of a group, ``(T * N, K) @ w``,
+    rounds differently.
     """
     space = _ADDITIVE_SPACE
     cones = _Cones(space, [omega for omega, _, _ in draws], [c for _, _, c in draws])
     specs = cones.specs
-    groups: dict = {}
-    for i, ((_, h, _), support) in enumerate(zip(draws, cones.support)):
-        k = strict_int_below(h)
-        groups.setdefault((int(math.ceil(support)) + k + 1, k), []).append(i)
+    groups, table = _sweep_groups(cones, [h for _, h, _ in draws])
 
     gaps = np.empty(len(draws))
     rhss = np.empty(len(draws))
     for (radius, k), idx in groups.items():
         plan = _lattice.sweep_plan(space, radius, k)
         mu = float(len(plan.offsets))
-        vals = np.stack([cones.values(i, plan) for i in idx])
-        lam = np.array([specs[i].lam for i in idx])
-        # I(h) over the plan's ball, which is enumerate_ball(h) in its order
-        i_h = np.array([np.sum(cones.omegas[i](plan.offset_rho)) for i in idx])
-        term1 = lam * i_h / mu
+        vals = cones.on_lattice(idx, plan, table)
+        term1 = cones.lam[idx] * _ball_integrals(table, idx, plan) / mu
         if theorem_id in ("lemma1", "nagy", "sobolev"):
             ball = np.stack([_kernels.ball_sums(v, plan.base_idx, plan.lin_offsets) for v in vals])
         if theorem_id == "lemma1":
@@ -593,23 +667,23 @@ def _suite_trial_mixed(theorem_id: str, rng) -> tuple[float, float, dict]:
     omega = _random_modulus(rng, power_only=power_only)
     d = int(rng.integers(1, 3))
     m = int(rng.integers(0, d + 1))
-    lams = rng.uniform(0.5, 2.0, d)
+    lams = rng.uniform(0.5, 2.0, d).tolist()
     if omega.is_bounded():
         t_last = omega.breakpoints()[-1]
-        radii = rng.uniform(0.3, max(0.4, 0.9 * t_last), d)
+        radii = rng.uniform(0.3, max(0.4, 0.9 * t_last), d).tolist()
     else:
-        radii = rng.uniform(0.3, 2.0, d)
-    heights = np.array([lam * float(omega(r)) for lam, r in zip(lams, radii)])
-    masses = np.array(
-        [
-            2.0 * (c * r - lam * omega.antiderivative(r))
-            for c, r, lam in zip(heights, radii, lams)
-        ]
-    )
-    deriv_sup = float(np.prod(heights))
-    func_sup = float(np.prod(masses))
-    others = [float(np.prod(np.delete(heights, i))) for i in range(d)]
-    holder_cert = float(np.sum(lams * np.array(others)))
+        radii = rng.uniform(0.3, 2.0, d).tolist()
+    # plain floats: with d <= 2 factors each product and sum below rounds
+    # once, as numpy's reductions do, without their per-call cost
+    heights = [lam * float(omega(r)) for lam, r in zip(lams, radii)]
+    masses = [
+        2.0 * (c * r - lam * omega.antiderivative(r))
+        for c, r, lam in zip(heights, radii, lams)
+    ]
+    deriv_sup = math.prod(heights)
+    func_sup = math.prod(masses)
+    others = [math.prod(heights[:i] + heights[i + 1:]) for i in range(d)]
+    holder_cert = sum(lam * o for lam, o in zip(lams, others))
     h = float(rng.uniform(0.5, 2.0))
     if theorem_id == "mixed_additive":
         rhs = mixed_nagy_rhs(d, m, omega, h, holder_cert, func_sup)
@@ -620,8 +694,8 @@ def _suite_trial_mixed(theorem_id: str, rng) -> tuple[float, float, dict]:
         "d": d,
         "m": m,
         "h": h,
-        "factor_lams": list(map(float, lams)),
-        "factor_radii": list(map(float, radii)),
+        "factor_lams": lams,
+        "factor_radii": radii,
     }
     return rhs - deriv_sup, rhs, case
 

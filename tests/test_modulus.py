@@ -188,6 +188,42 @@ def test_table_antiderivative_pinned_bits(nodes, want):
     assert got == want
 
 
+def _random_concave_nodes(rng):
+    """Random concave table nodes: rational gaps and nonincreasing rational
+    slopes (some equal, some 0), the odd node a float read as its decimal."""
+    n = int(rng.integers(1, 6))
+    gaps = [Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 13))) for _ in range(n)]
+    slopes = sorted((Fraction(int(rng.integers(0, 30)), int(rng.integers(1, 17)))
+                     for _ in range(n)), reverse=True)
+    pts = [(Fraction(0), Fraction(0))]
+    for g, s in zip(gaps, slopes):
+        t, w = pts[-1]
+        pts.append((t + g, w + g * s))
+    if rng.random() < 0.2:
+        pts.append((pts[-1][0] + Fraction("0.1"), pts[-1][1]))
+        pts[-1] = (float(pts[-1][0]), pts[-1][1])
+    return pts
+
+
+def test_table_cumulants_are_the_rounded_fraction_sums():
+    """``_cum`` is the float of each Fraction trapezoid sum, on 500 tables:
+    random rational ones and the suites' dyadic ones."""
+    from sharp_ineq import oracle
+
+    rng = np.random.default_rng(24)
+    tables = [TableModulus(_random_concave_nodes(rng)) for _ in range(250)]
+    while len(tables) < 500:
+        omega = oracle._random_modulus(rng)
+        if isinstance(omega, TableModulus):
+            tables.append(omega)
+    for om in tables:
+        pts = om._exact
+        cum = [Fraction(0)]
+        for (t0, w0), (t1, w1) in zip(pts, pts[1:]):
+            cum.append(cum[-1] + (t1 - t0) * (w0 + w1) / 2)
+        assert [c.hex() for c in om._cum] == [float(c).hex() for c in cum]
+
+
 def _fraction_slope_check(points):
     """The table check as it read when written in Fractions: ``None`` when
     the table is accepted, else the ``ValueError`` message."""

@@ -481,6 +481,54 @@ def test_random_modulus_matches_fraction_sums():
     assert tables > 80
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _per_trial_heights(omega, lam, radii):
+    """The heights of one trial's cones as the suites computed them one
+    trial at a time: ``lam * omega(radii)`` from one call, kept strictly
+    below a bounded modulus's plateau."""
+    heights = lam * np.asarray(omega(np.asarray(radii)), dtype=np.float64)
+    if omega.is_bounded():
+        heights = np.minimum(heights, lam * omega.max_value * (1.0 - 1e-9))
+    return heights
+
+
+def test_grouped_suite_evaluation_matches_the_per_trial_path():
+    """Every plan group of a 1000-trial additive draw, read from the modulus
+    tables, has the bits of the per-trial path: ``cone_eval`` for the cone
+    values, ``np.sum(omega(offset_rho))`` for ``I(h)``, and ``lam *
+    omega(radii)`` for the heights."""
+    rng = np.random.default_rng(24)
+    draws = [oracle._draw_additive(rng) for _ in range(1000)]
+    space = oracle._ADDITIVE_SPACE
+    omegas = [omega for omega, _, _ in draws]
+    cones = oracle._Cones(space, omegas, [c for _, _, c in draws])
+    groups, table = oracle._sweep_groups(cones, [h for _, h, _ in draws])
+    assert {type(omega) for omega in omegas} == {PowerModulus, TableModulus}
+    assert {len(c[1]) for _, _, c in draws} == {1, 2, 3}
+    assert len(groups) > 5
+
+    for i, (omega, _, (lam, _, radii)) in enumerate(draws):
+        a, b = cones.start[i], cones.start[i + 1]
+        want = _per_trial_heights(omega, lam, radii)
+        assert np.array_equal(_bits(cones.heights[a:b]), _bits(want))
+        assert cones.specs[i].heights == tuple(want.tolist())
+
+    for (radius, k), idx in groups.items():
+        plan = _lattice.sweep_plan(space, radius, k)
+        vals = cones.on_lattice(idx, plan, table)
+        i_h = oracle._ball_integrals(table, idx, plan)
+        for row, i in enumerate(idx):
+            omega, lam = omegas[i], cones.specs[i].lam
+            a, b = cones.start[i], cones.start[i + 1]
+            want = _kernels.cone_eval(plan.padded_float, cones.centers[a:b],
+                                      cones.heights[a:b], lam, omega, space)
+            assert np.array_equal(vals[row].view(np.int64), _bits(want))
+            assert i_h[row].view(np.int64) == _bits(np.sum(omega(plan.offset_rho)))
+
+
 def test_suite_report_json_round_trip():
     rep = oracle.random_suite("mixed_additive", trials=10, seed=1)
     data = rep.to_json()
