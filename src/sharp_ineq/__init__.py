@@ -23,7 +23,6 @@ from .calculus import (
     ball_integral_of_modulus,
     constant_model,
     default_spec,
-    holder_lower_estimate,
     l1_norm,
     seminorm_local,
     sup_norm,
@@ -60,12 +59,9 @@ from .operators import (
     charge_seminorm,
     classify_verdict,
     hypersingular_full,
-    hypersingular_norm_witness,
-    hypersingular_truncated,
     kernel_ball_mass,
     kernel_from_config,
     kernel_tail_mass,
-    mixed_difference,
     mixed_multiplicative_constant,
     mixed_multiplicative_rhs,
     mixed_nagy_rhs,

@@ -33,9 +33,8 @@ Central quantities
     radial integrand ``g(rho)`` over a shell: the one radial quadrature of
     the package, ``operators`` included.
 
-``sup_norm``, ``l1_norm``, ``holder_lower_estimate``
-    Grid/exhaustive estimates of the uniform norm, the L1 norm, and the
-    smoothness constant ``sup |f(x)-f(y)| / omega(rho(x, y))``.
+``sup_norm``, ``l1_norm``
+    Grid/exhaustive estimates of the uniform norm and the L1 norm.
 
 Certified metadata on a ``FunctionModel`` is never trusted blindly: whenever
 a computed lower estimate *exceeds* a certified upper value beyond rounding,
@@ -482,26 +481,4 @@ def seminorm_local(
     _check_certified_upper(est, certified, f"seminorm at h={h}", tol=1e-8)
     if certified is not None:
         return float(certified)
-    return est
-
-
-def holder_lower_estimate(
-    f: FunctionModel,
-    space: Space,
-    omega: Modulus,
-    pairs: tuple[np.ndarray, np.ndarray],
-) -> float:
-    """Max of ``|f(x) - f(y)| / omega(rho(x, y))`` over supplied point pairs."""
-    xs, ys = pairs
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    if xs.shape != ys.shape:
-        raise ValueError("pair arrays must have matching shapes")
-    dist = space.distance(xs, ys)
-    if np.any(dist == 0.0):
-        raise ValueError("coincident pair: the smoothness ratio is undefined")
-    wv = np.asarray(omega(dist), dtype=np.float64)
-    num = np.abs(f(xs) - f(ys))
-    est = float(np.max(num / wv))
-    _check_certified_upper(est, f.certified_holder_bound, "smoothness constant")
     return est

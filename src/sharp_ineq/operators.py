@@ -1,7 +1,7 @@
-"""Averaging, singular, and difference operators, with their sharp bounds.
+"""Averaging and singular operators, and the sharp bounds of the eight theorems.
 
-The three operator families
----------------------------
+The three families
+------------------
 
 * ``steklov_average`` — the ball average ``S_h f(x) = (1/mu(B_h)) *
   integral over B_h of f(x+u)``, the optimal norm-``1/mu(B_h)`` approximant
@@ -9,20 +9,16 @@ The three operator families
   ``sobolev_rhs`` are the sharp right-hand sides built on it, and the charge
   variants route a set function through its density.
 
-* ``hypersingular_full`` / ``hypersingular_truncated`` — integrals of
-  ``(f(x) - f(x+u))`` against a radial kernel, singular at the origin.  The
-  truncated operator (ball removed) has norm exactly ``2 * tail mass``.
-  Both check their own hypotheses and share one dispatcher,
-  ``_hypersingular``, over the radii ``rho(u) >= lo``: the lattice sum, the
-  radial form at the origin, or Monte Carlo (``_hyp_mc``, one sphere
-  sampler for the tail and the singular part).
+* ``hypersingular_full`` — the integral of ``(f(x) - f(x+u))`` against a
+  radial kernel, singular at the origin, over the whole space; it checks
+  its own hypotheses.  It takes the lattice sum, the radial form at the
+  origin, or Monte Carlo (``_hyp_mc``, one sphere sampler for the tail and
+  the singular part).  ``kernel_ball_mass`` and ``kernel_tail_mass`` give
+  ``A(h)`` and ``T(h)`` of its bound ``H A(h) + 2 sup|f| T(h)``.
 
-* ``mixed_difference`` — the normalized alternating-corner difference whose
-  continuum limit is the mixed first derivative; forward steps on half-line
-  coordinates, centered steps elsewhere.  ``mixed_nagy_rhs`` bounds the
-  derivative's sup norm additively, and the ``mixed_multiplicative_*``
-  functions give the best-possible product form obtained by minimizing over
-  the window scale.
+* ``mixed_nagy_rhs`` bounds the sup norm of the mixed first derivative
+  additively, and the ``mixed_multiplicative_*`` functions give the
+  best-possible product form obtained by minimizing over the window scale.
 
 ``theorem_report`` runs the equality/inequality check for any of the eight
 named bounds at its extremal witness and returns an ``InequalityReport``;
@@ -52,7 +48,6 @@ from .calculus import (
     CLOSED_FORM,
     LATTICE_EXACT,
     MONTE_CARLO,
-    RADIAL1D,
     Estimate,
     FunctionModel,
     QuadratureSpec,
@@ -562,26 +557,8 @@ def kernel_tail_mass(
 
 
 # ======================================================================
-# Hypersingular operators
+# The hypersingular operator
 # ======================================================================
-
-
-def hypersingular_norm_witness(space: Space, h) -> FunctionModel:
-    """The two-valued function ``1`` inside B_h / ``-1`` outside, whatever
-    the kernel: the truncated operator on it at the origin yields ``2 T(h)``,
-    attaining the operator norm.
-    """
-    hf = float(h)
-
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        return np.where(space.norm(pts) < hf, 1.0, -1.0)
-
-    return FunctionModel(
-        name=f"two-sided-sign[h={hf:g}]",
-        evaluator=evaluator,
-        radial_pieces=[(0.0, hf, 0.0, 1.0, 1.0), (hf, math.inf, 0.0, 1.0, -1.0)],
-        certified_sup_norm=1.0,
-    )
 
 
 def _constant_beyond(f: FunctionModel) -> Optional[tuple[float, float]]:
@@ -596,10 +573,8 @@ def _constant_beyond(f: FunctionModel) -> Optional[tuple[float, float]]:
     return None
 
 
-def _hyp_lattice_sum(
-    f: FunctionModel, space: Space, kernel, x: np.ndarray, k_min: int
-) -> Estimate:
-    """Lattice sum of ``(f(x) - f(x+u)) P(rho(u))`` over ``rho(u) >= k_min``.
+def _hyp_lattice_sum(f: FunctionModel, space: Space, kernel, x: np.ndarray) -> Estimate:
+    """Lattice sum of ``(f(x) - f(x+u)) P(rho(u))`` over ``rho(u) >= 1``.
 
     When ``f == c`` beyond a radius S (``_constant_beyond``), every shell
     ``rho(u) = k > R = ceil(S) + ceil(rho(x))`` sees only ``f(x+u) = c``: the
@@ -624,34 +599,34 @@ def _hyp_lattice_sum(
         r = int(math.ceil(s)) + int(math.ceil(float(space.norm(x))))
         if math.isfinite(support):
             r = min(r, int(math.floor(support)))
-        shells = _lattice_shell_tail(space, kernel, max(r + 1, k_min))
+        shells = _lattice_shell_tail(space, kernel, r + 1)
         tail = Estimate(
             (fx - c) * shells.value, LATTICE_EXACT, abs(fx - c) * shells.error_bound
         )
     body = 0.0
-    if r >= k_min:
+    if r >= 1:
         pts = space.closed_ball(r).astype(np.float64)
         rho = space.norm(pts)
-        keep = rho >= k_min
+        keep = rho >= 1
         pts, rho = pts[keep], rho[keep]
         weights = np.asarray(kernel.value(rho, d))
         body = float(np.sum((fx - f(x[None, :] + pts)) * weights))
     return Estimate(body + tail.value, LATTICE_EXACT, tail.error_bound)
 
 
-def _hyp_radial_origin(f: FunctionModel, space: Space, kernel, lo: float) -> Estimate:
+def _hyp_radial_origin(f: FunctionModel, space: Space, kernel) -> Estimate:
     """Closed/adaptive value of the singular integral at the origin for a
-    function with radial power pieces, integrating radii in ``[lo, inf)``."""
+    function with radial power pieces."""
     d = space.d
     pieces = f.radial_pieces
     f0 = float(pieces[0][4])  # power exponents are positive, so sigma * 0**p vanishes
     if isinstance(kernel, PowerLawKernel):
         diff = [(s0, s1, -sg, p, f0 - tau) for (s0, s1, sg, p, tau) in pieces]
-        val = piecewise_power_integral(diff, lo, kernel.cutoff, -kernel.beta - 1.0)
+        val = piecewise_power_integral(diff, 0.0, kernel.cutoff, -kernel.beta - 1.0)
         return Estimate(space.sphere_constant * val, CLOSED_FORM, 0.0)
     return radial_integral(
         space, lambda t: (f0 - _radial_value(f, space, t)) * float(kernel.value(t, d)),
-        lo, kernel.support_radius, tuple(_radial_kinks(f)) + kernel.breakpoints(),
+        0.0, kernel.support_radius, tuple(_radial_kinks(f)) + kernel.breakpoints(),
     )
 
 
@@ -665,23 +640,40 @@ def _hyp_mc(f: FunctionModel, space: Space, kernel, x, t, dens, rng) -> Estimate
     return _mc_mean(w)
 
 
-def _hypersingular(
-    f: FunctionModel, space: Space, kernel, lo: float, x, spec: QuadratureSpec,
-    omega: Optional[Modulus],
+def hypersingular_full(
+    f: FunctionModel, space: Space, omega: Modulus, kernel, x=None,
+    spec: Optional[QuadratureSpec] = None,
 ) -> Estimate:
-    """``integral over rho(u) >= lo of (f(x) - f(x+u)) P(rho(u)) d(mu)`` (x
-    the origin if ``None``), the dispatch of both singular integrals: lattice
-    sum, radial form at the origin, else Monte Carlo over the tail ``rho(u) >=
-    s = lo`` on the stream ``spec.seed`` (a power law's radii Pareto of index
-    ``beta/2``: a bounded weight, no cutoff).  For ``lo = 0``, ``s`` is the
-    support radius of ``f`` (1 if none), and the singular part inside it is
-    added, sampled by ``omega``'s first piece on the stream ``spec.seed + 1``."""
+    """``integral over the whole space of (f(x) - f(x+u)) P(rho(u)) d(mu)``,
+    ``x`` the origin if ``None``.
+
+    On the continuum, convergence near the singularity is underwritten by
+    the function's certified smoothness bound: required, along with a
+    modulus that grows faster than a power-law kernel blows up
+    (``_singular_margin``).  A lattice sum (``_hyp_lattice_sum``) has no
+    singularity and needs neither.  At the origin a function with radial
+    pieces integrates in radial form (``_hyp_radial_origin``).  Elsewhere
+    Monte Carlo samples the tail ``rho(u) >= s`` on the stream
+    ``spec.seed`` (a power law's radii Pareto of index ``beta/2``: a bounded
+    weight, no cutoff), ``s`` the support radius of ``f`` (1 if none), and
+    adds the singular part inside it, sampled by ``omega``'s first piece on
+    the stream ``spec.seed + 1``.
+    """
+    if space.is_continuum:
+        if f.certified_holder_bound is None:
+            raise ValueError(
+                "the singular integral on the continuum needs a certified smoothness "
+                "bound of f, which underwrites its convergence at the origin"
+            )
+        if isinstance(kernel, PowerLawKernel):
+            _singular_margin(omega, kernel)
+    spec = spec or QuadratureSpec()
     xv = space.origin().astype(np.float64) if x is None else np.asarray(x, dtype=np.float64)
     if space.is_lattice:
-        return _hyp_lattice_sum(f, space, kernel, xv, max(1, math.ceil(lo)))
+        return _hyp_lattice_sum(f, space, kernel, xv)
     if f.radial_pieces is not None and not np.any(xv):
-        return _hyp_radial_origin(f, space, kernel, lo)
-    s = lo or f.support_radius or 1.0
+        return _hyp_radial_origin(f, space, kernel)
+    s = f.support_radius or 1.0
     n = spec.mc_samples
     space.require_sample_budget(n)  # the sphere samples of _hyp_mc are (n, d)
     rng = np.random.default_rng(spec.seed)
@@ -695,8 +687,6 @@ def _hypersingular(
         tail = _hyp_mc(f, space, kernel, xv, t, np.full(n, 1.0 / (upper - s)), rng)
     else:
         tail = Estimate(0.0, MONTE_CARLO, 0.0)
-    if lo > 0:
-        return tail
     rng = np.random.default_rng(spec.seed + 1)
     if isinstance(kernel, PowerLawKernel):
         eta = _singular_margin(omega, kernel)
@@ -710,89 +700,9 @@ def _hypersingular(
     return Estimate(singular.value + tail.value, MONTE_CARLO, err)
 
 
-def hypersingular_truncated(
-    f: FunctionModel, space: Space, kernel, h, x=None,
-    spec: Optional[QuadratureSpec] = None,
-) -> Estimate:
-    """``integral over rho(u) >= h of (f(x) - f(x+u)) P(rho(u)) d(mu)``.
-
-    The ball around the singularity is removed, so any bounded ``f`` is
-    admissible.  Closed form at the origin for radial power pieces against a
-    power-law kernel; exact sums on lattices; Monte Carlo elsewhere
-    (``_hypersingular``).
-    """
-    space.require_valid_radius(h)
-    return _hypersingular(f, space, kernel, float(h), x, spec or QuadratureSpec(), None)
-
-
-def hypersingular_full(
-    f: FunctionModel, space: Space, omega: Modulus, kernel, x=None,
-    spec: Optional[QuadratureSpec] = None,
-) -> Estimate:
-    """``integral over the whole space of (f(x) - f(x+u)) P(rho(u)) d(mu)``.
-
-    On the continuum, convergence near the singularity is underwritten by
-    the function's certified smoothness bound: required, along with a
-    modulus that grows faster than a power-law kernel blows up
-    (``_singular_margin``).  A lattice sum has no singularity and needs
-    neither.  Away from the origin the singular part is sampled inside the
-    support radius of ``f`` (1 if it has none) and the tail beyond it
-    (``_hypersingular``).
-    """
-    if space.is_continuum:
-        if f.certified_holder_bound is None:
-            raise ValueError(
-                "the full singular integral needs a certified smoothness bound; "
-                "use the truncated operator for merely bounded functions"
-            )
-        if isinstance(kernel, PowerLawKernel):
-            _singular_margin(omega, kernel)
-    return _hypersingular(f, space, kernel, 0.0, x, spec or QuadratureSpec(), omega)
-
-
 # ======================================================================
-# Mixed differences and the multiplicative inequality
+# The mixed-derivative bounds and the multiplicative inequality
 # ======================================================================
-
-
-def mixed_difference(f: FunctionModel, space: Space, h, x) -> float:
-    """Normalized alternating-corner difference over the box ``x + B_h``.
-
-    Forward steps on the half-line coordinates, centered steps on the rest;
-    dividing by the ball volume makes it exactly the ball average of the
-    mixed derivative for iterated-integral functions.
-    """
-    space.require_valid_radius(h)
-    hf = float(h)
-    d, m = space.d, space.m
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.shape != (d,):
-        raise ValueError(f"expected a point with {d} coordinates")
-    if m and np.any(xv[:m] < 0):
-        raise ValueError("the first coordinates must stay on the half-line")
-
-    corners = np.zeros((1, d))
-    signs = np.ones(1)
-    for i in range(d):
-        if i < m:
-            offs, sgs = (0.0, hf), (-1.0, 1.0)
-        else:
-            offs, sgs = (-hf, hf), (-1.0, 1.0)
-        corners = np.vstack([corners + off * _unit(d, i) for off in offs])
-        signs = np.concatenate([signs * sg for sg in sgs])
-    pts = xv[None, :] + corners
-    if space.is_lattice and np.any(pts != np.round(pts)):
-        raise ValueError("difference stencil leaves the lattice (non-integer step)")
-    if m and np.any(pts[:, :m] < 0):
-        raise ValueError("difference stencil leaves the space")
-    vals = f(pts)
-    return float(np.dot(signs, vals)) / continuum(d, m).ball_measure(hf)
-
-
-def _unit(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d)
-    e[i] = 1.0
-    return e
 
 
 def mixed_nagy_rhs(

@@ -36,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -700,13 +700,11 @@ def _suite_trial_mixed(theorem_id: str, rng) -> tuple[float, float, dict]:
     return rhs - deriv_sup, rhs, case
 
 
-def random_suite(theorem_id: str, trials: int = 1000, seed: int = 1) -> SuiteReport:
-    """Hammer one inequality with randomized certified-smooth functions.
-
-    Every trial computes the left side exactly (lattice gathers or closed
-    factor masses) and the right side from a certified upper bound on the
-    smoothness constant, so a negative gap beyond tolerance is a genuine
-    counterexample, never sampling noise.  Deterministic per seed.
+def _suite_trials(
+    theorem_id: str, trials: int, seed: int
+) -> tuple[Sequence[float], Sequence[float], Callable[[int], dict]]:
+    """Every trial's gap and right side of one suite, in trial order, and
+    ``case(i)``, the inputs of trial ``i``; ``random_suite`` reduces them.
 
     The lattice suites draw the inputs of all trials first, in one pass over
     the seeded generator, and then evaluate them.  No evaluation draws a
@@ -715,21 +713,30 @@ def random_suite(theorem_id: str, trials: int = 1000, seed: int = 1) -> SuiteRep
     that share a sweep plan.  The mixed suites, closed products with no
     sweep to share, draw and evaluate one trial at a time.
     """
+    rng = np.random.default_rng(seed)
+    if theorem_id in EXACT_THEOREMS:
+        draws = [_draw_additive(rng) for _ in range(trials)]
+        return _additive_suite(theorem_id, draws)
+    if theorem_id == "hypersingular":
+        draws = [_draw_hypersingular(rng) for _ in range(trials)]
+        return _hypersingular_suite(draws)
+    gaps, rhss, cases = zip(*(_suite_trial_mixed(theorem_id, rng) for _ in range(trials)))
+    return gaps, rhss, cases.__getitem__
+
+
+def random_suite(theorem_id: str, trials: int = 1000, seed: int = 1) -> SuiteReport:
+    """Hammer one inequality with randomized certified-smooth functions.
+
+    Every trial computes the left side exactly (lattice gathers or closed
+    factor masses) and the right side from a certified upper bound on the
+    smoothness constant, so a negative gap beyond tolerance is a genuine
+    counterexample, never sampling noise.  Deterministic per seed.
+    """
     if theorem_id not in THEOREM_IDS:
         raise RequestError(f"unknown theorem id {theorem_id!r}")
     if not 0 < trials <= MAX_TRIALS:
         raise RequestError(f"suite 'trials' must lie in 1..{MAX_TRIALS}, got {trials}")
-    rng = np.random.default_rng(seed)
-    if theorem_id in EXACT_THEOREMS:
-        draws = [_draw_additive(rng) for _ in range(trials)]
-        gaps, rhss, case = _additive_suite(theorem_id, draws)
-    elif theorem_id == "hypersingular":
-        draws = [_draw_hypersingular(rng) for _ in range(trials)]
-        gaps, rhss, case = _hypersingular_suite(draws)
-    else:
-        gaps, rhss, cases = zip(*(_suite_trial_mixed(theorem_id, rng) for _ in range(trials)))
-        case = cases.__getitem__
-
+    gaps, rhss, case = _suite_trials(theorem_id, trials, seed)
     tol = EQUALITY_TOLS[theorem_id]
     min_gap = math.inf
     worst = None

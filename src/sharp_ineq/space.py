@@ -8,10 +8,10 @@ A space is determined by three numbers:
   ``"lattice"`` (counting measure on Z^m_+ x Z^(d-m)).
 
 ``Space`` is the one place that knows the metric and its measure: the sup
-norm ``rho(u) = max_i |u_i|`` (``norm``, ``distance`` and the exact integer
-``lattice_distance`` of the Fraction sweeps), the ball measure, the sphere
-constant, the lattice ball (``closed_ball``), the lattice shell counts and
-sphere sampling.  Balls are open:
+norm ``rho(u) = max_i |u_i|`` (``norm``; the distance is ``norm(x - y)``,
+and the exact integer ``lattice_distance`` serves the Fraction sweeps), the
+ball measure, the sphere constant, the lattice ball (``closed_ball``), the
+lattice shell counts and sphere sampling.  Balls are open:
 ``B_h(x) = {y : rho(x, y) < h}``.  Both structures are translation invariant
 under the monoid operation (coordinatewise addition), which is what every
 averaging operator in this package relies on.
@@ -156,14 +156,6 @@ class Space:
         ``np.max(np.abs(u), axis=-1)``.
         """
         return _max_last_axis(np.abs(np.asarray(u, dtype=np.float64)))
-
-    def distance(self, x, y) -> np.ndarray:
-        """``rho(x, y)``; broadcasts over leading axes."""
-        xv = np.asarray(x, dtype=np.float64)
-        yv = np.asarray(y, dtype=np.float64)
-        if xv.shape[-1] != self.d or yv.shape[-1] != self.d:
-            raise ValueError("dimension mismatch in distance")
-        return self.norm(xv - yv)
 
     def lattice_distance(self, x: tuple, y: tuple) -> int:
         """``rho(x, y)`` of two integer coordinate tuples, exact (a Python

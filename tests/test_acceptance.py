@@ -102,7 +102,7 @@ def test_criterion_4_upper_gradient_bound():
         lo = np.where(np.arange(d) < m, 0.0, -w)
         xs = rng.uniform(0, 1, size=(pairs_per_instance, d)) * (w - lo) + lo
         ys = rng.uniform(0, 1, size=(pairs_per_instance, d)) * (w - lo) + lo
-        dist = space.distance(xs, ys)
+        dist = space.norm(xs - ys)
         keep = dist > 0
         lhs = np.abs(f(xs[keep]) - f(ys[keep]))
         rhs = (g(xs[keep]) + g(ys[keep])) * om(dist[keep])

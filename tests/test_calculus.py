@@ -19,19 +19,13 @@ from sharp_ineq.calculus import (
     constant_model,
     continuum_grid,
     default_spec,
-    holder_lower_estimate,
     l1_norm,
     seminorm_local,
     sup_norm,
 )
 from sharp_ineq.extremals import make_f_e_omega, make_f_eh, make_f_omega
 from sharp_ineq.modulus import PowerModulus, TableModulus
-from sharp_ineq.operators import (
-    ChargeModel,
-    PowerLawKernel,
-    charge_seminorm,
-    hypersingular_truncated,
-)
+from sharp_ineq.operators import ChargeModel, PowerLawKernel, charge_seminorm, hypersingular_full
 from sharp_ineq.space import RequestError, Space, continuum, lattice
 
 
@@ -66,11 +60,13 @@ def test_sample_coordinates_bounded_before_any_draw(monkeypatch):
     n = _lattice.POINT_BUDGET // 2
     refusal = re.escape(f"mc_samples * d = {n} * 3 sample coordinates exceed")
     bare = FunctionModel(name="bare", evaluator=lambda pts: np.ones(len(pts)))
+    ramp = PowerModulus(1.0)
+    gauge = make_f_omega(continuum(3, 0), ramp)  # certified smooth, off the origin below
     for refuse in (
         lambda: continuum(3, 1).sample_ball(1.5, n, seed=0),
         lambda: lattice(3, 0).sample_ball(1.5, n, seed=0),
-        lambda: hypersingular_truncated(bare, continuum(3, 0), PowerLawKernel(beta=0.5), 1.0,
-                                        spec=QuadratureSpec(MONTE_CARLO, n)),
+        lambda: hypersingular_full(gauge, continuum(3, 0), ramp, PowerLawKernel(beta=0.5),
+                                   x=np.ones(3), spec=QuadratureSpec(MONTE_CARLO, n)),
         lambda: l1_norm(bare, continuum(3, 0), 1.0, QuadratureSpec(MONTE_CARLO, n)),
     ):
         with pytest.raises(RequestError, match=refusal):
@@ -337,31 +333,6 @@ def test_seminorm_local_lattice_window_guard():
     val = seminorm_local(f, space, 1.5, 4.0)
     # ball sum at the origin: 1.5 + 2 * 0.5
     assert val == 2.5
-
-
-def test_holder_lower_estimate_on_distance_witness():
-    space = continuum(2, 1)
-    om = PowerModulus(0.5)
-    f = make_f_omega(space, om)
-    rng = np.random.default_rng(11)
-    xs = rng.uniform(-1, 1, size=(5000, 2))
-    ys = rng.uniform(-1, 1, size=(5000, 2))
-    xs[:, 0] = np.abs(xs[:, 0])
-    ys[:, 0] = np.abs(ys[:, 0])
-    est = holder_lower_estimate(f, space, om, (xs, ys))
-    assert est <= 1.0 + 1e-12
-    # neighbors along an axis attain the constant exactly
-    x0 = np.array([[0.0, 0.0]])
-    y0 = np.array([[0.0, 0.7]])
-    assert math.isclose(holder_lower_estimate(f, space, om, (x0, y0)), 1.0, rel_tol=1e-12)
-
-
-def test_holder_rejects_coincident_pairs():
-    space = continuum(1, 0)
-    f = make_f_omega(space, PowerModulus(1.0))
-    pts = np.zeros((1, 1))
-    with pytest.raises(ValueError):
-        holder_lower_estimate(f, space, PowerModulus(1.0), (pts, pts))
 
 
 def test_constant_model_and_uncertified_copy():
