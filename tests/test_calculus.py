@@ -61,7 +61,7 @@ def test_sample_coordinates_bounded_before_any_draw(monkeypatch):
     refusal = re.escape(f"mc_samples * d = {n} * 3 sample coordinates exceed")
     bare = FunctionModel(name="bare", evaluator=lambda pts: np.ones(len(pts)))
     ramp = PowerModulus(1.0)
-    gauge = make_f_omega(continuum(3, 0), ramp)  # certified smooth, off the origin below
+    gauge = make_f_omega(continuum(3, 0), ramp)  # certified smooth; x = ones(3) takes Monte Carlo
     for refuse in (
         lambda: continuum(3, 1).sample_ball(1.5, n, seed=0),
         lambda: lattice(3, 0).sample_ball(1.5, n, seed=0),

@@ -69,6 +69,21 @@ def test_radial_gauge_signs_and_sup():
     assert gauge.certified_sup_norm == 1.0
     assert make_f_omega(space, PowerModulus(0.5)).certified_sup_norm is None
 
+    # smoothness constant 1: no sampled pair beats it, axis neighbours attain it
+    space, om = continuum(2, 1), PowerModulus(0.5)
+    gauge = make_f_omega(space, om)
+    assert gauge.certified_holder_bound == 1.0
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-1, 1, size=(5000, 2))
+    ys = rng.uniform(-1, 1, size=(5000, 2))
+    xs[:, 0] = np.abs(xs[:, 0])
+    ys[:, 0] = np.abs(ys[:, 0])
+    xs = np.vstack([xs, [[0.0, 0.0]]])
+    ys = np.vstack([ys, [[0.0, 0.7]]])
+    ratio = np.abs(gauge(xs) - gauge(ys)) / om(space.norm(xs - ys))
+    assert ratio.max() <= 1.0 + 1e-12
+    assert math.isclose(ratio[-1], 1.0, rel_tol=1e-12)
+
 
 def _radial_models(space, omega, h):
     """Each radial constructor with the kinks it stated beside its pieces
