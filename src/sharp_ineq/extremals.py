@@ -283,7 +283,6 @@ def make_G_eh(space: Space, omega: Modulus, h) -> FunctionModel:
     space.require_valid_radius(h)
     d, m = space.d, space.m
     hf = float(h)
-    taus = list(itertools.product((0, 1), repeat=m))
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
         if m and np.any(pts[:, :m] < 0):
@@ -296,7 +295,7 @@ def make_G_eh(space: Space, omega: Modulus, h) -> FunctionModel:
                 continue
             absr = np.abs(row).tolist()
             total = 0.0
-            for tau in taus:
+            for tau in itertools.product((0, 1), repeat=m):
                 box = [
                     (c, hf) if k < m and tau[k] else (0.0, c) for k, c in enumerate(absr)
                 ]

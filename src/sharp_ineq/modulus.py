@@ -197,8 +197,6 @@ class TableModulus(Modulus):
         idx = int(np.searchsorted(self._w, y, side="left"))
         t0, w0 = float(self._t[idx - 1]), float(self._w[idx - 1])
         t1, w1 = float(self._t[idx]), float(self._w[idx])
-        if w1 == w0:
-            return t0
         return t0 + (y - w0) * (t1 - t0) / (w1 - w0)
 
     def eval_fraction(self, t: Fraction) -> Fraction:

@@ -9,11 +9,11 @@ The three families
   ``sobolev_rhs`` are the sharp right-hand sides built on it, and the charge
   variants route a set function through its density.
 
-* ``hypersingular_full`` — the integral of ``(f(x) - f(x+u))`` against a
+* ``hypersingular_full`` — the integral of ``(f(0) - f(u))`` against a
   radial kernel, singular at the origin, over the whole space; it checks
-  its own hypotheses.  It takes the lattice sum, the radial form at the
-  origin, or Monte Carlo (``_hyp_mc``, one sphere sampler for the tail and
-  the singular part).  ``kernel_ball_mass`` and ``kernel_tail_mass`` give
+  its own hypotheses.  It is taken at the origin, where the witness of its
+  bound attains equality: the lattice sum, or the radial form on the
+  continuum.  ``kernel_ball_mass`` and ``kernel_tail_mass`` give
   ``A(h)`` and ``T(h)`` of its bound ``H A(h) + 2 sup|f| T(h)``.
 
 * ``mixed_nagy_rhs`` bounds the sup norm of the mixed first derivative
@@ -178,11 +178,12 @@ def classify_verdict(lhs: float, rhs: float, tol: float, error_bound: float = 0.
 def steklov_average(
     f: FunctionModel, space: Space, h, spec: Optional[QuadratureSpec] = None
 ) -> FunctionModel:
-    """The ball average ``S_h f`` (operator norm ``1/mu(B_h)``) as a function
-    model: each batch of evaluation points is one ``ball_integral_at`` call
-    over its rows, divided by ``mu(B_h)`` (on lattices one gather of every
-    ball of the batch; on the continuum the best path per point, Monte Carlo
-    offsets drawn at most once per batch).  ``lemma1`` reads it at the origin.
+    """The ball average ``S_h f`` (operator norm ``1/mu(B_h)``, its norm from
+    L1 to L-infinity) as a function model: each batch of evaluation points
+    is one ``ball_integral_at`` call over its rows, divided by ``mu(B_h)``
+    (on lattices one gather of every ball of the batch; on the continuum the
+    best path per point, Monte Carlo offsets drawn at most once per batch).
+    ``lemma1`` reads it at the origin.
     """
     mu = float(space.ball_measure(h))
 
@@ -329,8 +330,7 @@ class PowerLawKernel:
 
     def value(self, t, d: int):
         tv = np.asarray(t, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            out = np.where(tv <= self.cutoff, tv ** (-(d + self.beta)), 0.0)
+        out = np.where(tv <= self.cutoff, tv ** (-(d + self.beta)), 0.0)
         return out if out.ndim else float(out)
 
     @property
@@ -573,17 +573,17 @@ def _constant_beyond(f: FunctionModel) -> Optional[tuple[float, float]]:
     return None
 
 
-def _hyp_lattice_sum(f: FunctionModel, space: Space, kernel, x: np.ndarray) -> Estimate:
-    """Lattice sum of ``(f(x) - f(x+u)) P(rho(u))`` over ``rho(u) >= 1``.
+def _hyp_lattice_sum(f: FunctionModel, space: Space, kernel) -> Estimate:
+    """Lattice sum of ``(f(0) - f(u)) P(rho(u))`` over ``rho(u) >= 1``.
 
     When ``f == c`` beyond a radius S (``_constant_beyond``), every shell
-    ``rho(u) = k > R = ceil(S) + ceil(rho(x))`` sees only ``f(x+u) = c``: the
-    box ``rho(u) <= R`` is summed point by point and the shells past it add
-    ``(f(x) - c) * sum_{k > R} N(k) P(k)`` (``_lattice_shell_tail``).
+    ``rho(u) = k > R = ceil(S)`` sees only ``f(u) = c``: the box
+    ``rho(u) <= R`` is summed point by point and the shells past it add
+    ``(f(0) - c) * sum_{k > R} N(k) P(k)`` (``_lattice_shell_tail``).
     Otherwise the kernel needs compact support, and its box is summed whole.
     """
     d = space.d
-    fx = float(f(np.asarray(x, dtype=np.float64)))
+    f0 = float(f(space.origin().astype(np.float64)))
     support = kernel.support_radius
     beyond = _constant_beyond(f)
     if beyond is None:
@@ -596,12 +596,12 @@ def _hyp_lattice_sum(f: FunctionModel, space: Space, kernel, x: np.ndarray) -> E
         tail = Estimate(0.0, LATTICE_EXACT, 0.0)
     else:
         s, c = beyond
-        r = int(math.ceil(s)) + int(math.ceil(float(space.norm(x))))
+        r = int(math.ceil(s))
         if math.isfinite(support):
             r = min(r, int(math.floor(support)))
         shells = _lattice_shell_tail(space, kernel, r + 1)
         tail = Estimate(
-            (fx - c) * shells.value, LATTICE_EXACT, abs(fx - c) * shells.error_bound
+            (f0 - c) * shells.value, LATTICE_EXACT, abs(f0 - c) * shells.error_bound
         )
     body = 0.0
     if r >= 1:
@@ -610,7 +610,7 @@ def _hyp_lattice_sum(f: FunctionModel, space: Space, kernel, x: np.ndarray) -> E
         keep = rho >= 1
         pts, rho = pts[keep], rho[keep]
         weights = np.asarray(kernel.value(rho, d))
-        body = float(np.sum((fx - f(x[None, :] + pts)) * weights))
+        body = float(np.sum((f0 - f(pts)) * weights))
     return Estimate(body + tail.value, LATTICE_EXACT, tail.error_bound)
 
 
@@ -630,74 +630,33 @@ def _hyp_radial_origin(f: FunctionModel, space: Space, kernel) -> Estimate:
     )
 
 
-def _hyp_mc(f: FunctionModel, space: Space, kernel, x, t, dens, rng) -> Estimate:
-    """Mean of ``(f(x) - f(x+u)) P(t) c t^(d-1) / dens`` over radii ``t`` of
-    density ``dens``, ``u`` drawn on the spheres ``rho(u) = t`` from ``rng``."""
-    d = space.d
-    u = space.sample_sphere(t, rng)
-    diff = float(f(x)) - f(x[None, :] + u)
-    w = diff * np.asarray(kernel.value(t, d)) * space.sphere_constant * t ** (d - 1) / dens
-    return _mc_mean(w)
+def hypersingular_full(f: FunctionModel, space: Space, omega: Modulus, kernel) -> Estimate:
+    """``integral over the whole space of (f(0) - f(u)) P(rho(u)) d(mu)``,
+    the singular integral at the origin.
 
-
-def hypersingular_full(
-    f: FunctionModel, space: Space, omega: Modulus, kernel, x=None,
-    spec: Optional[QuadratureSpec] = None,
-) -> Estimate:
-    """``integral over the whole space of (f(x) - f(x+u)) P(rho(u)) d(mu)``,
-    ``x`` the origin if ``None``.
-
-    On the continuum, convergence near the singularity is underwritten by
-    the function's certified smoothness bound: required, along with a
-    modulus that grows faster than a power-law kernel blows up
-    (``_singular_margin``).  A lattice sum (``_hyp_lattice_sum``) has no
-    singularity and needs neither.  At the origin a function with radial
-    pieces integrates in radial form (``_hyp_radial_origin``).  Elsewhere
-    Monte Carlo samples the tail ``rho(u) >= s`` on the stream
-    ``spec.seed`` (a power law's radii Pareto of index ``beta/2``: a bounded
-    weight, no cutoff), ``s`` the support radius of ``f`` (1 if none), and
-    adds the singular part inside it, sampled by ``omega``'s first piece on
-    the stream ``spec.seed + 1``.
+    A lattice sum (``_hyp_lattice_sum``) has no singularity and needs no
+    certificate.  On the continuum, convergence near the singularity is
+    underwritten by the function's certified smoothness bound: required,
+    along with a modulus that grows faster than a power-law kernel blows up
+    (``_singular_margin``).  The function must then be radial, with
+    ``radial_pieces``; the integral is taken in radial form
+    (``_hyp_radial_origin``).
     """
-    if space.is_continuum:
-        if f.certified_holder_bound is None:
-            raise ValueError(
-                "the singular integral on the continuum needs a certified smoothness "
-                "bound of f, which underwrites its convergence at the origin"
-            )
-        if isinstance(kernel, PowerLawKernel):
-            _singular_margin(omega, kernel)
-    spec = spec or QuadratureSpec()
-    xv = space.origin().astype(np.float64) if x is None else np.asarray(x, dtype=np.float64)
     if space.is_lattice:
-        return _hyp_lattice_sum(f, space, kernel, xv)
-    if f.radial_pieces is not None and not np.any(xv):
-        return _hyp_radial_origin(f, space, kernel)
-    s = f.support_radius or 1.0
-    n = spec.mc_samples
-    space.require_sample_budget(n)  # the sphere samples of _hyp_mc are (n, d)
-    rng = np.random.default_rng(spec.seed)
-    upper = kernel.support_radius
+        return _hyp_lattice_sum(f, space, kernel)
+    if f.certified_holder_bound is None:
+        raise ValueError(
+            "the singular integral on the continuum needs a certified smoothness "
+            "bound of f, which underwrites its convergence at the origin"
+        )
     if isinstance(kernel, PowerLawKernel):
-        q = kernel.beta / 2.0
-        t = s * rng.uniform(0.0, 1.0, n) ** (-1.0 / q)
-        tail = _hyp_mc(f, space, kernel, xv, t, q * s**q * t ** (-q - 1.0), rng)
-    elif upper > s:
-        t = rng.uniform(s, upper, n)
-        tail = _hyp_mc(f, space, kernel, xv, t, np.full(n, 1.0 / (upper - s)), rng)
-    else:
-        tail = Estimate(0.0, MONTE_CARLO, 0.0)
-    rng = np.random.default_rng(spec.seed + 1)
-    if isinstance(kernel, PowerLawKernel):
-        eta = _singular_margin(omega, kernel)
-        t = s * rng.uniform(0.0, 1.0, n) ** (1.0 / eta)
-        dens = eta * t ** (eta - 1.0) / s**eta
-    else:
-        t = rng.uniform(0.0, s, n)
-        dens = np.full(n, 1.0 / s)
-    singular = _hyp_mc(f, space, kernel, xv, t, dens, rng)
-    err = math.hypot(singular.error_bound, tail.error_bound)
-    return Estimate(singular.value + tail.value, MONTE_CARLO, err)
+        _singular_margin(omega, kernel)
+    if f.radial_pieces is None:
+        raise ValueError(
+            "the singular integral on the continuum needs a radial f, with "
+            "radial_pieces, to integrate in radial form"
+        )
+    return _hyp_radial_origin(f, space, kernel)
 
 
 # ======================================================================
@@ -763,7 +722,8 @@ def _check_dm_alpha(d: int, m: int, alpha: float) -> None:
 @dataclass(frozen=True)
 class StechkinPoint:
     """One point of the best-approximation curve: operator budget ``n``
-    (norm bound), the matched window ``h``, and the error ``e_n``."""
+    (a bound on the L1 -> L-infinity norm), the matched window ``h``, and
+    the error ``e_n``."""
 
     n: float
     h: float
@@ -785,9 +745,10 @@ def stechkin_curve(
 ) -> list[StechkinPoint]:
     """Best approximation of the identity by operators of norm at most ``n``.
 
-    The optimal operator at budget ``n`` is the ball average at the scale
-    where ``1/mu(B_h) = n``; its worst-case error over the unit smoothness
-    class is ``I(h)/mu(B_h)``.
+    The norm is the one from L1 to L-infinity, which is ``1/mu(B_h)`` for
+    the ball average.  The optimal operator at budget ``n`` is the ball
+    average at the scale where ``1/mu(B_h) = n``; its worst-case error over
+    the unit smoothness class is ``I(h)/mu(B_h)``.
     """
     if space.is_lattice:
         raise RequestError("the best-approximation curve needs a continuum of scales")
@@ -912,7 +873,7 @@ def theorem_report(
             beta = 0.5 * _first_piece_exponent(omega)
             kernel = PowerLawKernel(beta=beta)
         f = make_f_e_omega(space, omega, h)
-        val = hypersingular_full(f, space, omega, kernel, spec=spec)
+        val = hypersingular_full(f, space, omega, kernel)
         a = kernel_ball_mass(space, omega, kernel, h, spec)
         t = kernel_tail_mass(space, kernel, h, spec)
         lhs = abs(val.value)

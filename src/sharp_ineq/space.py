@@ -11,7 +11,7 @@ A space is determined by three numbers:
 norm ``rho(u) = max_i |u_i|`` (``norm``; the distance is ``norm(x - y)``,
 and the exact integer ``lattice_distance`` serves the Fraction sweeps), the
 ball measure, the sphere constant, the lattice ball (``closed_ball``), the
-lattice shell counts and sphere sampling.  Balls are open:
+lattice shell counts and ball sampling.  Balls are open:
 ``B_h(x) = {y : rho(x, y) < h}``.  Both structures are translation invariant
 under the monoid operation (coordinatewise addition), which is what every
 averaging operator in this package relies on.
@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -193,29 +194,6 @@ class Space:
                 f"the budget of {POINT_BUDGET}"
             )
 
-    def sample_sphere(self, radii: np.ndarray, rng) -> np.ndarray:
-        """Cone-measure-uniform points at prescribed sup-norm radii.
-
-        Each face of the sup-norm sphere carries the same measure per
-        coordinate (half-line faces are half as many but twice as large), so
-        picking the maximal coordinate uniformly and filling the rest uniformly
-        reproduces the surface distribution that the layer-cake factor
-        ``sphere_constant * t^(d-1)`` integrates.
-        """
-        n = len(radii)
-        d, m = self.d, self.m
-        u = np.empty((n, d), dtype=np.float64)
-        for j in range(d):
-            u[:, j] = rng.uniform(0.0 if j < m else -1.0, 1.0, n)
-        face = rng.integers(0, d, size=n)
-        sign = np.ones(n)
-        if d > m:
-            signed = face >= m
-            sign[signed] = rng.choice(np.array([-1.0, 1.0]), size=int(signed.sum()))
-        u *= radii[:, None]
-        u[np.arange(n), face] = sign * radii
-        return u
-
     # ------------------------------------------------------------------
     # balls
     # ------------------------------------------------------------------
@@ -232,13 +210,16 @@ class Space:
         """Measure of the open ball of radius ``h`` around the origin.
 
         Exact: returns an ``int`` on lattices (a ``Fraction``-safe count) and
-        a float on the continuum, where a measure beyond the float range
-        raises ``ValueError`` naming ``mu(B_h)`` and ``h``.
+        a float on the continuum.  On either, a measure beyond the float
+        range raises ``ValueError`` naming ``mu(B_h)`` and ``h``.
         """
         self.require_valid_radius(h)
         if self.is_lattice:
             k = strict_int_below(h)
-            return (k + 1) ** self.m * (2 * k + 1) ** (self.d - self.m)
+            count = (k + 1) ** self.m * (2 * k + 1) ** (self.d - self.m)
+            if count > sys.float_info.max:  # int against float compares exactly
+                raise ValueError(f"mu(B_h) overflows the float range at h = {float(h):g}")
+            return count
         hf = float(h)
         try:
             mu = 2.0 ** (self.d - self.m) * hf**self.d

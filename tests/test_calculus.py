@@ -23,9 +23,9 @@ from sharp_ineq.calculus import (
     seminorm_local,
     sup_norm,
 )
-from sharp_ineq.extremals import make_f_e_omega, make_f_eh, make_f_omega
+from sharp_ineq.extremals import make_f_e_omega, make_f_eh
 from sharp_ineq.modulus import PowerModulus, TableModulus
-from sharp_ineq.operators import ChargeModel, PowerLawKernel, charge_seminorm, hypersingular_full
+from sharp_ineq.operators import ChargeModel, charge_seminorm
 from sharp_ineq.space import RequestError, Space, continuum, lattice
 
 
@@ -50,7 +50,7 @@ def test_quadrature_spec_bounds_the_sample_count():
 
 def test_sample_coordinates_bounded_before_any_draw(monkeypatch):
     # memory grows with samples * d: the line takes the whole budget, d = 3
-    # not half of it, at each of the three entry points that hold (samples, d)
+    # not half of it, at each entry point that holds (samples, d)
     continuum(1, 0).require_sample_budget(_lattice.POINT_BUDGET)
 
     def no_draw(*args, **kwargs):
@@ -60,13 +60,9 @@ def test_sample_coordinates_bounded_before_any_draw(monkeypatch):
     n = _lattice.POINT_BUDGET // 2
     refusal = re.escape(f"mc_samples * d = {n} * 3 sample coordinates exceed")
     bare = FunctionModel(name="bare", evaluator=lambda pts: np.ones(len(pts)))
-    ramp = PowerModulus(1.0)
-    gauge = make_f_omega(continuum(3, 0), ramp)  # certified smooth; x = ones(3) takes Monte Carlo
     for refuse in (
         lambda: continuum(3, 1).sample_ball(1.5, n, seed=0),
         lambda: lattice(3, 0).sample_ball(1.5, n, seed=0),
-        lambda: hypersingular_full(gauge, continuum(3, 0), ramp, PowerLawKernel(beta=0.5),
-                                   x=np.ones(3), spec=QuadratureSpec(MONTE_CARLO, n)),
         lambda: l1_norm(bare, continuum(3, 0), 1.0, QuadratureSpec(MONTE_CARLO, n)),
     ):
         with pytest.raises(RequestError, match=refusal):

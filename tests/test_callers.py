@@ -92,8 +92,6 @@ UNPASSED_KEPT = {
     "cli.main.argv": "the arguments of an in-process run; the console script reads sys.argv",
     "oracle.mc_cross_check.samples": "the sample count of one check; the CLI runs the "
     "default, tests pass fewer",
-    "operators.hypersingular_full.x": "an off-origin point; tests cross-check the Monte "
-    "Carlo path against the closed form at the origin",
 }
 
 

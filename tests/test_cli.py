@@ -741,10 +741,15 @@ def test_stechkin_extreme_budget_names_the_ball_integral(capsys, tmp_path, n):
 @pytest.mark.parametrize("command, space, h, word", [
     ("constant", {"kind": "continuum", "d": 2, "m": 0}, 1e200, "mu(B_h)"),
     ("verify", LINE, 1e300, "power integral"),
+    ("constant", {"kind": "lattice", "d": 700, "m": 0}, 1.5,
+     "mu(B_h) overflows the float range at h = 1.5"),
+    ("verify", {"kind": "lattice", "d": 700, "m": 0}, 1.5,
+     "mu(B_h) overflows the float range at h = 1.5"),
 ])
 def test_float_range_failure_names_its_quantity(capsys, tmp_path, command, space, h, word):
-    # the ball measure overflows before I(h) is reached; the mixed bounds'
-    # box masses overflow in a closed-form power integral
+    # the ball measure overflows before I(h) is reached, on the continuum and
+    # as a lattice count (3^700 points); the mixed bounds' box masses
+    # overflow in a closed-form power integral
     cfg = write_cfg(tmp_path, "big.json", {"space": space, "h_values": [h],
                                            "modulus": {"kind": "power", "alpha": 1.0}})
     code, out, err = run_cli(capsys, [command, "--config", cfg])

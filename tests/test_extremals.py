@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,18 @@ def test_split_iterated_bump_domain_guard():
         G(np.array([0.5, -0.1, 0.2]))
     with pytest.raises(ValueError):
         make_G_eh(lattice(2, 1), PowerModulus(1.0), 1.5)
+
+
+def test_corner_sign_extremal_builds_no_corner_list():
+    # the 2^m corner signs are read only by the evaluator, one at a time:
+    # building G on 18 half-lines holds no list of 2^18 tuples
+    tracemalloc.start()
+    try:
+        make_G_eh(continuum(18, 18), PowerModulus(1.0), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 _TABLE = TableModulus([(0, 0), ("1/2", "2/5"), (2, 1)])

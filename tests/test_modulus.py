@@ -70,6 +70,9 @@ def test_table_inverse():
     assert om.inverse(0.75) == 2.0
     assert om.inverse(1.0) == 3.0
     assert om.inverse(1.5) == math.inf
+    plateau = TableModulus([(0, 0), (1, 1), (2, 1)])
+    assert plateau.inverse(1.0) == 1.0
+    assert plateau.inverse(0.5) == 0.5
 
 
 def test_eval_fraction_exactness():

@@ -479,11 +479,10 @@ def test_hypersingular_truncated_lattice_brute_force():
     space = lattice(1, 0)
     kernel = ops.PowerLawKernel(beta=0.5, cutoff=25.0)
     f = make_f_eh(space, RAMP, 2.5)
-    x = np.array([1.0])
-    got = ops.hypersingular_full(f, space, RAMP, kernel, x=x)
-    fx = float(f(x))
+    got = ops.hypersingular_full(f, space, RAMP, kernel)
+    f0 = float(f(np.array([0.0])))
     brute = sum(
-        (fx - float(f(np.array([x[0] + u])))) * float(kernel.value(abs(u), 1))
+        (f0 - float(f(np.array([float(u)])))) * float(kernel.value(abs(u), 1))
         for u in range(-25, 26)
         if abs(u) >= 1
     )
@@ -493,18 +492,28 @@ def test_hypersingular_truncated_lattice_brute_force():
 @pytest.mark.parametrize("space", [lattice(2, 1), lattice(3, 0), lattice(3, 2)],
                          ids=["Z2_1", "Z3_0", "Z3_2"])
 def test_hypersingular_lattice_body_and_tail_off_origin(space):
-    # a cut kernel reaching past the body box R = ceil(S) + rho(x): box plus
-    # shells against the whole kernel box summed point by point
+    # a cut kernel reaching past the body box R = ceil(S): box plus shells
+    # against the whole kernel box summed point by point
     kernel = ops.PowerLawKernel(beta=0.6, cutoff=9.0)
-    x = np.array([1.0] * space.m + [-2.0] * (space.d - space.m))
+    origin = space.origin().astype(np.float64)
     pts = _lattice.window_points(space, 9).astype(np.float64)
     rho = np.max(np.abs(pts), axis=1)
     pts, rho = pts[rho >= 1], rho[rho >= 1]
     for f in (make_f_eh(space, RAMP, 1.5), make_f_e_omega(space, RAMP, 2.5)):
-        got = ops.hypersingular_full(f, space, RAMP, kernel, x=x)
-        brute = math.fsum((f(x) - f(x[None, :] + pts)) * kernel.value(rho, space.d))
+        got = ops.hypersingular_full(f, space, RAMP, kernel)
+        brute = math.fsum((f(origin) - f(pts)) * kernel.value(rho, space.d))
         assert got.value == pytest.approx(brute, rel=1e-12)
         assert got.error_bound == 0.0
+
+
+def test_hypersingular_full_refuses_a_non_radial_continuum_function():
+    # certified, but with no radial pieces: the continuum path is radial only
+    space = continuum(1, 0)
+    spec = oracle.ConeFunctionSpec(centers=[[0.5]], heights=[1.0], lam=1.0)
+    f = oracle.make_cone_function(space, RAMP, spec)
+    assert f.certified_holder_bound == 1.0 and f.radial_pieces is None
+    with pytest.raises(ValueError, match="radial"):
+        ops.hypersingular_full(f, space, RAMP, ops.PowerLawKernel(beta=0.5))
 
 
 def test_lattice_sum_needs_a_known_constant_tail():
@@ -527,22 +536,10 @@ def test_window_points_checks_budget_before_allocating():
         lattice(2, 0).enumerate_ball(10**5)
 
 
-def test_hypersingular_full_general_point_mc():
-    # compare MC at a general point against the radial closed form at a
-    # symmetric image point (the witness is radial, so values coincide)
-    space = continuum(1, 0)
-    kernel = ops.PowerLawKernel(beta=0.4)
-    f = make_f_e_omega(space, RAMP, 1.0)
-    at_origin = ops.hypersingular_full(f, space, RAMP, kernel)
-    spec = QuadratureSpec(mc_samples=400_000, seed=2)
-    off = ops.hypersingular_full(f, space, RAMP, kernel, x=np.array([1e-12]), spec=spec)
-    assert abs(off.value - at_origin.value) <= 4 * off.error_bound + 1e-6
-
-
-# Bits of the radial reductions, sphere samplers, Monte Carlo weights,
-# singular-integral paths and ball averages, recorded once as float.hex: a
-# rewrite of the metric, the sphere constant or the shared integral paths
-# has to leave every one of them unchanged.
+# Bits of the radial reductions, Monte Carlo weights, singular-integral
+# paths and ball averages, recorded once as float.hex: a rewrite of the
+# metric, the sphere constant or the shared integral paths has to leave
+# every one of them unchanged.
 _TABLE = TableModulus([(0, 0), ("1/2", "2/5"), (2, 1)])
 _POW = PowerModulus(0.8)
 _TK = ops.TableKernel([(0.5, 2.0), (1.5, 1.0), (3.0, 0.25)])
@@ -552,12 +549,6 @@ _Z21, _Z20 = lattice(2, 1), lattice(2, 0)
 
 
 _PIN_CASES = {
-    "full_power_off_origin": lambda: ops.hypersingular_full(
-        make_f_eh(_P21, _POW, 1.1), _P21, _POW, ops.PowerLawKernel(0.3),
-        x=np.array([0.2, -0.3]), spec=_MC),
-    "full_table_off_origin": lambda: ops.hypersingular_full(
-        make_f_eh(_P31, _TABLE, 1.2), _P31, _TABLE, _TK,
-        x=np.array([0.1, 0.4, -0.2]), spec=_MC),
     "full_power_origin": lambda: ops.hypersingular_full(
         make_f_e_omega(_P31, _TABLE, 1.2), _P31, _TABLE, ops.PowerLawKernel(0.5)),
     "full_table_origin": lambda: ops.hypersingular_full(
@@ -592,8 +583,6 @@ _PIN_CASES = {
 }
 
 _PINNED = {
-    "full_power_off_origin": ('0x1.8406871e6fec2p+3', '0x1.8f7ab48169534p-4'),
-    "full_table_off_origin": ('0x1.7d7aac3008244p+4', '0x1.1f792636b3590p-4'),
     "full_power_origin": ('-0x1.14df39821ae35p+5', '0x0.0p+0'),
     "full_table_origin": ('-0x1.c96c12d3db8aap+3', '0x1.d858764b3aff2p-33'),
     "ball_mass_power_mc": ('0x1.4481a8b686a5bp+4', '0x1.30610968ffa30p-5'),

@@ -159,9 +159,8 @@ def test_lattice_count_formula(h, d):
 
 @pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2, 3) for m in range(d + 1)])
 def test_metric_quantities_agree(d, m):
-    """Ball measure, enumeration, shell counts, sphere constant, sphere
-    sampling, the norm and the exact lattice distance of one space tell the
-    same story."""
+    """Ball measure, enumeration, shell counts, sphere constant, the norm
+    and the exact lattice distance of one space tell the same story."""
     lat, cont = lattice(d, m), continuum(d, m)
     coef = lat.shell_count_coefficients()
     for h in (1.5, 2.5, 4):
@@ -171,12 +170,6 @@ def test_metric_quantities_agree(d, m):
     assert cont.sphere_constant == d * cont.ball_measure(1)
 
     rng = np.random.default_rng(10 * d + m)
-    radii = rng.uniform(0.0, 5.0, 500)
-    pts = cont.sample_sphere(radii, rng)
-    assert np.array_equal(cont.norm(pts), radii)
-    if m:
-        assert pts[:, :m].min() >= 0.0
-
     ix = rng.integers(-6, 7, size=(50, d))
     iy = rng.integers(-6, 7, size=(50, d))
     exact = [lat.lattice_distance(tuple(a), tuple(b)) for a, b in zip(ix.tolist(), iy.tolist())]
