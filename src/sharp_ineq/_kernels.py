@@ -17,7 +17,7 @@ import numpy as np
 from .space import _max_last_axis
 
 
-def ball_sums(padded_flat, base_idx, lin_offsets, weights=None):
+def ball_sums(padded_flat, base_idx, lin_offsets, weights):
     """For each window point i, sum ``w_j * f(x_i + u_j)`` over ball offsets.
 
     Parameters
@@ -28,11 +28,9 @@ def ball_sums(padded_flat, base_idx, lin_offsets, weights=None):
         Flat index of each window point in the padded box.
     lin_offsets : (K,) int64
         Linearized offsets of the ball points.
-    weights : (K,) float64, optional
-        Per-offset weights; defaults to all ones (plain ball sums).
+    weights : (K,) float64
+        Per-offset weights.
     """
-    if weights is None:
-        weights = np.ones(lin_offsets.shape[0], dtype=np.float64)
     return padded_flat[base_idx[:, None] + lin_offsets[None, :]] @ weights
 
 

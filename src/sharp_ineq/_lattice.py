@@ -4,7 +4,7 @@ A *plan* fixes the geometry of a sliding-ball computation on the lattice: a
 window of base points, the set of ball (or annulus) offsets, and the padded
 bounding box that contains every ``base + offset``.  Function values are then
 evaluated once on the padded box and every sweep becomes a flat gather:
-weighted or batched sums by ``_kernels.ball_sums``, and ``seminorm_local``'s
+weighted sums by ``_kernels.ball_sums``, and ``seminorm_local``'s
 one gather of every window ball, each row summed on its own.
 
 Dimension-agnostic by construction: coordinates are linearized with C-order

@@ -47,7 +47,7 @@ from .operators import (
     theorem_report,
 )
 from .oracle import EXACT_THEOREMS, MC_CHECKS, exact_verify, mc_cross_check, random_suite
-from .space import RequestError, Space, config_integer, config_number
+from .space import RequestError, Space, config_integer, config_number, config_seed
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -105,14 +105,8 @@ def _load_config(path: str) -> dict:
 
 def _seed(flag: Optional[int], value, name: str) -> int:
     """The RNG seed: the ``--seed`` flag when given (``main`` has checked
-    it), else the config ``value``; a nonnegative integer, as numpy's
-    generators need."""
-    if flag is not None:
-        return flag
-    seed = config_integer(value, name)
-    if seed < 0:
-        raise RequestError(f"{name} must be a nonnegative integer, got {seed}")
-    return seed
+    it), else the config ``value``, read by ``config_seed``."""
+    return flag if flag is not None else config_seed(value, name)
 
 
 def _space_from(cfg: dict) -> Space:

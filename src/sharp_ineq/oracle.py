@@ -16,15 +16,17 @@ extremal constructors stamp on their outputs:
 
 * ``random_suite`` throws randomized certified-smooth functions (maxima of
   truncated cones) at an inequality and counts violations.  It draws the
-  inputs of every trial first, in one pass over the seeded generator, then
-  evaluates them.  On the lattice every distance a suite reads is an
-  integer, so the additive suites evaluate each trial's modulus once, as a
-  row of a table over those integers, and sweep the trials that share a
-  cached gather plan as one group: the cone values are one gather from the
-  table and ``I(h)`` one row sum per trial.  Each number keeps the bits of
-  a trial-by-trial sweep: elementwise ufuncs do not depend on the array's
-  shape, maxima are exact, the row sums read a C-contiguous take, and the
-  ball sums stay one matmul per trial.
+  inputs of every trial first, from numpy's ``default_rng(seed)`` stream
+  replayed by ``_Draws`` from raw words, so the reports are those of
+  numpy's own draws (a numpy stream change fails ``_Draws``'s test by
+  name), then evaluates them.  On the lattice every distance a suite reads
+  is an integer, so the additive suites evaluate each trial's modulus once,
+  as a row of a table over those integers, and sweep the trials that share
+  a cached gather plan as one group: the cone values are one gather from
+  the table and ``I(h)`` one row sum per trial.  Each number keeps the bits
+  of a trial-by-trial sweep: elementwise ufuncs do not depend on the
+  array's shape, maxima are exact, the row sums read a C-contiguous take,
+  and the ball sums stay one matmul per trial.
 
 * ``mc_cross_check`` re-derives each closed-form quantity by plain Monte
   Carlo and reports the discrepancy in standard errors.
@@ -63,7 +65,8 @@ from .operators import (
     mixed_multiplicative_rhs,
     mixed_nagy_rhs,
 )
-from .space import RequestError, Space, continuum, lattice, strict_int_below
+from .space import (RequestError, Space, config_integer, config_seed, continuum, lattice,
+                    strict_int_below)
 
 # the theorems exact_verify replays, each with the notes of its reports
 _EXACT_NOTES = {
@@ -406,12 +409,59 @@ _ADDITIVE_SPACE = lattice(2, 1)
 _HYPERSINGULAR_SPACE = lattice(1, 0)
 
 
-def _random_modulus(rng, power_only: bool = False) -> Modulus:
+class _Draws:
+    """The scalar draws of a PCG64 ``np.random.Generator``, replayed in
+    Python from blocks of raw 64-bit words without numpy's per-call cost:
+    each method returns what the ``Generator`` method of its name returns.
+    ``random`` keeps a word's top 53 bits, ``uniform`` is ``lo + (hi - lo)
+    * random()``, and ``integers`` is numpy's Lemire rejection on 32-bit
+    half-words, a word's low half first and its high half kept, as PCG64
+    buffers them.  The wrapped generator runs up to a block ahead."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+        self._words: list = []
+        self._half: Optional[int] = None
+
+    def _word(self) -> int:
+        if not self._words:
+            self._words = self._raw(256).tolist()[::-1]
+        return self._words.pop()
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def uniform(self, lo: float, hi: float, n: Optional[int] = None):
+        if n is None:
+            return lo + (hi - lo) * self.random()
+        return [lo + (hi - lo) * self.random() for _ in range(n)]
+
+    def _uint32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        w = self._word()
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, lo: int, hi: int) -> int:
+        n = hi - lo
+        if not 1 <= n <= 2**32:
+            raise ValueError(f"integers({lo}, {hi}) needs 1 <= hi - lo <= 2**32")
+        if n == 1:
+            return lo
+        m = self._uint32() * n
+        while m % 2**32 < 2**32 % n:
+            m = self._uint32() * n
+        return lo + (m >> 32)
+
+
+def _random_modulus(rng: _Draws, power_only: bool = False) -> Modulus:
     if power_only or rng.random() < 0.5:
-        return PowerModulus(float(rng.uniform(0.3, 1.0)))
-    n = int(rng.integers(2, 4))
-    gaps = rng.uniform(0.4, 1.0, n).tolist()
-    slopes = np.sort(rng.uniform(0.1, 1.0, n))[::-1].tolist()
+        return PowerModulus(rng.uniform(0.3, 1.0))
+    n = rng.integers(2, 4)
+    gaps = rng.uniform(0.4, 1.0, n)
+    slopes = sorted(rng.uniform(0.1, 1.0, n), reverse=True)
     # Floats are dyadic rationals: the nodes are exact integer sums over
     # the largest denominator, a power of two all the others divide.
     g_ratios = [g.as_integer_ratio() for g in gaps]
@@ -427,15 +477,15 @@ def _random_modulus(rng, power_only: bool = False) -> Modulus:
     return TableModulus(pts)
 
 
-def _draw_cones(space: Space, rng) -> tuple[float, tuple, list]:
+def _draw_cones(space: Space, rng: _Draws) -> tuple[float, tuple, list]:
     """The random part of a cone function: slope ``lam``, integer centers in
     the space, and for each cone the integer radius at which it reaches 0."""
-    k = int(rng.integers(1, 4))
-    lam = float(rng.uniform(0.5, 2.0))
+    k = rng.integers(1, 4)
+    lam = rng.uniform(0.5, 2.0)
     centers = []
     radii = []
     for _ in range(k):
-        c = [int(rng.integers(0, 4)) if i < space.m else int(rng.integers(-3, 4))
+        c = [rng.integers(0, 4) if i < space.m else rng.integers(-3, 4)
              for i in range(space.d)]
         radii.append(float(rng.integers(1, 5)))
         centers.append(tuple(float(v) for v in c))
@@ -519,9 +569,9 @@ class _Cones:
         return np.maximum(np.maximum.reduceat(vals, first, axis=0), 0.0)
 
 
-def _draw_additive(rng) -> tuple:
+def _draw_additive(rng: _Draws) -> tuple:
     omega = _random_modulus(rng)
-    h = float(rng.uniform(1.2, 3.0))
+    h = rng.uniform(1.2, 3.0)
     return omega, h, _draw_cones(_ADDITIVE_SPACE, rng)
 
 
@@ -561,14 +611,15 @@ def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[
     for ``I(h)`` (``_ball_integrals``); the cone heights come from a table
     of their own (``_Cones``).  A group costs one sup-distance pass over its
     cones, one gather, ``heights - lam * omega``, a max over each trial's
-    cones and the clip at 0; its ball sums stay one ``@`` per trial.
+    cones and the clip at 0; its ball sums are one gather index for the
+    group and one ``@`` per trial.
 
     Every number is the one a trial-by-trial sweep gives: elementwise
     ufuncs give each element the same bits whatever the array's shape;
     maxima are exact, so no grouping or order moves them; each ``I(h)`` is
     the sum of a contiguous row; and the ball sums are the per-trial
-    matmuls, since one matmul over all rows of a group, ``(T * N, K) @ w``,
-    rounds differently.
+    matmuls, since one matmul over all rows of a group, ``(T * N, K) @ w``
+    or ``(T, N, K) @ w``, rounds differently.
     """
     space = _ADDITIVE_SPACE
     cones = _Cones(space, [omega for omega, _, _ in draws], [c for _, _, c in draws])
@@ -583,7 +634,9 @@ def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[
         vals = cones.on_lattice(idx, plan, table)
         term1 = cones.lam[idx] * _ball_integrals(table, idx, plan) / mu
         if theorem_id in ("lemma1", "nagy", "sobolev"):
-            ball = np.stack([_kernels.ball_sums(v, plan.base_idx, plan.lin_offsets) for v in vals])
+            gather = plan.base_idx[:, None] + plan.lin_offsets
+            ones = np.ones(len(plan.lin_offsets))
+            ball = np.stack([v[gather] @ ones for v in vals])
         if theorem_id == "lemma1":
             lhs = np.abs(vals[:, plan.base_idx] - ball / mu).max(axis=1)
             term2 = 0.0
@@ -615,12 +668,10 @@ def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[
     return gaps.tolist(), rhss.tolist(), case
 
 
-def _draw_hypersingular(rng) -> tuple:
+def _draw_hypersingular(rng: _Draws) -> tuple:
     omega = _random_modulus(rng)
-    h = float(rng.uniform(1.2, 3.0))
-    kernel = PowerLawKernel(
-        beta=float(rng.uniform(0.2, 0.9)), cutoff=float(rng.uniform(20.0, 40.0))
-    )
+    h = rng.uniform(1.2, 3.0)
+    kernel = PowerLawKernel(beta=rng.uniform(0.2, 0.9), cutoff=rng.uniform(20.0, 40.0))
     return omega, h, kernel, _draw_cones(_HYPERSINGULAR_SPACE, rng)
 
 
@@ -662,17 +713,17 @@ def _hypersingular_suite(draws: list) -> tuple[list, list, Callable[[int], dict]
     return gaps, rhss, case
 
 
-def _suite_trial_mixed(theorem_id: str, rng) -> tuple[float, float, dict]:
+def _suite_trial_mixed(theorem_id: str, rng: _Draws) -> tuple[float, float, dict]:
     power_only = theorem_id == "mixed_multiplicative"
     omega = _random_modulus(rng, power_only=power_only)
-    d = int(rng.integers(1, 3))
-    m = int(rng.integers(0, d + 1))
-    lams = rng.uniform(0.5, 2.0, d).tolist()
+    d = rng.integers(1, 3)
+    m = rng.integers(0, d + 1)
+    lams = rng.uniform(0.5, 2.0, d)
     if omega.is_bounded():
         t_last = omega.breakpoints()[-1]
-        radii = rng.uniform(0.3, max(0.4, 0.9 * t_last), d).tolist()
+        radii = rng.uniform(0.3, max(0.4, 0.9 * t_last), d)
     else:
-        radii = rng.uniform(0.3, 2.0, d).tolist()
+        radii = rng.uniform(0.3, 2.0, d)
     # plain floats: with d <= 2 factors each product and sum below rounds
     # once, as numpy's reductions do, without their per-call cost
     heights = [lam * float(omega(r)) for lam, r in zip(lams, radii)]
@@ -684,7 +735,7 @@ def _suite_trial_mixed(theorem_id: str, rng) -> tuple[float, float, dict]:
     func_sup = math.prod(masses)
     others = [math.prod(heights[:i] + heights[i + 1:]) for i in range(d)]
     holder_cert = sum(lam * o for lam, o in zip(lams, others))
-    h = float(rng.uniform(0.5, 2.0))
+    h = rng.uniform(0.5, 2.0)
     if theorem_id == "mixed_additive":
         rhs = mixed_nagy_rhs(d, m, omega, h, holder_cert, func_sup)
     else:
@@ -706,14 +757,16 @@ def _suite_trials(
     """Every trial's gap and right side of one suite, in trial order, and
     ``case(i)``, the inputs of trial ``i``; ``random_suite`` reduces them.
 
-    The lattice suites draw the inputs of all trials first, in one pass over
-    the seeded generator, and then evaluate them.  No evaluation draws a
-    random number, so each trial sees the numbers it would see drawn and
-    evaluated one at a time, and the evaluation is free to batch trials
-    that share a sweep plan.  The mixed suites, closed products with no
+    Every draw reads numpy's ``default_rng(seed)`` stream through one
+    ``_Draws``, which replays it from raw words: the numbers numpy's own
+    scalar draws give, without their per-call cost.  The lattice suites
+    draw the inputs of all trials first and then evaluate them.  No
+    evaluation draws a random number, so each trial sees the numbers it
+    would see drawn and evaluated one at a time, and the evaluation is free
+    to batch trials that share a sweep plan.  The mixed suites, closed products with no
     sweep to share, draw and evaluate one trial at a time.
     """
-    rng = np.random.default_rng(seed)
+    rng = _Draws(np.random.default_rng(seed))
     if theorem_id in EXACT_THEOREMS:
         draws = [_draw_additive(rng) for _ in range(trials)]
         return _additive_suite(theorem_id, draws)
@@ -730,10 +783,15 @@ def random_suite(theorem_id: str, trials: int = 1000, seed: int = 1) -> SuiteRep
     Every trial computes the left side exactly (lattice gathers or closed
     factor masses) and the right side from a certified upper bound on the
     smoothness constant, so a negative gap beyond tolerance is a genuine
-    counterexample, never sampling noise.  Deterministic per seed.
+    counterexample, never sampling noise.  Deterministic per seed: the
+    inputs are numpy's ``default_rng(seed)`` draws, replayed from raw words
+    by ``_Draws``.  ``trials`` and ``seed`` are read by ``config_integer``;
+    a negative seed raises ``RequestError``.
     """
     if theorem_id not in THEOREM_IDS:
         raise RequestError(f"unknown theorem id {theorem_id!r}")
+    trials = config_integer(trials, "suite 'trials'")
+    seed = config_seed(seed, "suite 'seed'")
     if not 0 < trials <= MAX_TRIALS:
         raise RequestError(f"suite 'trials' must lie in 1..{MAX_TRIALS}, got {trials}")
     gaps, rhss, case = _suite_trials(theorem_id, trials, seed)
@@ -790,6 +848,7 @@ def mc_cross_check(name: str, seed: int = 0, samples: int = 200_000) -> dict:
     """Re-derive one closed-form quantity by Monte Carlo; report sigmas."""
     if name not in MC_CHECKS:
         raise RequestError(f"unknown cross-check {name!r}; expected one of {MC_CHECKS}")
+    seed = config_seed(seed, "'seed'")
     mc_spec = QuadratureSpec(method=MONTE_CARLO, mc_samples=samples, seed=seed)
     rng = np.random.default_rng(seed + 17)
 

@@ -82,6 +82,15 @@ def config_integer(value, name: str) -> int:
     raise RequestError(f"bad {name} {value!r}: expected an integer")
 
 
+def config_seed(value, name: str) -> int:
+    """A random seed: a ``config_integer`` that is nonnegative, as numpy's
+    generators need."""
+    seed = config_integer(value, name)
+    if seed < 0:
+        raise RequestError(f"{name} must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def config_number(value, name: str, *, exact: bool = False):
     """The one reader of a config number: a number (not a bool) or a
     rational string such as ``"3/2"``, read as the decimal it prints,

@@ -215,8 +215,9 @@ def test_table_cumulants_are_the_rounded_fraction_sums():
 
     rng = np.random.default_rng(24)
     tables = [TableModulus(_random_concave_nodes(rng)) for _ in range(250)]
+    draws = oracle._Draws(rng)
     while len(tables) < 500:
-        omega = oracle._random_modulus(rng)
+        omega = oracle._random_modulus(draws)
         if isinstance(omega, TableModulus):
             tables.append(omega)
     for om in tables:

@@ -42,7 +42,8 @@ def test_steklov_average_lattice_values():
 @pytest.mark.parametrize("space", [lattice(2, 1), lattice(3, 0)], ids=["Z2_1", "Z3_0"])
 def test_steklov_average_lattice_matches_per_point_sums(space):
     rng = np.random.default_rng(space.d)
-    spec = oracle._Cones(space, [RAMP], [oracle._draw_cones(space, rng)]).specs[0]
+    cones = oracle._draw_cones(space, oracle._Draws(rng))
+    spec = oracle._Cones(space, [RAMP], [cones]).specs[0]
     f = oracle.make_cone_function(space, RAMP, spec)
     s = ops.steklov_average(f, space, 2.5)
     offsets = space.enumerate_ball(2.5).astype(np.float64)
@@ -143,7 +144,8 @@ LATTICES = [lattice(d, m) for d in (1, 2, 3) for m in range(d + 1)]
 def test_charge_seminorm_lattice_gather_path(space, h):
     rng = np.random.default_rng(10 * space.d + space.m)
     omega = RAMP if space.m % 2 else TableModulus([(0, 0), (1, 0.8), (3, 1.4)])
-    spec = oracle._Cones(space, [omega], [oracle._draw_cones(space, rng)]).specs[0]
+    cones = oracle._draw_cones(space, oracle._Draws(rng))
+    spec = oracle._Cones(space, [omega], [cones]).specs[0]
     f = oracle.make_cone_function(space, omega, spec)
     k = strict_int_below(h)
     radius = math.ceil(f.support_radius) + k + 1

@@ -373,13 +373,14 @@ def test_cone_eval_clamps_at_zero():
     assert out[0] == 0.0
 
 
-def test_ball_sums_default_weights():
+def test_ball_sums_weights():
     rng = np.random.default_rng(1)
     padded = rng.normal(size=300)
     base = rng.integers(50, 200, size=40)
     offs = rng.integers(-40, 60, size=12)
-    got = _kernels.ball_sums(padded, base, offs)
-    want = padded[base[:, None] + offs[None, :]].sum(axis=1)
+    w = rng.uniform(0.0, 1.0, size=12)
+    got = _kernels.ball_sums(padded, base, offs, w)
+    want = (padded[base[:, None] + offs[None, :]] * w).sum(axis=1)
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
@@ -512,20 +513,61 @@ def _random_modulus_fraction_sums(rng, power_only: bool = False):
     return TableModulus(pts)
 
 
+def _next_draws(rng) -> list:
+    """Draws that read two half-words and a word: they agree between two
+    streams only if both stand at the same word and half-word."""
+    return [rng.integers(0, 2**32), rng.integers(0, 2**32), rng.random(), rng.integers(0, 7)]
+
+
 def test_random_modulus_matches_fraction_sums():
     tables = 0
     for seed in range(200):
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = oracle._random_modulus(rng_a)
-        want = _random_modulus_fraction_sums(rng_b)
+        draws, rng = oracle._Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
+        got = oracle._random_modulus(draws)
+        want = _random_modulus_fraction_sums(rng)
         assert type(got) is type(want)
         assert got.to_config() == want.to_config()
         if isinstance(got, TableModulus):
             tables += 1
             assert got._exact == want._exact
             assert all(type(v) is Fraction for node in got._exact for v in node)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert _next_draws(draws) == _next_draws(rng)
     assert tables > 80
+
+
+# 1 draws nothing; 3 * 2**30 + 1 rejects about a quarter of the half-words
+DRAW_RANGES = (1, 2, 3, 4, 7, 2**31 - 1, 3 * 2**30 + 1, 2**32)
+
+
+def test_draws_replay_numpy_generator():
+    """``_Draws`` returns what numpy's ``Generator`` returns, call by call,
+    for calls in a random order, and leaves the stream where numpy does."""
+    order = np.random.default_rng(99)
+    for seed in range(200):
+        draws, rng = oracle._Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
+        for _ in range(int(order.integers(1, 60))):
+            kind = int(order.integers(0, 4))
+            if kind == 0:
+                assert draws.random() == rng.random()
+            elif kind == 1:
+                lo, hi = sorted(order.uniform(-5.0, 5.0, 2).tolist())
+                assert draws.uniform(lo, hi) == rng.uniform(lo, hi)
+            elif kind == 2:
+                lo, hi, n = -1.5, float(order.uniform(0.0, 3.0)), int(order.integers(0, 5))
+                assert draws.uniform(lo, hi, n) == rng.uniform(lo, hi, n).tolist()
+            else:
+                n = DRAW_RANGES[int(order.integers(0, len(DRAW_RANGES)))]
+                lo = int(order.integers(-9, 9))
+                got, want = draws.integers(lo, lo + n), rng.integers(lo, lo + n)
+                assert type(got) is int and got == want
+        assert _next_draws(draws) == _next_draws(rng), seed
+
+
+def test_draws_integers_range_checked():
+    draws = oracle._Draws(np.random.default_rng(0))
+    for lo, hi in [(0, 2**32 + 1), (3, 3), (3, 2)]:
+        with pytest.raises(ValueError):
+            draws.integers(lo, hi)
 
 
 def _bits(a):
@@ -547,7 +589,7 @@ def test_grouped_suite_evaluation_matches_the_per_trial_path():
     tables, has the bits of the per-trial path: ``cone_eval`` for the cone
     values, ``np.sum(omega(offset_rho))`` for ``I(h)``, and ``lam *
     omega(radii)`` for the heights."""
-    rng = np.random.default_rng(24)
+    rng = oracle._Draws(np.random.default_rng(24))
     draws = [oracle._draw_additive(rng) for _ in range(1000)]
     space = oracle._ADDITIVE_SPACE
     omegas = [omega for omega, _, _ in draws]
@@ -590,6 +632,27 @@ def test_random_suite_unknown_id():
         oracle.random_suite("goldbach", trials=5, seed=1)
 
 
+@pytest.mark.parametrize(
+    "trials, seed, message",
+    [
+        (True, 1, "bad suite 'trials' True: expected an integer"),
+        (2.5, 1, "bad suite 'trials' 2.5: expected an integer"),
+        (5, True, "bad suite 'seed' True: expected an integer"),
+        (5, -1, "suite 'seed' must be a nonnegative integer, got -1"),
+    ],
+)
+def test_random_suite_reads_its_arguments(trials, seed, message):
+    with pytest.raises(RequestError) as err:
+        oracle.random_suite("nagy", trials=trials, seed=seed)
+    assert str(err.value) == message
+
+
+def test_random_suite_integral_float_arguments_read_as_ints():
+    rep = oracle.random_suite("mixed_additive", trials=3.0, seed=2.0)
+    assert rep.to_json() == oracle.random_suite("mixed_additive", trials=3, seed=2).to_json()
+    assert type(rep.trials) is int and type(rep.seed) is int
+
+
 @pytest.mark.parametrize("trials", [0, oracle.MAX_TRIALS + 1, 10**9])
 def test_random_suite_trials_bounded(monkeypatch, trials):
     # refused before a single draw: a suite keeps every trial's draws
@@ -616,6 +679,12 @@ def test_mc_cross_checks_within_4_sigma(name):
 def test_mc_cross_check_unknown_name():
     with pytest.raises(ValueError):
         oracle.mc_cross_check("nonexistent")
+
+
+@pytest.mark.parametrize("seed", [-1, True, 0.5])
+def test_mc_cross_check_refuses_a_bad_seed(seed):
+    with pytest.raises(RequestError, match="'seed'"):
+        oracle.mc_cross_check("ball_integral", seed=seed, samples=10)
 
 
 def test_mc_cross_check_seed_sensitivity():
