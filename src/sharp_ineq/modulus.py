@@ -19,9 +19,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -79,6 +80,7 @@ class PowerModulus(Modulus):
 
     def __call__(self, t):
         tv = np.asarray(t, dtype=np.float64)
+        # not Python's pow: it can differ from np.power in the last bit, which arrays take
         out = np.power(tv, self.alpha)
         return out if out.ndim else float(out)
 
@@ -112,33 +114,52 @@ class PowerModulus(Modulus):
         return {"kind": "power", "alpha": float(self.alpha)}
 
 
+class _Nodes(NamedTuple):
+    """Table nodes ``(ts[i] / t_den, ws[i] / w_den)`` as integer numerators:
+    a caller that has them passes this record instead of ``(t, w)`` pairs."""
+
+    ts: list
+    ws: list
+    t_den: int
+    w_den: int
+
+
 class TableModulus(Modulus):
     """Concave piecewise-linear modulus through given nodes.
 
     Parameters
     ----------
-    points : sequence of (t, w) pairs
+    points : sequence of (t, w) pairs, or a ``_Nodes`` record
         Must start at (0, 0) with strictly increasing ``t`` and nondecreasing
         ``w``, and be concave (nonincreasing chord slopes): the constructive
         guarantee of semi-additivity.  The nodes are checked exactly, as
         integers over a common denominator of the ``t`` (and of the ``w``),
         with slopes compared by cross-multiplication.  Values past the last
         node are held constant.
+
+    The nodes are kept as those integer numerators and as tuples of their
+    floats (``int / int`` rounds correctly: ``float`` of each node); their
+    ``Fraction``s and numpy arrays are built when first read.  Scalar reads
+    ``bisect`` the tuples: a float argument takes ``np.interp``'s formula,
+    an array ``np.interp`` itself, and the two agree bit for bit.
     """
 
-    def __init__(self, points: Sequence[Sequence[Real]]):
-        # Fraction nodes skip the reader: the randomized suites build a table every other trial
-        pts = [(t if isinstance(t, Fraction) else config_number(t, "table node", exact=True),
-                w if isinstance(w, Fraction) else config_number(w, "table node", exact=True))
-               for t, w in points]
-        if len(pts) < 2:
+    def __init__(self, points: Union[_Nodes, Sequence[Sequence[Real]]]):
+        if isinstance(points, _Nodes):
+            ts, ws, t_den, w_den = points
+        else:
+            # Fraction nodes skip the reader
+            pts = [(t if isinstance(t, Fraction) else config_number(t, "table node", exact=True),
+                    w if isinstance(w, Fraction) else config_number(w, "table node", exact=True))
+                   for t, w in points]
+            t_den = math.lcm(*(t.denominator for t, _ in pts))
+            w_den = math.lcm(*(w.denominator for _, w in pts))
+            ts = [t.numerator * (t_den // t.denominator) for t, _ in pts]
+            ws = [w.numerator * (w_den // w.denominator) for _, w in pts]
+        if len(ts) < 2:
             raise RequestError("table modulus needs at least two nodes")
-        if pts[0] != (0, 0):
+        if ts[0] or ws[0]:
             raise RequestError("table modulus must start at (0, 0)")
-        t_den = math.lcm(*(t.denominator for t, _ in pts))
-        w_den = math.lcm(*(w.denominator for _, w in pts))
-        ts = [t.numerator * (t_den // t.denominator) for t, _ in pts]
-        ws = [w.numerator * (w_den // w.denominator) for _, w in pts]
         dt = [t1 - t0 for t0, t1 in zip(ts, ts[1:])]
         dw = [w1 - w0 for w0, w1 in zip(ws, ws[1:])]
         if min(dt) <= 0:
@@ -151,11 +172,18 @@ class TableModulus(Modulus):
                 "table modulus must be concave (nonincreasing slopes); "
                 "a convex jump breaks semi-additivity"
             )
-        self._exact = pts
-        self._numerators = (ts, ws, 2 * t_den * w_den)
-        # int / int is correctly rounded, so these are float() of the nodes
-        self._t = np.array([t / t_den for t in ts], dtype=np.float64)
-        self._w = np.array([w / w_den for w in ws], dtype=np.float64)
+        self._nodes = _Nodes(ts, ws, t_den, w_den)
+        self._t = tuple(t / t_den for t in ts)
+        self._w = tuple(w / w_den for w in ws)
+
+    @functools.cached_property
+    def _exact(self) -> list:
+        ts, ws, t_den, w_den = self._nodes
+        return [(Fraction(t, t_den), Fraction(w, w_den)) for t, w in zip(ts, ws)]
+
+    @functools.cached_property
+    def _arrays(self) -> tuple:
+        return np.array(self._t), np.array(self._w)
 
     @functools.cached_property
     def _cum(self) -> list:
@@ -165,38 +193,47 @@ class TableModulus(Modulus):
         denominator ``2 t_den w_den``, so each integral is an exact integer
         sum, divided once: ``int / int`` rounds correctly, the float of
         the ``Fraction`` sum."""
-        ts, ws, den = self._numerators
+        ts, ws, t_den, w_den = self._nodes
+        den = 2 * t_den * w_den
         areas = ((t1 - t0) * (w0 + w1) for t0, t1, w0, w1 in zip(ts, ts[1:], ws, ws[1:]))
         return [num / den for num in itertools.accumulate(areas, initial=0)]
 
     def __call__(self, t):
-        tv = np.asarray(t, dtype=np.float64)
-        out = np.interp(tv, self._t, self._w)
-        return out if out.ndim else float(out)
+        if not isinstance(t, float):
+            out = np.interp(np.asarray(t, dtype=np.float64), *self._arrays)
+            return out if out.ndim else float(out)
+        # np.interp on one point: NaN passes, w[0] below the nodes, the
+        # node value on a hit and past the last node, else slope * (t - t_j) + w_j
+        tf, ts, ws = float(t), self._t, self._w
+        if tf != tf:
+            return tf
+        j = max(bisect_right(ts, tf) - 1, 0)
+        if j == len(ts) - 1 or ts[j] >= tf:
+            return ws[j]
+        return (ws[j + 1] - ws[j]) / (ts[j + 1] - ts[j]) * (tf - ts[j]) + ws[j]
 
     def antiderivative(self, t: float) -> float:
         tf = float(t)
         if tf <= 0:
             return 0.0
-        idx = int(np.searchsorted(self._t, tf, side="right")) - 1
-        if idx >= len(self._t) - 1:
+        ts, ws = self._t, self._w
+        idx = bisect_right(ts, tf) - 1
+        if idx >= len(ts) - 1:
             # beyond the last node the modulus is constant
-            full = self._cum[-1]
-            return full + (tf - float(self._t[-1])) * float(self._w[-1])
-        t0, w0 = float(self._t[idx]), float(self._w[idx])
-        t1, w1 = float(self._t[idx + 1]), float(self._w[idx + 1])
+            return self._cum[-1] + (tf - ts[-1]) * ws[-1]
+        t0, w0, t1, w1 = ts[idx], ws[idx], ts[idx + 1], ws[idx + 1]
         frac = (tf - t0) / (t1 - t0)
         w_at = w0 + frac * (w1 - w0)
         return self._cum[idx] + (tf - t0) * (w0 + w_at) / 2.0
 
     def inverse(self, y: float) -> float:
+        ts, ws = self._t, self._w
         if y <= 0:
             return 0.0
-        if y > float(self._w[-1]):
+        if y > ws[-1]:
             return float("inf")
-        idx = int(np.searchsorted(self._w, y, side="left"))
-        t0, w0 = float(self._t[idx - 1]), float(self._w[idx - 1])
-        t1, w1 = float(self._t[idx]), float(self._w[idx])
+        idx = bisect_left(ws, y)
+        t0, w0, t1, w1 = ts[idx - 1], ws[idx - 1], ts[idx], ws[idx]
         return t0 + (y - w0) * (t1 - t0) / (w1 - w0)
 
     def eval_fraction(self, t: Fraction) -> Fraction:
@@ -211,26 +248,20 @@ class TableModulus(Modulus):
         return Fraction(0)
 
     def breakpoints(self) -> tuple[float, ...]:
-        return tuple(float(t) for t in self._t[1:])
+        return self._t[1:]
 
     def pieces(self, lo: float, hi: float):
         if hi <= lo:
             return []
+        ts, ws = self._t, self._w
         out = []
-        cuts = [float(lo)]
-        for t in self._t:
-            tf = float(t)
-            if lo < tf < hi:
-                cuts.append(tf)
-        cuts.append(float(hi))
+        cuts = [float(lo), *(t for t in ts if lo < t < hi), float(hi)]
         for s0, s1 in zip(cuts, cuts[1:]):
-            mid = 0.5 * (s0 + s1)
-            idx = int(np.searchsorted(self._t, mid, side="right")) - 1
-            if idx >= len(self._t) - 1:
-                out.append((s0, s1, 0.0, 1.0, float(self._w[-1])))
+            idx = bisect_right(ts, 0.5 * (s0 + s1)) - 1
+            if idx >= len(ts) - 1:
+                out.append((s0, s1, 0.0, 1.0, ws[-1]))
             else:
-                t0, w0 = float(self._t[idx]), float(self._w[idx])
-                t1, w1 = float(self._t[idx + 1]), float(self._w[idx + 1])
+                t0, w0, t1, w1 = ts[idx], ws[idx], ts[idx + 1], ws[idx + 1]
                 slope = (w1 - w0) / (t1 - t0)
                 out.append((s0, s1, slope, 1.0, w0 - slope * t0))
         return out
@@ -240,16 +271,13 @@ class TableModulus(Modulus):
 
     @property
     def max_value(self) -> float:
-        return float(self._w[-1])
+        return self._w[-1]
 
     def to_config(self) -> dict:
-        return {
-            "kind": "table",
-            "points": [[float(t), float(w)] for t, w in self._exact],
-        }
+        return {"kind": "table", "points": [[t, w] for t, w in zip(self._t, self._w)]}
 
     def __repr__(self):
-        nodes = ", ".join(f"({float(t):g}, {float(w):g})" for t, w in self._exact)
+        nodes = ", ".join(f"({t:g}, {w:g})" for t, w in zip(self._t, self._w))
         return f"TableModulus([{nodes}])"
 
 

@@ -51,7 +51,7 @@ from .calculus import (
     ball_integral_of_modulus,
 )
 from .extremals import make_f_eh, split_point_a
-from .modulus import Modulus, PowerModulus, TableModulus
+from .modulus import Modulus, PowerModulus, TableModulus, _Nodes
 from .operators import (
     EQUALITY_TOLS,
     THEOREM_IDS,
@@ -467,14 +467,12 @@ def _random_modulus(rng: _Draws, power_only: bool = False) -> Modulus:
     g_ratios = [g.as_integer_ratio() for g in gaps]
     s_ratios = [s.as_integer_ratio() for s in slopes]
     den = max(q for _, q in g_ratios + s_ratios)
-    pts = [(Fraction(0), Fraction(0))]
-    t = w = 0
+    ts, ws = [0], [0]
     for (gp, gq), (sp, sq) in zip(g_ratios, s_ratios):
         g = gp * (den // gq)
-        t += g
-        w += g * sp * (den // sq)
-        pts.append((Fraction(t, den), Fraction(w, den * den)))
-    return TableModulus(pts)
+        ts.append(ts[-1] + g)
+        ws.append(ws[-1] + g * sp * (den // sq))
+    return TableModulus(_Nodes(ts, ws, den, den * den))
 
 
 def _draw_cones(space: Space, rng: _Draws) -> tuple[float, tuple, list]:

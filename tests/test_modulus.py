@@ -1,11 +1,15 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sharp_ineq import oracle
+from sharp_ineq.cli import main
 from sharp_ineq.modulus import (
     PowerModulus,
     TableModulus,
@@ -211,8 +215,6 @@ def _random_concave_nodes(rng):
 def test_table_cumulants_are_the_rounded_fraction_sums():
     """``_cum`` is the float of each Fraction trapezoid sum, on 500 tables:
     random rational ones and the suites' dyadic ones."""
-    from sharp_ineq import oracle
-
     rng = np.random.default_rng(24)
     tables = [TableModulus(_random_concave_nodes(rng)) for _ in range(250)]
     draws = oracle._Draws(rng)
@@ -310,8 +312,8 @@ def test_table_check_agrees_with_fraction_slopes():
             got = str(exc)
         assert got == want, pts
         if got is None:  # the float nodes are float() of the exact ones
-            assert om._t.tolist() == [float(t) for t, _ in om._exact]
-            assert om._w.tolist() == [float(w) for _, w in om._exact]
+            assert [t.hex() for t in om._t] == [float(t).hex() for t, _ in om._exact]
+            assert [w.hex() for w in om._w] == [float(w).hex() for _, w in om._exact]
         seen[(i % 6, want)] = seen.get((i % 6, want), 0) + 1
     assert seen[(1, None)] > 50  # collinear nodes are accepted
     messages = {msg for _, msg in seen}
@@ -319,3 +321,149 @@ def test_table_check_agrees_with_fraction_slopes():
     assert {msg for kind, msg in seen if kind == 4} == messages - {
         "table nodes need strictly increasing t", "table values must be nondecreasing"
     }
+
+
+# ----------------------------------------------------------------------
+# scalar reads against the array reads they replace
+
+
+def _searchsorted_antiderivative(om, T, W, t):
+    """``TableModulus.antiderivative`` as it read on numpy node arrays."""
+    tf = float(t)
+    if tf <= 0:
+        return 0.0
+    idx = int(np.searchsorted(T, tf, side="right")) - 1
+    if idx >= len(T) - 1:
+        return om._cum[-1] + (tf - float(T[-1])) * float(W[-1])
+    t0, w0 = float(T[idx]), float(W[idx])
+    t1, w1 = float(T[idx + 1]), float(W[idx + 1])
+    frac = (tf - t0) / (t1 - t0)
+    w_at = w0 + frac * (w1 - w0)
+    return om._cum[idx] + (tf - t0) * (w0 + w_at) / 2.0
+
+
+def _searchsorted_inverse(T, W, y):
+    """``TableModulus.inverse`` as it read on numpy node arrays."""
+    if y <= 0:
+        return 0.0
+    if y > float(W[-1]):
+        return float("inf")
+    idx = int(np.searchsorted(W, y, side="left"))
+    t0, w0 = float(T[idx - 1]), float(W[idx - 1])
+    t1, w1 = float(T[idx]), float(W[idx])
+    return t0 + (y - w0) * (t1 - t0) / (w1 - w0)
+
+
+def _searchsorted_pieces(T, W, lo, hi):
+    """``TableModulus.pieces`` as it read on numpy node arrays."""
+    if hi <= lo:
+        return []
+    out = []
+    cuts = [float(lo)] + [float(t) for t in T if lo < float(t) < hi] + [float(hi)]
+    for s0, s1 in zip(cuts, cuts[1:]):
+        idx = int(np.searchsorted(T, 0.5 * (s0 + s1), side="right")) - 1
+        if idx >= len(T) - 1:
+            out.append((s0, s1, 0.0, 1.0, float(W[-1])))
+        else:
+            t0, w0 = float(T[idx]), float(W[idx])
+            t1, w1 = float(T[idx + 1]), float(W[idx + 1])
+            slope = (w1 - w0) / (t1 - t0)
+            out.append((s0, s1, slope, 1.0, w0 - slope * t0))
+    return out
+
+
+# distinct nodes 1 and 1 + 10**-20 that round to one float
+NEAR_TIE = [(0, 0), (1, Fraction(1, 2)),
+            (1 + Fraction(1, 10**20), Fraction(1, 2) + Fraction(1, 4 * 10**20)), (3, 1)]
+
+
+def _config_tables(cfg):
+    if isinstance(cfg, dict):
+        if cfg.get("kind") == "table":
+            yield from_config(cfg)
+        cfg = list(cfg.values())
+    if isinstance(cfg, list):
+        for item in cfg:
+            yield from _config_tables(item)
+
+
+def _scalar_read_tables():
+    """1000 suite tables, the shipped config tables, a plateau and NEAR_TIE."""
+    draws = oracle._Draws(np.random.default_rng(29))
+    tables = []
+    while len(tables) < 1000:
+        omega = oracle._random_modulus(draws)
+        if isinstance(omega, TableModulus):
+            tables.append(omega)
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    shipped = [om for path in sorted(configs.glob("*.json"))
+               for om in _config_tables(json.loads(path.read_text()))]
+    assert shipped
+    return tables + shipped + [TableModulus([(0, 0), (1, 1), (2, 1)]), TableModulus(NEAR_TIE)]
+
+
+def _probe_points(om):
+    """0, -1, every node and node value, the midpoints between them, points
+    past the last node, the infinities and NaN."""
+    mids = [0.5 * (a + b) for xs in (om._t, om._w) for a, b in zip(xs, xs[1:])]
+    return [0.0, -0.0, -1.0, *om._t, *om._w, *mids, om._t[-1] + 1.0, 2.0 * om._t[-1],
+            om._w[-1] + 1.0, math.inf, -math.inf, math.nan]
+
+
+def _bits(values):
+    """The float64 bit patterns of ``values``: NaN equals NaN, -0.0 differs from 0.0."""
+    return np.array(list(values), dtype=np.float64).view(np.uint64).tolist()
+
+
+def _piece_bits(decompositions):
+    """The bits of each decomposition's piece count and pieces, in a row."""
+    return _bits(x for pieces in decompositions
+                 for x in (len(pieces), *(x for piece in pieces for x in piece)))
+
+
+def test_near_tie_table_is_accepted_and_verified(capsys, tmp_path):
+    om = TableModulus(NEAR_TIE)
+    assert om._t[1] == om._t[2] == 1.0 and om._exact[1] != om._exact[2]
+    cfg = {"space": {"kind": "continuum", "d": 1, "m": 0}, "h_values": [1.5],
+           "modulus": {"kind": "table", "points": [[str(t), str(w)] for t, w in NEAR_TIE]}}
+    path = tmp_path / "near_tie.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path)]) == 0
+    assert "Violated" not in capsys.readouterr().out
+
+
+def test_table_scalar_reads_match_the_array_reads():
+    """A float argument reads the float node tuples by ``bisect``: its value
+    is ``np.interp``'s on the array, and ``antiderivative``, ``inverse`` and
+    ``pieces`` are the ``np.searchsorted`` formulas they replace, bit for
+    bit.  The one change: ``inverse(nan)`` is NaN, where ``searchsorted``
+    put NaN past the last node and the index ran off the table."""
+    for om in _scalar_read_tables():
+        pts = _probe_points(om)
+        T, W = np.array(om._t), np.array(om._w)
+        want = _bits(np.interp(np.array(pts), T, W))
+        assert _bits(om(p) for p in pts) == want, om
+        assert _bits(om(np.float64(p)) for p in pts) == want, om
+        assert _bits(om(np.array(pts))) == want, om
+        assert {type(om(p)) for p in pts} == {type(om(np.float64(p))) for p in pts} == {float}
+        assert (_bits(om.antiderivative(p) for p in pts)
+                == _bits(_searchsorted_antiderivative(om, T, W, p) for p in pts)), om
+        assert (_bits(om.inverse(p) for p in pts[:-1])
+                == _bits(_searchsorted_inverse(T, W, p) for p in pts[:-1])), om
+        assert math.isnan(om.inverse(math.nan))
+        with pytest.raises(IndexError):
+            _searchsorted_inverse(T, W, math.nan)
+        spans = [(0.0, p) for p in pts] + [(p, math.inf) for p in pts[::3]]
+        assert (_piece_bits([om.pieces(lo, hi) for lo, hi in spans])
+                == _piece_bits([_searchsorted_pieces(T, W, lo, hi) for lo, hi in spans])), om
+
+
+def test_power_scalars_match_the_array_bits():
+    """A scalar power modulus goes through ``np.power`` like an array, not
+    Python's ``**``, which differs from it in the last bit on some points."""
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([[0.0, 1.0, 2.0, 1e-300, 1e300], rng.uniform(0.0, 10.0, 200)])
+    for alpha in rng.uniform(0.3, 1.0, 20).tolist():
+        om = PowerModulus(alpha)
+        assert _bits(om(x) for x in xs.tolist()) == _bits(om(xs))
+        assert _bits(om(x) for x in xs) == _bits(om(xs))

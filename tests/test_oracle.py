@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from sharp_ineq import _kernels, _lattice, oracle
 from sharp_ineq.calculus import sup_norm
-from sharp_ineq.modulus import PowerModulus, TableModulus
+from sharp_ineq.modulus import PowerModulus, TableModulus, _Nodes
 from sharp_ineq.space import RequestError, continuum, lattice
 
 RAMP = PowerModulus(1.0)
@@ -520,6 +521,8 @@ def _next_draws(rng) -> list:
 
 
 def test_random_modulus_matches_fraction_sums():
+    """The integer node record ``_random_modulus`` builds gives the table
+    that ``(t, w)`` pairs of the summed ``Fraction``s give, bit for bit."""
     tables = 0
     for seed in range(200):
         draws, rng = oracle._Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
@@ -531,8 +534,35 @@ def test_random_modulus_matches_fraction_sums():
             tables += 1
             assert got._exact == want._exact
             assert all(type(v) is Fraction for node in got._exact for v in node)
+            assert [v.hex() for v in got._t + got._w] == [v.hex() for v in want._t + want._w]
+            assert [c.hex() for c in got._cum] == [c.hex() for c in want._cum]
+            assert repr(got) == repr(want)
+            t_grid = np.linspace(-0.5, 1.5 * got._t[-1], 41).tolist()
+            y_grid = np.linspace(-0.5, 1.5 * got._w[-1], 41).tolist()
+            assert ([got.antiderivative(t).hex() for t in t_grid]
+                    == [want.antiderivative(t).hex() for t in t_grid])
+            assert [got.inverse(y).hex() for y in y_grid] == [want.inverse(y).hex() for y in y_grid]
         assert _next_draws(draws) == _next_draws(rng)
     assert tables > 80
+
+
+@pytest.mark.parametrize("ts, ws, message", [
+    ([0], [0], "at least two nodes"),
+    ([0, 4, 8], [16, 20, 24], "start at (0, 0)"),
+    ([0, 4, 4], [0, 16, 20], "strictly increasing t"),
+    ([0, 4, 8], [0, 16, 12], "nondecreasing"),
+    ([0, 4, 8], [0, 8, 24], "concave"),
+], ids=["one-node", "off-origin", "non-increasing-t", "decreasing-w", "convex"])
+def test_node_record_refused_as_the_pairs_are(ts, ws, message):
+    """A ``_Nodes`` record (``t`` over ``den``, ``w`` over ``den**2``, as
+    ``_random_modulus`` builds it) fails the checks with the message the
+    same nodes as ``(t, w)`` pairs raise."""
+    den = 4
+    with pytest.raises(RequestError, match=re.escape(message)) as want:
+        TableModulus([(F(t, den), F(w, den * den)) for t, w in zip(ts, ws)])
+    with pytest.raises(RequestError) as got:
+        TableModulus(_Nodes(ts, ws, den, den * den))
+    assert str(got.value) == str(want.value)
 
 
 # 1 draws nothing; 3 * 2**30 + 1 rejects about a quarter of the half-words
