@@ -4,8 +4,7 @@ A *plan* fixes the geometry of a sliding-ball computation on the lattice: a
 window of base points, the set of ball (or annulus) offsets, and the padded
 bounding box that contains every ``base + offset``.  Function values are then
 evaluated once on the padded box and every sweep becomes a flat gather:
-weighted sums by ``_kernels.ball_sums``, and ``seminorm_local``'s
-one gather of every window ball, each row summed on its own.
+plain ball sums by ``ball_row_sums``, weighted ones by ``_kernels.ball_sums``.
 
 Dimension-agnostic by construction: coordinates are linearized with C-order
 strides, so the same plan code serves d = 1, 2, 3, ...
@@ -126,3 +125,17 @@ def evaluate_padded(plan: GatherPlan, evaluator) -> np.ndarray:
     """Evaluate a batch evaluator on the plan's padded points (float64 flat)."""
     vals = np.asarray(evaluator(plan.padded_float), dtype=np.float64)
     return np.ascontiguousarray(vals.ravel())
+
+
+def ball_row_sums(plan: GatherPlan, values: np.ndarray) -> np.ndarray:
+    """The sum of ``values`` over each window ball of the plan: ``(N,)`` for
+    flat padded values ``(P,)``, ``(T, N)`` for ``T`` rows ``(T, P)``.
+
+    The balls are one flat take, C-contiguous, so each sums as the
+    contiguous row it is: a row of ``T`` rows gets the bits it gets alone.
+    The strided ``values[:, gather]`` sums in another order.
+    """
+    take = plan.base_idx[:, None] + plan.lin_offsets
+    if values.ndim == 2:
+        take = (np.arange(len(values)) * values.shape[1])[:, None, None] + take
+    return values.ravel()[take].sum(axis=-1)

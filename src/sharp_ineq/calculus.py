@@ -459,8 +459,9 @@ def seminorm_local(
 ) -> float:
     """``sup over x of | integral over x + B_h of f |`` at window scale h.
 
-    Lattice: exact sweep of one gather of every window ball, each row summed
-    on its own (bit for bit ``ball_integral_at``'s row sums); a window short
+    Lattice: exact sweep of every window ball by ``_lattice.ball_row_sums``,
+    one gather with each row summed on its own (bit for bit
+    ``ball_integral_at``'s row sums); a window short
     of the declared support dilated by the ball radius raises ``ValueError``.
     Continuum: the max of ``|ball_integral_at|`` over the grid of
     translations (``_translations``), one batched call.  A certified value
@@ -473,8 +474,7 @@ def seminorm_local(
     if space.is_lattice:
         plan = _seminorm_plan(f, space, h, window_radius)
         padded = _lattice.evaluate_padded(plan, f.evaluator)
-        sums = padded[plan.base_idx[:, None] + plan.lin_offsets[None, :]].sum(axis=1)
-        est = float(np.max(np.abs(sums)))
+        est = float(np.max(np.abs(_lattice.ball_row_sums(plan, padded))))
     else:
         xs = _translations(f, space, h, window_radius)
         est = float(np.max(np.abs(ball_integral_at(f, space, h, xs, spec))))

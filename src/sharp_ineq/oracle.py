@@ -23,10 +23,11 @@ extremal constructors stamp on their outputs:
   is an integer, so the additive suites evaluate each trial's modulus once,
   as a row of a table over those integers, and sweep the trials that share
   a cached gather plan as one group: the cone values are one gather from
-  the table and ``I(h)`` one row sum per trial.  Each number keeps the bits
-  of a trial-by-trial sweep: elementwise ufuncs do not depend on the
-  array's shape, maxima are exact, the row sums read a C-contiguous take,
-  and the ball sums stay one matmul per trial.
+  the table, ``I(h)`` one row sum per trial and the charge ball sums one
+  row sum per ball.  Each number keeps the bits of a trial-by-trial sweep:
+  elementwise ufuncs do not depend on the array's shape, maxima are exact,
+  the row sums read a C-contiguous take, and the other ball sums stay one
+  matmul per trial.
 
 * ``mc_cross_check`` re-derives each closed-form quantity by plain Monte
   Carlo and reports the discrepancy in standard errors.
@@ -55,11 +56,9 @@ from .modulus import Modulus, PowerModulus, TableModulus, _Nodes
 from .operators import (
     EQUALITY_TOLS,
     THEOREM_IDS,
-    ChargeModel,
     InequalityReport,
     PowerLawKernel,
     _report,
-    charge_seminorm,
     kernel_ball_mass,
     kernel_tail_mass,
     mixed_multiplicative_rhs,
@@ -609,15 +608,20 @@ def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[
     for ``I(h)`` (``_ball_integrals``); the cone heights come from a table
     of their own (``_Cones``).  A group costs one sup-distance pass over its
     cones, one gather, ``heights - lam * omega``, a max over each trial's
-    cones and the clip at 0; its ball sums are one gather index for the
-    group and one ``@`` per trial.
+    cones and the clip at 0.  The ``charge`` ball sums of a group are one
+    flat take summed by rows (``_lattice.ball_row_sums``), so its ``term2``
+    is the library's seminorm sweep (``seminorm_local``), which a Tier-1
+    test cross-checks against ``charge_seminorm`` trial by trial.  The
+    ``lemma1``, ``nagy`` and ``sobolev`` ball sums are one gather index for
+    the group and one ``@ ones`` per trial: their pinned digests hold the
+    matmul's bits, which differ from the row sums' in the last place.
 
     Every number is the one a trial-by-trial sweep gives: elementwise
     ufuncs give each element the same bits whatever the array's shape;
-    maxima are exact, so no grouping or order moves them; each ``I(h)`` is
-    the sum of a contiguous row; and the ball sums are the per-trial
-    matmuls, since one matmul over all rows of a group, ``(T * N, K) @ w``
-    or ``(T, N, K) @ w``, rounds differently.
+    maxima are exact, so no grouping or order moves them; each ``I(h)`` and
+    each ``charge`` ball sum is the sum of a contiguous row; and the other
+    ball sums are the per-trial matmuls, since one matmul over all rows of a
+    group, ``(T * N, K) @ w`` or ``(T, N, K) @ w``, rounds differently.
     """
     space = _ADDITIVE_SPACE
     cones = _Cones(space, [omega for omega, _, _ in draws], [c for _, _, c in draws])
@@ -635,6 +639,8 @@ def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[
             gather = plan.base_idx[:, None] + plan.lin_offsets
             ones = np.ones(len(plan.lin_offsets))
             ball = np.stack([v[gather] @ ones for v in vals])
+        elif theorem_id == "charge":
+            ball = _lattice.ball_row_sums(plan, vals)
         if theorem_id == "lemma1":
             lhs = np.abs(vals[:, plan.base_idx] - ball / mu).max(axis=1)
             term2 = 0.0
@@ -642,18 +648,10 @@ def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[
             lhs = np.abs(vals).max(axis=1)
             if theorem_id == "nagy_l1":
                 term2 = np.sum(np.abs(vals), axis=1) / mu
-            elif theorem_id == "charge":
-                # the independent side: the library's charge gather of each
-                # trial's own cone function
-                sem = []
-                for i in idx:
-                    omega, h, _ = draws[i]
-                    nu = ChargeModel(density=make_cone_function(space, omega, specs[i]))
-                    sem.append(charge_seminorm(nu, space, h, window_radius=radius))
-                term2 = np.array(sem) / mu
             else:
-                # nagy; sobolev with the constant upper gradient lam/2, for
-                # which term1 = 2 * (lam/2) * I/mu is unchanged
+                # nagy and charge, whose seminorm is the sup of |ball|;
+                # sobolev with the constant upper gradient lam/2, for which
+                # term1 = 2 * (lam/2) * I/mu is unchanged
                 term2 = np.abs(ball).max(axis=1) / mu
         rhs = term1 + term2
         rhss[idx] = rhs

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sharp_ineq import _kernels, _lattice, oracle
+from sharp_ineq import _kernels, _lattice, operators, oracle
 from sharp_ineq.calculus import sup_norm
 from sharp_ineq.modulus import PowerModulus, TableModulus, _Nodes
 from sharp_ineq.space import RequestError, continuum, lattice
@@ -614,17 +614,25 @@ def _per_trial_heights(omega, lam, radii):
     return heights
 
 
+def _additive_groups(seed, trials):
+    """An additive suite's draws, its ``_Cones``, its sweep groups and their
+    modulus table."""
+    rng = oracle._Draws(np.random.default_rng(seed))
+    draws = [oracle._draw_additive(rng) for _ in range(trials)]
+    cones = oracle._Cones(oracle._ADDITIVE_SPACE, [omega for omega, _, _ in draws],
+                          [c for _, _, c in draws])
+    groups, table = oracle._sweep_groups(cones, [h for _, h, _ in draws])
+    return draws, cones, groups, table
+
+
 def test_grouped_suite_evaluation_matches_the_per_trial_path():
     """Every plan group of a 1000-trial additive draw, read from the modulus
     tables, has the bits of the per-trial path: ``cone_eval`` for the cone
     values, ``np.sum(omega(offset_rho))`` for ``I(h)``, and ``lam *
     omega(radii)`` for the heights."""
-    rng = oracle._Draws(np.random.default_rng(24))
-    draws = [oracle._draw_additive(rng) for _ in range(1000)]
+    draws, cones, groups, table = _additive_groups(24, 1000)
     space = oracle._ADDITIVE_SPACE
-    omegas = [omega for omega, _, _ in draws]
-    cones = oracle._Cones(space, omegas, [c for _, _, c in draws])
-    groups, table = oracle._sweep_groups(cones, [h for _, h, _ in draws])
+    omegas = cones.omegas
     assert {type(omega) for omega in omegas} == {PowerModulus, TableModulus}
     assert {len(c[1]) for _, _, c in draws} == {1, 2, 3}
     assert len(groups) > 5
@@ -646,6 +654,45 @@ def test_grouped_suite_evaluation_matches_the_per_trial_path():
                                       cones.heights[a:b], lam, omega, space)
             assert np.array_equal(vals[row].view(np.int64), _bits(want))
             assert i_h[row].view(np.int64) == _bits(np.sum(omega(plan.offset_rho)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_charge_ball_row_sums_are_the_library_seminorm(seed):
+    """Every sweep group of the 200-trial charge suite: the group's
+    ``ball_row_sums`` has the bits of each row's own call and of the row
+    sum of one gather per trial, and each row's sup of ``|ball|`` is the
+    library's ``charge_seminorm`` of the trial's cone function."""
+    draws, cones, groups, table = _additive_groups(seed, 200)
+    space = oracle._ADDITIVE_SPACE
+    assert min(map(len, groups.values())) == 1 and max(map(len, groups.values())) > 1
+
+    for (radius, k), idx in groups.items():
+        plan = _lattice.sweep_plan(space, radius, k)
+        vals = cones.on_lattice(idx, plan, table)
+        ball = _lattice.ball_row_sums(plan, vals)
+        assert ball.shape == (len(idx), len(plan.base_idx))
+        for row, i in enumerate(idx):
+            want = vals[row][plan.base_idx[:, None] + plan.lin_offsets].sum(axis=1)
+            assert ball[row].tobytes() == want.tobytes()
+            assert _lattice.ball_row_sums(plan, vals[row]).tobytes() == want.tobytes()
+            omega, h, _ = draws[i]
+            nu = operators.ChargeModel(oracle.make_cone_function(space, omega, cones.specs[i]))
+            sem = operators.charge_seminorm(nu, space, h, window_radius=radius)
+            assert np.abs(ball[row]).max().tobytes() == np.float64(sem).tobytes()
+
+
+def test_charge_suite_builds_no_per_trial_function(monkeypatch):
+    """The charge suite sums each group's cone values once: it builds no
+    cone function and runs no library seminorm per trial."""
+    want = oracle.random_suite("charge", 50, 1).to_json()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the charge suite evaluated a trial on its own")
+
+    monkeypatch.setattr(operators, "charge_seminorm", refused)
+    monkeypatch.setattr(oracle, "make_cone_function", refused)
+    monkeypatch.setattr(_kernels, "cone_eval", refused)
+    assert oracle.random_suite("charge", 50, 1).to_json() == want
 
 
 def test_suite_report_json_round_trip():
