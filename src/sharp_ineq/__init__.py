@@ -79,14 +79,12 @@ from .operators import (
 from .oracle import (
     EXACT_THEOREMS,
     MC_CHECKS,
-    ConeFunctionSpec,
     ExactFunction,
     SuiteReport,
     exact_f_eh,
     exact_f_omega,
     exact_holder_constant,
     exact_verify,
-    make_cone_function,
     mc_cross_check,
     random_suite,
 )

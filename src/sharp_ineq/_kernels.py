@@ -1,4 +1,4 @@
-"""Numeric kernels of the lattice sweeps and cone witnesses.
+"""Weighted ball sums of the lattice sweeps, and the reference cone evaluator.
 
 Data layout convention: lattice windows are flattened C-order arrays over a
 padded bounding box (see ``_lattice``).  Callers precompute
@@ -7,7 +7,10 @@ padded bounding box (see ``_lattice``).  Callers precompute
 * ``base_idx``    -- flat indices of the interior window points;
 * ``lin_offsets`` -- linearized index offsets of the ball/annulus points.
 
-so each kernel is dimension-agnostic.
+so each kernel is dimension-agnostic.  ``cone_eval`` evaluates cone
+functions at any points, with any modulus: the randomized suites read their
+cones from modulus tables instead (``oracle._Cones.on_lattice``), and the
+tests check those against it bit for bit.
 """
 
 from __future__ import annotations

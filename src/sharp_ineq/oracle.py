@@ -20,14 +20,16 @@ extremal constructors stamp on their outputs:
   replayed by ``_Draws`` from raw words, so the reports are those of
   numpy's own draws (a numpy stream change fails ``_Draws``'s test by
   name), then evaluates them.  On the lattice every distance a suite reads
-  is an integer, so the additive suites evaluate each trial's modulus once,
-  as a row of a table over those integers, and sweep the trials that share
-  a cached gather plan as one group: the cone values are one gather from
-  the table, ``I(h)`` one row sum per trial and the charge ball sums one
-  row sum per ball.  Each number keeps the bits of a trial-by-trial sweep:
-  elementwise ufuncs do not depend on the array's shape, maxima are exact,
-  the row sums read a C-contiguous take, and the other ball sums stay one
-  matmul per trial.
+  is an integer, so the lattice suites evaluate each trial's modulus once,
+  as a row of a table over those integers, and read every cone value from
+  it by one gather (``_Cones.on_lattice``).  The additive suites sweep the
+  trials that share a cached gather plan as one group, with ``I(h)`` one
+  row sum per trial and the charge ball sums one row sum per ball; the
+  hypersingular suite reads each trial's cones as a slice of one line
+  through all of them.  Each number keeps the bits of a trial-by-trial
+  sweep: elementwise ufuncs do not depend on the array's shape, maxima are
+  exact, the row sums read a C-contiguous take, and the other ball sums
+  stay one matmul per trial.
 
 * ``mc_cross_check`` re-derives each closed-form quantity by plain Monte
   Carlo and reports the discrepancy in standard errors.
@@ -315,69 +317,6 @@ def exact_verify(
 
 
 # ======================================================================
-# Randomized certified-smooth test functions
-# ======================================================================
-
-
-@dataclass(frozen=True)
-class ConeFunctionSpec:
-    """A max of truncated cones: ``max_i (c_i - lam * omega(rho(x, p_i)))+``.
-
-    Taking maxima and positive parts are 1-Lipschitz, so ``lam`` is a
-    certified smoothness bound whatever the centers and heights; the sup
-    norm is exactly ``max c_i`` (attained at the top cone's apex).
-    """
-
-    centers: tuple
-    heights: tuple
-    lam: float
-
-    def describe(self) -> dict:
-        return {
-            "centers": [list(c) for c in self.centers],
-            "heights": list(self.heights),
-            "lam": self.lam,
-        }
-
-
-def _cone_support(omega: Modulus, lam: float, heights, center_norms) -> Optional[float]:
-    """Radius beyond which every cone is 0: the largest
-    ``rho(p_i, 0) + omega^{-1}(c_i / lam)``, or ``None`` if a cone never
-    reaches 0."""
-    if lam <= 0:
-        return None
-    radii = [omega.inverse(c / lam) for c in heights]
-    if not all(math.isfinite(r) for r in radii):
-        return None
-    return max(n + r for n, r in zip(center_norms, radii))
-
-
-def make_cone_function(space: Space, omega: Modulus, spec: ConeFunctionSpec) -> FunctionModel:
-    centers = np.asarray(spec.centers, dtype=np.float64).reshape(-1, space.d)
-    heights = np.asarray(spec.heights, dtype=np.float64)
-    if centers.shape[0] != heights.shape[0] or centers.shape[0] == 0:
-        raise ValueError("need one height per center, at least one cone")
-    if np.any(heights <= 0):
-        raise ValueError("cone heights must be positive")
-    if space.m and np.any(centers[:, : space.m] < 0):
-        raise ValueError("cone centers must lie in the space")
-    lam = float(spec.lam)
-
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        return _kernels.cone_eval(pts, centers, heights, lam, omega, space)
-
-    return FunctionModel(
-        name=f"cones[k={len(heights)}]",
-        evaluator=evaluator,
-        certified_holder_bound=lam,
-        certified_sup_norm=float(heights.max()),
-        support_radius=_cone_support(
-            omega, lam, heights.tolist(), space.norm(centers).tolist()
-        ),
-    )
-
-
-# ======================================================================
 # Randomized suites
 # ======================================================================
 
@@ -406,6 +345,9 @@ class SuiteReport:
 MAX_TRIALS = 10**5
 _ADDITIVE_SPACE = lattice(2, 1)
 _HYPERSINGULAR_SPACE = lattice(1, 0)
+# trials per cone evaluation of the hypersingular suite, which peaks at
+# about 12 KB per trial: a suite of MAX_TRIALS runs in blocks
+_LINE_TRIALS = 1024
 
 
 class _Draws:
@@ -508,14 +450,19 @@ def _modulus_table(omegas: list, n: int) -> np.ndarray:
 
 class _Cones:
     """The cone functions of every trial of a suite, from each trial's
-    modulus and ``_draw_cones`` draw.
+    modulus and ``_draw_cones`` draw: trial ``i`` is
+    ``max_j (c_j - lam_i * omega_i(rho(x, p_j)))+`` over its cones ``j``.
+    Maxima and positive parts are 1-Lipschitz, so ``lam`` certifies the
+    smoothness whatever the centers and heights, and the sup norm is the
+    largest height, attained at that cone's apex.
 
     The cones of slope ``lam`` reach 0 at the drawn integer radii: heights
     ``lam * omega(r)``, read for all trials from one ``_modulus_table``, and
-    kept strictly below a bounded modulus's plateau so that each cone
-    provably reaches 0.  Kept as flat arrays over all cones (centers,
-    heights, the trial of each cone) and per trial (slope, first cone
-    ``start``, spec, support radius).
+    kept strictly below a bounded modulus's plateau, so that every cone is
+    0 beyond ``rho(p_j, 0) + omega^{-1}(c_j / lam)``, the trial's support
+    radius.  Kept as flat arrays over all cones (centers, heights, the
+    trial of each cone) and per trial (slope, first cone ``start``, support
+    radius).
     """
 
     def __init__(self, space: Space, omegas: list, draws: list):
@@ -533,34 +480,32 @@ class _Cones:
         self.heights = np.minimum(self.lam[self.trial] * table[self.trial, radii],
                                   np.array(cap)[self.trial])
         heights = self.heights.tolist()
-        self.specs = [
-            ConeFunctionSpec(centers=centers, heights=tuple(heights[a:b]), lam=lam)
-            for (lam, centers, _), a, b in zip(draws, self.start, self.start[1:])
-        ]
         norms = space.norm(self.centers).tolist()
         self.support = [
-            _cone_support(omega, s.lam, s.heights, norms[a:b])
-            for omega, s, a, b in zip(omegas, self.specs, self.start, self.start[1:])
+            max(norms[j] + omega.inverse(heights[j] / lam) for j in range(a, b))
+            for omega, (lam, _, _), a, b in zip(omegas, draws, self.start, self.start[1:])
         ]
 
-    def values(self, i: int, plan: _lattice.GatherPlan) -> np.ndarray:
-        """Trial ``i``'s cone function on the plan's padded box (flat)."""
+    def describe(self, i: int) -> dict:
+        """Trial ``i``'s cones as plain JSON: centers, heights and slope."""
         a, b = self.start[i], self.start[i + 1]
-        return _kernels.cone_eval(
-            plan.padded_float, self.centers[a:b], self.heights[a:b], self.specs[i].lam,
-            self.omegas[i], self.space,
-        )
+        return {
+            "centers": self.centers[a:b].tolist(),
+            "heights": self.heights[a:b].tolist(),
+            "lam": self.lam[i].item(),
+        }
 
-    def on_lattice(self, idx: list, plan: _lattice.GatherPlan, table: np.ndarray) -> np.ndarray:
-        """The cone functions of trials ``idx``, with integer centers, on the
-        plan's padded box: one row per trial.  Each cone's distances to the
-        box are integers, so its ``omega`` values are one flat take from its
-        trial's row of ``table`` (``_modulus_table`` over every distance),
-        and each trial's cones reduce by one ``np.maximum.reduceat``."""
+    def on_lattice(self, idx, points: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """The cone functions of trials ``idx``, with integer centers, at the
+        integer ``points`` (float, shape (P, d)): one row per trial.  Each
+        cone's distances to the points are integers, so its ``omega`` values
+        are one flat take from its trial's row of ``table``
+        (``_modulus_table`` over every distance), and each trial's cones
+        reduce by one ``np.maximum.reduceat``."""
         cones = [c for i in idx for c in range(self.start[i], self.start[i + 1])]
         first = np.cumsum([0] + [self.start[i + 1] - self.start[i] for i in idx[:-1]])
         trial = self.trial[cones]
-        rho = self.space.norm(plan.padded_float - self.centers[cones][:, None, :])
+        rho = self.space.norm(points - self.centers[cones][:, None, :])
         omega = table.ravel()[(trial * table.shape[1])[:, None] + rho.astype(np.intp)]
         vals = self.heights[cones][:, None] - self.lam[trial][:, None] * omega
         return np.maximum(np.maximum.reduceat(vals, first, axis=0), 0.0)
@@ -610,11 +555,12 @@ def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[
     cones, one gather, ``heights - lam * omega``, a max over each trial's
     cones and the clip at 0.  The ``charge`` ball sums of a group are one
     flat take summed by rows (``_lattice.ball_row_sums``), so its ``term2``
-    is the library's seminorm sweep (``seminorm_local``), which a Tier-1
-    test cross-checks against ``charge_seminorm`` trial by trial.  The
-    ``lemma1``, ``nagy`` and ``sobolev`` ball sums are one gather index for
-    the group and one ``@ ones`` per trial: their pinned digests hold the
-    matmul's bits, which differ from the row sums' in the last place.
+    is the library's seminorm sweep (``seminorm_local``): a test checks it
+    trial by trial against ``charge_seminorm`` of the trial's cones as
+    ``_kernels.cone_eval`` evaluates them.  The ``lemma1``, ``nagy`` and
+    ``sobolev`` ball sums are one gather index for the group and one
+    ``@ ones`` per trial: their pinned digests hold the matmul's bits,
+    which differ from the row sums' in the last place.
 
     Every number is the one a trial-by-trial sweep gives: elementwise
     ufuncs give each element the same bits whatever the array's shape;
@@ -625,7 +571,6 @@ def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[
     """
     space = _ADDITIVE_SPACE
     cones = _Cones(space, [omega for omega, _, _ in draws], [c for _, _, c in draws])
-    specs = cones.specs
     groups, table = _sweep_groups(cones, [h for _, h, _ in draws])
 
     gaps = np.empty(len(draws))
@@ -633,7 +578,7 @@ def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[
     for (radius, k), idx in groups.items():
         plan = _lattice.sweep_plan(space, radius, k)
         mu = float(len(plan.offsets))
-        vals = cones.on_lattice(idx, plan, table)
+        vals = cones.on_lattice(idx, plan.padded_float, table)
         term1 = cones.lam[idx] * _ball_integrals(table, idx, plan) / mu
         if theorem_id in ("lemma1", "nagy", "sobolev"):
             gather = plan.base_idx[:, None] + plan.lin_offsets
@@ -659,7 +604,7 @@ def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[
 
     def case(i: int) -> dict:
         omega, h, _ = draws[i]
-        return {"modulus": omega.to_config(), "h": h, "cones": specs[i].describe()}
+        return {"modulus": omega.to_config(), "h": h, "cones": cones.describe(i)}
 
     return gaps.tolist(), rhss.tolist(), case
 
@@ -674,28 +619,45 @@ def _draw_hypersingular(rng: _Draws) -> tuple:
 def _hypersingular_suite(draws: list) -> tuple[list, list, Callable[[int], dict]]:
     """Gaps and right sides of the truncated hypersingular bound on
     ``lattice(1, 0)``: the operator as weighted ball sums over the kernel's
-    annulus, against ``lam A(h) + 2 sup|f| T(h)``."""
+    annulus, against ``lam A(h) + 2 sup|f| T(h)``.
+
+    Trial ``i``'s plan, a window of ``radius`` swept by the annulus cut at
+    ``cut``, pads to the line ``[-pad, pad]``, ``pad = radius + cut``.  The
+    space is one-dimensional, so every such line is a slice of the widest,
+    ``window_points(space, reach)``: the cones of all trials are one
+    ``_Cones.on_lattice`` call on that line, from one ``_modulus_table`` over
+    the ``reach + max rho(p, 0) + 1`` distances it reads, and each trial
+    reads its own line as a slice, with the bits ``cone_eval`` gives it.
+    The plans, the weights and the ``ball_sums`` matmul stay per trial: a
+    common plan would add zero-weight offsets, and a stacked matmul would
+    round in another order, each moving the last bits of the sums.
+    """
     space = _HYPERSINGULAR_SPACE
     cones = _Cones(space, [omega for omega, _, _, _ in draws], [c for _, _, _, c in draws])
-    specs = cones.specs
+    cuts = [int(math.floor(kernel.cutoff)) for _, _, kernel, _ in draws]
+    radii = [int(math.ceil(s)) + cut + 1 for s, cut in zip(cones.support, cuts)]
+    reach = max(radius + cut for radius, cut in zip(radii, cuts))
+    table = _modulus_table(cones.omegas, reach + int(space.norm(cones.centers).max()) + 1)
+    line = _lattice.window_points(space, reach).astype(np.float64)
+    heights = cones.heights.tolist()
     gaps = []
     rhss = []
-    for i, (omega, h, kernel, _) in enumerate(draws):
-        lam = specs[i].lam
-        cut = int(math.floor(kernel.cutoff))
-        radius = int(math.ceil(cones.support[i])) + cut + 1
-        plan = _lattice.sweep_plan(space, radius, cut, punctured=True)
-        weights = np.asarray(kernel.value(plan.offset_rho, space.d))
-        padded = cones.values(i, plan)
-        weighted = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets, weights)
-        vals = padded[plan.base_idx] * weights.sum() - weighted
-        lhs = float(np.max(np.abs(vals)))
-
-        a_h = kernel_ball_mass(space, omega, kernel, h).value
-        t_h = kernel_tail_mass(space, kernel, h).value
-        rhs = lam * a_h + 2.0 * max(specs[i].heights) * t_h
-        gaps.append(rhs - lhs)
-        rhss.append(rhs)
+    for lo in range(0, len(draws), _LINE_TRIALS):
+        block = range(lo, min(lo + _LINE_TRIALS, len(draws)))
+        for i, padded in zip(block, cones.on_lattice(block, line, table)):
+            omega, h, kernel, (lam, _, _) = draws[i]
+            plan = _lattice.sweep_plan(space, radii[i], cuts[i], punctured=True)
+            pad = radii[i] + cuts[i]
+            padded = padded[reach - pad: reach + pad + 1]
+            weights = np.asarray(kernel.value(plan.offset_rho, space.d))
+            weighted = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets, weights)
+            vals = padded[plan.base_idx] * weights.sum() - weighted
+            lhs = float(np.max(np.abs(vals)))
+            a_h = kernel_ball_mass(space, omega, kernel, h).value
+            t_h = kernel_tail_mass(space, kernel, h).value
+            rhs = lam * a_h + 2.0 * max(heights[cones.start[i]:cones.start[i + 1]]) * t_h
+            gaps.append(rhs - lhs)
+            rhss.append(rhs)
 
     def case(i: int) -> dict:
         omega, h, kernel, _ = draws[i]
@@ -703,7 +665,7 @@ def _hypersingular_suite(draws: list) -> tuple[list, list, Callable[[int], dict]
             "modulus": omega.to_config(),
             "h": h,
             "kernel": kernel.to_config(),
-            "cones": specs[i].describe(),
+            "cones": cones.describe(i),
         }
 
     return gaps, rhss, case

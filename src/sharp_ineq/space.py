@@ -111,9 +111,10 @@ def config_number(value, name: str, *, exact: bool = False):
 
 def _max_last_axis(a: np.ndarray):
     """``a.max(axis=-1)`` as ``np.maximum`` folded over the columns of a short
-    last axis: the sup-norm reduction of ``Space.norm`` and the max over the
-    cones of ``_kernels.cone_eval``.  NaN propagates as in ``np.max``; a 1-d
-    ``a`` gives a numpy scalar, not a 0-d array."""
+    last axis: the sup-norm reduction of ``Space.norm``, and the max over the
+    cones of ``_kernels.cone_eval``, the reference the suites' cones are
+    tested against.  NaN propagates as in ``np.max``; a 1-d ``a`` gives a
+    numpy scalar, not a 0-d array."""
     out = a[..., 0]
     for j in range(1, a.shape[-1]):
         out = np.maximum(out, a[..., j])

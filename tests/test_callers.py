@@ -1,45 +1,63 @@
-"""Every definition in ``src/sharp_ineq`` has a caller in ``src``, every
-defaulted parameter of one is passed by some call in ``src``, and every
-parameter is read by its function's body.
+"""Every definition in ``src/sharp_ineq`` is reached from an entry point,
+every defaulted parameter of one is passed by some call in ``src``, and
+every parameter is read by its function's body.
 
 The AST of each module (``__init__.py``, which only re-exports, aside) is
 walked for its top-level functions and classes and the methods of those
-classes.  A definition counts as called when its name appears as a name or
-an attribute anywhere in ``src`` outside its own body.  Dunder methods are
-called by the language and are skipped.  A defaulted parameter counts as
-passed when a call by the function's name (the class's, for ``__init__``),
-outside the function's own body, gives it by position or keyword a value
-other than its default, or splats ``*`` or ``**`` arguments.  A parameter
-(``self`` or ``cls`` aside) counts as read when its name is loaded anywhere
-in the body; a body that only raises ``NotImplementedError`` (an interface
-stub) is skipped.
+classes.  A definition is reached when a chain of names leads to it from an
+entry point: ``cli.main``, the code a module runs on import (decorators,
+defaults, class bodies and module-level statements) and the dunder methods,
+which the language calls.  A reached function reaches every definition
+whose name appears as a name or an attribute in its body; names are matched
+without their module, so the walk can only reach more than the real
+references do.  A defaulted parameter counts as passed when a call by the
+function's name (the class's, for ``__init__``), outside the function's own
+body, gives it by position or keyword a value other than its default, or
+splats ``*`` or ``**`` arguments.  A parameter (``self`` or ``cls`` aside)
+counts as read when its name is loaded anywhere in the body; a body that
+only raises ``NotImplementedError`` (an interface stub) is skipped.
 """
 
 import ast
 import collections
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sharp_ineq"
 
-# definitions kept with no caller in src, each with the reason it is kept
+_PERFBENCH = "a perfbench per-layer metric names it; ROADMAP item 1 removes the metric first"
+
+
+def _only_from(callers: str) -> str:
+    return f"reached only from {callers}, which no entry point reaches; ROADMAP item 15 deletes it"
+
+
+# definitions kept though no entry point reaches them, each with the reason
+# it is kept
 UNCALLED_KEPT = {
-    "calculus.sup_norm": "a perfbench per-layer metric names it; ROADMAP item 1 "
-    "removes the metric first",
-    "calculus.l1_norm": "a perfbench per-layer metric names it; ROADMAP item 1 "
-    "removes the metric first",
-    "operators.charge_seminorm": "the library's charge seminorm; a perfbench per-layer "
-    "metric names it",
-    "oracle.make_cone_function": "the public cone-witness constructor; tests and the "
-    "charge suite's seminorm cross-check build witnesses with it",
+    "calculus.sup_norm": _PERFBENCH,
+    "calculus.l1_norm": _PERFBENCH,
+    "calculus.seminorm_local": _PERFBENCH,
+    "operators.charge_seminorm": _PERFBENCH,
+    "_lattice.evaluate_padded": _PERFBENCH,
+    "_kernels.cone_eval": "a perfbench per-layer metric names it, and tests use it as "
+    "the reference for oracle._Cones.on_lattice",
+    "calculus._seminorm_plan": _only_from("seminorm_local"),
+    "calculus._translations": _only_from("seminorm_local"),
+    "calculus.continuum_grid": _only_from("sup_norm and seminorm_local"),
+    "calculus._candidate_points": _only_from("sup_norm and seminorm_local"),
+    "calculus._check_certified_upper": _only_from("sup_norm, l1_norm and seminorm_local"),
+    "calculus.FunctionModel.without_certificates": _only_from("charge_seminorm"),
 }
 
 
-def _identifiers(node):
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
+def _identifiers(*nodes):
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
 
 
 def _definitions(module: str, tree: ast.Module):
@@ -63,25 +81,48 @@ def _is_method(qualname: str, node: ast.FunctionDef) -> bool:
     return qualname.count(".") == 2 and "staticmethod" not in decorators
 
 
+def _on_import(node):
+    """The parts of a top-level statement a module runs on import: all of
+    it but the bodies of functions."""
+    if isinstance(node, ast.FunctionDef):
+        args = node.args
+        yield from node.decorator_list + args.defaults
+        yield from (d for d in args.kw_defaults if d is not None)
+    elif isinstance(node, ast.ClassDef):
+        yield from node.decorator_list + node.bases
+        for sub in node.body:
+            yield from _on_import(sub)
+    else:
+        yield node
+
+
 def _uncalled() -> set:
+    """The definitions no entry point reaches."""
     trees = _trees()
-    total = collections.Counter(i for tree in trees.values() for i in _identifiers(tree))
-    uncalled = set()
+    named = collections.defaultdict(list)
+    reads = {}
     for module, tree in trees.items():
         for qualname, node in _definitions(module, tree):
-            name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            own = sum(1 for i in _identifiers(node) if i == name)
-            if total[name] == own:
-                uncalled.add(qualname)
-    return uncalled
+            named[node.name].append(qualname)
+            reads[qualname] = (set(_identifiers(*node.body))
+                               if isinstance(node, ast.FunctionDef) else set())
+    dunders = {q for q in reads if re.fullmatch(r"__\w+__", q.rsplit(".", 1)[1])}
+    on_import = {i for tree in trees.values() for stmt in tree.body
+                 for i in _identifiers(*_on_import(stmt))}
+    todo = ["cli.main", *dunders] + [q for name in on_import for q in named[name]]
+    reached = set()
+    while todo:
+        qualname = todo.pop()
+        if qualname not in reached:
+            reached.add(qualname)
+            todo += [q for name in reads[qualname] for q in named[name]]
+    return set(reads) - reached
 
 
 def test_every_definition_has_a_caller_in_src():
     uncalled = _uncalled()
-    assert sorted(uncalled - set(UNCALLED_KEPT)) == [], "definitions with no caller in src"
-    assert sorted(set(UNCALLED_KEPT) - uncalled) == [], "kept as uncalled, but now called or gone"
+    assert sorted(uncalled - set(UNCALLED_KEPT)) == [], "definitions no entry point reaches"
+    assert sorted(set(UNCALLED_KEPT) - uncalled) == [], "kept as unreached, but now reached or gone"
 
 
 # defaulted parameters kept, with no call in src that passes them, each with

@@ -40,11 +40,9 @@ def test_steklov_average_lattice_values():
 
 
 @pytest.mark.parametrize("space", [lattice(2, 1), lattice(3, 0)], ids=["Z2_1", "Z3_0"])
-def test_steklov_average_lattice_matches_per_point_sums(space):
+def test_steklov_average_lattice_matches_per_point_sums(space, cone_function):
     rng = np.random.default_rng(space.d)
-    cones = oracle._draw_cones(space, oracle._Draws(rng))
-    spec = oracle._Cones(space, [RAMP], [cones]).specs[0]
-    f = oracle.make_cone_function(space, RAMP, spec)
+    f = cone_function(space, RAMP, oracle._draw_cones(space, oracle._Draws(rng)))
     s = ops.steklov_average(f, space, 2.5)
     offsets = space.enumerate_ball(2.5).astype(np.float64)
     mu = float(space.ball_measure(2.5))
@@ -141,12 +139,10 @@ LATTICES = [lattice(d, m) for d in (1, 2, 3) for m in range(d + 1)]
 
 @pytest.mark.parametrize("h", [1.5, 2.5])
 @pytest.mark.parametrize("space", LATTICES, ids=lambda s: f"Z{s.d}_{s.m}")
-def test_charge_seminorm_lattice_gather_path(space, h):
+def test_charge_seminorm_lattice_gather_path(space, h, cone_function):
     rng = np.random.default_rng(10 * space.d + space.m)
     omega = RAMP if space.m % 2 else TableModulus([(0, 0), (1, 0.8), (3, 1.4)])
-    cones = oracle._draw_cones(space, oracle._Draws(rng))
-    spec = oracle._Cones(space, [omega], [cones]).specs[0]
-    f = oracle.make_cone_function(space, omega, spec)
+    f = cone_function(space, omega, oracle._draw_cones(space, oracle._Draws(rng)))
     k = strict_int_below(h)
     radius = math.ceil(f.support_radius) + k + 1
     nu = ops.ChargeModel(density=f)
@@ -508,11 +504,10 @@ def test_hypersingular_lattice_body_and_tail_off_origin(space):
         assert got.error_bound == 0.0
 
 
-def test_hypersingular_full_refuses_a_non_radial_continuum_function():
+def test_hypersingular_full_refuses_a_non_radial_continuum_function(cone_function):
     # certified, but with no radial pieces: the continuum path is radial only
     space = continuum(1, 0)
-    spec = oracle.ConeFunctionSpec(centers=[[0.5]], heights=[1.0], lam=1.0)
-    f = oracle.make_cone_function(space, RAMP, spec)
+    f = cone_function(space, RAMP, (1.0, ((0.5,),), [1.0]))
     assert f.certified_holder_bound == 1.0 and f.radial_pieces is None
     with pytest.raises(ValueError, match="radial"):
         ops.hypersingular_full(f, space, RAMP, ops.PowerLawKernel(beta=0.5))

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from sharp_ineq import _kernels, _lattice, operators, oracle
-from sharp_ineq.calculus import sup_norm
 from sharp_ineq.modulus import PowerModulus, TableModulus, _Nodes
 from sharp_ineq.space import RequestError, continuum, lattice
 
@@ -309,41 +308,59 @@ def test_exact_verify_guards():
 # cone functions: randomized but certified witnesses
 
 
+def _cone_draws(seed, trials):
+    """``trials`` additive draws: their ``_Cones`` on ``lattice(2, 1)``, the
+    window that holds every support with a step to spare, and every trial's
+    cone values on that window, read from one modulus table."""
+    rng = oracle._Draws(np.random.default_rng(seed))
+    draws = [oracle._draw_additive(rng) for _ in range(trials)]
+    space = oracle._ADDITIVE_SPACE
+    cones = oracle._Cones(space, [omega for omega, _, _ in draws], [c for _, _, c in draws])
+    radius = math.ceil(max(cones.support)) + 1
+    points = _lattice.window_points(space, radius)
+    table = oracle._modulus_table(cones.omegas, radius + int(space.norm(cones.centers).max()) + 1)
+    vals = cones.on_lattice(range(trials), points.astype(np.float64), table)
+    assert {type(omega) for omega, _, _ in draws} == {PowerModulus, TableModulus}
+    assert {len(c[1]) for _, _, c in draws} == {1, 2, 3}
+    return cones, points, vals
+
+
 def test_cone_function_certificates():
-    space = lattice(2, 1)
-    spec = oracle.ConeFunctionSpec(centers=[[1, 0], [0, 2]], heights=[1.0, 0.5], lam=1.0)
-    f = oracle.make_cone_function(space, RAMP, spec)
-    assert f.certified_holder_bound == 1.0
-    assert f.certified_sup_norm == 1.0
-    assert f(np.array([1.0, 0.0])) == 1.0  # apex value
-    # per-cone reach |p| + omega^{-1}(c/lam): max(1 + 1, 2 + 1/2)
-    assert f.support_radius == 2.5
-    # sweep never beats the certificates
-    got_sup = sup_norm(f, space, math.ceil(f.support_radius) + 1)
-    assert got_sup <= f.certified_sup_norm + 1e-12
+    """The sup of each trial's cones is its largest height, attained at that
+    cone's apex (the hypersingular right side reads it), and the cones are 0
+    beyond ``_Cones.support``."""
+    cones, points, vals = _cone_draws(6, 60)
+    space = cones.space
+    rho = space.norm(points)
+    for i, row in enumerate(vals):
+        a, b = cones.start[i], cones.start[i + 1]
+        top = a + int(np.argmax(cones.heights[a:b]))
+        apex = np.flatnonzero((points == cones.centers[top]).all(axis=1))
+        assert row.max() == cones.heights[a:b].max() == row[apex].item()
+        assert row.min() == 0.0
+        assert np.all(row[rho > cones.support[i]] == 0.0)
+        assert (row[rho <= cones.support[i]] > 0.0).any()
 
 
 def test_cone_function_support_radius():
     space = lattice(1, 0)
-    spec = oracle.ConeFunctionSpec(centers=[[2]], heights=[1.0], lam=2.0)
-    f = oracle.make_cone_function(space, RAMP, spec)
-    # cone dies at distance 1/2 from the center at 2
-    assert f.support_radius == 2.5
-    assert f(np.array([3.0])) == 0.0
+    cones = oracle._Cones(space, [RAMP, RAMP], [(2.0, ((2.0,),), [1.0]),
+                                                (1.0, ((1.0,), (-3.0,)), [2.0, 1.0])])
+    # per-cone reach |p| + omega^{-1}(c/lam) with c = lam * omega(r): |p| + r
+    assert cones.support == [3.0, 4.0]
+    assert cones.heights.tolist() == [2.0, 2.0, 1.0]
+    assert cones.describe(1) == {"centers": [[1.0], [-3.0]], "heights": [2.0, 1.0], "lam": 1.0}
 
 
 def test_cone_function_holder_pairs_property():
-    space = lattice(2, 0)
-    rng = np.random.default_rng(4)
-    om = PowerModulus(0.6)
-    spec = oracle.ConeFunctionSpec(centers=[[0, 1], [-2, 0]], heights=[0.8, 1.1], lam=1.3)
-    f = oracle.make_cone_function(space, om, spec)
-    pts = rng.integers(-5, 6, size=(4000, 2)).astype(np.float64)
-    qts = rng.integers(-5, 6, size=(4000, 2)).astype(np.float64)
-    keep = np.any(pts != qts, axis=1)
-    pts, qts = pts[keep], qts[keep]
-    ratio = np.abs(f(pts) - f(qts)) / om(space.norm(pts - qts))
-    assert ratio.max() <= 1.3 + 1e-12
+    """``|f(x) - f(y)| <= lam omega(rho(x, y))`` over every pair of window
+    points, for every trial: ``lam`` is a certified smoothness bound."""
+    cones, points, vals = _cone_draws(4, 40)
+    rho = cones.space.norm(points[:, None, :] - points[None, :, :])
+    off = rho > 0
+    for i, row in enumerate(vals):
+        bound = cones.lam[i] * cones.omegas[i](rho[off])
+        assert np.all(np.abs(row[:, None] - row[None, :])[off] <= bound * (1 + 1e-12))
 
 
 @pytest.mark.parametrize(
@@ -355,15 +372,14 @@ def test_cone_function_matches_formula(omega):
     space = lattice(2, 1)
     centers = np.array([[0.0, 1.0], [2.0, -2.0]])
     heights = np.array([0.8, 1.1])
-    spec = oracle.ConeFunctionSpec(centers=centers.tolist(), heights=heights.tolist(), lam=1.3)
-    f = oracle.make_cone_function(space, omega, spec)
     pts = np.random.default_rng(5).uniform(-4.0, 4.0, size=(300, 2))
     want = np.empty(len(pts))
     for i, x in enumerate(pts):
         dist = np.max(np.abs(x - centers), axis=1)
         want[i] = max(float(np.max(heights - 1.3 * omega(dist))), 0.0)
-    assert np.array_equal(f(pts), want)
-    assert np.all(f(pts + 20.0) == 0.0)
+    assert np.array_equal(_kernels.cone_eval(pts, centers, heights, 1.3, omega, space), want)
+    far = _kernels.cone_eval(pts + 20.0, centers, heights, 1.3, omega, space)
+    assert np.all(far == 0.0)
 
 
 def test_cone_eval_clamps_at_zero():
@@ -385,27 +401,15 @@ def test_ball_sums_weights():
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
-def test_cone_validation():
-    space = lattice(1, 0)
-    with pytest.raises(ValueError):
-        oracle.make_cone_function(
-            space, RAMP, oracle.ConeFunctionSpec(centers=[[0]], heights=[], lam=1.0)
-        )
-    with pytest.raises(ValueError):
-        oracle.make_cone_function(
-            space, RAMP, oracle.ConeFunctionSpec(centers=[[0]], heights=[-1.0], lam=1.0)
-        )
-
-
 # ----------------------------------------------------------------------
 # randomized suites
 
 
-@pytest.mark.parametrize(
-    "tid",
-    ["lemma1", "nagy", "nagy_l1", "sobolev", "charge", "hypersingular",
-     "mixed_additive", "mixed_multiplicative"],
-)
+THEOREMS = ["lemma1", "nagy", "nagy_l1", "sobolev", "charge", "hypersingular",
+            "mixed_additive", "mixed_multiplicative"]
+
+
+@pytest.mark.parametrize("tid", THEOREMS)
 def test_random_suite_no_violations(tid):
     rep = oracle.random_suite(tid, trials=40, seed=3)
     assert rep.violations == 0, rep.worst_case
@@ -641,14 +645,14 @@ def test_grouped_suite_evaluation_matches_the_per_trial_path():
         a, b = cones.start[i], cones.start[i + 1]
         want = _per_trial_heights(omega, lam, radii)
         assert np.array_equal(_bits(cones.heights[a:b]), _bits(want))
-        assert cones.specs[i].heights == tuple(want.tolist())
+        assert cones.describe(i)["heights"] == want.tolist()
 
     for (radius, k), idx in groups.items():
         plan = _lattice.sweep_plan(space, radius, k)
-        vals = cones.on_lattice(idx, plan, table)
+        vals = cones.on_lattice(idx, plan.padded_float, table)
         i_h = oracle._ball_integrals(table, idx, plan)
         for row, i in enumerate(idx):
-            omega, lam = omegas[i], cones.specs[i].lam
+            omega, lam = omegas[i], draws[i][2][0]
             a, b = cones.start[i], cones.start[i + 1]
             want = _kernels.cone_eval(plan.padded_float, cones.centers[a:b],
                                       cones.heights[a:b], lam, omega, space)
@@ -657,7 +661,7 @@ def test_grouped_suite_evaluation_matches_the_per_trial_path():
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_charge_ball_row_sums_are_the_library_seminorm(seed):
+def test_charge_ball_row_sums_are_the_library_seminorm(seed, cone_function):
     """Every sweep group of the 200-trial charge suite: the group's
     ``ball_row_sums`` has the bits of each row's own call and of the row
     sum of one gather per trial, and each row's sup of ``|ball|`` is the
@@ -668,15 +672,15 @@ def test_charge_ball_row_sums_are_the_library_seminorm(seed):
 
     for (radius, k), idx in groups.items():
         plan = _lattice.sweep_plan(space, radius, k)
-        vals = cones.on_lattice(idx, plan, table)
+        vals = cones.on_lattice(idx, plan.padded_float, table)
         ball = _lattice.ball_row_sums(plan, vals)
         assert ball.shape == (len(idx), len(plan.base_idx))
         for row, i in enumerate(idx):
             want = vals[row][plan.base_idx[:, None] + plan.lin_offsets].sum(axis=1)
             assert ball[row].tobytes() == want.tobytes()
             assert _lattice.ball_row_sums(plan, vals[row]).tobytes() == want.tobytes()
-            omega, h, _ = draws[i]
-            nu = operators.ChargeModel(oracle.make_cone_function(space, omega, cones.specs[i]))
+            omega, h, draw = draws[i]
+            nu = operators.ChargeModel(cone_function(space, omega, draw))
             sem = operators.charge_seminorm(nu, space, h, window_radius=radius)
             assert np.abs(ball[row]).max().tobytes() == np.float64(sem).tobytes()
 
@@ -690,9 +694,60 @@ def test_charge_suite_builds_no_per_trial_function(monkeypatch):
         raise AssertionError("the charge suite evaluated a trial on its own")
 
     monkeypatch.setattr(operators, "charge_seminorm", refused)
-    monkeypatch.setattr(oracle, "make_cone_function", refused)
     monkeypatch.setattr(_kernels, "cone_eval", refused)
     assert oracle.random_suite("charge", 50, 1).to_json() == want
+
+
+def test_no_suite_evaluates_a_cone_function_alone(monkeypatch):
+    """Every suite reads its cones from ``_Cones.on_lattice``: with
+    ``cone_eval`` refused, all eight reports are unchanged."""
+    want = {tid: oracle.random_suite(tid, 50, 1).to_json() for tid in THEOREMS}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a suite evaluated a cone function on its own")
+
+    monkeypatch.setattr(_kernels, "cone_eval", refused)
+    for tid in THEOREMS:
+        assert oracle.random_suite(tid, 50, 1).to_json() == want[tid], tid
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_hypersingular_lines_are_the_per_trial_cones(seed, monkeypatch):
+    """Each trial of the 200-trial hypersingular suite reads its padded line
+    as a slice of one line through all trials' cones: the slice's points are
+    its plan's padded points, and the values that reach ``ball_sums`` have
+    the bits of ``cone_eval`` on those points."""
+    rng = oracle._Draws(np.random.default_rng(seed))
+    draws = [oracle._draw_hypersingular(rng) for _ in range(200)]
+    assert {type(omega) for omega, _, _, _ in draws} == {PowerModulus, TableModulus}
+    assert {len(c[1]) for _, _, _, c in draws} == {1, 2, 3}
+    space = oracle._HYPERSINGULAR_SPACE
+    cones = oracle._Cones(space, [omega for omega, _, _, _ in draws],
+                          [c for _, _, _, c in draws])
+    cuts = [math.floor(kernel.cutoff) for _, _, kernel, _ in draws]
+    radii = [math.ceil(s) + cut + 1 for s, cut in zip(cones.support, cuts)]
+    reach = max(r + c for r, c in zip(radii, cuts))
+    line = _lattice.window_points(space, reach)
+
+    seen = []
+    ball_sums = _kernels.ball_sums
+
+    def recorded(padded, base_idx, lin_offsets, weights):
+        seen.append((padded.copy(), base_idx))
+        return ball_sums(padded, base_idx, lin_offsets, weights)
+
+    monkeypatch.setattr(_kernels, "ball_sums", recorded)
+    oracle._hypersingular_suite(draws)
+    assert len(seen) == len(draws)
+    for i, (padded, base_idx) in enumerate(seen):
+        plan = _lattice.sweep_plan(space, radii[i], cuts[i], punctured=True)
+        pad = radii[i] + cuts[i]
+        assert np.array_equal(line[reach - pad: reach + pad + 1], plan.padded_points)
+        assert base_idx is plan.base_idx
+        a, b = cones.start[i], cones.start[i + 1]
+        want = _kernels.cone_eval(plan.padded_float, cones.centers[a:b], cones.heights[a:b],
+                                  draws[i][3][0], draws[i][0], space)
+        assert padded.tobytes() == want.tobytes()
 
 
 def test_suite_report_json_round_trip():
