@@ -46,7 +46,8 @@ from .operators import (
     stechkin_curve,
     theorem_report,
 )
-from .oracle import EXACT_THEOREMS, MC_CHECKS, exact_verify, mc_cross_check, random_suite
+from .oracle import (EXACT_THEOREMS, MC_CHECKS, exact_verify, mc_cross_check, random_suite,
+                     require_mc_check, suite_arguments)
 from .space import RequestError, Space, config_integer, config_number, config_seed
 
 EXIT_OK = 0
@@ -267,31 +268,39 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
     out: dict = {}
     failed = False
 
+    # every suite and check is read and checked before the first one runs
+    runs = []
     suites = cfg.get("suites", [])
     if suites:
         if not isinstance(suites, list):
             raise RequestError("'suites' must be a list of suite objects")
-        reports = []
         for node in suites:
             if not isinstance(node, dict) or "theorem_id" not in node:
                 raise RequestError("each suite needs at least a 'theorem_id'")
             trials = config_integer(node.get("trials", 1000), "suite 'trials'")
             seed = _seed(args.seed, node.get("seed", 1), "suite 'seed'")
-            rep = random_suite(node["theorem_id"], trials=trials, seed=seed)
-            failed = failed or rep.violations > 0
-            reports.append(rep.to_json())
-        out["suites"] = reports
-
+            runs.append((node["theorem_id"], *suite_arguments(node["theorem_id"], trials, seed)))
     checks = cfg.get("mc_checks")
     if checks:
         if checks is True or checks == "all":
             checks = list(MC_CHECKS)
         if not isinstance(checks, list):
             raise RequestError("'mc_checks' must be a list of check names, true, or 'all'")
+        mc_seed = _seed(args.seed, cfg.get("seed", 0), "'seed'")
+        for name in checks:
+            require_mc_check(name)
+
+    if runs:
+        reports = []
+        for theorem_id, trials, seed in runs:
+            rep = random_suite(theorem_id, trials=trials, seed=seed)
+            failed = failed or rep.violations > 0
+            reports.append(rep.to_json())
+        out["suites"] = reports
+    if checks:
         results = []
         for name in checks:
-            seed = _seed(args.seed, cfg.get("seed", 0), "'seed'")
-            res = mc_cross_check(name, seed=seed)
+            res = mc_cross_check(name, seed=mc_seed)
             failed = failed or not res["ok"]
             results.append(res)
         out["mc_checks"] = results

@@ -24,12 +24,15 @@ extremal constructors stamp on their outputs:
   as a row of a table over those integers, and read every cone value from
   it by one gather (``_Cones.on_lattice``).  The additive suites sweep the
   trials that share a cached gather plan as one group, with ``I(h)`` one
-  row sum per trial and the charge ball sums one row sum per ball; the
-  hypersingular suite reads each trial's cones as a slice of one line
-  through all of them.  Each number keeps the bits of a trial-by-trial
-  sweep: elementwise ufuncs do not depend on the array's shape, maxima are
-  exact, the row sums read a C-contiguous take, and the other ball sums
-  stay one matmul per trial.
+  row sum per trial and the charge ball sums one row sum per ball.  The
+  hypersingular suite runs a block of trials at a time: each trial's cones
+  are a slice of one line through all of them, and one table of the
+  block's kernels gives ``A(h)``, ``T(h)`` and the weights as row sums,
+  with the left and right sides one elementwise pass over the block.  Each
+  number keeps the bits of a trial-by-trial sweep: elementwise ufuncs do
+  not depend on the array's shape, maxima are exact, the row sums read a
+  C-contiguous take, and the other ball sums stay one matmul per trial,
+  since a matmul over many trials rounds in another order.
 
 * ``mc_cross_check`` re-derives each closed-form quantity by plain Monte
   Carlo and reports the discrepancy in standard errors.
@@ -61,6 +64,7 @@ from .operators import (
     InequalityReport,
     PowerLawKernel,
     _report,
+    _shell_counts,
     kernel_ball_mass,
     kernel_tail_mass,
     mixed_multiplicative_rhs,
@@ -345,8 +349,8 @@ class SuiteReport:
 MAX_TRIALS = 10**5
 _ADDITIVE_SPACE = lattice(2, 1)
 _HYPERSINGULAR_SPACE = lattice(1, 0)
-# trials per cone evaluation of the hypersingular suite, which peaks at
-# about 12 KB per trial: a suite of MAX_TRIALS runs in blocks
+# trials per block of the hypersingular suite, which peaks at about 14 KB
+# per trial (tracemalloc, 1000 trials): a suite of MAX_TRIALS runs in blocks
 _LINE_TRIALS = 1024
 
 
@@ -517,6 +521,14 @@ def _draw_additive(rng: _Draws) -> tuple:
     return omega, h, _draw_cones(_ADDITIVE_SPACE, rng)
 
 
+def _group_rows(keys) -> dict:
+    """The positions of ``keys`` by key, each list in order."""
+    groups: dict = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
+    return groups
+
+
 def _sweep_groups(cones: _Cones, hs: list) -> tuple[dict, np.ndarray]:
     """The trials of an additive suite by sweep plan ``(radius, k)``, with
     ``k = strict_int_below(h)`` and a window one step past the sweep of the
@@ -524,22 +536,25 @@ def _sweep_groups(cones: _Cones, hs: list) -> tuple[dict, np.ndarray]:
     over each distance those plans read.  A padded point of a plan lies
     within ``radius + k`` of the origin, so its distance to a cone's center
     ``c`` is at most ``radius + k + rho(c, 0)``."""
-    groups: dict = {}
-    for i, (h, support) in enumerate(zip(hs, cones.support)):
-        k = strict_int_below(h)
-        groups.setdefault((int(math.ceil(support)) + k + 1, k), []).append(i)
+    groups = _group_rows((int(math.ceil(support)) + k + 1, k)
+                         for k, support in zip(map(strict_int_below, hs), cones.support))
     reach = max(radius + k for radius, k in groups) + int(cones.space.norm(cones.centers).max())
     return groups, _modulus_table(cones.omegas, reach + 1)
 
 
+def _take_rows(table: np.ndarray, rows, cols: np.ndarray) -> np.ndarray:
+    """``table[rows][:, cols]`` as one flat take, C-contiguous, so each row
+    sums as the contiguous 1-D array it equals; the strided
+    ``table[rows][:, cols]`` sums in another order."""
+    first = np.asarray(rows, dtype=np.intp) * table.shape[1]
+    return table.ravel()[first[:, None] + cols]
+
+
 def _ball_integrals(table: np.ndarray, idx: list, plan: _lattice.GatherPlan) -> np.ndarray:
     """``I(h)`` of trials ``idx``: each trial's ``table`` row summed over the
-    plan's ball, which is ``enumerate_ball(h)`` in its order.  The rows are
-    one flat take, C-contiguous, so each sums as the contiguous row it is,
-    the bits of ``np.sum(omega(plan.offset_rho))``; the strided
-    ``table[idx][:, rho]`` sums in another order."""
-    rows = np.array(idx) * table.shape[1]
-    return table.ravel()[rows[:, None] + plan.offset_rho.astype(np.intp)].sum(axis=1)
+    plan's ball, which is ``enumerate_ball(h)`` in its order, with the bits
+    of ``np.sum(omega(plan.offset_rho))`` (``_take_rows``)."""
+    return _take_rows(table, idx, plan.offset_rho.astype(np.intp)).sum(axis=1)
 
 
 def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[[int], dict]]:
@@ -616,6 +631,43 @@ def _draw_hypersingular(rng: _Draws) -> tuple:
     return omega, h, kernel, _draw_cones(_HYPERSINGULAR_SPACE, rng)
 
 
+def _kernel_table(kernels: list, n: int, d: int) -> np.ndarray:
+    """Each power-law kernel of ``kernels`` at the distances ``1 .. n``, one
+    C-contiguous row per kernel: ``table[t, r - 1]`` is
+    ``kernels[t].value(r, d)`` exactly, from one broadcast ``np.power`` and
+    the cutoff mask, the elementwise steps ``value`` takes.  It starts at 1:
+    the punctured balls never read 0, whose power would divide by zero."""
+    grid = np.arange(1, n + 1, dtype=np.float64)
+    expo = np.array([-(d + kernel.beta) for kernel in kernels])
+    cutoff = np.array([kernel.cutoff for kernel in kernels])
+    return np.where(grid <= cutoff[:, None], np.power(grid, expo[:, None]), 0.0)
+
+
+def _kernel_masses(table: np.ndarray, kernel_table: np.ndarray, hs: list,
+                   cuts: list) -> tuple[np.ndarray, np.ndarray]:
+    """``A(h)`` and ``T(h)`` on ``_HYPERSINGULAR_SPACE`` of the trials whose
+    moduli are the rows of ``table`` (a ``_modulus_table``), whose kernels
+    are the rows of ``kernel_table`` (a ``_kernel_table``), and whose radii
+    and kernel cuts are ``hs`` and ``cuts``.  ``A(h)`` sums ``omega * P``
+    over the punctured ball of ``strict_int_below(h)`` in
+    ``kernel_ball_mass``'s order, one take of both tables per ball; ``T(h)``
+    sums ``N(r) P(r)`` over the shells ``ceil(h) .. cut`` as
+    ``kernel_tail_mass`` does, one take per ``(ceil(h), cut)``.  No row is
+    padded: a row of 8 or more terms sums pairwise, so a padded row would
+    round differently."""
+    space = _HYPERSINGULAR_SPACE
+    a_h = np.empty(len(hs))
+    for k, rows in _group_rows(map(strict_int_below, hs)).items():
+        rho = _lattice.sweep_plan(space, 0, k, punctured=True).offset_rho.astype(np.intp)
+        omega = _take_rows(table, rows, rho)
+        a_h[rows] = (omega * _take_rows(kernel_table, rows, rho - 1)).sum(axis=1)
+    t_h = np.empty(len(hs))
+    for (k0, cut), rows in _group_rows(zip(map(math.ceil, hs), cuts)).items():
+        ks, counts = _shell_counts(space, k0, cut)
+        t_h[rows] = (counts * _take_rows(kernel_table, rows, ks.astype(np.intp) - 1)).sum(axis=1)
+    return a_h, t_h
+
+
 def _hypersingular_suite(draws: list) -> tuple[list, list, Callable[[int], dict]]:
     """Gaps and right sides of the truncated hypersingular bound on
     ``lattice(1, 0)``: the operator as weighted ball sums over the kernel's
@@ -624,40 +676,67 @@ def _hypersingular_suite(draws: list) -> tuple[list, list, Callable[[int], dict]
     Trial ``i``'s plan, a window of ``radius`` swept by the annulus cut at
     ``cut``, pads to the line ``[-pad, pad]``, ``pad = radius + cut``.  The
     space is one-dimensional, so every such line is a slice of the widest,
-    ``window_points(space, reach)``: the cones of all trials are one
-    ``_Cones.on_lattice`` call on that line, from one ``_modulus_table`` over
-    the ``reach + max rho(p, 0) + 1`` distances it reads, and each trial
-    reads its own line as a slice, with the bits ``cone_eval`` gives it.
-    The plans, the weights and the ``ball_sums`` matmul stay per trial: a
-    common plan would add zero-weight offsets, and a stacked matmul would
-    round in another order, each moving the last bits of the sums.
+    ``window_points(space, reach)``: the cones of a block of
+    ``_LINE_TRIALS`` trials are one ``_Cones.on_lattice`` call on that line,
+    from one ``_modulus_table`` over the ``reach + max rho(p, 0) + 1``
+    distances it reads, and each trial reads its own line as a slice, with
+    the bits ``cone_eval`` gives it.
+
+    The rest of a block reads one ``_kernel_table`` of its kernels, the
+    oracle's own ``P``: ``A(h)`` and ``T(h)`` by ``_kernel_masses``, and the
+    weights as one take per ``cut`` at the plan's ``offset_rho``, summed by
+    rows.  The left sides ``|window * sum(w) - weighted|`` are one
+    elementwise pass over the block, with each trial's maximum by
+    ``np.maximum.reduceat``, and so are the right sides.  Only the
+    ``ball_sums`` matmul stays per trial: a common plan would add
+    zero-weight offsets, and a stacked matmul would round in another order,
+    each moving the last bits of the sums.
     """
     space = _HYPERSINGULAR_SPACE
     cones = _Cones(space, [omega for omega, _, _, _ in draws], [c for _, _, _, c in draws])
-    cuts = [int(math.floor(kernel.cutoff)) for _, _, kernel, _ in draws]
+    hs = [h for _, h, _, _ in draws]
+    kernels = [kernel for _, _, kernel, _ in draws]
+    cuts = [int(math.floor(kernel.cutoff)) for kernel in kernels]
     radii = [int(math.ceil(s)) + cut + 1 for s, cut in zip(cones.support, cuts)]
     reach = max(radius + cut for radius, cut in zip(radii, cuts))
     table = _modulus_table(cones.omegas, reach + int(space.norm(cones.centers).max()) + 1)
     line = _lattice.window_points(space, reach).astype(np.float64)
-    heights = cones.heights.tolist()
+    hmax = np.maximum.reduceat(cones.heights, cones.start[:-1])
     gaps = []
     rhss = []
     for lo in range(0, len(draws), _LINE_TRIALS):
-        block = range(lo, min(lo + _LINE_TRIALS, len(draws)))
-        for i, padded in zip(block, cones.on_lattice(block, line, table)):
-            omega, h, kernel, (lam, _, _) = draws[i]
-            plan = _lattice.sweep_plan(space, radii[i], cuts[i], punctured=True)
-            pad = radii[i] + cuts[i]
-            padded = padded[reach - pad: reach + pad + 1]
-            weights = np.asarray(kernel.value(plan.offset_rho, space.d))
-            weighted = _kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets, weights)
-            vals = padded[plan.base_idx] * weights.sum() - weighted
-            lhs = float(np.max(np.abs(vals)))
-            a_h = kernel_ball_mass(space, omega, kernel, h).value
-            t_h = kernel_tail_mass(space, kernel, h).value
-            rhs = lam * a_h + 2.0 * max(heights[cones.start[i]:cones.start[i + 1]]) * t_h
-            gaps.append(rhs - lhs)
-            rhss.append(rhs)
+        hi = min(lo + _LINE_TRIALS, len(draws))
+        block = range(lo, hi)
+        b_cuts = cuts[lo:hi]
+        b_radii = radii[lo:hi]
+        kernel_table = _kernel_table(kernels[lo:hi], max(b_cuts), space.d)
+        plans = {key: _lattice.sweep_plan(space, *key, punctured=True)
+                 for key in set(zip(b_radii, b_cuts))}
+
+        a_h, t_h = _kernel_masses(table[lo:hi], kernel_table, hs[lo:hi], b_cuts)
+        weights = [None] * len(block)
+        wsum = np.empty(len(block))
+        for cut, rows in _group_rows(b_cuts).items():
+            rho = plans[b_radii[rows[0]], cut].offset_rho.astype(np.intp)
+            w = _take_rows(kernel_table, rows, rho - 1)
+            wsum[rows] = w.sum(axis=1)
+            for row, w_row in zip(rows, w):
+                weights[row] = w_row
+
+        windows = []
+        weighted = []
+        for padded, radius, cut, w_row in zip(cones.on_lattice(block, line, table), b_radii,
+                                              b_cuts, weights):
+            plan = plans[radius, cut]
+            padded = padded[reach - radius - cut: reach + radius + cut + 1]
+            windows.append(padded[plan.base_idx])
+            weighted.append(_kernels.ball_sums(padded, plan.base_idx, plan.lin_offsets, w_row))
+        sizes = [len(window) for window in windows]
+        vals = np.concatenate(windows) * np.repeat(wsum, sizes) - np.concatenate(weighted)
+        lhs = np.maximum.reduceat(np.abs(vals), np.cumsum([0] + sizes[:-1]))
+        rhs = cones.lam[lo:hi] * a_h + 2.0 * hmax[lo:hi] * t_h
+        gaps.extend((rhs - lhs).tolist())
+        rhss.extend(rhs.tolist())
 
     def case(i: int) -> dict:
         omega, h, kernel, _ = draws[i]
@@ -735,6 +814,19 @@ def _suite_trials(
     return gaps, rhss, cases.__getitem__
 
 
+def suite_arguments(theorem_id: str, trials, seed) -> tuple[int, int]:
+    """``random_suite``'s ``trials`` and ``seed``, read by ``config_integer``
+    and ``config_seed``, once ``theorem_id`` and the trial count are checked:
+    a request it refuses raises ``RequestError`` before any draw."""
+    if theorem_id not in THEOREM_IDS:
+        raise RequestError(f"unknown theorem id {theorem_id!r}")
+    trials = config_integer(trials, "suite 'trials'")
+    seed = config_seed(seed, "suite 'seed'")
+    if not 0 < trials <= MAX_TRIALS:
+        raise RequestError(f"suite 'trials' must lie in 1..{MAX_TRIALS}, got {trials}")
+    return trials, seed
+
+
 def random_suite(theorem_id: str, trials: int = 1000, seed: int = 1) -> SuiteReport:
     """Hammer one inequality with randomized certified-smooth functions.
 
@@ -744,14 +836,9 @@ def random_suite(theorem_id: str, trials: int = 1000, seed: int = 1) -> SuiteRep
     counterexample, never sampling noise.  Deterministic per seed: the
     inputs are numpy's ``default_rng(seed)`` draws, replayed from raw words
     by ``_Draws``.  ``trials`` and ``seed`` are read by ``config_integer``;
-    a negative seed raises ``RequestError``.
+    a negative seed raises ``RequestError`` (``suite_arguments``).
     """
-    if theorem_id not in THEOREM_IDS:
-        raise RequestError(f"unknown theorem id {theorem_id!r}")
-    trials = config_integer(trials, "suite 'trials'")
-    seed = config_seed(seed, "suite 'seed'")
-    if not 0 < trials <= MAX_TRIALS:
-        raise RequestError(f"suite 'trials' must lie in 1..{MAX_TRIALS}, got {trials}")
+    trials, seed = suite_arguments(theorem_id, trials, seed)
     gaps, rhss, case = _suite_trials(theorem_id, trials, seed)
     tol = EQUALITY_TOLS[theorem_id]
     min_gap = math.inf
@@ -802,10 +889,15 @@ def _check_pair(name: str, det: float, mc: float, stderr: float) -> dict:
     }
 
 
-def mc_cross_check(name: str, seed: int = 0, samples: int = 200_000) -> dict:
-    """Re-derive one closed-form quantity by Monte Carlo; report sigmas."""
+def require_mc_check(name: str) -> None:
+    """Raise ``RequestError`` unless ``name`` is one of ``MC_CHECKS``."""
     if name not in MC_CHECKS:
         raise RequestError(f"unknown cross-check {name!r}; expected one of {MC_CHECKS}")
+
+
+def mc_cross_check(name: str, seed: int = 0, samples: int = 200_000) -> dict:
+    """Re-derive one closed-form quantity by Monte Carlo; report sigmas."""
+    require_mc_check(name)
     seed = config_seed(seed, "'seed'")
     mc_spec = QuadratureSpec(method=MONTE_CARLO, mc_samples=samples, seed=seed)
     rng = np.random.default_rng(seed + 17)

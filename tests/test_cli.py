@@ -213,6 +213,36 @@ def test_oracle_json_sections(capsys, tmp_path):
     assert doc["exact"][0]["exact"] == "0"
 
 
+NAGY5 = {"theorem_id": "nagy", "trials": 5}
+
+
+@pytest.mark.parametrize("payload, needle", [
+    ({"mc_checks": ["ball_integral", "nope"]}, "unknown cross-check 'nope'"),
+    ({"mc_checks": ["ball_integral"], "seed": -1}, "'seed' must be"),
+    ({"suites": [NAGY5, {"theorem_id": "nope"}]}, "unknown theorem id 'nope'"),
+    ({"suites": [NAGY5, {"trials": 5}]}, "each suite needs at least a 'theorem_id'"),
+    ({"suites": [NAGY5, {"theorem_id": "nagy", "trials": 0}]}, "suite 'trials' must lie"),
+    ({"suites": [NAGY5, {"theorem_id": "nagy", "trials": 0.5}]}, "suite 'trials'"),
+    ({"suites": [NAGY5, {"theorem_id": "nagy", "seed": -1}]}, "suite 'seed' must be"),
+    ({"suites": [NAGY5], "mc_checks": ["ball_integral", "nope"]}, "unknown cross-check 'nope'"),
+    ({"suites": [NAGY5], "mc_checks": "some"}, "'mc_checks' must be a list"),
+], ids=["check-name", "check-seed", "theorem-id", "node-shape", "trials-range", "trials-kind",
+        "suite-seed", "suite-then-check", "checks-kind"])
+def test_oracle_checks_every_request_before_running_one(capsys, tmp_path, monkeypatch,
+                                                        payload, needle):
+    # before: each suite and check ran before the next one was read, so a
+    # bad entry after a good one exited 2 only after the good one had run
+    def refused(*args, **kwargs):
+        raise AssertionError("ran a suite or check before every request was read")
+
+    monkeypatch.setattr(cli, "random_suite", refused)
+    monkeypatch.setattr(cli, "mc_cross_check", refused)
+    cfg = write_cfg(tmp_path, "o.json", payload)
+    code, out, err = run_cli(capsys, ["oracle", "--config", cfg])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error:") and needle in err
+
+
 def test_oracle_rejects_csv(capsys, tmp_path):
     cfg = write_cfg(tmp_path, "o.json", {"mc_checks": ["ball_integral"]})
     code, _, err = run_cli(capsys, ["oracle", "--config", cfg, "--format", "csv"])

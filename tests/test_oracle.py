@@ -711,19 +711,27 @@ def test_no_suite_evaluates_a_cone_function_alone(monkeypatch):
         assert oracle.random_suite(tid, 50, 1).to_json() == want[tid], tid
 
 
+def _hypersingular_draws(seed):
+    """The 200 draws of the hypersingular suite at ``seed``, and their ``_Cones``."""
+    rng = oracle._Draws(np.random.default_rng(seed))
+    draws = [oracle._draw_hypersingular(rng) for _ in range(200)]
+    assert {type(omega) for omega, _, _, _ in draws} == {PowerModulus, TableModulus}
+    assert {len(c[1]) for _, _, _, c in draws} == {1, 2, 3}
+    cones = oracle._Cones(oracle._HYPERSINGULAR_SPACE, [omega for omega, _, _, _ in draws],
+                          [c for _, _, _, c in draws])
+    return draws, cones
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_hypersingular_lines_are_the_per_trial_cones(seed, monkeypatch):
     """Each trial of the 200-trial hypersingular suite reads its padded line
     as a slice of one line through all trials' cones: the slice's points are
     its plan's padded points, and the values that reach ``ball_sums`` have
-    the bits of ``cone_eval`` on those points."""
-    rng = oracle._Draws(np.random.default_rng(seed))
-    draws = [oracle._draw_hypersingular(rng) for _ in range(200)]
-    assert {type(omega) for omega, _, _, _ in draws} == {PowerModulus, TableModulus}
-    assert {len(c[1]) for _, _, _, c in draws} == {1, 2, 3}
+    the bits of ``cone_eval`` on those points.  The weights that reach it,
+    rows of the suite's kernel table, have the bits of ``kernel.value`` at
+    the plan's offsets."""
+    draws, cones = _hypersingular_draws(seed)
     space = oracle._HYPERSINGULAR_SPACE
-    cones = oracle._Cones(space, [omega for omega, _, _, _ in draws],
-                          [c for _, _, _, c in draws])
     cuts = [math.floor(kernel.cutoff) for _, _, kernel, _ in draws]
     radii = [math.ceil(s) + cut + 1 for s, cut in zip(cones.support, cuts)]
     reach = max(r + c for r, c in zip(radii, cuts))
@@ -733,13 +741,13 @@ def test_hypersingular_lines_are_the_per_trial_cones(seed, monkeypatch):
     ball_sums = _kernels.ball_sums
 
     def recorded(padded, base_idx, lin_offsets, weights):
-        seen.append((padded.copy(), base_idx))
+        seen.append((padded.copy(), base_idx, weights.copy()))
         return ball_sums(padded, base_idx, lin_offsets, weights)
 
     monkeypatch.setattr(_kernels, "ball_sums", recorded)
     oracle._hypersingular_suite(draws)
     assert len(seen) == len(draws)
-    for i, (padded, base_idx) in enumerate(seen):
+    for i, (padded, base_idx, weights) in enumerate(seen):
         plan = _lattice.sweep_plan(space, radii[i], cuts[i], punctured=True)
         pad = radii[i] + cuts[i]
         assert np.array_equal(line[reach - pad: reach + pad + 1], plan.padded_points)
@@ -748,6 +756,66 @@ def test_hypersingular_lines_are_the_per_trial_cones(seed, monkeypatch):
         want = _kernels.cone_eval(plan.padded_float, cones.centers[a:b], cones.heights[a:b],
                                   draws[i][3][0], draws[i][0], space)
         assert padded.tobytes() == want.tobytes()
+        assert weights.tobytes() == draws[i][2].value(plan.offset_rho, space.d).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_hypersingular_tables_are_the_library_masses(seed):
+    """The hypersingular suite's own tables hold the library's bits on the
+    200 trials of seeds 1 and 2, which cover both balls, cuts across 20..39
+    and both modulus kinds: each ``_kernel_table`` row is ``kernel.value``
+    on its grid, and ``_kernel_masses`` gives ``kernel_ball_mass`` and
+    ``kernel_tail_mass`` byte for byte."""
+    draws, cones = _hypersingular_draws(seed)
+    space = oracle._HYPERSINGULAR_SPACE
+    hs = [h for _, h, _, _ in draws]
+    kernels = [kernel for _, _, kernel, _ in draws]
+    cuts = [math.floor(kernel.cutoff) for kernel in kernels]
+    assert {math.ceil(h) - 1 for h in hs} == {1, 2}
+    assert min(cuts) <= 21 and max(cuts) >= 38
+    grid = np.arange(1, max(cuts) + 1, dtype=np.float64)
+    kernel_table = oracle._kernel_table(kernels, len(grid), space.d)
+    a_h, t_h = oracle._kernel_masses(oracle._modulus_table(cones.omegas, 3), kernel_table,
+                                     hs, cuts)
+    for i, (omega, h, kernel, _) in enumerate(draws):
+        assert kernel_table[i].tobytes() == kernel.value(grid, space.d).tobytes()
+        a_want = operators.kernel_ball_mass(space, omega, kernel, h).value
+        t_want = operators.kernel_tail_mass(space, kernel, h).value
+        assert a_h[i].tobytes() == np.float64(a_want).tobytes()
+        assert t_h[i].tobytes() == np.float64(t_want).tobytes()
+
+
+def test_hypersingular_suite_runs_no_library_mass(monkeypatch):
+    """The hypersingular suite derives ``A(h)`` and ``T(h)`` from its own
+    tables: with the library's masses refused, its reports are unchanged."""
+    want = {seed: oracle.random_suite("hypersingular", 50, seed).to_json() for seed in (1, 2)}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the hypersingular suite called a library mass")
+
+    monkeypatch.setattr(oracle, "kernel_ball_mass", refused)
+    monkeypatch.setattr(oracle, "kernel_tail_mass", refused)
+    for seed in (1, 2):
+        assert oracle.random_suite("hypersingular", 50, seed).to_json() == want[seed]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_hypersingular_blocks_keep_the_trial_digests(monkeypatch, block):
+    """Blocks of 1, 7 and 64 trials, with a short last block for 7 and 64,
+    give every trial the bits of one block of all 200."""
+    monkeypatch.setattr(oracle, "_LINE_TRIALS", block)
+    for seed in (1, 2):
+        assert _trial_digest("hypersingular", seed) == TRIAL_DIGESTS[("hypersingular", seed)]
+
+
+def test_trial_digests_see_the_batched_tail(monkeypatch):
+    # T(h) started one shell late, at ceil(h) + 1: the hypersingular pins
+    # see the tail sums of the batched suite
+    def late(space, k0, k1):
+        return operators._shell_counts(space, k0 + 1, k1)
+
+    monkeypatch.setattr(oracle, "_shell_counts", late)
+    assert _trial_digest("hypersingular", 1) != TRIAL_DIGESTS[("hypersingular", 1)]
 
 
 def test_suite_report_json_round_trip():
