@@ -50,12 +50,10 @@ from .operators import (
     VERDICT_EQUALITY,
     VERDICT_HOLDS,
     VERDICT_VIOLATED,
-    ChargeModel,
     InequalityReport,
     PowerLawKernel,
     StechkinPoint,
     TableKernel,
-    charge_nagy_rhs,
     charge_seminorm,
     classify_verdict,
     hypersingular_full,

@@ -438,18 +438,6 @@ def _seminorm_plan(f: FunctionModel, space: Space, h, window_radius: float) -> _
     return _lattice.sweep_plan(space, int(math.ceil(window_radius)), k)
 
 
-def _certified_seminorm(f: FunctionModel, h) -> Optional[float]:
-    """``f``'s certified seminorm when it is stated at window scale ``h``,
-    else ``None``."""
-    if (
-        f.certified_seminorm_h is not None
-        and f.seminorm_at_h is not None
-        and math.isclose(float(f.seminorm_at_h), float(h), rel_tol=1e-12)
-    ):
-        return f.certified_seminorm_h
-    return None
-
-
 def seminorm_local(
     f: FunctionModel,
     space: Space,
@@ -469,7 +457,9 @@ def seminorm_local(
     search; ``f.without_certificates()`` gives the search result itself.
     """
     space.require_valid_radius(h)
-    certified = _certified_seminorm(f, h)
+    certified = f.certified_seminorm_h  # read only where it is stated: at this h
+    if f.seminorm_at_h is None or not math.isclose(float(f.seminorm_at_h), float(h), rel_tol=1e-12):
+        certified = None
 
     if space.is_lattice:
         plan = _seminorm_plan(f, space, h, window_radius)

@@ -43,11 +43,12 @@ from .operators import (
     inapplicable,
     kernel_from_config,
     modulus_label,
+    require_theorem,
     stechkin_curve,
     theorem_report,
 )
-from .oracle import (EXACT_THEOREMS, MC_CHECKS, exact_verify, mc_cross_check, random_suite,
-                     require_mc_check, suite_arguments)
+from .oracle import (EXACT_THEOREMS, MC_CHECKS, exact_inapplicable, exact_verify, mc_cross_check,
+                     random_suite, require_mc_check, suite_arguments)
 from .space import RequestError, Space, config_integer, config_number, config_seed
 
 EXIT_OK = 0
@@ -69,10 +70,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv(columns: list[str], rows: list[dict]) -> str:
+def _csv(rows: list[dict]) -> str:
+    columns = list(rows[0])
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(c, "")) for c in columns))
+        lines.append(",".join(_fmt(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -80,10 +82,10 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _render(columns: list[str], rows: list[dict], fmt: str) -> str:
+def _render(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         return _json_text(rows)
-    return _csv(columns, rows)
+    return _csv(rows)
 
 
 # ----------------------------------------------------------------------
@@ -178,8 +180,14 @@ def cmd_constant(cfg: dict, args) -> tuple[str, int]:
                 "deviation": est.value / mu,
             }
         )
-    columns = ["d", "m", "alpha_or_modulus", "h", "mu", "integral", "deviation"]
-    return _render(columns, rows, args.format), EXIT_OK
+    return _render(rows, args.format), EXIT_OK
+
+
+def _require_exact(theorem_id: str, space: Space, omega: Modulus) -> None:
+    """Raise the reason ``exact_verify`` would refuse the replay with, before any runs."""
+    reason = exact_inapplicable(theorem_id, space, omega)
+    if reason is not None:
+        raise RequestError(reason)
 
 
 def _report_row(report: InequalityReport, want_exact: bool) -> dict:
@@ -214,6 +222,9 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
     if tol is not None and not 0.0 <= tol < math.inf:
         raise RequestError(f"'tol' must be finite and nonnegative, got {tol}")
     spec = _spec_from(cfg, space, omega, args.seed)
+    require = _require_exact if exact else require_theorem
+    for tid in theorems:  # every theorem is checked before the first report
+        require(tid, space, omega)
 
     # the theorems at one h share one I(h); the cache lives for this command only
     modulus_integral = functools.cache(ball_integral_of_modulus)
@@ -230,13 +241,7 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
                 )
             violated = violated or report.verdict == "Violated"
             rows.append(_report_row(report, exact))
-    columns = [
-        "theorem_id", "d", "m", "alpha_or_modulus", "h",
-        "lhs", "rhs_term1", "rhs_term2", "gap", "verdict",
-    ]
-    if exact:
-        columns.append("exact")
-    return _render(columns, rows, args.format), EXIT_VIOLATION if violated else EXIT_OK
+    return _render(rows, args.format), EXIT_VIOLATION if violated else EXIT_OK
 
 
 def cmd_stechkin(cfg: dict, args) -> tuple[str, int]:
@@ -258,8 +263,7 @@ def cmd_stechkin(cfg: dict, args) -> tuple[str, int]:
         }
         for p in points
     ]
-    columns = ["d", "m", "alpha_or_modulus", "n", "h", "e_n"]
-    return _render(columns, rows, args.format), EXIT_OK
+    return _render(rows, args.format), EXIT_OK
 
 
 def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
@@ -268,7 +272,7 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
     out: dict = {}
     failed = False
 
-    # every suite and check is read and checked before the first one runs
+    # every suite, check and replay is read and checked before the first one runs
     runs = []
     suites = cfg.get("suites", [])
     if suites:
@@ -289,6 +293,23 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
         mc_seed = _seed(args.seed, cfg.get("seed", 0), "'seed'")
         for name in checks:
             require_mc_check(name)
+    replays = []
+    exact_nodes = cfg.get("exact", [])
+    if exact_nodes:
+        if not isinstance(exact_nodes, list):
+            raise RequestError("'exact' must be a list of exact-verification objects")
+        for node in exact_nodes:
+            if not isinstance(node, dict):
+                raise RequestError("each exact entry must be an object")
+            if "theorem_id" not in node:
+                raise RequestError("each exact entry needs a 'theorem_id'")
+            space = _space_from(node)
+            omega = _modulus_from(node)
+            if "h" not in node:
+                raise RequestError("each exact entry needs 'h'")
+            h = _radius(node["h"], "'h'", space, exact=True)
+            _require_exact(node["theorem_id"], space, omega)
+            replays.append((node["theorem_id"], space, omega, h))
 
     if runs:
         reports = []
@@ -305,22 +326,10 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
             results.append(res)
         out["mc_checks"] = results
 
-    exact_nodes = cfg.get("exact", [])
-    if exact_nodes:
-        if not isinstance(exact_nodes, list):
-            raise RequestError("'exact' must be a list of exact-verification objects")
+    if replays:
         reports = []
-        for node in exact_nodes:
-            if not isinstance(node, dict):
-                raise RequestError("each exact entry must be an object")
-            if "theorem_id" not in node:
-                raise RequestError("each exact entry needs a 'theorem_id'")
-            space = _space_from(node)
-            omega = _modulus_from(node)
-            if "h" not in node:
-                raise RequestError("each exact entry needs 'h'")
-            h = _radius(node["h"], "'h'", space, exact=True)
-            report = exact_verify(node["theorem_id"], space, omega, h)
+        for theorem_id, space, omega, h in replays:
+            report = exact_verify(theorem_id, space, omega, h)
             failed = failed or report.verdict == "Violated"
             reports.append(_report_row(report, True))
         out["exact"] = reports

@@ -6,8 +6,9 @@ The three families
 * ``steklov_average`` — the ball average ``S_h f(x) = (1/mu(B_h)) *
   integral over B_h of f(x+u)``, the optimal norm-``1/mu(B_h)`` approximant
   of the identity.  ``ostrowski_bound`` / ``nagy_rhs`` / ``nagy_l1_rhs`` /
-  ``sobolev_rhs`` are the sharp right-hand sides built on it, and the charge
-  variants route a set function through its density.
+  ``sobolev_rhs`` are the sharp right-hand sides built on it.  A charge
+  with density ``f`` has the seminorm of ``f`` (``charge_seminorm``), so
+  the charge bound is ``nagy_rhs`` on the density.
 
 * ``hypersingular_full`` — the integral of ``(f(0) - f(u))`` against a
   radial kernel, singular at the origin, over the whole space; it checks
@@ -51,7 +52,6 @@ from .calculus import (
     Estimate,
     FunctionModel,
     QuadratureSpec,
-    _certified_seminorm,
     _mc_mean,
     _radial_kinks,
     _radial_value,
@@ -254,55 +254,23 @@ def sobolev_rhs(
 # ======================================================================
 
 
-@dataclass
-class ChargeModel:
-    """A signed set function absolutely continuous w.r.t. the space measure.
-
-    Only the density is ever stored: every charge quantity, ``nu(x + B_h)``
-    included, is an integral of the density; the set-function view is a shell.
-    """
-
-    density: FunctionModel
-
-
 def charge_seminorm(
-    nu: ChargeModel,
+    density: FunctionModel,
     space: Space,
     h,
     window_radius: float,
     spec: Optional[QuadratureSpec] = None,
 ) -> float:
-    """``sup over x of |nu(x + B_h)|``: by the identity ``charge seminorm ==
-    density seminorm``, the ``seminorm_local`` search on the density.
+    """``sup over x of |nu(x + B_h)|`` for the charge ``nu`` with density
+    ``density``: by the identity ``charge seminorm == density seminorm``, the
+    ``seminorm_local`` search on the density.
 
     The density's certificates are stripped first, so a certified seminorm
     is never read: the value is the search itself (on lattices the exact
     sweep, on the continuum the translation grid).  A window short of the
     density's support dilated by the ball raises ``ValueError``.
     """
-    return seminorm_local(nu.density.without_certificates(), space, h, window_radius, spec)
-
-
-def charge_nagy_rhs(
-    nu: ChargeModel,
-    space: Space,
-    omega: Modulus,
-    h,
-    holder_norm: float,
-    i_h: Optional[Estimate] = None,
-    seminorm_value: Optional[float] = None,
-) -> float:
-    """Sharp bound on ``sup |density|`` from charge data; delegates to the
-    function-side bound with the charge seminorm in place of the function
-    seminorm (the two coincide by change of variables) and passes ``i_h`` on."""
-    if seminorm_value is None:
-        seminorm_value = _certified_seminorm(nu.density, h)
-        if seminorm_value is None:
-            raise ValueError(
-                "no certified seminorm at this window scale; pass seminorm_value "
-                "(e.g. from charge_seminorm)"
-            )
-    return nagy_rhs(space, omega, h, holder_norm, seminorm_value, i_h)
+    return seminorm_local(density.without_certificates(), space, h, window_radius, spec)
 
 
 # ======================================================================
@@ -752,11 +720,11 @@ def stechkin_curve(
     """
     if space.is_lattice:
         raise RequestError("the best-approximation curve needs a continuum of scales")
-    out = []
-    for n in n_values:
-        nf = float(n)
-        if nf <= 0:
+    for n in n_values:  # every budget is checked before the first point
+        if float(n) <= 0:
             raise RequestError(f"n_values must be positive (operator norm budgets), got {n}")
+    out = []
+    for nf in map(float, n_values):
         h = solve_h_for_measure(space, 1.0 / nf)
         i_h = ball_integral_of_modulus(space, omega, h, spec)
         out.append(StechkinPoint(n=nf, h=h, e_n=ostrowski_bound(space, omega, h, 1.0, i_h)))
@@ -802,6 +770,16 @@ def inapplicable(theorem_id: str, space: Space, omega: Modulus) -> Optional[str]
     return None
 
 
+def require_theorem(theorem_id: str, space: Space, omega: Modulus) -> None:
+    """Raise ``RequestError`` unless ``theorem_id`` is one of ``THEOREM_IDS``
+    and stated on ``space`` with ``omega`` (see ``inapplicable``)."""
+    if theorem_id not in THEOREM_IDS:
+        raise RequestError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
+    reason = inapplicable(theorem_id, space, omega)
+    if reason is not None:
+        raise RequestError(f"theorem {theorem_id!r} does not apply here: {reason}")
+
+
 def theorem_report(
     theorem_id: str,
     space: Space,
@@ -813,8 +791,8 @@ def theorem_report(
     modulus_integral=None,
 ) -> InequalityReport:
     """Check one named sharp bound at its extremal witness; every verdict
-    should be ``EqualityAttained``.  A theorem not stated on ``space`` with
-    ``omega`` (see ``inapplicable``) raises ``RequestError``.
+    should be ``EqualityAttained``.  A theorem ``require_theorem`` refuses
+    raises ``RequestError``.
 
     ``modulus_integral`` computes ``I(h)`` with the signature of
     ``ball_integral_of_modulus``, the default (looked up at call time).  A
@@ -822,11 +800,7 @@ def theorem_report(
     so that they share one estimate; it is still called where the theorem
     needs ``I(h)``, so errors surface in the same order.
     """
-    if theorem_id not in THEOREM_IDS:
-        raise RequestError(f"unknown theorem id {theorem_id!r}; expected one of {THEOREM_IDS}")
-    reason = inapplicable(theorem_id, space, omega)
-    if reason is not None:
-        raise RequestError(f"theorem {theorem_id!r} does not apply here: {reason}")
+    require_theorem(theorem_id, space, omega)
     if tol is None:
         tol = EQUALITY_TOLS[theorem_id]
     if modulus_integral is None:
@@ -858,10 +832,7 @@ def theorem_report(
             total = sobolev_rhs(
                 space, omega, h, grad.certified_sup_norm, f.certified_seminorm_h, i_h
             )
-        elif theorem_id == "charge":
-            nu = ChargeModel(density=f)
-            total = charge_nagy_rhs(nu, space, omega, h, 1.0, i_h)
-        else:
+        else:  # nagy, and charge: the charge bound is the Nagy bound of its density
             total = nagy_rhs(space, omega, h, 1.0, f.certified_seminorm_h, i_h)
         term1 = ostrowski_bound(space, omega, h, 1.0, i_h)
         if theorem_id == "sobolev":

@@ -889,6 +889,16 @@ def _check_pair(name: str, det: float, mc: float, stderr: float) -> dict:
     }
 
 
+# library quantities checked against their own Monte Carlo path: the
+# function and its arguments, looked up and built when the check runs
+_LIBRARY_CHECKS = {
+    "ball_integral": lambda: (ball_integral_of_modulus, continuum(2, 1), PowerModulus(0.7), 1.3),
+    "kernel_ball_mass": lambda: (kernel_ball_mass, continuum(1, 0), TableModulus(
+        [(0, 0), (Fraction(1, 2), Fraction(1, 2)), (2, 1)]), PowerLawKernel(beta=0.6), 1.5),
+    "kernel_tail_mass": lambda: (kernel_tail_mass, continuum(2, 1), PowerLawKernel(beta=0.5), 1.2),
+}
+
+
 def require_mc_check(name: str) -> None:
     """Raise ``RequestError`` unless ``name`` is one of ``MC_CHECKS``."""
     if name not in MC_CHECKS:
@@ -902,24 +912,10 @@ def mc_cross_check(name: str, seed: int = 0, samples: int = 200_000) -> dict:
     mc_spec = QuadratureSpec(method=MONTE_CARLO, mc_samples=samples, seed=seed)
     rng = np.random.default_rng(seed + 17)
 
-    if name == "ball_integral":
-        space, omega, h = continuum(2, 1), PowerModulus(0.7), 1.3
-        det = ball_integral_of_modulus(space, omega, h).value
-        est = ball_integral_of_modulus(space, omega, h, mc_spec)
-        return _check_pair(name, det, est.value, est.error_bound)
-
-    if name == "kernel_ball_mass":
-        space = continuum(1, 0)
-        omega = TableModulus([(0, 0), (Fraction(1, 2), Fraction(1, 2)), (2, 1)])
-        kernel = PowerLawKernel(beta=0.6)
-        det = kernel_ball_mass(space, omega, kernel, 1.5).value
-        est = kernel_ball_mass(space, omega, kernel, 1.5, mc_spec)
-        return _check_pair(name, det, est.value, est.error_bound)
-
-    if name == "kernel_tail_mass":
-        space, kernel = continuum(2, 1), PowerLawKernel(beta=0.5)
-        det = kernel_tail_mass(space, kernel, 1.2).value
-        est = kernel_tail_mass(space, kernel, 1.2, mc_spec)
+    if name in _LIBRARY_CHECKS:
+        quantity, *args = _LIBRARY_CHECKS[name]()
+        det = quantity(*args).value
+        est = quantity(*args, mc_spec)
         return _check_pair(name, det, est.value, est.error_bound)
 
     if name == "l1_feh":

@@ -25,7 +25,7 @@ from sharp_ineq.calculus import (
 )
 from sharp_ineq.extremals import make_f_e_omega, make_f_eh
 from sharp_ineq.modulus import PowerModulus, TableModulus
-from sharp_ineq.operators import ChargeModel, charge_seminorm
+from sharp_ineq.operators import charge_seminorm
 from sharp_ineq.space import RequestError, Space, continuum, lattice
 
 
@@ -304,7 +304,7 @@ def test_ball_integral_search_draws_one_sample_per_call(monkeypatch):
     f = make_f_e_omega(space, PowerModulus(1.0), 1.0)
     spec = QuadratureSpec(method=MONTE_CARLO, mc_samples=20_000, seed=3)
     for search in (lambda: seminorm_local(f, space, 0.5, 1.0, spec),
-                   lambda: charge_seminorm(ChargeModel(f), space, 0.5, 1.0, spec)):
+                   lambda: charge_seminorm(f, space, 0.5, 1.0, spec)):
         draws.clear()
         assert search().hex() == "0x1.d589ec6734a41p-2"
         assert len(draws) == 1

@@ -128,8 +128,6 @@ def test_every_definition_has_a_caller_in_src():
 # defaulted parameters kept, with no call in src that passes them, each with
 # the reason it is kept
 UNPASSED_KEPT = {
-    "operators.charge_nagy_rhs.seminorm_value": "a caller's charge seminorm, for a "
-    "density with no certificate at h; tests pass one",
     "oracle.exact_verify.f": "a caller's exact witness; the exact randomized suites "
     "of ROADMAP item 2 pass one per trial",
     "cli.main.argv": "the arguments of an in-process run; the console script reads sys.argv",

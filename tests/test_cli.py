@@ -213,7 +213,25 @@ def test_oracle_json_sections(capsys, tmp_path):
     assert doc["exact"][0]["exact"] == "0"
 
 
+LINE = {"kind": "continuum", "d": 1, "m": 0}
+ZZ = {"kind": "lattice", "d": 1, "m": 0}
+POWER1 = {"kind": "power", "alpha": 1.0}
+TABLE = {"kind": "table", "points": [[0, 0], ["1/2", "2/5"], [2, 1]]}
 NAGY5 = {"theorem_id": "nagy", "trials": 5}
+Z3 = {"kind": "lattice", "d": 3, "m": 0}
+# an exact entry that replays, and the same entry with one field changed or dropped
+REPLAY = {"theorem_id": "nagy", "space": Z3, "modulus": POWER1, "h": "7/2"}
+NO_SPACE = {key: v for key, v in REPLAY.items() if key != "space"}
+# a suite and a check that would run ahead of every replay
+RUNS_FIRST = {"suites": [NAGY5], "mc_checks": ["ball_integral"]}
+
+
+def _refuse_every_run(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("ran a suite, check, replay or report before every request was read")
+
+    for name in ("random_suite", "mc_cross_check", "exact_verify", "theorem_report"):
+        monkeypatch.setattr(cli, name, refused)
 
 
 @pytest.mark.parametrize("payload, needle", [
@@ -226,21 +244,63 @@ NAGY5 = {"theorem_id": "nagy", "trials": 5}
     ({"suites": [NAGY5, {"theorem_id": "nagy", "seed": -1}]}, "suite 'seed' must be"),
     ({"suites": [NAGY5], "mc_checks": ["ball_integral", "nope"]}, "unknown cross-check 'nope'"),
     ({"suites": [NAGY5], "mc_checks": "some"}, "'mc_checks' must be a list"),
+    ({**RUNS_FIRST, "exact": [REPLAY, NO_SPACE]}, "config needs a 'space' object"),
+    ({**RUNS_FIRST, "exact": [REPLAY, {**REPLAY, "modulus": None}]},
+     "config needs a 'modulus' object"),
+    ({**RUNS_FIRST, "exact": [REPLAY, {**REPLAY, "h": 1}]}, "lattice balls need h > 1"),
+    ({**RUNS_FIRST, "exact": [REPLAY, {**REPLAY, "theorem_id": "hypersingular"}]},
+     "exact mode covers"),
+    ({**RUNS_FIRST, "exact": [REPLAY, {**REPLAY, "space": LINE}]},
+     "exact mode runs on lattice spaces"),
+    ({**RUNS_FIRST, "exact": [REPLAY, {**REPLAY, "modulus": {"kind": "power", "alpha": 0.5}}]},
+     "exact mode needs a rational modulus"),
+    ({**RUNS_FIRST, "exact": [REPLAY, "nagy"]}, "each exact entry must be an object"),
+    ({**RUNS_FIRST, "exact": REPLAY}, "'exact' must be a list"),
 ], ids=["check-name", "check-seed", "theorem-id", "node-shape", "trials-range", "trials-kind",
-        "suite-seed", "suite-then-check", "checks-kind"])
+        "suite-seed", "suite-then-check", "checks-kind", "exact-space", "exact-modulus",
+        "exact-h", "exact-theorem", "exact-continuum", "exact-irrational", "exact-shape",
+        "exact-kind"])
 def test_oracle_checks_every_request_before_running_one(capsys, tmp_path, monkeypatch,
                                                         payload, needle):
-    # before: each suite and check ran before the next one was read, so a
-    # bad entry after a good one exited 2 only after the good one had run
-    def refused(*args, **kwargs):
-        raise AssertionError("ran a suite or check before every request was read")
-
-    monkeypatch.setattr(cli, "random_suite", refused)
-    monkeypatch.setattr(cli, "mc_cross_check", refused)
+    # before: each suite, check and replay ran before the next one was read,
+    # so a bad entry after a good one exited 2 only after the good one had run
+    _refuse_every_run(monkeypatch)
     cfg = write_cfg(tmp_path, "o.json", payload)
     code, out, err = run_cli(capsys, ["oracle", "--config", cfg])
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("config error:") and needle in err
+
+
+@pytest.mark.parametrize("exact, space, modulus, theorems, needle", [
+    (False, LINE, POWER1, ["nagy", "nope"], "unknown theorem id 'nope'"),
+    (False, ZZ, POWER1, ["nagy", "mixed_additive"], "does not apply here: mixed-difference"),
+    (False, LINE, TABLE, ["nagy", "mixed_multiplicative"], "stated for power moduli"),
+    (True, Z3, POWER1, ["nagy", "nagy_l1", "sobolev", "hypersingular"], "exact mode covers"),
+    (True, LINE, POWER1, ["nagy"], "exact mode runs on lattice spaces"),
+    (True, ZZ, {"kind": "power", "alpha": 0.5}, ["nagy"], "exact mode needs a rational modulus"),
+], ids=["unknown", "lattice-mixed", "table-multiplicative", "exact-theorem", "exact-continuum",
+        "exact-irrational"])
+def test_verify_checks_every_theorem_before_the_first_report(capsys, tmp_path, monkeypatch,
+                                                             exact, space, modulus, theorems,
+                                                             needle):
+    # before: the theorems ahead of a refused one were reported first
+    _refuse_every_run(monkeypatch)
+    cfg = write_cfg(tmp_path, "v.json", {"space": space, "modulus": modulus, "exact": exact,
+                                         "h_values": ["7/2", "5/2"], "theorems": theorems})
+    code, out, err = run_cli(capsys, ["verify", "--config", cfg])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error:") and needle in err
+
+
+def test_stechkin_checks_every_budget_before_the_first_point(capsys, tmp_path, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("computed a point before every budget was read")
+
+    monkeypatch.setattr(operators, "ball_integral_of_modulus", refused)
+    cfg = write_cfg(tmp_path, "s.json", {"space": LINE, "modulus": POWER1, "n_values": [1, -1]})
+    code, out, err = run_cli(capsys, ["stechkin", "--config", cfg])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "config error: n_values must be positive (operator norm budgets), got -1.0\n"
 
 
 def test_oracle_rejects_csv(capsys, tmp_path):

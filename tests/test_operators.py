@@ -104,16 +104,14 @@ def test_additive_rhs_values_at_extremal():
 def test_charge_ball_mass_and_average():
     space = lattice(1, 0)
     f = make_f_eh(space, RAMP, 1.5)
-    nu = ops.ChargeModel(density=f)
     # the largest ball charge is the one at the origin: 1.5 + 2 * 0.5
-    assert ops.charge_seminorm(nu, space, 1.5, window_radius=4.0) == pytest.approx(2.5)
+    assert ops.charge_seminorm(f, space, 1.5, window_radius=4.0) == pytest.approx(2.5)
 
 
 def test_charge_seminorm_matches_density_seminorm():
     space = lattice(2, 1)
     f = make_f_eh(space, RAMP, 1.5)
-    nu = ops.ChargeModel(density=f)
-    got = ops.charge_seminorm(nu, space, 1.5, window_radius=3.0)
+    got = ops.charge_seminorm(f, space, 1.5, window_radius=3.0)
     assert got == pytest.approx(f.certified_seminorm_h, rel=1e-12)
 
 
@@ -124,9 +122,8 @@ def test_lattice_seminorms_refuse_a_window_short_of_the_support(sweep):
     space = lattice(1, 0)
     f = FunctionModel(name="spike", evaluator=lambda x: (x[:, 0] == 6).astype(np.float64),
                       support_radius=6.5)
-    nu = ops.ChargeModel(density=f)
     seminorm = {
-        "charge_seminorm": lambda w: ops.charge_seminorm(nu, space, 2.5, window_radius=w),
+        "charge_seminorm": lambda w: ops.charge_seminorm(f, space, 2.5, window_radius=w),
         "seminorm_local": lambda w: seminorm_local(f, space, 2.5, w),
     }[sweep]
     with pytest.raises(ValueError, match=r"too small: need support \+ ball = 9"):
@@ -145,8 +142,7 @@ def test_charge_seminorm_lattice_gather_path(space, h, cone_function):
     f = cone_function(space, omega, oracle._draw_cones(space, oracle._Draws(rng)))
     k = strict_int_below(h)
     radius = math.ceil(f.support_radius) + k + 1
-    nu = ops.ChargeModel(density=f)
-    got = ops.charge_seminorm(nu, space, h, window_radius=radius)
+    got = ops.charge_seminorm(f, space, h, window_radius=radius)
 
     xs = _lattice.window_points(space, radius).astype(np.float64)
     assert got == max(abs(ball_integral_at(f, space, h, x)) for x in xs)
@@ -178,21 +174,8 @@ def test_sweep_plan_arrays_are_read_only(punctured):
 @pytest.mark.parametrize("space", [continuum(1, 0), continuum(2, 1)], ids=["R1_0", "R2_1"])
 def test_charge_seminorm_continuum_grid_search(space):
     f = make_f_eh(space, RAMP, 1.0)
-    got = ops.charge_seminorm(ops.ChargeModel(density=f), space, 1.0, window_radius=2.0)
+    got = ops.charge_seminorm(f, space, 1.0, window_radius=2.0)
     assert got == pytest.approx(f.certified_seminorm_h, rel=1e-12)
-
-
-def test_charge_nagy_rhs_requires_known_seminorm():
-    space = continuum(1, 0)
-    f = make_f_eh(space, RAMP, 1.0)
-    nu = ops.ChargeModel(density=f)
-    # certified at h=1 -> fine
-    assert ops.charge_nagy_rhs(nu, space, RAMP, 1.0, 1.0) == pytest.approx(1.0)
-    # other window: must be explicit
-    with pytest.raises(ValueError):
-        ops.charge_nagy_rhs(nu, space, RAMP, 0.5, 1.0)
-    val = ops.charge_nagy_rhs(nu, space, RAMP, 0.5, 1.0, seminorm_value=0.25)
-    assert val == pytest.approx(ops.nagy_rhs(space, RAMP, 0.5, 1.0, 0.25))
 
 
 # ----------------------------------------------------------------------

@@ -680,8 +680,8 @@ def test_charge_ball_row_sums_are_the_library_seminorm(seed, cone_function):
             assert ball[row].tobytes() == want.tobytes()
             assert _lattice.ball_row_sums(plan, vals[row]).tobytes() == want.tobytes()
             omega, h, draw = draws[i]
-            nu = operators.ChargeModel(cone_function(space, omega, draw))
-            sem = operators.charge_seminorm(nu, space, h, window_radius=radius)
+            density = cone_function(space, omega, draw)
+            sem = operators.charge_seminorm(density, space, h, window_radius=radius)
             assert np.abs(ball[row]).max().tobytes() == np.float64(sem).tobytes()
 
 
