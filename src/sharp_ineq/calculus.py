@@ -14,7 +14,8 @@ Central quantities
       reduction ``I(h) = c * integral_0^h omega(t) t^(d-1) dt``
       (``radial_integral``);
     * ``lattice_exact`` -- exact enumeration on lattices;
-    * ``monte_carlo``   -- uniform sampling, with a reported standard error.
+    * ``monte_carlo``   -- uniform sampling, with a reported standard error,
+      the samples drawn and weighed in blocks (``_mc_blocks``).
 
 ``ball_integral_at``
     ``integral over x + B_h of f d(mu)`` for one centre or rows of centres:
@@ -110,9 +111,22 @@ class Estimate:
         return float(self.value)
 
 
-def _mc_mean(w: np.ndarray) -> Estimate:
-    """The mean of Monte Carlo weights ``w`` with its standard error."""
-    return Estimate(float(w.mean()), MONTE_CARLO, float(w.std(ddof=1) / math.sqrt(len(w))))
+# samples per block of a Monte Carlo estimate: a block's points and its
+# temporaries stay within the cache, and only the ``n`` weights grow with ``n``
+_MC_BLOCK = 8192
+
+
+def _mc_blocks(n: int, draw: Callable[[int], np.ndarray], weight: Callable) -> Estimate:
+    """The mean of ``n`` Monte Carlo weights with its standard error.  The
+    weights are ``weight(draw(k))`` for blocks of ``k <= _MC_BLOCK`` samples,
+    filled into one array and reduced whole, so the bits are those of one
+    ``weight`` call on all ``n`` samples: ``weight`` is elementwise, and
+    numpy's pairwise sums see the same array."""
+    w = np.empty(n, dtype=np.float64)
+    for start in range(0, n, _MC_BLOCK):
+        k = min(_MC_BLOCK, n - start)
+        w[start : start + k] = weight(draw(k))
+    return Estimate(float(w.mean()), MONTE_CARLO, float(w.std(ddof=1) / math.sqrt(n)))
 
 
 @dataclass
@@ -201,6 +215,19 @@ def radial_integral(
     return Estimate(c * val, RADIAL1D, c * err)
 
 
+def require_method(space: Space, omega: Modulus, method: str) -> None:
+    """Raise ``RequestError`` unless ``ball_integral_of_modulus`` can compute
+    ``I(h)`` on ``space`` with ``omega`` by ``method`` (a name
+    ``QuadratureSpec`` admits): a caller checks a request with it before
+    computing anything."""
+    if method == CLOSED_FORM and (space.is_lattice or not isinstance(omega, PowerModulus)):
+        raise RequestError("closed form requires a power modulus on the continuum")
+    if method == RADIAL1D and space.is_lattice:
+        raise RequestError("radial reduction applies to continuum spaces only")
+    if method == LATTICE_EXACT and not space.is_lattice:
+        raise RequestError("lattice_exact requires a lattice space")
+
+
 def ball_integral_of_modulus(
     space: Space, omega: Modulus, h, spec: Optional[QuadratureSpec] = None
 ) -> Estimate:
@@ -210,26 +237,22 @@ def ball_integral_of_modulus(
     spec = spec or default_spec(space, omega)
     space.require_valid_radius(h)
     method = spec.method
+    require_method(space, omega, method)
     d, hf, c = space.d, float(h), space.sphere_constant
     try:
         if method == CLOSED_FORM:
-            if space.is_lattice or not isinstance(omega, PowerModulus):
-                raise RequestError("closed form requires a power modulus on the continuum")
             a = omega.alpha
             est = Estimate(c / (d + a) * hf ** (d + a), CLOSED_FORM, 0.0)
         elif method == RADIAL1D:
-            if space.is_lattice:
-                raise RequestError("radial reduction applies to continuum spaces only")
             est = radial_integral(space, lambda t: float(omega(t)), 0.0, hf, omega.breakpoints())
         elif method == LATTICE_EXACT:
-            if not space.is_lattice:
-                raise RequestError("lattice_exact requires a lattice space")
             value = float(np.sum(omega(space.norm(space.enumerate_ball(h)))))
             est = Estimate(value, LATTICE_EXACT, 0.0)
         else:  # MONTE_CARLO, the one method QuadratureSpec admits besides these
             mu = float(space.ball_measure(h))
-            samples = space.sample_ball(h, spec.mc_samples, spec.seed)
-            mc = _mc_mean(np.asarray(omega(space.norm(samples)), dtype=np.float64))
+            n = spec.mc_samples
+            mc = _mc_blocks(n, space.ball_sampler(h, n, spec.seed),
+                            lambda pts: omega(space.norm(pts)))
             est = Estimate(mu * mc.value, MONTE_CARLO, mu * mc.error_bound)
     except OverflowError:
         est = Estimate(math.inf, method, 0.0)

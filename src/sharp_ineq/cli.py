@@ -35,9 +35,11 @@ from .calculus import (
     QuadratureSpec,
     ball_integral_of_modulus,
     default_spec,
+    require_method,
 )
 from .modulus import Modulus, from_config as modulus_from_config
 from .operators import (
+    MODULUS_INTEGRAL_THEOREMS,
     THEOREM_IDS,
     InequalityReport,
     inapplicable,
@@ -165,8 +167,11 @@ def cmd_constant(cfg: dict, args) -> tuple[str, int]:
     space = _space_from(cfg)
     omega = _modulus_from(cfg)
     spec = _spec_from(cfg, space, omega, args.seed)
+    h_values = _h_values(cfg, space, exact=False)
+    if spec is not None:
+        require_method(space, omega, spec.method)
     rows = []
-    for h in _h_values(cfg, space, exact=False):
+    for h in h_values:
         mu = float(space.ball_measure(h))
         est = ball_integral_of_modulus(space, omega, h, spec)
         rows.append(
@@ -225,6 +230,8 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
     require = _require_exact if exact else require_theorem
     for tid in theorems:  # every theorem is checked before the first report
         require(tid, space, omega)
+    if spec is not None and not exact and any(t in MODULUS_INTEGRAL_THEOREMS for t in theorems):
+        require_method(space, omega, spec.method)
 
     # the theorems at one h share one I(h); the cache lives for this command only
     modulus_integral = functools.cache(ball_integral_of_modulus)

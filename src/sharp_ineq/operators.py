@@ -52,12 +52,13 @@ from .calculus import (
     Estimate,
     FunctionModel,
     QuadratureSpec,
-    _mc_mean,
+    _mc_blocks,
     _radial_kinks,
     _radial_value,
     ball_integral_at,
     ball_integral_of_modulus,
     radial_integral,
+    require_method,
     seminorm_local,
 )
 from .extremals import (
@@ -67,7 +68,7 @@ from .extremals import (
     make_G_eh,
     sobolev_extremal_pair,
 )
-from .modulus import Modulus, PowerModulus
+from .modulus import Modulus, PowerModulus, _interp_float
 from .space import RequestError, Space, config_number, continuum, strict_int_below
 
 VERDICT_HOLDS = "Holds"
@@ -84,6 +85,8 @@ THEOREM_IDS = (
     "mixed_additive",
     "mixed_multiplicative",
 )
+# the theorems whose reports compute I(h) by the requested quadrature method
+MODULUS_INTEGRAL_THEOREMS = ("lemma1", "nagy", "nagy_l1", "sobolev", "charge", "mixed_additive")
 
 # Equality verdicts: tight tolerance on closed-form paths, looser where
 # adaptive quadrature or kernel sums enter.
@@ -329,10 +332,15 @@ class TableKernel:
             raise RequestError("kernel nodes need strictly increasing positive radii")
         if any(p < 0 for _, p in pts):
             raise RequestError("kernel values must be nonnegative")
-        self._t = np.array(ts, dtype=np.float64)
-        self._p = np.array([p for _, p in pts], dtype=np.float64)
+        self._ts = tuple(ts)
+        self._ps = tuple(p for _, p in pts)
+        self._t = np.array(self._ts, dtype=np.float64)
+        self._p = np.array(self._ps, dtype=np.float64)
 
     def value(self, t, d: int):
+        if isinstance(t, float):  # adaptive Simpson's scalar reads
+            tf = float(t)
+            return 0.0 if tf > self._ts[-1] else _interp_float(tf, self._ts, self._ps)
         tv = np.asarray(t, dtype=np.float64)
         out = np.where(
             tv > self._t[-1], 0.0, np.interp(tv, self._t, self._p)
@@ -341,20 +349,17 @@ class TableKernel:
 
     @property
     def support_radius(self) -> float:
-        return float(self._t[-1])
+        return self._ts[-1]
 
     def breakpoints(self) -> tuple[float, ...]:
         """The node radii, where the kernel loses smoothness."""
-        return tuple(float(t) for t in self._t)
+        return self._ts
 
     def to_config(self) -> dict:
-        return {
-            "form": "table",
-            "points": [[float(t), float(p)] for t, p in zip(self._t, self._p)],
-        }
+        return {"form": "table", "points": [[t, p] for t, p in zip(self._ts, self._ps)]}
 
     def __repr__(self):
-        nodes = ", ".join(f"({t:g}, {p:g})" for t, p in zip(self._t, self._p))
+        nodes = ", ".join(f"({t:g}, {p:g})" for t, p in zip(self._ts, self._ps))
         return f"TableKernel([{nodes}])"
 
 
@@ -476,10 +481,13 @@ def kernel_ball_mass(
         eta = _singular_margin(omega, kernel)
         if spec.method == MONTE_CARLO:
             rng = np.random.default_rng(spec.seed)
-            t = upper * rng.uniform(0.0, 1.0, spec.mc_samples) ** (1.0 / eta)
-            dens = eta * t ** (eta - 1.0) / upper**eta
-            w = space.sphere_constant * np.asarray(omega(t)) * t ** (-beta - 1.0) / dens
-            return _mc_mean(w)
+
+            def weight(u: np.ndarray) -> np.ndarray:
+                t = upper * u ** (1.0 / eta)
+                dens = eta * t ** (eta - 1.0) / upper**eta
+                return space.sphere_constant * np.asarray(omega(t)) * t ** (-beta - 1.0) / dens
+
+            return _mc_blocks(spec.mc_samples, lambda k: rng.uniform(0.0, 1.0, k), weight)
         val = space.sphere_constant * piecewise_power_integral(
             omega.pieces(0.0, upper), 0.0, upper, -beta - 1.0
         )
@@ -509,10 +517,14 @@ def kernel_tail_mass(
         if spec.method == MONTE_CARLO:
             q = beta / 2.0
             rng = np.random.default_rng(spec.seed)
-            t = hf * rng.uniform(0.0, 1.0, spec.mc_samples) ** (-1.0 / q)
-            dens = q * hf**q * t ** (-q - 1.0)
-            w = space.sphere_constant * np.where(t <= kernel.cutoff, t ** (-beta - 1.0), 0.0) / dens
-            return _mc_mean(w)
+
+            def weight(u: np.ndarray) -> np.ndarray:
+                t = hf * u ** (-1.0 / q)
+                dens = q * hf**q * t ** (-q - 1.0)
+                inside = np.where(t <= kernel.cutoff, t ** (-beta - 1.0), 0.0)
+                return space.sphere_constant * inside / dens
+
+            return _mc_blocks(spec.mc_samples, lambda k: rng.uniform(0.0, 1.0, k), weight)
         if kernel.cutoff <= hf:
             return Estimate(0.0, CLOSED_FORM, 0.0)
         val = space.sphere_constant * (hf ** (-beta) - kernel.cutoff ** (-beta)) / beta
@@ -723,6 +735,8 @@ def stechkin_curve(
     for n in n_values:  # every budget is checked before the first point
         if float(n) <= 0:
             raise RequestError(f"n_values must be positive (operator norm budgets), got {n}")
+    if spec is not None:
+        require_method(space, omega, spec.method)
     out = []
     for nf in map(float, n_values):
         h = solve_h_for_measure(space, 1.0 / nf)

@@ -35,7 +35,9 @@ extremal constructors stamp on their outputs:
   since a matmul over many trials rounds in another order.
 
 * ``mc_cross_check`` re-derives each closed-form quantity by plain Monte
-  Carlo and reports the discrepancy in standard errors.
+  Carlo and reports the discrepancy in standard errors.  The samples are
+  drawn and weighed a block at a time (``Space.ball_sampler`` and
+  ``calculus._mc_blocks``), with the bits of one draw of them all.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .calculus import (
     MONTE_CARLO,
     FunctionModel,
     QuadratureSpec,
-    _mc_mean,
+    _mc_blocks,
     ball_integral_of_modulus,
 )
 from .extremals import make_f_eh, split_point_a
@@ -910,7 +912,6 @@ def mc_cross_check(name: str, seed: int = 0, samples: int = 200_000) -> dict:
     require_mc_check(name)
     seed = config_seed(seed, "'seed'")
     mc_spec = QuadratureSpec(method=MONTE_CARLO, mc_samples=samples, seed=seed)
-    rng = np.random.default_rng(seed + 17)
 
     if name in _LIBRARY_CHECKS:
         quantity, *args = _LIBRARY_CHECKS[name]()
@@ -922,7 +923,8 @@ def mc_cross_check(name: str, seed: int = 0, samples: int = 200_000) -> dict:
         space, omega, h = continuum(2, 0), PowerModulus(0.5), 1.0
         f = make_f_eh(space, omega, h)
         det = f.certified_l1
-        est = _mc_mean(f(rng.uniform(-h, h, (samples, 2))))
+        # the box [-h, h]^2 is the ball of the plane
+        est = _mc_blocks(samples, space.ball_sampler(h, samples, seed + 17), f)
         vol = (2.0 * h) ** 2
         return _check_pair(name, det, est.value * vol, est.error_bound * vol)
 
@@ -930,10 +932,9 @@ def mc_cross_check(name: str, seed: int = 0, samples: int = 200_000) -> dict:
         omega, h = PowerModulus(1.0), 1.0
         split = split_point_a(omega, h, 2)
         f = make_f_eh(continuum(2, 0), omega, h)
-        pts = np.column_stack(
-            [rng.uniform(0.0, h, samples), rng.uniform(-h, h, samples)]
-        )
-        est = _mc_mean(np.where(pts[:, 0] < split.a, f(pts), 0.0))
+        # the slab [0, h] x [-h, h] is the ball of the half-plane
+        draw = continuum(2, 1).ball_sampler(h, samples, seed + 17)
+        est = _mc_blocks(samples, draw, lambda pts: np.where(pts[:, 0] < split.a, f(pts), 0.0))
         vol = 2.0 * h * h
         det = split.total_mass / 2.0  # the split point halves the slab mass
         return _check_pair(name, det, est.value * vol, est.error_bound * vol)
@@ -946,7 +947,8 @@ def mc_cross_check(name: str, seed: int = 0, samples: int = 200_000) -> dict:
 
         det = ball_integral_at(f, space, h, x)
         bare = FunctionModel(name="bare", evaluator=f.evaluator)
-        est = _mc_mean(bare(x[None, :] + space.sample_ball(h, samples, seed)))
+        est = _mc_blocks(samples, space.ball_sampler(h, samples, seed),
+                         lambda offsets: bare(x[None, :] + offsets))
         mu = float(space.ball_measure(h))
         return _check_pair(name, det, est.value * mu, est.error_bound * mu)
 

@@ -37,7 +37,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -195,9 +195,11 @@ class Space:
 
     def require_sample_budget(self, n: int) -> None:
         """Refuse ``n`` sample points whose ``(n, d)`` coordinates exceed
-        ``POINT_BUDGET``, before any generator is built: a Monte Carlo path
-        that samples points of this space holds them in one array, so its
-        memory grows with ``n * d``, not ``n``."""
+        ``POINT_BUDGET``, before any generator is built.  The Monte Carlo
+        estimates draw their points a block at a time (``ball_sampler``) and
+        hold ``n`` weights, but ``sample_ball`` and the shared offsets of a
+        continuum ball integral hold all ``n * d`` coordinates, so the budget
+        counts those."""
         if n * self.d > POINT_BUDGET:
             raise RequestError(
                 f"mc_samples * d = {n} * {self.d} sample coordinates exceed "
@@ -253,27 +255,61 @@ class Space:
         self.require_valid_radius(h)
         return self.closed_ball(strict_int_below(h))
 
-    def sample_ball(self, h: HLike, n: int, seed: int) -> np.ndarray:
-        """Uniform sample of ``n`` points from the ball around the origin.
-
-        Deterministic for a fixed seed: a single PCG64 stream filled in one
-        vectorized call, so the result does not depend on how callers chunk
-        or parallelize the work afterwards.
+    def ball_sampler(self, h: HLike, n: int, seed: int) -> Callable[[int], np.ndarray]:
+        """``draw(k)``, the next ``k`` rows of the uniform sample of ``n``
+        points from the ball around the origin: a Monte Carlo path holds one
+        block of points at a time, and the blocks, however cut, concatenate
+        to the one sample of the seed.  On the continuum the half-line
+        columns read ``default_rng(seed)``, the line columns a second one
+        advanced past its first ``n * m`` words (a float64 uniform reads
+        one).  On lattices the ``n`` ball indices are one ``integers`` call
+        (bounded draws in blocks would discard buffered 32-bit halves) and a
+        block is a gather.  Radius and budget are checked before any
+        generator is built; drawing more than ``n`` rows raises ``ValueError``.
         """
         self.require_valid_radius(h)
         self.require_sample_budget(n)
-        rng = np.random.default_rng(seed)
+        pos = 0
+
+        def claim(k: int) -> int:
+            """The first row of the next ``k``."""
+            nonlocal pos
+            if not 0 <= k <= n - pos:
+                raise ValueError(f"cannot draw {k} of the {n - pos} sample points left")
+            pos += k
+            return pos - k
+
         if self.is_lattice:
             pts = self.enumerate_ball(h)
-            idx = rng.integers(0, pts.shape[0], size=n)
-            return pts[idx]
-        hf = float(h)
-        out = np.empty((n, self.d), dtype=np.float64)
-        if self.m:
-            out[:, : self.m] = rng.uniform(0.0, hf, size=(n, self.m))
-        if self.d > self.m:
-            out[:, self.m :] = rng.uniform(-hf, hf, size=(n, self.d - self.m))
-        return out
+            idx = np.random.default_rng(seed).integers(0, pts.shape[0], size=n)
+
+            def draw(k: int) -> np.ndarray:
+                start = claim(k)
+                return pts[idx[start : start + k]]
+
+            return draw
+        hf, d, m = float(h), self.d, self.m
+        half = np.random.default_rng(seed)
+        line = np.random.default_rng(seed)
+        line.bit_generator.advance(n * m)
+
+        def draw(k: int) -> np.ndarray:
+            claim(k)
+            out = np.empty((k, d), dtype=np.float64)
+            if m:
+                out[:, :m] = half.uniform(0.0, hf, size=(k, m))
+            if d > m:
+                out[:, m:] = line.uniform(-hf, hf, size=(k, d - m))
+            return out
+
+        return draw
+
+    def sample_ball(self, h: HLike, n: int, seed: int) -> np.ndarray:
+        """Uniform sample of ``n`` points from the ball around the origin:
+        ``ball_sampler(h, n, seed)`` drawn whole.  Deterministic for a fixed
+        seed, and the same points however a caller of ``ball_sampler`` cuts
+        them into blocks."""
+        return self.ball_sampler(h, n, seed)(n)
 
     # ------------------------------------------------------------------
     # config round-trip

@@ -303,6 +303,48 @@ def test_stechkin_checks_every_budget_before_the_first_point(capsys, tmp_path, m
     assert err == "config error: n_values must be positive (operator norm budgets), got -1.0\n"
 
 
+CLOSED_FORM_REFUSED = "closed form requires a power modulus on the continuum"
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("verify", {"space": LINE, "modulus": TABLE, "method": "closed_form", "h_values": [1.5],
+                "theorems": ["hypersingular", "nagy"]}, CLOSED_FORM_REFUSED),
+    ("verify", {"space": LINE, "modulus": POWER1, "method": "lattice_exact", "h_values": [1.5, 2],
+                "theorems": ["mixed_multiplicative", "hypersingular", "lemma1"]},
+     "lattice_exact requires a lattice space"),
+    ("verify", {"space": ZZ, "modulus": POWER1, "method": "radial1d", "h_values": ["3/2"],
+                "theorems": ["hypersingular", "charge"]},
+     "radial reduction applies to continuum spaces only"),
+    ("constant", {"space": LINE, "modulus": TABLE, "method": "closed_form", "h_values": [1, 2]},
+     CLOSED_FORM_REFUSED),
+    ("stechkin", {"space": LINE, "modulus": TABLE, "method": "closed_form", "n_values": [1, 2]},
+     CLOSED_FORM_REFUSED),
+], ids=["verify-closed-form", "verify-lattice-exact", "verify-radial1d", "constant", "stechkin"])
+def test_quadrature_method_refused_before_any_computation(capsys, tmp_path, monkeypatch, command,
+                                                          payload, message):
+    # before: verify reported the theorems ahead of the first one that reads
+    # I(h) (the hypersingular sum among them), then refused the method
+    def refused(*args, **kwargs):
+        raise AssertionError("computed before the quadrature method was checked")
+
+    monkeypatch.setattr(operators, "hypersingular_full", refused)
+    monkeypatch.setattr(operators, "ball_integral_of_modulus", refused)
+    monkeypatch.setattr(cli, "ball_integral_of_modulus", refused)
+    monkeypatch.setattr(cli, "theorem_report", refused)
+    cfg = write_cfg(tmp_path, "q.json", payload)
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
+
+
+def test_quadrature_method_checked_only_where_a_theorem_reads_i_h(capsys, tmp_path):
+    # the hypersingular report computes no I(h), so the method does not apply to it
+    cfg = write_cfg(tmp_path, "q.json", {"space": LINE, "modulus": TABLE, "method": "closed_form",
+                                         "h_values": [1.5], "theorems": ["hypersingular"]})
+    code, out, err = run_cli(capsys, ["verify", "--config", cfg])
+    assert (code, err) == (EXIT_OK, "")
+    assert "hypersingular" in out
+
+
 def test_oracle_rejects_csv(capsys, tmp_path):
     cfg = write_cfg(tmp_path, "o.json", {"mc_checks": ["ball_integral"]})
     code, _, err = run_cli(capsys, ["oracle", "--config", cfg, "--format", "csv"])
