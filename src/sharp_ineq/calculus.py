@@ -251,6 +251,7 @@ def ball_integral_of_modulus(
         else:  # MONTE_CARLO, the one method QuadratureSpec admits besides these
             mu = float(space.ball_measure(h))
             n = spec.mc_samples
+            space.require_sample_budget(n)
             mc = _mc_blocks(n, space.ball_sampler(h, n, spec.seed),
                             lambda pts: omega(space.norm(pts)))
             est = Estimate(mu * mc.value, MONTE_CARLO, mu * mc.error_bound)

@@ -39,13 +39,12 @@ from .calculus import (
 )
 from .modulus import Modulus, from_config as modulus_from_config
 from .operators import (
-    MODULUS_INTEGRAL_THEOREMS,
     THEOREM_IDS,
     InequalityReport,
     inapplicable,
     kernel_from_config,
     modulus_label,
-    require_theorem,
+    require_report,
     stechkin_curve,
     theorem_report,
 )
@@ -227,11 +226,11 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
     if tol is not None and not 0.0 <= tol < math.inf:
         raise RequestError(f"'tol' must be finite and nonnegative, got {tol}")
     spec = _spec_from(cfg, space, omega, args.seed)
-    require = _require_exact if exact else require_theorem
     for tid in theorems:  # every theorem is checked before the first report
-        require(tid, space, omega)
-    if spec is not None and not exact and any(t in MODULUS_INTEGRAL_THEOREMS for t in theorems):
-        require_method(space, omega, spec.method)
+        if exact:
+            _require_exact(tid, space, omega)
+        else:
+            require_report(tid, space, omega, spec)
 
     # the theorems at one h share one I(h); the cache lives for this command only
     modulus_integral = functools.cache(ball_integral_of_modulus)

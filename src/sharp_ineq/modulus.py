@@ -114,21 +114,6 @@ class PowerModulus(Modulus):
         return {"kind": "power", "alpha": float(self.alpha)}
 
 
-def _interp_float(x: float, xs: tuple, ys: tuple) -> float:
-    """``np.interp(x, xs, ys)`` of one float, bit for bit, without numpy's
-    0-d dispatch: the scalar reads of the piecewise-linear tables.  On
-    ``bisect`` over the tuples of nodes: NaN passes (a single node gives its
-    value, as numpy's one-node branch does), ``ys[0]`` below the nodes, the
-    node value on a hit and past the last node, else
-    ``slope * (x - xs[j]) + ys[j]``."""
-    if x != x and len(xs) > 1:
-        return x
-    j = max(bisect_right(xs, x) - 1, 0)
-    if j == len(xs) - 1 or xs[j] >= x:
-        return ys[j]
-    return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j]
-
-
 class _Nodes(NamedTuple):
     """Table nodes ``(ts[i] / t_den, ws[i] / w_den)`` as integer numerators:
     a caller that has them passes this record instead of ``(t, w)`` pairs."""
@@ -217,7 +202,15 @@ class TableModulus(Modulus):
         if not isinstance(t, float):
             out = np.interp(np.asarray(t, dtype=np.float64), *self._arrays)
             return out if out.ndim else float(out)
-        return _interp_float(float(t), self._t, self._w)
+        # np.interp on one point: NaN passes, w[0] below the nodes, the
+        # node value on a hit and past the last node, else slope * (t - t_j) + w_j
+        tf, ts, ws = float(t), self._t, self._w
+        if tf != tf:
+            return tf
+        j = max(bisect_right(ts, tf) - 1, 0)
+        if j == len(ts) - 1 or ts[j] >= tf:
+            return ws[j]
+        return (ws[j + 1] - ws[j]) / (ts[j + 1] - ts[j]) * (tf - ts[j]) + ws[j]
 
     def antiderivative(self, t: float) -> float:
         tf = float(t)

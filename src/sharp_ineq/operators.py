@@ -68,7 +68,7 @@ from .extremals import (
     make_G_eh,
     sobolev_extremal_pair,
 )
-from .modulus import Modulus, PowerModulus, _interp_float
+from .modulus import Modulus, PowerModulus
 from .space import RequestError, Space, config_number, continuum, strict_int_below
 
 VERDICT_HOLDS = "Holds"
@@ -85,7 +85,8 @@ THEOREM_IDS = (
     "mixed_additive",
     "mixed_multiplicative",
 )
-# the theorems whose reports compute I(h) by the requested quadrature method
+# the theorems whose reports compute I(h): ``require_report`` checks the
+# requested quadrature method for these
 MODULUS_INTEGRAL_THEOREMS = ("lemma1", "nagy", "nagy_l1", "sobolev", "charge", "mixed_additive")
 
 # Equality verdicts: tight tolerance on closed-form paths, looser where
@@ -332,15 +333,10 @@ class TableKernel:
             raise RequestError("kernel nodes need strictly increasing positive radii")
         if any(p < 0 for _, p in pts):
             raise RequestError("kernel values must be nonnegative")
-        self._ts = tuple(ts)
-        self._ps = tuple(p for _, p in pts)
-        self._t = np.array(self._ts, dtype=np.float64)
-        self._p = np.array(self._ps, dtype=np.float64)
+        self._t = np.array(ts, dtype=np.float64)
+        self._p = np.array([p for _, p in pts], dtype=np.float64)
 
     def value(self, t, d: int):
-        if isinstance(t, float):  # adaptive Simpson's scalar reads
-            tf = float(t)
-            return 0.0 if tf > self._ts[-1] else _interp_float(tf, self._ts, self._ps)
         tv = np.asarray(t, dtype=np.float64)
         out = np.where(
             tv > self._t[-1], 0.0, np.interp(tv, self._t, self._p)
@@ -349,17 +345,20 @@ class TableKernel:
 
     @property
     def support_radius(self) -> float:
-        return self._ts[-1]
+        return float(self._t[-1])
 
     def breakpoints(self) -> tuple[float, ...]:
         """The node radii, where the kernel loses smoothness."""
-        return self._ts
+        return tuple(float(t) for t in self._t)
 
     def to_config(self) -> dict:
-        return {"form": "table", "points": [[t, p] for t, p in zip(self._ts, self._ps)]}
+        return {
+            "form": "table",
+            "points": [[float(t), float(p)] for t, p in zip(self._t, self._p)],
+        }
 
     def __repr__(self):
-        nodes = ", ".join(f"({t:g}, {p:g})" for t, p in zip(self._ts, self._ps))
+        nodes = ", ".join(f"({t:g}, {p:g})" for t, p in zip(self._t, self._p))
         return f"TableKernel([{nodes}])"
 
 
@@ -794,6 +793,18 @@ def require_theorem(theorem_id: str, space: Space, omega: Modulus) -> None:
         raise RequestError(f"theorem {theorem_id!r} does not apply here: {reason}")
 
 
+def require_report(
+    theorem_id: str, space: Space, omega: Modulus, spec: Optional[QuadratureSpec] = None
+) -> None:
+    """Raise ``RequestError`` unless ``theorem_report`` can check
+    ``theorem_id`` on ``space`` with ``omega`` and ``spec``: the theorem
+    applies (``require_theorem``), and if it reads ``I(h)`` the method of
+    ``spec`` computes it (``calculus.require_method``)."""
+    require_theorem(theorem_id, space, omega)
+    if spec is not None and theorem_id in MODULUS_INTEGRAL_THEOREMS:
+        require_method(space, omega, spec.method)
+
+
 def theorem_report(
     theorem_id: str,
     space: Space,
@@ -805,8 +816,8 @@ def theorem_report(
     modulus_integral=None,
 ) -> InequalityReport:
     """Check one named sharp bound at its extremal witness; every verdict
-    should be ``EqualityAttained``.  A theorem ``require_theorem`` refuses
-    raises ``RequestError``.
+    should be ``EqualityAttained``.  A request ``require_report`` refuses
+    raises ``RequestError`` before anything is computed.
 
     ``modulus_integral`` computes ``I(h)`` with the signature of
     ``ball_integral_of_modulus``, the default (looked up at call time).  A
@@ -814,7 +825,7 @@ def theorem_report(
     so that they share one estimate; it is still called where the theorem
     needs ``I(h)``, so errors surface in the same order.
     """
-    require_theorem(theorem_id, space, omega)
+    require_report(theorem_id, space, omega, spec)
     if tol is None:
         tol = EQUALITY_TOLS[theorem_id]
     if modulus_integral is None:

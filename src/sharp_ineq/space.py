@@ -195,11 +195,13 @@ class Space:
 
     def require_sample_budget(self, n: int) -> None:
         """Refuse ``n`` sample points whose ``(n, d)`` coordinates exceed
-        ``POINT_BUDGET``, before any generator is built.  The Monte Carlo
-        estimates draw their points a block at a time (``ball_sampler``) and
-        hold ``n`` weights, but ``sample_ball`` and the shared offsets of a
-        continuum ball integral hold all ``n * d`` coordinates, so the budget
-        counts those."""
+        ``POINT_BUDGET``, before any generator is built.  ``sample_ball``, the
+        shared offsets of a continuum ball integral and the L1 norm's box
+        sample hold all ``n * d`` coordinates.  ``ball_sampler`` holds one
+        block of points and does not refuse: the oracle's cross-checks draw
+        through it at any ``n`` a ``QuadratureSpec`` admits, while the Monte
+        Carlo ``I(h)`` keeps the refusal that bounds a config's
+        ``mc_samples``."""
         if n * self.d > POINT_BUDGET:
             raise RequestError(
                 f"mc_samples * d = {n} * {self.d} sample coordinates exceed "
@@ -264,11 +266,10 @@ class Space:
         advanced past its first ``n * m`` words (a float64 uniform reads
         one).  On lattices the ``n`` ball indices are one ``integers`` call
         (bounded draws in blocks would discard buffered 32-bit halves) and a
-        block is a gather.  Radius and budget are checked before any
-        generator is built; drawing more than ``n`` rows raises ``ValueError``.
+        block is a gather.  The radius is checked before any generator is
+        built; drawing more than ``n`` rows raises ``ValueError``.
         """
         self.require_valid_radius(h)
-        self.require_sample_budget(n)
         pos = 0
 
         def claim(k: int) -> int:
@@ -308,7 +309,10 @@ class Space:
         """Uniform sample of ``n`` points from the ball around the origin:
         ``ball_sampler(h, n, seed)`` drawn whole.  Deterministic for a fixed
         seed, and the same points however a caller of ``ball_sampler`` cuts
-        them into blocks."""
+        them into blocks.  Radius and budget are checked before any
+        generator is built."""
+        self.require_valid_radius(h)
+        self.require_sample_budget(n)
         return self.ball_sampler(h, n, seed)(n)
 
     # ------------------------------------------------------------------

@@ -137,3 +137,12 @@ def test_cross_check_memory_is_the_weights(name):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * n + 2**20
+
+
+@pytest.mark.parametrize("name", ["l1_feh", "split_objective", "steklov_point"])
+def test_cross_checks_past_half_the_point_budget(name):
+    # the checks hold one block of points, so the sample budget does not
+    # refuse 2^21 + 1 planar samples; the bits stay those of one draw
+    n = 2**21 + 1
+    res = oracle.mc_cross_check(name, 5, n)
+    assert _hex(res["monte_carlo"], res["stderr"]) == _hex(*_one_shot_check(name, 5, n))

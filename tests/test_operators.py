@@ -209,40 +209,6 @@ def test_table_kernel_basics():
         ops.TableKernel([(1.0, -1.0)])
 
 
-@pytest.mark.parametrize("tid", ops.THEOREM_IDS)
-def test_modulus_integral_theorems_are_the_reports_that_read_i_h(tid):
-    # the CLI checks the quadrature method up front for exactly these theorems
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return ball_integral_of_modulus(*args)
-
-    ops.theorem_report(tid, continuum(1, 0), PowerModulus(1.0), 1.5, modulus_integral=counted)
-    assert bool(calls) == (tid in ops.MODULUS_INTEGRAL_THEOREMS)
-
-
-@pytest.mark.parametrize("nodes", [
-    [(1.0, 2.0)],
-    [(1.0, 2.0), (2.0, 1.0)],
-    [(0.5, 2.0), (1.5, 1.0), (3.0, 0.25)],
-    [(0.1, 0.3), (0.7, 0.9), (1.3, 0.2), (2.9, 0.7)],
-], ids=["one-node", "two-nodes", "three-nodes", "four-nodes"])
-def test_table_kernel_float_reads_are_the_array_path(nodes):
-    # a float argument skips numpy's 0-d dispatch; the bits are np.interp's
-    k = ops.TableKernel(nodes)
-    ts = [t for t, _ in nodes]
-    mids = [a + (b - a) * f for a, b in zip(ts, ts[1:]) for f in (0.1, 1 / 3, 0.5, 0.9)]
-    points = [*ts, *mids, 0.0, ts[0] / 3, -1.0, ts[-1] * (1 + 2**-52), ts[-1] + 1, math.inf,
-              -math.inf, math.nan]
-    array_path = k.value(np.array(points), 2)
-    for t, want in zip(points, array_path.tolist()):
-        got = k.value(t, 2)
-        assert type(got) is float
-        assert got.hex() == want.hex(), t
-        assert k.value(np.float64(t), 2).hex() == want.hex(), t
-
-
 @pytest.mark.parametrize("make", [
     lambda: ops.PowerLawKernel(beta=math.inf),
     lambda: ops.TableKernel([(math.nan, 1.0)]),
