@@ -163,8 +163,10 @@ def classify_verdict(lhs: float, rhs: float, tol: float, error_bound: float = 0.
 
     A shortfall within four error bounds of the tolerance band (Monte Carlo
     standard errors, quadrature or series-tail remainders) cannot be told
-    apart from equality, so only a larger one is a violation.
+    apart from equality: a violation is a larger one, or a non-finite side.
     """
+    if not (abs(lhs) < math.inf and abs(rhs) < math.inf):
+        return VERDICT_VIOLATED
     scale = max(1.0, abs(lhs), abs(rhs))
     gap = rhs - lhs
     if gap < -(tol * scale + 4.0 * error_bound):

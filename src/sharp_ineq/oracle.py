@@ -17,22 +17,23 @@ extremal constructors stamp on their outputs:
 * ``random_suite`` throws randomized certified-smooth functions (maxima of
   truncated cones) at an inequality and counts violations.  It draws the
   inputs of every trial first, from numpy's ``default_rng(seed)`` stream
-  replayed by ``_Draws`` from raw words, so the reports are those of
-  numpy's own draws (a numpy stream change fails ``_Draws``'s test by
-  name), then evaluates them.  On the lattice every distance a suite reads
-  is an integer, so the lattice suites evaluate each trial's modulus once,
-  as a row of a table over those integers, and read every cone value from
-  it by one gather (``_Cones.on_lattice``).  The additive suites sweep the
-  trials that share a cached gather plan as one group, with ``I(h)`` one
-  row sum per trial and the charge ball sums one row sum per ball.  The
+  replayed by ``_Draws`` from raw words, so the reports are those of numpy's
+  own draws (a numpy stream change fails ``_Draws``'s test by name), then
+  evaluates them.  On the lattice every distance a suite reads is an integer
+  below a bound from the draws, so each lattice suite reads every cone
+  height, ``I(h)`` and cone value from one table of its moduli over those
+  integers (``_Cones.table``), the values by one gather over cones padded to
+  the widest trial's (``_Cones.on_lattice``).  The additive suites sweep the
+  trials that share a cached gather plan as one group, with ``I(h)`` one row
+  sum per trial and the charge ball sums one row sum per ball.  The
   hypersingular suite runs a block of trials at a time: each trial's cones
-  are a slice of one line through all of them, and one table of the
-  block's kernels gives ``A(h)``, ``T(h)`` and the weights as row sums,
-  with the left and right sides one elementwise pass over the block.  Each
-  number keeps the bits of a trial-by-trial sweep: elementwise ufuncs do
-  not depend on the array's shape, maxima are exact, the row sums read a
-  C-contiguous take, and the other ball sums stay one matmul per trial,
-  since a matmul over many trials rounds in another order.
+  are a slice of one line through all of them, and one table of the block's
+  kernels gives ``A(h)``, ``T(h)`` and the weights as row sums, with the
+  left and right sides one elementwise pass over the block.  Each number
+  keeps the bits of a trial-by-trial sweep: elementwise ufuncs do not depend
+  on the array's shape, maxima are exact, the row sums read a C-contiguous
+  take, and the other ball sums stay one matmul per trial, since a matmul
+  over many trials rounds in another order.
 
 * ``mc_cross_check`` re-derives each closed-form quantity by plain Monte
   Carlo and reports the discrepancy in standard errors.  The samples are
@@ -347,11 +348,12 @@ class SuiteReport:
         }
 
 
-# a suite keeps every trial's draws, about 3 KB each, until it reports
+# a suite keeps every trial's draws, about 1 KB each, until it reports, and
+# peaks at about 7 KB per trial, 9 KB for charge (tracemalloc, 10,000 trials)
 MAX_TRIALS = 10**5
 _ADDITIVE_SPACE = lattice(2, 1)
 _HYPERSINGULAR_SPACE = lattice(1, 0)
-# trials per block of the hypersingular suite, which peaks at about 14 KB
+# trials per block of the hypersingular suite, which peaks at about 19 KB
 # per trial (tracemalloc, 1000 trials): a suite of MAX_TRIALS runs in blocks
 _LINE_TRIALS = 1024
 
@@ -363,33 +365,21 @@ class _Draws:
     ``random`` keeps a word's top 53 bits, ``uniform`` is ``lo + (hi - lo)
     * random()``, and ``integers`` is numpy's Lemire rejection on 32-bit
     half-words, a word's low half first and its high half kept, as PCG64
-    buffers them.  The wrapped generator runs up to a block ahead."""
+    buffers them.  One iterator reads the words from blocks of 256: the
+    wrapped generator runs up to a block ahead."""
 
     def __init__(self, rng: np.random.Generator):
-        self._raw = rng.bit_generator.random_raw
-        self._words: list = []
+        raw = rng.bit_generator.random_raw
+        self._word = itertools.chain.from_iterable(iter(lambda: raw(256).tolist(), None)).__next__
         self._half: Optional[int] = None
-
-    def _word(self) -> int:
-        if not self._words:
-            self._words = self._raw(256).tolist()[::-1]
-        return self._words.pop()
 
     def random(self) -> float:
         return (self._word() >> 11) * 2.0**-53
 
     def uniform(self, lo: float, hi: float, n: Optional[int] = None):
         if n is None:
-            return lo + (hi - lo) * self.random()
-        return [lo + (hi - lo) * self.random() for _ in range(n)]
-
-    def _uint32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        w = self._word()
-        self._half = w >> 32
-        return w & 0xFFFFFFFF
+            return lo + (hi - lo) * ((self._word() >> 11) * 2.0**-53)
+        return [lo + (hi - lo) * ((self._word() >> 11) * 2.0**-53) for _ in range(n)]
 
     def integers(self, lo: int, hi: int) -> int:
         n = hi - lo
@@ -397,10 +387,16 @@ class _Draws:
             raise ValueError(f"integers({lo}, {hi}) needs 1 <= hi - lo <= 2**32")
         if n == 1:
             return lo
-        m = self._uint32() * n
-        while m % 2**32 < 2**32 % n:
-            m = self._uint32() * n
-        return lo + (m >> 32)
+        half = self._half
+        while True:
+            if half is None:
+                w = self._word()
+                m, half = (w & 0xFFFFFFFF) * n, w >> 32
+            else:
+                m, half = half * n, None
+            if m & 0xFFFFFFFF >= 2**32 % n:
+                self._half = half
+                return lo + (m >> 32)
 
 
 def _random_modulus(rng: _Draws, power_only: bool = False) -> Modulus:
@@ -413,7 +409,7 @@ def _random_modulus(rng: _Draws, power_only: bool = False) -> Modulus:
     # the largest denominator, a power of two all the others divide.
     g_ratios = [g.as_integer_ratio() for g in gaps]
     s_ratios = [s.as_integer_ratio() for s in slopes]
-    den = max(q for _, q in g_ratios + s_ratios)
+    den = max([q for _, q in g_ratios + s_ratios])
     ts, ws = [0], [0]
     for (gp, gq), (sp, sq) in zip(g_ratios, s_ratios):
         g = gp * (den // gq)
@@ -427,30 +423,47 @@ def _draw_cones(space: Space, rng: _Draws) -> tuple[float, tuple, list]:
     the space, and for each cone the integer radius at which it reaches 0."""
     k = rng.integers(1, 4)
     lam = rng.uniform(0.5, 2.0)
+    ranges = [(0, 4)] * space.m + [(-3, 4)] * (space.d - space.m)
     centers = []
     radii = []
     for _ in range(k):
-        c = [rng.integers(0, 4) if i < space.m else rng.integers(-3, 4)
-             for i in range(space.d)]
-        radii.append(float(rng.integers(1, 5)))
-        centers.append(tuple(float(v) for v in c))
+        centers.append(tuple([rng.integers(lo, hi) for lo, hi in ranges]))
+        radii.append(rng.integers(1, 5))
     return lam, tuple(centers), radii
 
 
-def _modulus_table(omegas: list, n: int) -> np.ndarray:
+def _table_nodes(omegas: list) -> tuple[list, np.ndarray, np.ndarray]:
+    """The positions of the tables among ``omegas`` and their nodes ``t`` and
+    ``w``, a row each, padded with ``(inf, w_last)`` (slope 0) past the last."""
+    rows = [t for t, omega in enumerate(omegas) if not isinstance(omega, PowerModulus)]
+    width = max((len(omegas[t]._t) for t in rows), default=0) + 1
+    ts = np.array([omegas[t]._t + (math.inf,) * (width - len(omegas[t]._t)) for t in rows])
+    ws = np.array([omegas[t]._w + omegas[t]._w[-1:] * (width - len(omegas[t]._w)) for t in rows])
+    return rows, ts.reshape(len(rows), width), ws.reshape(len(rows), width)
+
+
+def _node_take(ts: np.ndarray, ws: np.ndarray, j: np.ndarray) -> tuple:
+    """``t_j, w_j, t_{j+1}, w_{j+1}`` of each row's intervals ``j`` ``(R, N)``."""
+    at = (np.arange(len(ts)) * ts.shape[1])[:, None] + j
+    return ts.ravel()[at], ws.ravel()[at], ts.ravel()[at + 1], ws.ravel()[at + 1]
+
+
+def _modulus_table(omegas: list, n: int, nodes: Optional[tuple] = None) -> np.ndarray:
     """Each modulus of ``omegas`` at the integers ``0 .. n - 1``, one
     C-contiguous row per modulus: all power rows from one broadcast
-    ``np.power``, any other modulus called once on the grid.  An elementwise
-    ufunc and ``np.interp`` give each point the bits it gets alone, so
-    ``table[t, r]`` is ``omegas[t](r)`` exactly."""
+    ``np.power``, all table rows from one broadcast pass of ``np.interp``'s
+    own formula ``slope * (x - t_j) + w_j`` on the interval ``j`` of each
+    point, ``w_j`` on a node and ``w_last`` past the last.  An elementwise
+    ufunc gives each point the bits it gets alone, so ``table[t, r]`` is
+    ``omegas[t](r)`` exactly.  ``nodes`` is ``_table_nodes(omegas)``, if known."""
     grid = np.arange(n, dtype=np.float64)
     table = np.empty((len(omegas), n))
     power = [t for t, omega in enumerate(omegas) if isinstance(omega, PowerModulus)]
     alpha = np.array([omegas[t].alpha for t in power], dtype=np.float64)
     table[power] = np.power(grid[None, :], alpha[:, None])
-    for t, omega in enumerate(omegas):
-        if not isinstance(omega, PowerModulus):
-            table[t] = omega(grid)
+    rows, ts, ws = nodes if nodes is not None else _table_nodes(omegas)
+    t0, w0, t1, w1 = _node_take(ts, ws, (ts[:, :, None] <= grid).sum(axis=1) - 1)
+    table[rows] = (w1 - w0) / (t1 - t0) * (grid - t0) + w0
     return table
 
 
@@ -463,58 +476,74 @@ class _Cones:
     largest height, attained at that cone's apex.
 
     The cones of slope ``lam`` reach 0 at the drawn integer radii: heights
-    ``lam * omega(r)``, read for all trials from one ``_modulus_table``, and
-    kept strictly below a bounded modulus's plateau, so that every cone is
-    0 beyond ``rho(p_j, 0) + omega^{-1}(c_j / lam)``, the trial's support
-    radius.  Kept as flat arrays over all cones (centers, heights, the
-    trial of each cone) and per trial (slope, first cone ``start``, support
-    radius).
+    ``lam * omega(r)``, kept strictly below a bounded modulus's plateau, so
+    that every cone is 0 beyond ``rho(p_j, 0) + omega^{-1}(c_j / lam)``, the
+    trial's support radius (table inverses in one array pass of
+    ``TableModulus.inverse``'s operations, power ones by Python's pow).  It
+    is below ``max_j (rho(p_j, 0) + r_j) + 1``, and the suite reads no point
+    beyond ``ceil(support) + margin`` of the origin, so one ``_modulus_table``
+    over that plus the farthest center, ``table``, holds every ``omega`` it
+    reads.  Cones are padded to the widest trial's ``W`` at the origin with
+    height ``-inf``: ``centers`` ``(T, W, d)``, ``heights`` ``(T, W)``.
     """
 
-    def __init__(self, space: Space, omegas: list, draws: list):
+    def __init__(self, space: Space, omegas: list, draws: list, margin: int):
         self.space = space
         self.omegas = omegas
-        self.lam = np.array([lam for lam, _, _ in draws])
-        counts = [len(centers) for _, centers, _ in draws]
-        self.start = np.cumsum([0] + counts).tolist()
-        self.trial = np.repeat(np.arange(len(draws)), counts)
-        self.centers = np.array([c for _, centers, _ in draws for c in centers], dtype=np.float64)
-        radii = np.array([r for _, _, radii in draws for r in radii], dtype=np.intp)
-        table = _modulus_table(omegas, int(radii.max()) + 1)
+        lams, centers, radii = zip(*draws)
+        self.count = list(map(len, radii))
+        real = np.arange(max(self.count)) < np.array(self.count)[:, None]
+        self.lam = np.array(lams)
+        self.centers = np.zeros(real.shape + (space.d,))
+        self.centers[real] = list(itertools.chain.from_iterable(centers))
+        r = np.zeros(real.shape, dtype=np.intp)
+        r[real] = list(itertools.chain.from_iterable(radii))
+        norms = space.norm(self.centers)
+        nodes = _table_nodes(omegas)
+        self.table = _modulus_table(omegas, int((norms + r).max()) + margin + int(norms.max()) + 2,
+                                    nodes)
         cap = [lam * omega.max_value * (1.0 - 1e-9) if omega.is_bounded() else math.inf
-               for omega, (lam, _, _) in zip(omegas, draws)]
-        self.heights = np.minimum(self.lam[self.trial] * table[self.trial, radii],
-                                  np.array(cap)[self.trial])
-        heights = self.heights.tolist()
-        norms = space.norm(self.centers).tolist()
-        self.support = [
-            max(norms[j] + omega.inverse(heights[j] / lam) for j in range(a, b))
-            for omega, (lam, _, _), a, b in zip(omegas, draws, self.start, self.start[1:])
-        ]
+               for omega, lam in zip(omegas, lams)]
+        self.heights = np.minimum(self.lam[:, None] * np.take_along_axis(self.table, r, axis=1),
+                                  np.array(cap)[:, None])
+        self.heights[~real] = -math.inf
+        # 0 < c / lam < w_last, so bisect_left finds w_{j-1} < y <= w_j; a
+        # padding cone reaches -inf (table) or 0 (power), below any real one
+        y = self.heights / self.lam[:, None]
+        reach = np.empty_like(y)
+        rows, ts, ws = nodes
+        j = np.maximum((ws[:, :, None] < y[rows][:, None, :]).sum(axis=1), 1) - 1
+        t0, w0, t1, w1 = _node_take(ts, ws, j)
+        reach[rows] = t0 + (y[rows] - w0) * (t1 - t0) / (w1 - w0)
+        power = [t for t, omega in enumerate(omegas) if isinstance(omega, PowerModulus)]
+        inverses = [omegas[t].inverse(v) for t, row in zip(power, y[power].tolist()) for v in row]
+        reach[power] = np.reshape(inverses, (len(power), y.shape[1]))
+        self.support = (norms + reach).max(axis=1).tolist()
+        assert math.ceil(max(self.support)) <= (norms + r).max() + 1, "a support outgrew the table"
 
     def describe(self, i: int) -> dict:
         """Trial ``i``'s cones as plain JSON: centers, heights and slope."""
-        a, b = self.start[i], self.start[i + 1]
+        k = self.count[i]
         return {
-            "centers": self.centers[a:b].tolist(),
-            "heights": self.heights[a:b].tolist(),
+            "centers": self.centers[i, :k].tolist(),
+            "heights": self.heights[i, :k].tolist(),
             "lam": self.lam[i].item(),
         }
 
-    def on_lattice(self, idx, points: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """The cone functions of trials ``idx``, with integer centers, at the
-        integer ``points`` (float, shape (P, d)): one row per trial.  Each
-        cone's distances to the points are integers, so its ``omega`` values
-        are one flat take from its trial's row of ``table``
-        (``_modulus_table`` over every distance), and each trial's cones
-        reduce by one ``np.maximum.reduceat``."""
-        cones = [c for i in idx for c in range(self.start[i], self.start[i + 1])]
-        first = np.cumsum([0] + [self.start[i + 1] - self.start[i] for i in idx[:-1]])
-        trial = self.trial[cones]
-        rho = self.space.norm(points - self.centers[cones][:, None, :])
-        omega = table.ravel()[(trial * table.shape[1])[:, None] + rho.astype(np.intp)]
-        vals = self.heights[cones][:, None] - self.lam[trial][:, None] * omega
-        return np.maximum(np.maximum.reduceat(vals, first, axis=0), 0.0)
+    def on_lattice(self, idx, points: np.ndarray) -> np.ndarray:
+        """The cone functions of trials ``idx`` at the integer ``points``
+        (float, shape (P, d)): one row per trial.  Each cone's values
+        ``(c - lam * table[r])+`` at the distances ``r`` are one pass over
+        the trials' ``table`` rows, read at the points by one sup-distance
+        pass and one flat take, then maximized over the cones (a padding
+        cone is 0): the clip at 0 commutes with the maximum."""
+        idx = np.asarray(idx)
+        table = self.table[idx]
+        vals = np.maximum(self.heights[idx][:, :, None] - self.lam[idx][:, None, None]
+                          * table[:, None, :], 0.0)
+        rho = self.space.norm(points - self.centers[idx][:, :, None, :]).astype(np.intp)
+        rows = np.arange(vals.shape[0] * vals.shape[1]).reshape(vals.shape[:2] + (1,))
+        return vals.ravel()[rows * table.shape[1] + rho].max(axis=1)
 
 
 def _draw_additive(rng: _Draws) -> tuple:
@@ -531,17 +560,14 @@ def _group_rows(keys) -> dict:
     return groups
 
 
-def _sweep_groups(cones: _Cones, hs: list) -> tuple[dict, np.ndarray]:
+def _sweep_groups(cones: _Cones, hs: list) -> dict:
     """The trials of an additive suite by sweep plan ``(radius, k)``, with
     ``k = strict_int_below(h)`` and a window one step past the sweep of the
-    cones' support; and the ``_modulus_table`` of every trial's modulus
-    over each distance those plans read.  A padded point of a plan lies
-    within ``radius + k`` of the origin, so its distance to a cone's center
-    ``c`` is at most ``radius + k + rho(c, 0)``."""
-    groups = _group_rows((int(math.ceil(support)) + k + 1, k)
-                         for k, support in zip(map(strict_int_below, hs), cones.support))
-    reach = max(radius + k for radius, k in groups) + int(cones.space.norm(cones.centers).max())
-    return groups, _modulus_table(cones.omegas, reach + 1)
+    cones' support.  A padded point of a plan lies within ``radius + k =
+    ceil(support) + 2 k + 1`` of the origin: the ``margin`` of the suite's
+    ``_Cones`` is ``2 k + 1`` of the largest ``h``."""
+    return _group_rows((int(math.ceil(support)) + k + 1, k)
+                       for k, support in zip(map(strict_int_below, hs), cones.support))
 
 
 def _take_rows(table: np.ndarray, rows, cols: np.ndarray) -> np.ndarray:
@@ -564,20 +590,18 @@ def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[
 
     Every distance the suite reads is an integer: padded points, cone
     centers, the drawn cone radii and the ball offsets are.  So each trial's
-    modulus is evaluated once, as its row of one ``_modulus_table`` over
-    those distances, and read back by index for the cone values of each
-    group of trials that share a sweep plan (``_Cones.on_lattice``) and
-    for ``I(h)`` (``_ball_integrals``); the cone heights come from a table
-    of their own (``_Cones``).  A group costs one sup-distance pass over its
-    cones, one gather, ``heights - lam * omega``, a max over each trial's
-    cones and the clip at 0.  The ``charge`` ball sums of a group are one
-    flat take summed by rows (``_lattice.ball_row_sums``), so its ``term2``
-    is the library's seminorm sweep (``seminorm_local``): a test checks it
-    trial by trial against ``charge_seminorm`` of the trial's cones as
-    ``_kernels.cone_eval`` evaluates them.  The ``lemma1``, ``nagy`` and
-    ``sobolev`` ball sums are one gather index for the group and one
-    ``@ ones`` per trial: their pinned digests hold the matmul's bits,
-    which differ from the row sums' in the last place.
+    modulus is evaluated once, as its row of the one ``_Cones.table`` over
+    those distances, and read back by index for the cone heights, for the
+    cone values of each group of trials that share a sweep plan
+    (``_Cones.on_lattice``: one distance pass, one gather and a max over the
+    cones) and for ``I(h)`` (``_ball_integrals``).  The ``charge`` ball sums
+    of a group are one flat take summed by rows (``_lattice.ball_row_sums``),
+    so its ``term2`` is the library's seminorm sweep (``seminorm_local``): a
+    test checks it trial by trial against ``charge_seminorm`` of the trial's
+    cones as ``_kernels.cone_eval`` evaluates them.  The ``lemma1``, ``nagy``
+    and ``sobolev`` ball sums are one gather index for the group and one
+    ``@ ones`` per trial: their pinned digests hold the matmul's bits, which
+    differ from the row sums' in the last place.
 
     Every number is the one a trial-by-trial sweep gives: elementwise
     ufuncs give each element the same bits whatever the array's shape;
@@ -587,16 +611,17 @@ def _additive_suite(theorem_id: str, draws: list) -> tuple[list, list, Callable[
     group, ``(T * N, K) @ w`` or ``(T, N, K) @ w``, rounds differently.
     """
     space = _ADDITIVE_SPACE
-    cones = _Cones(space, [omega for omega, _, _ in draws], [c for _, _, c in draws])
-    groups, table = _sweep_groups(cones, [h for _, h, _ in draws])
+    hs = [h for _, h, _ in draws]
+    cones = _Cones(space, [omega for omega, _, _ in draws], [c for _, _, c in draws],
+                   2 * strict_int_below(max(hs)) + 1)
 
     gaps = np.empty(len(draws))
     rhss = np.empty(len(draws))
-    for (radius, k), idx in groups.items():
+    for (radius, k), idx in _sweep_groups(cones, hs).items():
         plan = _lattice.sweep_plan(space, radius, k)
         mu = float(len(plan.offsets))
-        vals = cones.on_lattice(idx, plan.padded_float, table)
-        term1 = cones.lam[idx] * _ball_integrals(table, idx, plan) / mu
+        vals = cones.on_lattice(idx, plan.padded_float)
+        term1 = cones.lam[idx] * _ball_integrals(cones.table, idx, plan) / mu
         if theorem_id in ("lemma1", "nagy", "sobolev"):
             gather = plan.base_idx[:, None] + plan.lin_offsets
             ones = np.ones(len(plan.lin_offsets))
@@ -680,9 +705,10 @@ def _hypersingular_suite(draws: list) -> tuple[list, list, Callable[[int], dict]
     space is one-dimensional, so every such line is a slice of the widest,
     ``window_points(space, reach)``: the cones of a block of
     ``_LINE_TRIALS`` trials are one ``_Cones.on_lattice`` call on that line,
-    from one ``_modulus_table`` over the ``reach + max rho(p, 0) + 1``
-    distances it reads, and each trial reads its own line as a slice, with
-    the bits ``cone_eval`` gives it.
+    whose points lie within ``reach = ceil(support) + 2 cut + 1`` of the
+    origin (the ``margin`` of the suite's ``_Cones`` is ``2 cut + 1`` of the
+    largest cut), and each trial reads its own line as a slice, with the
+    bits ``cone_eval`` gives it.
 
     The rest of a block reads one ``_kernel_table`` of its kernels, the
     oracle's own ``P``: ``A(h)`` and ``T(h)`` by ``_kernel_masses``, and the
@@ -695,15 +721,15 @@ def _hypersingular_suite(draws: list) -> tuple[list, list, Callable[[int], dict]
     each moving the last bits of the sums.
     """
     space = _HYPERSINGULAR_SPACE
-    cones = _Cones(space, [omega for omega, _, _, _ in draws], [c for _, _, _, c in draws])
     hs = [h for _, h, _, _ in draws]
     kernels = [kernel for _, _, kernel, _ in draws]
     cuts = [int(math.floor(kernel.cutoff)) for kernel in kernels]
+    cones = _Cones(space, [omega for omega, _, _, _ in draws], [c for _, _, _, c in draws],
+                   2 * max(cuts) + 1)
     radii = [int(math.ceil(s)) + cut + 1 for s, cut in zip(cones.support, cuts)]
     reach = max(radius + cut for radius, cut in zip(radii, cuts))
-    table = _modulus_table(cones.omegas, reach + int(space.norm(cones.centers).max()) + 1)
     line = _lattice.window_points(space, reach).astype(np.float64)
-    hmax = np.maximum.reduceat(cones.heights, cones.start[:-1])
+    hmax = cones.heights.max(axis=1)
     gaps = []
     rhss = []
     for lo in range(0, len(draws), _LINE_TRIALS):
@@ -715,7 +741,7 @@ def _hypersingular_suite(draws: list) -> tuple[list, list, Callable[[int], dict]
         plans = {key: _lattice.sweep_plan(space, *key, punctured=True)
                  for key in set(zip(b_radii, b_cuts))}
 
-        a_h, t_h = _kernel_masses(table[lo:hi], kernel_table, hs[lo:hi], b_cuts)
+        a_h, t_h = _kernel_masses(cones.table[lo:hi], kernel_table, hs[lo:hi], b_cuts)
         weights = [None] * len(block)
         wsum = np.empty(len(block))
         for cut, rows in _group_rows(b_cuts).items():
@@ -727,7 +753,7 @@ def _hypersingular_suite(draws: list) -> tuple[list, list, Callable[[int], dict]
 
         windows = []
         weighted = []
-        for padded, radius, cut, w_row in zip(cones.on_lattice(block, line, table), b_radii,
+        for padded, radius, cut, w_row in zip(cones.on_lattice(block, line), b_radii,
                                               b_cuts, weights):
             plan = plans[radius, cut]
             padded = padded[reach - radius - cut: reach + radius + cut + 1]
@@ -843,21 +869,18 @@ def random_suite(theorem_id: str, trials: int = 1000, seed: int = 1) -> SuiteRep
     trials, seed = suite_arguments(theorem_id, trials, seed)
     gaps, rhss, case = _suite_trials(theorem_id, trials, seed)
     tol = EQUALITY_TOLS[theorem_id]
-    min_gap = math.inf
-    worst = None
-    violations = 0
-    for i, (gap, rhs) in enumerate(zip(gaps, rhss)):
-        if gap < min_gap:
-            min_gap = gap
-            worst = i
-        if gap < -tol * max(1.0, abs(rhs)):
-            violations += 1
+    # a non-finite gap or right side is a violation, ranked below any finite gap
+    keys = [gap if math.isfinite(gap) and math.isfinite(rhs) else -math.inf
+            for gap, rhs in zip(gaps, rhss)]
+    worst = min(range(trials), key=keys.__getitem__)
+    violations = sum(key == -math.inf or key < -tol * max(1.0, abs(rhs))
+                     for key, rhs in zip(keys, rhss))
     return SuiteReport(
         theorem_id=theorem_id,
         trials=trials,
         violations=violations,
-        min_gap=min_gap,
-        worst_case={} if worst is None else {"trial": worst, "gap": min_gap, **case(worst)},
+        min_gap=gaps[worst],
+        worst_case={"trial": worst, "gap": gaps[worst], **case(worst)},
         seed=seed,
     )
 

@@ -14,12 +14,12 @@ def cone_function():
     height."""
 
     def build(space, omega, draw) -> FunctionModel:
-        cones = oracle._Cones(space, [omega], [draw])
+        cones = oracle._Cones(space, [omega], [draw], 0)
         lam = draw[0]
         return FunctionModel(
-            name=f"cones[k={len(cones.heights)}]",
+            name=f"cones[k={cones.count[0]}]",
             evaluator=lambda pts: _kernels.cone_eval(
-                pts, cones.centers, cones.heights, lam, omega, space
+                pts, cones.centers[0], cones.heights[0], lam, omega, space
             ),
             certified_holder_bound=lam,
             certified_sup_norm=float(cones.heights.max()),

@@ -711,6 +711,16 @@ def test_classify_verdict_edges():
     assert ops.classify_verdict(2.0, 1.0, 0.0, 0.2499) == ops.VERDICT_VIOLATED
 
 
+@pytest.mark.parametrize("lhs, rhs", [
+    (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (-math.inf, 1.0), (math.inf, math.inf),
+])
+def test_classify_verdict_refuses_a_side_that_is_not_finite(lhs, rhs):
+    """NaN passes no comparison and an infinite side bounds nothing: each is
+    a violation, at any tolerance and error bound."""
+    for tol, error_bound in [(0.0, 0.0), (1e-8, 0.0), (1e-8, 1e3)]:
+        assert ops.classify_verdict(lhs, rhs, tol, error_bound) == ops.VERDICT_VIOLATED
+
+
 def test_classify_verdict_decides_fractions_exactly():
     # a gap of 1e-30 is lost in a float conversion, which would read both as equality
     eps = Fraction(1, 10**30)

@@ -4,6 +4,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,11 +316,10 @@ def _cone_draws(seed, trials):
     rng = oracle._Draws(np.random.default_rng(seed))
     draws = [oracle._draw_additive(rng) for _ in range(trials)]
     space = oracle._ADDITIVE_SPACE
-    cones = oracle._Cones(space, [omega for omega, _, _ in draws], [c for _, _, c in draws])
+    cones = oracle._Cones(space, [omega for omega, _, _ in draws], [c for _, _, c in draws], 1)
     radius = math.ceil(max(cones.support)) + 1
     points = _lattice.window_points(space, radius)
-    table = oracle._modulus_table(cones.omegas, radius + int(space.norm(cones.centers).max()) + 1)
-    vals = cones.on_lattice(range(trials), points.astype(np.float64), table)
+    vals = cones.on_lattice(range(trials), points.astype(np.float64))
     assert {type(omega) for omega, _, _ in draws} == {PowerModulus, TableModulus}
     assert {len(c[1]) for _, _, c in draws} == {1, 2, 3}
     return cones, points, vals
@@ -333,10 +333,10 @@ def test_cone_function_certificates():
     space = cones.space
     rho = space.norm(points)
     for i, row in enumerate(vals):
-        a, b = cones.start[i], cones.start[i + 1]
-        top = a + int(np.argmax(cones.heights[a:b]))
-        apex = np.flatnonzero((points == cones.centers[top]).all(axis=1))
-        assert row.max() == cones.heights[a:b].max() == row[apex].item()
+        heights = cones.heights[i, :cones.count[i]]
+        apex = cones.centers[i, int(np.argmax(heights))]
+        apex = np.flatnonzero((points == apex).all(axis=1))
+        assert row.max() == heights.max() == row[apex].item()
         assert row.min() == 0.0
         assert np.all(row[rho > cones.support[i]] == 0.0)
         assert (row[rho <= cones.support[i]] > 0.0).any()
@@ -344,11 +344,14 @@ def test_cone_function_certificates():
 
 def test_cone_function_support_radius():
     space = lattice(1, 0)
-    cones = oracle._Cones(space, [RAMP, RAMP], [(2.0, ((2.0,),), [1.0]),
-                                                (1.0, ((1.0,), (-3.0,)), [2.0, 1.0])])
+    cones = oracle._Cones(space, [RAMP, RAMP], [(2.0, ((2,),), [1]),
+                                                (1.0, ((1,), (-3,)), [2, 1])], 0)
     # per-cone reach |p| + omega^{-1}(c/lam) with c = lam * omega(r): |p| + r
     assert cones.support == [3.0, 4.0]
-    assert cones.heights.tolist() == [2.0, 2.0, 1.0]
+    # the first trial's cones are padded to two, at the origin with height -inf
+    assert cones.heights.tolist() == [[2.0, -math.inf], [2.0, 1.0]]
+    assert cones.centers.tolist() == [[[2.0], [0.0]], [[1.0], [-3.0]]]
+    assert cones.describe(0) == {"centers": [[2.0]], "heights": [2.0], "lam": 2.0}
     assert cones.describe(1) == {"centers": [[1.0], [-3.0]], "heights": [2.0, 1.0], "lam": 1.0}
 
 
@@ -388,6 +391,82 @@ def test_cone_eval_clamps_at_zero():
         continuum(2, 0),
     )
     assert out[0] == 0.0
+
+
+def _table_rows_match(omegas, n):
+    table = oracle._modulus_table(omegas, n)
+    assert table.shape == (len(omegas), n) and table.flags.c_contiguous
+    grid = np.arange(n)
+    for omega, row in zip(omegas, table):
+        assert row.tobytes() == omega(grid).tobytes(), (omega, n)
+
+
+# a node on an integer, a plateau, only two nodes, and a last node past,
+# on and before the end of the grid of each n
+HAND_TABLES = [
+    TableModulus([(0, 0), (1, "0.75"), (3, "1.25")]),
+    TableModulus([(0, 0), ("1.5", 1), ("2.5", 1)]),
+    TableModulus([(0, 0), ("2.5", 1)]),
+    TableModulus([(0, 0), ("0.5", "0.5"), (6, 2), (40, "2.5")]),
+    TableModulus([(0, 0), ("0.25", "0.1")]),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_modulus_table_rows_are_the_moduli(n):
+    """Every row of ``_modulus_table`` is its modulus on ``np.arange(n)``
+    byte for byte: 2000 drawn moduli of both kinds, tables of three and four
+    nodes padded to one width, and the hand tables, alone and among them."""
+    rng = oracle._Draws(np.random.default_rng(n))
+    drawn = [oracle._random_modulus(rng) for _ in range(2000)]
+    assert {len(omega._t) for omega in drawn if isinstance(omega, TableModulus)} == {3, 4}
+    assert sum(isinstance(omega, PowerModulus) for omega in drawn) in range(900, 1100)
+    _table_rows_match(drawn + HAND_TABLES, n)
+    _table_rows_match(HAND_TABLES, n)
+    _table_rows_match([RAMP, PowerModulus(0.3)], n)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_padded_cones_are_the_per_trial_cone_functions(width):
+    """Additive draws whose widest trial has ``width`` cones: each trial's
+    cones are padded to that width with height ``-inf``, its support is the
+    per-cone ``rho(p, 0) + omega.inverse(c / lam)`` of its real cones, and
+    its ``on_lattice`` row has the bits of ``cone_eval`` of its real cones."""
+    rng = oracle._Draws(np.random.default_rng(11))
+    draws = [d for d in (oracle._draw_additive(rng) for _ in range(400)) if len(d[2][1]) <= width]
+    draws = draws[:60]
+    space = oracle._ADDITIVE_SPACE
+    cones = oracle._Cones(space, [omega for omega, _, _ in draws], [c for _, _, c in draws], 1)
+    assert cones.heights.shape == (60, width) and set(cones.count) == set(range(1, width + 1))
+    assert {type(omega) for omega, _, _ in draws} == {PowerModulus, TableModulus}
+    points = _lattice.window_points(space, math.ceil(max(cones.support)) + 1).astype(np.float64)
+    vals = cones.on_lattice(range(len(draws)), points)
+    for i, (omega, _, (lam, _, _)) in enumerate(draws):
+        k = cones.count[i]
+        assert np.all(cones.heights[i, k:] == -math.inf)
+        reach = [float(space.norm(c)) + omega.inverse(c_h / lam)
+                 for c, c_h in zip(cones.centers[i, :k], cones.heights[i, :k].tolist())]
+        assert cones.support[i].hex() == max(reach).hex()
+        want = _kernels.cone_eval(points, cones.centers[i, :k], cones.heights[i, :k], lam, omega,
+                                  space)
+        assert vals[i].tobytes() == want.tobytes()
+
+
+def test_cone_supports_are_the_table_inverses():
+    """The supports of cones over the hand tables, with radii on, between
+    and past their nodes, are those of ``TableModulus.inverse``, bit for
+    bit."""
+    space = lattice(1, 0)
+    omegas, draws = [], []
+    for omega in HAND_TABLES:
+        for lam in (1.0, 0.75, 1.3, 2.0):
+            omegas.append(omega)
+            draws.append((lam, ((0,), (2,), (-1,)), [1, 2, 3]))
+    cones = oracle._Cones(space, omegas, draws, 0)
+    for omega, (lam, centers, _), heights, support in zip(omegas, draws, cones.heights.tolist(),
+                                                           cones.support):
+        reach = [abs(c) + omega.inverse(c_h / lam) for (c,), c_h in zip(centers, heights)]
+        assert support.hex() == max(reach).hex()
 
 
 def test_ball_sums_weights():
@@ -500,6 +579,87 @@ def test_trial_digests_see_a_strided_ball_integral(monkeypatch):
         assert _trial_digest(tid, 1) != TRIAL_DIGESTS[(tid, 1)], tid
 
 
+# sha256 of the sorted-key JSON of random_suite(tid, 3000, 3), whose
+# hypersingular suite runs in three blocks of _LINE_TRIALS
+SUITE_DIGESTS_3000 = {
+    "lemma1": "619e1aa2c1b0170c4e7967cba8a719a65fc44d17e02f2075e654cf21b7d03315",
+    "nagy": "b29df6f7cb4cf0e53570a4498828f2db4b272fc8b0328f74aa2fc1631d1c39ba",
+    "nagy_l1": "7a73dc5cd9622b9c1f55332cea664339ee846c093247cbc84e856a7d32a7b085",
+    "sobolev": "bbb0eeca6506266bda7210c039c2754b6ed06db559994bb1214c7b0f32c8765e",
+    "charge": "a11e562888729e0247446f3a3a29f59c2950440ec12e2f4ebeb6760b9d3f17f7",
+    "hypersingular": "8214b5d9747f6a67b7933791ef1f4286eaa09c50971e4efc5e4270f5c7f97405",
+}
+SUITE_REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "suites.json").read_text()
+)
+
+
+def _report_digest(rep) -> str:
+    return hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("tid", sorted(SUITE_DIGESTS_3000))
+def test_lattice_suites_build_one_modulus_table(monkeypatch, tid):
+    """Each lattice suite evaluates its moduli in one ``_modulus_table``, at
+    100 trials (the first benchmark reference op of the suite) and at 3000,
+    with the reports pinned for both."""
+    built = []
+    table = oracle._modulus_table
+
+    def counted(*args):
+        built.append(args[1])
+        return table(*args)
+
+    monkeypatch.setattr(oracle, "_modulus_table", counted)
+    key = min(k for k in SUITE_REFERENCE if k.startswith(f"{tid}:") and k.endswith(":100"))
+    assert _report_digest(oracle.random_suite(tid, 100, int(key.split(":")[1]))) == \
+        SUITE_REFERENCE[key]
+    assert len(built) == 1
+    assert _report_digest(oracle.random_suite(tid, 3000, 3)) == SUITE_DIGESTS_3000[tid]
+    assert len(built) == 2
+
+
+def _mutant_trials(monkeypatch, gaps, rhss):
+    """``random_suite`` reads ``gaps`` and ``rhss`` as its trials."""
+    def trials(theorem_id, n, seed):
+        assert n == len(gaps)
+        return gaps, rhss, lambda i: {"inputs": i}
+
+    monkeypatch.setattr(oracle, "_suite_trials", trials)
+
+
+@pytest.mark.parametrize("gaps, rhss, violations, worst", [
+    ([math.nan] * 5, [1.0] * 5, 5, 0),
+    ([0.5, 0.1, math.nan, 0.3, math.nan], [1.0] * 5, 2, 2),
+    ([0.5, 0.1, 0.2], [1.0, math.inf, 1.0], 1, 1),
+    ([0.2, -math.inf, 0.1], [1.0, 1.0, math.nan], 2, 1),
+    ([0.3, 0.1, 0.1, -0.5], [1.0, 1.0, 1.0, 1.0], 1, 3),
+    ([0.3, 0.1, 0.1], [1.0, 1.0, 1.0], 0, 1),
+], ids=["all-nan", "nan-gaps", "inf-rhs", "-inf-gap-nan-rhs", "finite-violation", "finite"])
+def test_random_suite_counts_a_non_finite_trial_as_a_violation(monkeypatch, gaps, rhss,
+                                                               violations, worst):
+    """A gap or right side that is not finite is a violation, and the first
+    such trial is the worst case; among finite gaps the first smallest is."""
+    _mutant_trials(monkeypatch, gaps, rhss)
+    rep = oracle.random_suite("nagy", len(gaps), 1)
+    assert rep.violations == violations
+    assert rep.worst_case == {"trial": worst, "gap": gaps[worst], "inputs": worst}
+    assert rep.min_gap is gaps[worst]
+
+
+@pytest.mark.parametrize("tid", sorted(SUITE_DIGESTS_3000))
+def test_a_nan_cone_function_fails_every_lattice_suite(monkeypatch, tid):
+    """A mutant ``on_lattice`` that gives NaN everywhere makes every trial's
+    gap NaN: the suite counts each as a violation instead of passing."""
+    def nan_cones(self, idx, points):
+        return np.full((len(idx), len(points)), math.nan)
+
+    monkeypatch.setattr(oracle._Cones, "on_lattice", nan_cones)
+    rep = oracle.random_suite(tid, 20, 1)
+    assert rep.violations == 20
+    assert rep.worst_case["trial"] == 0 and math.isnan(rep.min_gap)
+
+
 def _random_modulus_fraction_sums(rng, power_only: bool = False):
     """``oracle._random_modulus`` as it read when it summed its nodes in
     ``Fraction``s, one float at a time."""
@@ -573,6 +733,25 @@ def test_node_record_refused_as_the_pairs_are(ts, ws, message):
 DRAW_RANGES = (1, 2, 3, 4, 7, 2**31 - 1, 3 * 2**30 + 1, 2**32)
 
 
+def _same_call(order, draws, rng) -> None:
+    """One call of a kind ``order`` picks, made of ``_Draws`` and of numpy's
+    ``Generator``: both give the same numbers."""
+    kind = int(order.integers(0, 4))
+    if kind == 0:
+        assert draws.random() == rng.random()
+    elif kind == 1:
+        lo, hi = sorted(order.uniform(-5.0, 5.0, 2).tolist())
+        assert draws.uniform(lo, hi) == rng.uniform(lo, hi)
+    elif kind == 2:
+        lo, hi, n = -1.5, float(order.uniform(0.0, 3.0)), int(order.integers(0, 5))
+        assert draws.uniform(lo, hi, n) == rng.uniform(lo, hi, n).tolist()
+    else:
+        n = DRAW_RANGES[int(order.integers(0, len(DRAW_RANGES)))]
+        lo = int(order.integers(-9, 9))
+        got, want = draws.integers(lo, lo + n), rng.integers(lo, lo + n)
+        assert type(got) is int and got == want
+
+
 def test_draws_replay_numpy_generator():
     """``_Draws`` returns what numpy's ``Generator`` returns, call by call,
     for calls in a random order, and leaves the stream where numpy does."""
@@ -580,20 +759,32 @@ def test_draws_replay_numpy_generator():
     for seed in range(200):
         draws, rng = oracle._Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
         for _ in range(int(order.integers(1, 60))):
-            kind = int(order.integers(0, 4))
-            if kind == 0:
+            _same_call(order, draws, rng)
+        assert _next_draws(draws) == _next_draws(rng), seed
+
+
+def test_draws_replay_numpy_generator_across_word_blocks():
+    """Runs of 600 to 3000 calls read several blocks of 256 words, and stay
+    call for call on numpy's stream."""
+    order = np.random.default_rng(98)
+    for seed, calls in enumerate([600, 1400, 2200, 3000]):
+        draws, rng = oracle._Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
+        for _ in range(calls):
+            _same_call(order, draws, rng)
+        assert _next_draws(draws) == _next_draws(rng), seed
+
+
+def test_draws_carry_a_half_word_across_a_refill():
+    """The high half of a block's last word waits through the refill that
+    the next full word needs, and is the next half-word drawn."""
+    for seed in range(3):
+        draws, rng = oracle._Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
+        for block in range(3):
+            for _ in range(255 - (block > 0)):
                 assert draws.random() == rng.random()
-            elif kind == 1:
-                lo, hi = sorted(order.uniform(-5.0, 5.0, 2).tolist())
-                assert draws.uniform(lo, hi) == rng.uniform(lo, hi)
-            elif kind == 2:
-                lo, hi, n = -1.5, float(order.uniform(0.0, 3.0)), int(order.integers(0, 5))
-                assert draws.uniform(lo, hi, n) == rng.uniform(lo, hi, n).tolist()
-            else:
-                n = DRAW_RANGES[int(order.integers(0, len(DRAW_RANGES)))]
-                lo = int(order.integers(-9, 9))
-                got, want = draws.integers(lo, lo + n), rng.integers(lo, lo + n)
-                assert type(got) is int and got == want
+            assert draws.integers(0, 7) == rng.integers(0, 7)  # the low half of word 256
+            assert draws.random() == rng.random()  # the next block's first word
+            assert draws.integers(0, 7) == rng.integers(0, 7)  # the kept high half
         assert _next_draws(draws) == _next_draws(rng), seed
 
 
@@ -624,9 +815,8 @@ def _additive_groups(seed, trials):
     rng = oracle._Draws(np.random.default_rng(seed))
     draws = [oracle._draw_additive(rng) for _ in range(trials)]
     cones = oracle._Cones(oracle._ADDITIVE_SPACE, [omega for omega, _, _ in draws],
-                          [c for _, _, c in draws])
-    groups, table = oracle._sweep_groups(cones, [h for _, h, _ in draws])
-    return draws, cones, groups, table
+                          [c for _, _, c in draws], 5)
+    return draws, cones, oracle._sweep_groups(cones, [h for _, h, _ in draws])
 
 
 def test_grouped_suite_evaluation_matches_the_per_trial_path():
@@ -634,7 +824,7 @@ def test_grouped_suite_evaluation_matches_the_per_trial_path():
     tables, has the bits of the per-trial path: ``cone_eval`` for the cone
     values, ``np.sum(omega(offset_rho))`` for ``I(h)``, and ``lam *
     omega(radii)`` for the heights."""
-    draws, cones, groups, table = _additive_groups(24, 1000)
+    draws, cones, groups = _additive_groups(24, 1000)
     space = oracle._ADDITIVE_SPACE
     omegas = cones.omegas
     assert {type(omega) for omega in omegas} == {PowerModulus, TableModulus}
@@ -642,20 +832,19 @@ def test_grouped_suite_evaluation_matches_the_per_trial_path():
     assert len(groups) > 5
 
     for i, (omega, _, (lam, _, radii)) in enumerate(draws):
-        a, b = cones.start[i], cones.start[i + 1]
         want = _per_trial_heights(omega, lam, radii)
-        assert np.array_equal(_bits(cones.heights[a:b]), _bits(want))
+        assert np.array_equal(_bits(cones.heights[i, :len(radii)]), _bits(want))
         assert cones.describe(i)["heights"] == want.tolist()
 
     for (radius, k), idx in groups.items():
         plan = _lattice.sweep_plan(space, radius, k)
-        vals = cones.on_lattice(idx, plan.padded_float, table)
-        i_h = oracle._ball_integrals(table, idx, plan)
+        vals = cones.on_lattice(idx, plan.padded_float)
+        i_h = oracle._ball_integrals(cones.table, idx, plan)
         for row, i in enumerate(idx):
             omega, lam = omegas[i], draws[i][2][0]
-            a, b = cones.start[i], cones.start[i + 1]
-            want = _kernels.cone_eval(plan.padded_float, cones.centers[a:b],
-                                      cones.heights[a:b], lam, omega, space)
+            k_i = cones.count[i]
+            want = _kernels.cone_eval(plan.padded_float, cones.centers[i, :k_i],
+                                      cones.heights[i, :k_i], lam, omega, space)
             assert np.array_equal(vals[row].view(np.int64), _bits(want))
             assert i_h[row].view(np.int64) == _bits(np.sum(omega(plan.offset_rho)))
 
@@ -666,13 +855,13 @@ def test_charge_ball_row_sums_are_the_library_seminorm(seed, cone_function):
     ``ball_row_sums`` has the bits of each row's own call and of the row
     sum of one gather per trial, and each row's sup of ``|ball|`` is the
     library's ``charge_seminorm`` of the trial's cone function."""
-    draws, cones, groups, table = _additive_groups(seed, 200)
+    draws, cones, groups = _additive_groups(seed, 200)
     space = oracle._ADDITIVE_SPACE
     assert min(map(len, groups.values())) == 1 and max(map(len, groups.values())) > 1
 
     for (radius, k), idx in groups.items():
         plan = _lattice.sweep_plan(space, radius, k)
-        vals = cones.on_lattice(idx, plan.padded_float, table)
+        vals = cones.on_lattice(idx, plan.padded_float)
         ball = _lattice.ball_row_sums(plan, vals)
         assert ball.shape == (len(idx), len(plan.base_idx))
         for row, i in enumerate(idx):
@@ -717,8 +906,9 @@ def _hypersingular_draws(seed):
     draws = [oracle._draw_hypersingular(rng) for _ in range(200)]
     assert {type(omega) for omega, _, _, _ in draws} == {PowerModulus, TableModulus}
     assert {len(c[1]) for _, _, _, c in draws} == {1, 2, 3}
+    cuts = [math.floor(kernel.cutoff) for _, _, kernel, _ in draws]
     cones = oracle._Cones(oracle._HYPERSINGULAR_SPACE, [omega for omega, _, _, _ in draws],
-                          [c for _, _, _, c in draws])
+                          [c for _, _, _, c in draws], 2 * max(cuts) + 1)
     return draws, cones
 
 
@@ -752,9 +942,9 @@ def test_hypersingular_lines_are_the_per_trial_cones(seed, monkeypatch):
         pad = radii[i] + cuts[i]
         assert np.array_equal(line[reach - pad: reach + pad + 1], plan.padded_points)
         assert base_idx is plan.base_idx
-        a, b = cones.start[i], cones.start[i + 1]
-        want = _kernels.cone_eval(plan.padded_float, cones.centers[a:b], cones.heights[a:b],
-                                  draws[i][3][0], draws[i][0], space)
+        k_i = cones.count[i]
+        want = _kernels.cone_eval(plan.padded_float, cones.centers[i, :k_i],
+                                  cones.heights[i, :k_i], draws[i][3][0], draws[i][0], space)
         assert padded.tobytes() == want.tobytes()
         assert weights.tobytes() == draws[i][2].value(plan.offset_rho, space.d).tobytes()
 
