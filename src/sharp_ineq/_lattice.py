@@ -42,23 +42,25 @@ def require_budget(n: int) -> None:
         )
 
 
-def _box(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _box(lo: list, hi: list) -> np.ndarray:
     """All integer points of the box ``prod_i [lo_i, hi_i]`` in C order
-    (last coordinate fastest), shape (N, d), int64."""
-    shape = tuple(int(n) for n in hi - lo + 1)
+    (last coordinate fastest), shape (N, d), int64.  The corners are Python
+    ints, so the shape is exact and the budget is checked before any int64
+    array is built: an int64 shape would wrap past 2^63."""
+    shape = tuple(b - a + 1 for a, b in zip(lo, hi))
     require_budget(math.prod(shape))
-    return np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T + lo
+    return np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T + np.array(lo)
 
 
-def _window_lo(space: Space, r: int) -> np.ndarray:
-    return np.array([0] * space.m + [-r] * (space.d - space.m), dtype=np.int64)
+def _window_lo(space: Space, r: int) -> list:
+    return [0] * space.m + [-r] * (space.d - space.m)
 
 
 def window_points(space: Space, radius: int) -> np.ndarray:
     """All lattice points of ``{0..r}^m x {-r..r}^(d-m)``, r = ``radius``:
     the sup-norm window of the space, in C order (shape (N, d))."""
     r = int(radius)
-    return _box(_window_lo(space, r), np.full(space.d, r, dtype=np.int64))
+    return _box(_window_lo(space, r), [r] * space.d)
 
 
 @dataclass(frozen=True)
@@ -76,22 +78,16 @@ def make_plan(space: Space, window_radius: int, offsets: np.ndarray) -> GatherPl
     offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, space.d)
     d = space.d
     r = int(window_radius)
-    win_lo = _window_lo(space, r)
-    win_hi = np.full(d, r, dtype=np.int64)
-    off_lo = offsets.min(axis=0)
-    off_hi = offsets.max(axis=0)
-    pad_lo = win_lo + np.minimum(0, off_lo)
-    pad_hi = win_hi + np.maximum(0, off_hi)
-    shape = (pad_hi - pad_lo + 1).astype(np.int64)
+    pad_lo = [a + min(0, b) for a, b in zip(_window_lo(space, r), offsets.min(axis=0).tolist())]
+    pad_hi = [r + max(0, b) for b in offsets.max(axis=0).tolist()]
+    padded_points = _box(pad_lo, pad_hi)
 
     strides = np.ones(d, dtype=np.int64)
     for i in range(d - 2, -1, -1):
-        strides[i] = strides[i + 1] * shape[i + 1]
+        strides[i] = strides[i + 1] * (pad_hi[i + 1] - pad_lo[i + 1] + 1)
 
     base_idx = (window_points(space, r) - pad_lo) @ strides
     lin_offsets = offsets @ strides
-
-    padded_points = _box(pad_lo, pad_hi)
     return GatherPlan(
         offsets=offsets,
         offset_rho=space.norm(offsets),

@@ -15,7 +15,7 @@ Central quantities
       (``radial_integral``);
     * ``lattice_exact`` -- exact enumeration on lattices;
     * ``monte_carlo``   -- uniform sampling, with a reported standard error,
-      the samples drawn and weighed in blocks (``_mc_blocks``).
+      drawn and weighed in blocks, reduced in place (``_mc_blocks``).
 
 ``ball_integral_at``
     ``integral over x + B_h of f d(mu)`` for one centre or rows of centres:
@@ -121,12 +121,17 @@ def _mc_blocks(n: int, draw: Callable[[int], np.ndarray], weight: Callable) -> E
     weights are ``weight(draw(k))`` for blocks of ``k <= _MC_BLOCK`` samples,
     filled into one array and reduced whole, so the bits are those of one
     ``weight`` call on all ``n`` samples: ``weight`` is elementwise, and
-    numpy's pairwise sums see the same array."""
+    numpy's pairwise sums see the same array.  The reduction runs in place,
+    in the steps of numpy's ``_var``: ``w.mean()`` and ``w.std(ddof=1) /
+    sqrt(n)`` bit for bit, with no second array of ``n`` floats."""
     w = np.empty(n, dtype=np.float64)
     for start in range(0, n, _MC_BLOCK):
         k = min(_MC_BLOCK, n - start)
         w[start : start + k] = weight(draw(k))
-    return Estimate(float(w.mean()), MONTE_CARLO, float(w.std(ddof=1) / math.sqrt(n)))
+    mean = w.sum() / n
+    w -= mean
+    w *= w
+    return Estimate(float(mean), MONTE_CARLO, math.sqrt(w.sum() / (n - 1)) / math.sqrt(n))
 
 
 @dataclass
@@ -385,7 +390,7 @@ def l1_norm(
         w = float(window_radius)
         lo = np.where(np.arange(space.d) < space.m, 0.0, -w)
         hi = np.full(space.d, w)
-        pts = rng.uniform(0.0, 1.0, size=(spec.mc_samples, space.d)) * (hi - lo) + lo
+        pts = rng.random((spec.mc_samples, space.d)) * (hi - lo) + lo
         vol = float(np.prod(hi - lo))
         est = vol * float(np.mean(np.abs(f(pts))))
     _check_certified_upper(est, f.certified_l1, "L1 norm", tol=1e-6)

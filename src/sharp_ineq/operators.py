@@ -488,7 +488,7 @@ def kernel_ball_mass(
                 dens = eta * t ** (eta - 1.0) / upper**eta
                 return space.sphere_constant * np.asarray(omega(t)) * t ** (-beta - 1.0) / dens
 
-            return _mc_blocks(spec.mc_samples, lambda k: rng.uniform(0.0, 1.0, k), weight)
+            return _mc_blocks(spec.mc_samples, rng.random, weight)
         val = space.sphere_constant * piecewise_power_integral(
             omega.pieces(0.0, upper), 0.0, upper, -beta - 1.0
         )
@@ -525,7 +525,7 @@ def kernel_tail_mass(
                 inside = np.where(t <= kernel.cutoff, t ** (-beta - 1.0), 0.0)
                 return space.sphere_constant * inside / dens
 
-            return _mc_blocks(spec.mc_samples, lambda k: rng.uniform(0.0, 1.0, k), weight)
+            return _mc_blocks(spec.mc_samples, rng.random, weight)
         if kernel.cutoff <= hf:
             return Estimate(0.0, CLOSED_FORM, 0.0)
         val = space.sphere_constant * (hf ** (-beta) - kernel.cutoff ** (-beta)) / beta

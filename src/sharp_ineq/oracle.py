@@ -37,8 +37,8 @@ extremal constructors stamp on their outputs:
 
 * ``mc_cross_check`` re-derives each closed-form quantity by plain Monte
   Carlo and reports the discrepancy in standard errors.  The samples are
-  drawn and weighed a block at a time (``Space.ball_sampler`` and
-  ``calculus._mc_blocks``), with the bits of one draw of them all.
+  drawn a block at a time (``Space.ball_sampler``), their weights reduced in
+  place (``calculus._mc_blocks``): the bits of one draw and of ``np.std``.
 """
 
 from __future__ import annotations

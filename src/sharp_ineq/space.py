@@ -136,6 +136,8 @@ class Space:
             raise RequestError(f"dimension d must be a positive integer, got {self.d!r}")
         if not (isinstance(self.m, int) and 0 <= self.m <= self.d):
             raise RequestError(f"half-line count m must satisfy 0 <= m <= d, got {self.m!r}")
+        if self.kind == LATTICE and self.d > POINT_BUDGET:  # not even one point fits
+            raise ValueError(f"a lattice point of d = {self.d} coordinates exceeds the budget")
 
     # ------------------------------------------------------------------
     # basic geometry
@@ -263,11 +265,15 @@ class Space:
         block of points at a time, and the blocks, however cut, concatenate
         to the one sample of the seed.  On the continuum the half-line
         columns read ``default_rng(seed)``, the line columns a second one
-        advanced past its first ``n * m`` words (a float64 uniform reads
-        one).  On lattices the ``n`` ball indices are one ``integers`` call
-        (bounded draws in blocks would discard buffered 32-bit halves) and a
-        block is a gather.  The radius is checked before any generator is
-        built; drawing more than ``n`` rows raises ``ValueError``.
+        advanced past its first ``n * m`` words (a float64 draw reads one).
+        Its blocks are column-major, for the sup norm's fold over columns;
+        each column group is one row-major ``random`` draw scaled in place as
+        ``low + (high - low) * u``, so it keeps the bits of ``uniform``, which
+        computes just that, and its ``OverflowError`` on an infinite range.
+        On lattices the ``n`` ball indices are one ``integers`` call (bounded
+        draws in blocks would discard buffered 32-bit halves) and a block is
+        a gather.  The radius is checked before any generator is built;
+        drawing more than ``n`` rows raises ``ValueError``.
         """
         self.require_valid_radius(h)
         pos = 0
@@ -290,17 +296,19 @@ class Space:
 
             return draw
         hf, d, m = float(h), self.d, self.m
+        if d > m and not math.isfinite(hf + hf):
+            raise OverflowError("high - low range exceeds valid bounds")
         half = np.random.default_rng(seed)
         line = np.random.default_rng(seed)
         line.bit_generator.advance(n * m)
 
         def draw(k: int) -> np.ndarray:
             claim(k)
-            out = np.empty((k, d), dtype=np.float64)
-            if m:
-                out[:, :m] = half.uniform(0.0, hf, size=(k, m))
-            if d > m:
-                out[:, m:] = line.uniform(-hf, hf, size=(k, d - m))
+            out = np.empty((d, k), dtype=np.float64).T
+            for gen, block, lo in ((half, out[:, :m], 0.0), (line, out[:, m:], -hf)):
+                block[...] = gen.random(block.shape)
+                block *= hf - lo
+                block += lo
             return out
 
         return draw

@@ -889,6 +889,27 @@ def test_float_range_failure_names_its_quantity(capsys, tmp_path, command, space
     assert word in err
 
 
+@pytest.mark.parametrize("space, h, word", [
+    # an int64 box shape 2r + 1 wraps negative at r >= 2^62
+    ({"kind": "lattice", "d": 2, "m": 0}, str(2**63), "exceeds the budget of"),
+    # the window corner -r does not fit an int64
+    ({"kind": "lattice", "d": 1, "m": 0}, 1e308, "exceeds the budget of"),
+    # not even one point of d coordinates fits the budget
+    ({"kind": "lattice", "d": 10**30, "m": 0}, "3/2",
+     f"a lattice point of d = {10**30} coordinates exceeds the budget"),
+], ids=["h-2^63", "h-1e308", "d-1e30"])
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_exact_sizes_beyond_int64_name_the_budget(capsys, tmp_path, command, space, h, word):
+    power = {"kind": "power", "alpha": 1.0}
+    payload = ({"space": space, "modulus": power, "h_values": [h], "exact": True,
+                "theorems": ["nagy"]} if command == "verify" else
+               {"exact": [{"theorem_id": "nagy", "space": space, "modulus": power, "h": h}]})
+    cfg = write_cfg(tmp_path, "big.json", payload)
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("numeric failure: ") and word in err
+
+
 @pytest.mark.parametrize("command", ["constant", "stechkin", "oracle"])
 def test_tol_flag_only_on_verify(capsys, line_cfg, command):
     # the verdict tolerance is read by verify alone

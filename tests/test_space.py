@@ -299,3 +299,14 @@ def test_radial_quadrature_lives_in_calculus():
             if re.search(r"kernel\w*\._t\b", line):
                 hits.append(f"{path.name}:{lineno}: {line.strip()}")
     assert hits == []
+
+
+def test_lattice_dimension_bounded_by_one_point_of_the_budget():
+    from sharp_ineq._lattice import POINT_BUDGET
+
+    assert lattice(POINT_BUDGET).d == POINT_BUDGET
+    for d in (POINT_BUDGET + 1, 10**30):
+        with pytest.raises(ValueError, match=f"d = {d} coordinates exceeds the budget") as exc:
+            lattice(d)
+        assert not isinstance(exc.value, RequestError)  # a budget, exit 3
+    assert continuum(10**30).d == 10**30  # closed forms take any d
