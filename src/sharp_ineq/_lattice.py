@@ -32,13 +32,40 @@ if TYPE_CHECKING:
 
 # About 4.2 M points: 100 MB for one int64 copy of a d = 3 box.
 POINT_BUDGET = 1 << 22
+# About 3.4e10 steps of an exact replay (a pair of its smoothness sweep, or a
+# term of its ball sums): tens of seconds.  nagy on lattice(4, 0) at h = 5/2
+# takes 1.8e10.
+WORK_BUDGET = 1 << 35
+
+
+def _count(n: int) -> str:
+    """``n`` in digits below 10^12, else as ``about 2.00e+308``.  ``math.log10``
+    reads an int of any size, where ``float(n)`` would overflow."""
+    if n < 10**12:
+        return str(n)
+    exp = math.log10(n)
+    e = math.floor(exp)
+    lead = f"{10 ** (exp - e):.2f}"
+    if lead == "10.00":
+        lead, e = "1.00", e + 1
+    return f"about {lead}e+{e}"
 
 
 def require_budget(n: int) -> None:
     """Raise ``ValueError`` when a sweep of ``n`` points exceeds ``POINT_BUDGET``."""
     if n > POINT_BUDGET:
         raise ValueError(
-            f"a lattice sweep of {n} points exceeds the budget of {POINT_BUDGET}"
+            f"a lattice sweep of {_count(n)} points exceeds the budget of {POINT_BUDGET}"
+        )
+
+
+def require_work_budget(steps: int) -> None:
+    """Raise ``ValueError`` when an exact replay of ``steps`` steps exceeds
+    ``WORK_BUDGET``: its box may fit ``POINT_BUDGET`` while its sweeps,
+    quadratic in the box, would run for hours."""
+    if steps > WORK_BUDGET:
+        raise ValueError(
+            f"an exact replay of {_count(steps)} steps exceeds the work budget of {WORK_BUDGET}"
         )
 
 
@@ -54,6 +81,17 @@ def _box(lo: list, hi: list) -> np.ndarray:
 
 def _window_lo(space: Space, r: int) -> list:
     return [0] * space.m + [-r] * (space.d - space.m)
+
+
+def window_shape(space: Space, r: int) -> list:
+    """The shape of the window of radius ``r``, in Python ints of any size."""
+    return [r + 1] * space.m + [2 * r + 1] * (space.d - space.m)
+
+
+def window_axes(space: Space, r: int) -> list:
+    """The coordinate ranges of the window of radius ``r``, one per axis:
+    ``window_points(space, r)`` is their product in C order."""
+    return [range(lo, r + 1) for lo in _window_lo(space, r)]
 
 
 def window_points(space: Space, radius: int) -> np.ndarray:

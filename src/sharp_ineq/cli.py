@@ -49,7 +49,7 @@ from .operators import (
     theorem_report,
 )
 from .oracle import (EXACT_THEOREMS, MC_CHECKS, exact_inapplicable, exact_verify, mc_cross_check,
-                     random_suite, require_mc_check, suite_arguments)
+                     random_suite, require_exact_budget, require_mc_check, suite_arguments)
 from .space import RequestError, Space, config_integer, config_number, config_seed
 
 EXIT_OK = 0
@@ -231,6 +231,10 @@ def cmd_verify(cfg: dict, args) -> tuple[str, int]:
             _require_exact(tid, space, omega)
         else:
             require_report(tid, space, omega, spec)
+    if exact:  # and every replay's budgets
+        for h in h_values:
+            for tid in theorems:
+                require_exact_budget(tid, space, h)
 
     # the theorems at one h share one I(h); the cache lives for this command only
     modulus_integral = functools.cache(ball_integral_of_modulus)
@@ -316,6 +320,8 @@ def cmd_oracle(cfg: dict, args) -> tuple[str, int]:
             h = _radius(node["h"], "'h'", space, exact=True)
             _require_exact(node["theorem_id"], space, omega)
             replays.append((node["theorem_id"], space, omega, h))
+    for theorem_id, space, _, h in replays:  # every budget, once every entry is read
+        require_exact_budget(theorem_id, space, h)
 
     if runs:
         reports = []

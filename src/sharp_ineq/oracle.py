@@ -114,71 +114,102 @@ class ExactFunction:
     ``fn`` maps an integer coordinate tuple to a ``Fraction``; a finite
     ``support_radius`` certifies the function vanishes at sup-norm distance
     beyond it (``None`` marks unbounded support, admissible only where a
-    sweep can be replaced by a proof).
+    sweep can be replaced by a proof).  A radial function may also give its
+    ``profile``, its value at each integer sup distance from the origin:
+    the box is then evaluated once per distance instead of once per point.
     """
 
     fn: Callable[[tuple], Fraction]
     support_radius: Optional[int]
     label: str
+    profile: Optional[Callable[[int], Fraction]] = None
+
+
+def _radial(space: Space, profile: Callable[[int], Fraction]) -> Callable[[tuple], Fraction]:
+    """The point function of a radial ``profile``."""
+    origin = (0,) * space.d
+    return lambda pt: profile(space.lattice_distance(pt, origin))
 
 
 def exact_f_eh(space: Space, omega: Modulus, h) -> ExactFunction:
     """The peak-deficiency bump in rational arithmetic."""
     hq = Fraction(h)
     peak = omega.eval_fraction(hq)
-    support = strict_int_below(hq)
-    origin = (0,) * space.d
 
-    def fn(pt: tuple) -> Fraction:
-        rho = space.lattice_distance(pt, origin)
+    def profile(rho: int) -> Fraction:
         if rho >= hq:
             return Fraction(0)
         return peak - omega.eval_fraction(Fraction(rho))
 
-    return ExactFunction(fn=fn, support_radius=support, label=f"bump[h={hq}]")
+    return ExactFunction(fn=_radial(space, profile), support_radius=strict_int_below(hq),
+                         label=f"bump[h={hq}]", profile=profile)
 
 
 def exact_f_omega(space: Space, omega: Modulus) -> ExactFunction:
     """The radial modulus profile ``omega(rho)``; smoothness constant
     exactly 1 by concavity (no sweep needed or possible)."""
-    origin = (0,) * space.d
 
-    def fn(pt: tuple) -> Fraction:
-        return omega.eval_fraction(Fraction(space.lattice_distance(pt, origin)))
+    def profile(rho: int) -> Fraction:
+        return omega.eval_fraction(Fraction(rho))
 
-    return ExactFunction(fn=fn, support_radius=None, label="modulus-profile[c=0]")
+    return ExactFunction(fn=_radial(space, profile), support_radius=None,
+                         label="modulus-profile[c=0]", profile=profile)
+
+
+def _value_error(f: ExactFunction, v, p: tuple) -> ValueError:
+    """The refusal of the value ``v`` at ``p``: not an ``int`` or ``Fraction``,
+    or nonzero beyond the claimed support radius."""
+    if type(v) is not Fraction and type(v) is not int:
+        return ValueError(
+            f"exact function {f.label} returned {v!r} ({type(v).__name__}) at {p}; "
+            "exact mode needs int or Fraction values"
+        )
+    return ValueError(
+        f"exact function {f.label} claims support radius {f.support_radius} but is {v} at {p}"
+    )
 
 
 def _box_values(f: ExactFunction, space: Space, radius: int) -> tuple[np.ndarray, int]:
-    """``f`` once on each point of ``_lattice.window_points(space, radius)``,
-    as a box of integer numerators (Python ints) over one denominator ``den``.
+    """``f`` on each point of ``_lattice.window_points(space, radius)``, as a
+    box of integer numerators (Python ints) over one denominator ``den``.
     A value that is not an ``int`` or ``Fraction`` (a ``bool`` or ``float``),
-    or a nonzero one beyond the claimed support radius, raises ``ValueError``."""
+    or a nonzero one beyond the claimed support radius, raises ``ValueError``
+    naming the first such point in C order.
+
+    A radial ``f`` is evaluated once per distance ``0..radius`` (each occurs
+    in the window, so ``den`` is the same) and its numerators gathered by
+    ``Space.lattice_distances``; any other once per point."""
+    s = f.support_radius
+    if f.profile is not None:
+        axes = _lattice.window_axes(space, radius)
+        dist = space.lattice_distances(axes)
+        vals = [f.profile(rho) for rho in range(radius + 1)]
+        bad = [rho for rho, v in enumerate(vals) if type(v) is not Fraction and type(v) is not int
+               or s is not None and v != 0 and rho > s]
+        if bad:
+            first = np.unravel_index(np.flatnonzero(np.isin(dist, bad))[0], dist.shape)
+            p = tuple(int(i) + a.start for i, a in zip(first, axes))
+            raise _value_error(f, vals[dist[first]], p)
+        den = math.lcm(*(v.denominator for v in vals))
+        num = np.array([v.numerator * (den // v.denominator) for v in vals], dtype=object)
+        return num[dist], den
     pts = [tuple(p) for p in _lattice.window_points(space, radius).tolist()]
     vals = [f.fn(p) for p in pts]
-    s = f.support_radius
     origin = (0,) * space.d
     for p, v in zip(pts, vals):
-        if type(v) is not Fraction and type(v) is not int:
-            raise ValueError(
-                f"exact function {f.label} returned {v!r} ({type(v).__name__}) at {p}; "
-                "exact mode needs int or Fraction values"
-            )
-        if s is not None and v != 0 and space.lattice_distance(p, origin) > s:
-            raise ValueError(
-                f"exact function {f.label} claims support radius {s} but is {v} at {p}"
-            )
+        if type(v) is not Fraction and type(v) is not int or (
+                s is not None and v != 0 and space.lattice_distance(p, origin) > s):
+            raise _value_error(f, v, p)
     den = math.lcm(*(v.denominator for v in vals))
     num = np.array([v.numerator * (den // v.denominator) for v in vals], dtype=object)
-    return num.reshape((radius + 1,) * space.m + (2 * radius + 1,) * (space.d - space.m)), den
+    return num.reshape(_lattice.window_shape(space, radius)), den
 
 
 def _sub_box(box: np.ndarray, space: Space, r: int, shift: tuple) -> np.ndarray:
     """The values on the window of radius ``r`` shifted by ``shift``: a view
     of ``box``, the values on a window large enough to hold them."""
-    m = space.m
-    lo = [0] * m + [(n - 1) // 2 - r for n in box.shape[m:]]
-    width = [r + 1] * m + [2 * r + 1] * (space.d - m)
+    lo = [0] * space.m + [(n - 1) // 2 - r for n in box.shape[space.m:]]
+    width = _lattice.window_shape(space, r)
     return box[tuple(slice(a + c, a + c + w) for a, c, w in zip(lo, shift, width))]
 
 
@@ -189,11 +220,55 @@ def _fit(num: np.ndarray, terms: int) -> np.ndarray:
     return num.astype(np.int64) if top * terms < 2**63 else num
 
 
-def _ball_sums(box: np.ndarray, space: Space, r: int, offsets: list) -> np.ndarray:
-    """Integer sums over the ball ``offsets`` at each point of the window of
-    radius ``r``, from the numerators ``box`` on a window that holds them."""
-    ints = _fit(box, len(offsets))
-    return sum(_sub_box(ints, space, r, u) for u in offsets)
+def _ball_sums(box: np.ndarray, space: Space, r: int, k: int) -> np.ndarray:
+    """Integer sums over the ball of radius ``k`` at each point of the window
+    of radius ``r``, from the numerators ``box`` on a window that holds them.
+
+    The ball is the window of radius ``k``, a box, so its sums are one sum
+    of shifted views per axis: every partial sum is a sum of ball terms, so
+    the ``int64`` guard of the whole ball covers it, and integer sums are
+    exact in any order."""
+    ball = _lattice.window_shape(space, k)
+    out = _fit(_sub_box(box, space, r + k, (0,) * space.d), math.prod(ball))
+    for axis, terms in enumerate(ball):
+        n = out.shape[axis] - terms + 1
+        out = sum(out[(slice(None),) * axis + (slice(j, j + n),)] for j in range(terms))
+    return out
+
+
+def _sweep_work(space: Space, r: int) -> int:
+    """The steps of the smoothness sweep on the window of radius ``r``: its
+    points times its offsets, one of each ``+-u``."""
+    shape = _lattice.window_shape(space, r)
+    return math.prod(shape) * (math.prod(2 * n - 1 for n in shape) - 1) // 2
+
+
+def _replay_radius(theorem_id: str, space: Space, k: int, s: Optional[int]) -> int:
+    """The radius of the one box a replay at ball radius ``k`` reads, for a
+    witness of support radius ``s`` (``None``: the default ``lemma1``
+    witness), once the box fits ``POINT_BUDGET`` and the replay's steps fit
+    ``WORK_BUDGET``: the smoothness sweep's pairs, and a window point per
+    ball term for the ball sums.  Either refusal is a ``ValueError``.
+
+    One box holds every point the replay reads, so every value read is
+    checked and each is computed once: the smoothness window 3s + 1, the
+    support with every ball that meets it (s + 2k + 1), and lemma1's ball
+    at the centre, the window of radius k."""
+    radius = k if s is None else max(3 * s + 1, s + 2 * k + 1)
+    _lattice.require_budget(math.prod(_lattice.window_shape(space, radius)))
+    work = 0 if s is None else _sweep_work(space, 3 * s + 1)
+    if theorem_id not in ("lemma1", "nagy_l1"):
+        ball = math.prod(_lattice.window_shape(space, k))
+        work += math.prod(_lattice.window_shape(space, s + k + 1)) * ball
+    _lattice.require_work_budget(work)
+    return radius
+
+
+def require_exact_budget(theorem_id: str, space: Space, h) -> None:
+    """Raise the budget refusal ``exact_verify`` would give the replay with
+    its default witness, before any replay runs (``ValueError``, exit 3)."""
+    k = strict_int_below(Fraction(h))
+    _replay_radius(theorem_id, space, k, None if theorem_id == "lemma1" else k)
 
 
 def exact_holder_constant(
@@ -218,26 +293,37 @@ def exact_holder_constant(
     the widest ``|f(x + u) - f(x)|``.  The metric is translation invariant,
     so all those pairs share the denominator ``omega(rho(u, 0))``, and the
     largest ratio is exactly the widest difference at each distance over
-    that distance's modulus: one ``Fraction`` division per distance.
+    that distance's modulus: one ``Fraction`` division per distance.  The
+    offsets run in ``itertools.product``'s lexicographic order, in which the
+    zero offset sits at the centre: the sweep starts just past it, at the
+    first ``u > 0``.
 
     ``box`` is ``_box_values`` of ``f`` on a window of radius at least
     ``window_radius``, when the caller has it; the sweep reads its
-    ``window_radius`` view.
+    ``window_radius`` view.  Without it, the sweep is checked against
+    ``WORK_BUDGET`` before the box is built.
     """
-    origin = (0,) * space.d
-    num, den = box if box is not None else _box_values(f, space, window_radius)
-    vals = _fit(_sub_box(num, space, window_radius, origin), 2)
-    widest: dict = {}
-    for u in itertools.product(*(range(1 - n, n) for n in vals.shape)):
-        if u <= origin:  # the zero offset, and one of each pair +-u
-            continue
-        x = tuple(slice(max(-c, 0), n - max(c, 0)) for c, n in zip(u, vals.shape))
-        y = tuple(slice(max(c, 0), n + min(c, 0)) for c, n in zip(u, vals.shape))
-        top = abs(vals[y] - vals[x]).max()
-        if top:
-            r = space.lattice_distance(u, origin)
-            widest[r] = max(widest.get(r, 0), top)
-    ratios = (Fraction(int(t), den) / omega.eval_fraction(Fraction(r)) for r, t in widest.items())
+    if box is None:
+        _lattice.require_work_budget(_sweep_work(space, window_radius))
+        box = _box_values(f, space, window_radius)
+    num, den = box
+    vals = _fit(_sub_box(num, space, window_radius, (0,) * space.d), 2)
+    axes = [range(1 - n, n) for n in vals.shape]
+    # the x and y views of each offset, built once per axis coordinate
+    xs = [[slice(max(-c, 0), n - max(c, 0)) for c in a] for a, n in zip(axes, vals.shape)]
+    ys = [[slice(max(c, 0), n + min(c, 0)) for c in a] for a, n in zip(axes, vals.shape)]
+    start = math.prod(map(len, axes)) // 2 + 1
+    dist = space.lattice_distances(axes).ravel()[start:]
+    widest = [0] * (int(dist.max(initial=0)) + 1)
+    absolute, top_of = np.absolute, np.maximum.reduce
+    for x, y, r in zip(itertools.islice(itertools.product(*xs), start, None),
+                       itertools.islice(itertools.product(*ys), start, None), dist):
+        diff = vals[y] - vals[x]
+        top = top_of(absolute(diff, out=diff), axis=None)  # in place, int64 or Python ints
+        if top > widest[r]:
+            widest[r] = top
+    ratios = (Fraction(int(t), den) / omega.eval_fraction(Fraction(r))
+              for r, t in enumerate(widest) if t)
     return max(ratios, default=Fraction(0))
 
 
@@ -259,7 +345,8 @@ def exact_verify(
     as ``RequestError``.
     A caller's ``f`` without a support radius, with a value that is not an
     ``int`` or ``Fraction``, or nonzero beyond its support radius raises
-    ``ValueError``.
+    ``ValueError``, and so does a replay past ``_replay_radius``'s budgets,
+    before its box is built.
 
     The witness defaults to ``exact_f_omega`` (``lemma1``; ``holder = 1`` by
     concavity) or ``exact_f_eh``.  Every bound is ``term1 = holder I(h)/mu``
@@ -280,29 +367,26 @@ def exact_verify(
         )
 
     k = strict_int_below(hq)
-    offsets = [tuple(u) for u in space.closed_ball(k).tolist()]
-    mu = Fraction(len(offsets))
-    origin = (0,) * space.d
-    i_h = sum(
-        (omega.eval_fraction(Fraction(space.lattice_distance(u, origin))) for u in offsets),
-        Fraction(0),
-    )
-
-    # One box holds every point the replay reads, so every value read is
-    # checked and each is computed once: the smoothness window 3s + 1, the
-    # support with every ball that meets it (s + 2k + 1), and lemma1's ball
-    # at the centre.
     s = f.support_radius
+    radius = _replay_radius(theorem_id, space, k, s)
+
+    # the ball is the window of radius k: omega once per distance, times the
+    # ball points at that distance
+    counts = np.bincount(space.lattice_distances(_lattice.window_axes(space, k)).ravel())
+    mu = Fraction(int(counts.sum()))
+    i_h = sum((int(c) * omega.eval_fraction(Fraction(r)) for r, c in enumerate(counts)),
+              Fraction(0))
+
+    num, den = _box_values(f, space, radius)
     if s is None:  # the default lemma1 witness
-        num, den = _box_values(f, space, k)
         holder = Fraction(1)  # concavity: |omega(a) - omega(b)| <= omega(|a - b|)
     else:
-        num, den = _box_values(f, space, max(3 * s + 1, s + 2 * k + 1))
         holder = exact_holder_constant(f, space, omega, 3 * s + 1, box=(num, den))
 
+    origin = (0,) * space.d
     if theorem_id == "lemma1":
         centre = Fraction(_sub_box(num, space, 0, origin).item(), den)
-        ball = Fraction(_ball_sums(num, space, 0, offsets).item(), den)
+        ball = Fraction(_ball_sums(num, space, 0, k).item(), den)
         lhs = abs(centre - ball / mu)
         term2 = Fraction(0)
     else:
@@ -312,7 +396,7 @@ def exact_verify(
         if theorem_id == "nagy_l1":
             term2 = Fraction(int(absf.sum()), den) / mu
         else:
-            ball = _ball_sums(num, space, s + k + 1, offsets)
+            ball = _ball_sums(num, space, s + k + 1, k)
             term2 = Fraction(int(abs(ball).max()), den) / mu
     # sobolev's constant upper gradient G = holder/2 is always admissible, and
     # its term 2 * (holder / 2) * I(h) / mu is this same Fraction

@@ -9,7 +9,8 @@ A space is determined by three numbers:
 
 ``Space`` is the one place that knows the metric and its measure: the sup
 norm ``rho(u) = max_i |u_i|`` (``norm``; the distance is ``norm(x - y)``,
-and the exact integer ``lattice_distance`` serves the Fraction sweeps), the
+and the exact integer ``lattice_distance`` and ``lattice_distances`` serve
+the Fraction sweeps), the
 ball measure, the sphere constant, the lattice ball (``closed_ball``), the
 lattice shell counts and ball sampling.  Balls are open:
 ``B_h(x) = {y : rho(x, y) < h}``.  Both structures are translation invariant
@@ -37,11 +38,11 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._lattice import POINT_BUDGET, window_points
+from ._lattice import POINT_BUDGET, require_budget, window_points
 
 CONTINUUM = "continuum"
 LATTICE = "lattice"
@@ -174,6 +175,20 @@ class Space:
         """``rho(x, y)`` of two integer coordinate tuples, exact (a Python
         int): the distances of the exact replays, which form no float."""
         return max(abs(a - b) for a, b in zip(x, y))
+
+    def lattice_distances(self, axes: Sequence[range]) -> np.ndarray:
+        """``rho(u, 0)`` of every point ``u`` of the integer box
+        ``prod_i axes[i]``, one range per axis, as exact ``int64`` in the
+        box's shape: the distances of a window's points or of a sweep's
+        offsets, folded one axis at a time with no ``(N, d)`` array of
+        points.  The box is checked against ``POINT_BUDGET`` first."""
+        shape = tuple(a.stop - a.start for a in axes)
+        require_budget(math.prod(shape))
+        out = np.zeros(shape, dtype=np.int64)
+        for i, a in enumerate(axes):
+            col = np.abs(np.arange(a.start, a.stop, dtype=np.int64))
+            np.maximum(out, col.reshape((-1,) + (1,) * (len(shape) - 1 - i)), out=out)
+        return out
 
     @property
     def sphere_constant(self) -> float:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +30,10 @@ from sharp_ineq import (
     stechkin_curve,
     theorem_report,
 )
+from sharp_ineq._lattice import WORK_BUDGET
 from sharp_ineq.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_cfg(tmp_path, name, payload):
@@ -900,14 +904,59 @@ def test_float_range_failure_names_its_quantity(capsys, tmp_path, command, space
 ], ids=["h-2^63", "h-1e308", "d-1e30"])
 @pytest.mark.parametrize("command", ["verify", "oracle"])
 def test_exact_sizes_beyond_int64_name_the_budget(capsys, tmp_path, command, space, h, word):
-    power = {"kind": "power", "alpha": 1.0}
-    payload = ({"space": space, "modulus": power, "h_values": [h], "exact": True,
-                "theorems": ["nagy"]} if command == "verify" else
-               {"exact": [{"theorem_id": "nagy", "space": space, "modulus": power, "h": h}]})
-    cfg = write_cfg(tmp_path, "big.json", payload)
+    cfg = write_cfg(tmp_path, "big.json", _exact_payload(command, space, h))
     code, out, err = run_cli(capsys, [command, "--config", cfg])
     assert (code, out) == (EXIT_NUMERIC, "")
     assert err.startswith("numeric failure: ") and word in err
+
+
+def _exact_payload(command: str, space: dict, h) -> dict:
+    """One nagy replay on ``space`` at ``h`` with power(1), as ``command`` reads it."""
+    if command == "verify":
+        return {"space": space, "modulus": POWER1, "h_values": [h], "exact": True,
+                "theorems": ["nagy"]}
+    return {"exact": [{"theorem_id": "nagy", "space": space, "modulus": POWER1, "h": h}]}
+
+
+def _shipped_on_the_line(command: str, h: str) -> dict:
+    """The shipped exact config of ``command`` with its first replay moved to
+    ``lattice(1, 0)`` at ``h``."""
+    if command == "verify":
+        cfg = json.loads((CONFIGS / "verify_exact_lattice.json").read_text())
+        cfg["space"], cfg["h_values"] = ZZ, [h]
+    else:
+        cfg = json.loads((CONFIGS / "oracle_quick.json").read_text())
+        cfg["exact"][0]["h"] = h
+    return cfg
+
+
+@pytest.mark.parametrize("make", [lambda command, h: _exact_payload(command, ZZ, h),
+                                  _shipped_on_the_line], ids=["nagy-alone", "shipped-config"])
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_exact_sweep_beyond_the_work_budget_exits_at_once(capsys, tmp_path, command, make):
+    # the box of h = 1000001/2 on the line, 3,000,003 points, fits the point
+    # budget, but its smoothness sweep (3,000,003 points x 3,000,002 offsets)
+    # and ball sums (2,000,003 points x 1,000,001 terms) would run for hours.
+    # Each command checks every replay's budgets before it runs anything:
+    # the shipped configs list lemma1 first, or suites and checks.
+    cfg = write_cfg(tmp_path, "slow.json", make(command, "1000001/2"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == ("numeric failure: an exact replay of about 1.10e+13 steps exceeds "
+                   f"the work budget of {WORK_BUDGET}\n")
+    assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_point_budget_message_is_readable(capsys, tmp_path, command):
+    # the box of h = 1e308 has 6 * 10^308 - 3 points: 309 digits in full
+    cfg = write_cfg(tmp_path, "big.json", _exact_payload(command, ZZ, 1e308))
+    code, out, err = run_cli(capsys, [command, "--config", cfg])
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == ("numeric failure: a lattice sweep of about 6.00e+308 points exceeds "
+                   "the budget of 4194304\n")
 
 
 @pytest.mark.parametrize("command", ["constant", "stechkin", "oracle"])
@@ -988,7 +1037,6 @@ def test_bad_theorem_id(capsys, tmp_path):
     assert "unknown theorem id" in err
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Monte Carlo verify runs: they reach the sampled kernel ball/tail masses and
 # the radial table-kernel quadratures, which no shipped config does.

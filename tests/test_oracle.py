@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -291,6 +293,143 @@ def test_exact_verify_builds_one_box(monkeypatch, tid, space, h, witness):
     assert boxes == [want]
     if f is not None:
         assert len(points) == len(set(points)) == len(space.closed_ball(want))
+
+
+# every lattice(d, m) with d <= 3, and power(1) with concave tables whose
+# node values have denominators 3, 4 and 12
+RADIAL_SPACES = [lattice(d, m) for d in (1, 2, 3) for m in range(d + 1)]
+RADIAL_MODULI = (
+    RAMP,
+    TableModulus([(0, 0), (1, F(2, 3)), (2, F(1))]),
+    TableModulus([(0, 0), (1, F(3, 4)), (2, F(5, 4))]),
+    TableModulus([(0, 0), (1, F(7, 12)), (2, F(3, 4))]),
+)
+RADIAL_H = (F(3, 2), F(5, 2), F(7, 2))
+
+
+def _per_point(f):
+    """``f`` without its profile: a caller's plain per-point function."""
+    return dataclasses.replace(f, profile=None)
+
+
+@pytest.mark.parametrize("space", RADIAL_SPACES, ids=repr)
+def test_radial_box_is_the_per_point_box(space):
+    # the default witnesses on the boxes exact_verify builds for them
+    for omega, h in itertools.product(RADIAL_MODULI, RADIAL_H):
+        k = int(h)
+        bump, profile = oracle.exact_f_eh(space, omega, h), oracle.exact_f_omega(space, omega)
+        for f, radius in ((bump, 3 * k + 1), (profile, k)):
+            assert f.profile is not None
+            num, den = oracle._box_values(f, space, radius)
+            want, want_den = oracle._box_values(_per_point(f), space, radius)
+            assert den == want_den
+            assert num.dtype == want.dtype == object and num.shape == want.shape
+            assert num.tolist() == want.tolist()
+            assert {type(v) for v in num.flat} == {int}
+
+
+@pytest.mark.parametrize("space", RADIAL_SPACES, ids=repr)
+def test_radial_replay_is_the_per_point_replay(space):
+    # lemma1's default witness has no support radius, so a caller cannot
+    # pass it.  On d = 3, nagy stands for the others, which read the same
+    # box, and h = 7/2 is left to the box test: its sweeps take 0.1-0.25 s.
+    tids = ("nagy",) if space.d == 3 else ("nagy", "nagy_l1", "sobolev", "charge")
+    hs = RADIAL_H[:2] if space.d == 3 else RADIAL_H
+    for omega, h, tid in itertools.product(RADIAL_MODULI, hs, tids):
+        rep = oracle.exact_verify(tid, space, omega, h)
+        plain = oracle.exact_verify(tid, space, omega, h,
+                                    f=_per_point(oracle.exact_f_eh(space, omega, h)))
+        assert rep.exact == plain.exact and rep.exact["gap"] == 0
+        assert {type(v) for v in rep.exact.values()} == {Fraction}
+
+
+def test_radial_box_refuses_as_the_per_point_box():
+    # a profile that fails at one distance is refused at the first point in
+    # C order at that distance, in the per-point path's words
+    space = lattice(2, 1)
+    for profile, match in ((lambda rho: 0.5 if rho == 2 else F(0),
+                            "returned 0.5 (float) at (0, -2)"),
+                           (lambda rho: F(1, 3) if rho == 3 else F(0),
+                            "claims support radius 1 but is 1/3 at (0, -3)")):
+        f = oracle.ExactFunction(fn=lambda pt: profile(space.lattice_distance(pt, (0, 0))),
+                                 support_radius=1, label="radial", profile=profile)
+        for g in (f, _per_point(f)):
+            with pytest.raises(ValueError, match=re.escape(match)):
+                oracle._box_values(g, space, 3)
+
+
+class _RecordedViews(np.ndarray):
+    """An array that records the index of each view taken of its ``int64``
+    copies: in ``exact_holder_constant``, the y and x views of each offset."""
+
+    views: list = []
+
+    def __getitem__(self, index):
+        if self.dtype == np.int64:
+            _RecordedViews.views.append(index)
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("space, radius", [
+    (lattice(1, 0), 2), (lattice(1, 1), 3), (lattice(2, 1), 2), (lattice(2, 2), 1),
+    (lattice(3, 1), 1), (lattice(3, 2), 0),
+], ids=["Z1_0-r2", "Z1_1-r3", "Z2_1-r2", "Z2_2-r1", "Z3_1-r1", "Z3_2-r0"])
+def test_sweep_reaches_each_offset_pair_once(space, radius):
+    f = oracle.exact_f_eh(space, RAMP, F(2 * radius + 3, 2))
+    num, den = oracle._box_values(f, space, radius)
+    _RecordedViews.views = []
+    oracle.exact_holder_constant(f, space, RAMP, radius, box=(num.view(_RecordedViews), den))
+    views = _RecordedViews.views
+    offsets = [tuple(b.start - a.start for a, b in zip(x, y))
+               for y, x in zip(views[::2], views[1::2])]
+    shape = num.shape
+    assert len(views) == 2 * len(offsets)
+    assert len(offsets) == (math.prod(2 * n - 1 for n in shape) - 1) // 2
+    every = set(itertools.product(*(range(1 - n, n) for n in shape))) - {(0,) * space.d}
+    swept = set(offsets) | {tuple(-c for c in u) for u in offsets}
+    assert len(set(offsets)) == len(offsets) and swept == every
+
+
+def test_exact_replay_memory_is_a_few_boxes():
+    # nagy on lattice(3, 0) at h = 5/2 reads one box of 15^3 points; the
+    # sweep holds one int64 copy of its smoothness window, its offsets'
+    # distances and one difference at a time: a peak of 367 KB, 13.6 int64
+    # copies of the box.  Sweeping all pairs at once would hold 3375^2 / 2.
+    box = 8 * 15**3
+    oracle.exact_verify("nagy", lattice(3, 0), RAMP, F(3, 2))  # caches and lazy imports
+    tracemalloc.start()
+    try:
+        oracle.exact_verify("nagy", lattice(3, 0), RAMP, F(5, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * box
+
+
+def test_work_budget_admits_lattice_4_at_5_halves(monkeypatch):
+    # nagy on lattice(4, 0) at h = 5/2 takes 1.8e10 steps, about 5 s: both
+    # budgets pass, and the replay reaches its box
+    def reached(f, space, radius):
+        raise LookupError(radius)
+
+    monkeypatch.setattr(oracle, "_box_values", reached)
+    with pytest.raises(LookupError, match="^7$"):
+        oracle.exact_verify("nagy", lattice(4, 0), RAMP, F(5, 2))
+
+
+def test_holder_sweep_without_a_box_checks_the_work_budget():
+    f = oracle.exact_f_eh(lattice(1, 0), RAMP, F(10**6))
+    with pytest.raises(ValueError, match=f"work budget of {_lattice.WORK_BUDGET}$"):
+        oracle.exact_holder_constant(f, lattice(1, 0), RAMP, 3 * 10**6)
+
+
+@pytest.mark.parametrize("n, text", [
+    (4194305, "4194305"), (10**12 - 1, "999999999999"), (10**12, "about 1.00e+12"),
+    (10**13 - 1, "about 1.00e+13"), (2 * 10**308 - 1, "about 2.00e+308"),
+    (3**700, "about 9.66e+333"),
+], ids=["budget-plus-one", "twelve-digits", "thirteen-digits", "rounds-up", "2e308", "3^700"])
+def test_budget_counts_are_readable(n, text):
+    assert _lattice._count(n) == text
 
 
 def test_exact_verify_guards():
